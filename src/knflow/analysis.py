@@ -24,18 +24,26 @@ checked in three algebraically equivalent forms ("raw" on the squared
 half-angle kernel, "i"/"ii" on the squared distance), in an integrated
 window form with no differentiation at all, and in a localized form
 restricted to balls.
+
+Every check reduces its (time sample x reference point) residual grid with
+the convexity module's grid kernel, one block of time samples at a time;
+reference points are drawn row by row in time order and then stacked.
+Cells with f = +inf at the reference point or past the singular cap are
+vacuous, and so is a right-hand side of +inf (its residual is -inf).  A
+kept cell whose residual is +inf or NaN fails the check.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .coefficients import CurvatureParams, c_values, s_values
-from .convexity import sampling_box
+from .convexity import _grid_max, _pair_distances, _row_blocks, sampling_box
 from .core import DEFAULT_TOL, SampleSpec, Tolerance
 from .errors import (
     DisjointWindows,
@@ -59,8 +67,10 @@ class EviReport:
     """Outcome of a variational-inequality check.
 
     max_violation is the worst excess of the residual over the
-    discretization-aware budget (pass iff <= tolerance, default 0);
+    discretization-aware budget; the check passes iff max_violation <= 0.
     max_residual keeps the raw worst residual for equality-case asserts.
+    Both are +inf when a kept cell has a +inf or NaN residual, and worst
+    is None when every cell is vacuous.
     """
 
     form: str
@@ -70,9 +80,7 @@ class EviReport:
     max_violation: float
     worst: Optional[tuple]
     passed: bool
-    tolerance: float = 0.0
     max_residual: float = -math.inf
-    meta: dict = field(default_factory=dict)
 
     def to_json(self) -> dict:
         out = {"form": self.form}
@@ -175,16 +183,12 @@ def _interval_speeds(c: Curve) -> np.ndarray:
 
 def _local_lipschitz(c: Curve, window: int = 3) -> np.ndarray:
     """Per-interval speed bound: max of nearby interval speeds."""
-    v = _interval_speeds(c)
-    out = np.empty_like(v)
-    for i in range(len(v)):
-        lo = max(0, i - window)
-        hi = min(len(v), i + window + 1)
-        out[i] = v[lo:hi].max()
-    return out
+    v = np.pad(_interval_speeds(c), window, constant_values=-math.inf)
+    return sliding_window_view(v, 2 * window + 1).max(axis=1)
 
 
-def _budget_lipschitz(c: Curve, stride: int = 8) -> np.ndarray:
+def _budget_lipschitz(c: Curve, local: np.ndarray,
+                      stride: int = 8) -> np.ndarray:
     """Speed estimate feeding the discretization budget.
 
     The smaller of the local per-cell bound and twice a stride-averaged
@@ -193,7 +197,6 @@ def _budget_lipschitz(c: Curve, stride: int = 8) -> np.ndarray:
     stride average stays at the noise/(stride*h) scale, so violations
     introduced by the noise remain visible.
     """
-    local = _local_lipschitz(c)
     m = c.n_samples
     i = np.arange(len(local))
     lo = np.maximum(i - stride, 0)
@@ -202,12 +205,6 @@ def _budget_lipschitz(c: Curve, stride: int = 8) -> np.ndarray:
     span = np.abs(gaps) if c.is_1d else np.linalg.norm(gaps, axis=-1)
     avg = span / (c.times[hi] - c.times[lo])
     return np.minimum(local, 2.0 * avg + 1e-12)
-
-
-def _dists_to(c_points_i, zs, one_d: bool) -> np.ndarray:
-    if one_d:
-        return np.abs(zs - c_points_i)
-    return np.linalg.norm(zs - c_points_i[None, :], axis=-1)
 
 
 def _point_norm(x) -> float:
@@ -257,83 +254,93 @@ def _time_indices(c: Curve, t_samples: int) -> np.ndarray:
 # variational inequality checks
 # ---------------------------------------------------------------------------
 
-def _step_budget(tol: Tolerance, scale, L: float, h: float):
-    return tol.abs + tol.rel * scale + _STEP_BIAS_COEFF * h * h * (1.0 + L ** 4)
-
-
-def _reduce_evi(form, params, n_z, idx, times, viol_rows, res_rows, wit_rows):
-    best = -math.inf
+def _evi_report(form, params, times, zs, one_d, block) -> EviReport:
+    """Reduce a check's grid; times and zs label its rows and cells."""
+    viol, res, (i, j) = _grid_max(len(times), zs.shape[1], block)
     worst = None
-    max_res = -math.inf
-    for t, v, r, w in zip(times, viol_rows, res_rows, wit_rows):
-        if r > max_res:
-            max_res = r
-        if v > best:
-            best = v
-            worst = (float(t), w)
-    return EviReport(form=form, params=params, z_samples=n_z,
-                     t_samples=len(idx), max_violation=best, worst=worst,
-                     passed=best <= 0.0, max_residual=max_res)
+    if viol > -math.inf:
+        worst = (float(times[i]), float(zs[i, j]) if one_d else zs[i, j].tolist())
+    return EviReport(form=form, params=params, z_samples=zs.shape[1],
+                     t_samples=len(times), max_violation=viol, worst=worst,
+                     passed=viol <= 0.0, max_residual=res)
 
 
-def _row_reduce(excess, residual, zs, one_d):
-    finite = np.where(np.isfinite(excess), excess, -math.inf)
-    j = int(np.argmax(finite))
-    w = float(zs[j]) if one_d else zs[j].tolist()
-    res = np.where(np.isfinite(residual), residual, -math.inf)
-    return float(finite[j]), float(res.max()), w
+def _z_rows(c: Curve, fn: Functional, spec: SampleSpec, z_override):
+    """Row drawer for the stratified (or overridden) reference points."""
+    rng = spec.rng()
+
+    def draw(i, step):
+        if z_override is not None:
+            return np.asarray(z_override, dtype=float)
+        return _stratified_z(fn, c.point(i), step, rng, spec.count)
+    return draw
 
 
-def _lambda_rows(c, gn, lam, spec, tol, t_samples, one_d, z_maker):
+def _step_check(form, params, c: Curve, fn: Functional, tol: Tolerance,
+                t_samples: int, draw, keep, rhs,
+                raw: Optional[CurvatureParams] = None) -> EviReport:
+    """Step-integrated check on the (time sample, reference point) grid.
+
+    draw(i, step) gives the reference points of time sample i.  On a cell
+    with reference point z, at distances d0, d1 from the step's end
+    points, keep(fz, z, d0, d1) says whether the cell is tested, and
+    rhs(d, fz, f_k) is the right-hand side at the end point with value
+    f_k.  The left side is the step quotient of d^2/2, or, when raw holds
+    the curvature parameters, of the squared half-angle kernel s(d/2)^2.
+    """
+    one_d = isinstance(fn.space, Interval)
     idx = _time_indices(c, t_samples)
-    L = _budget_lipschitz(c)
-    L_step = _local_lipschitz(c)
-    g_curve = gn.values(c.points)
-    if not np.isfinite(g_curve[idx]).all() or \
-            not np.isfinite(g_curve[idx + 1]).all():
-        raise PointOutsideDomain("curve leaves the finiteness domain of g")
-    viol_rows, res_rows, wit_rows = [], [], []
-    n_z = 0
-    for i in idx:
-        h = c.times[i + 1] - c.times[i]
-        zs, keep_extra = z_maker(i, max(L_step[i] * h, 1e-3))
-        n_z = len(zs)
-        gz = gn.values(zs)
-        keep = np.isfinite(gz)
-        if keep_extra is not None:
-            keep &= keep_extra
-        d0 = _dists_to(c.points[i], zs, one_d)
-        d1 = _dists_to(c.points[i + 1], zs, one_d)
-        q = (d1 ** 2 - d0 ** 2) / (2.0 * h)
-        rhs0 = gz - g_curve[i] - 0.5 * lam * d0 ** 2
-        rhs1 = gz - g_curve[i + 1] - 0.5 * lam * d1 ** 2
-        residual = q - 0.5 * (rhs0 + rhs1)
-        residual = np.where(keep, residual, -math.inf)
-        scale = np.maximum(1.0, np.where(keep, np.abs(rhs0), 1.0))
-        excess = residual - _step_budget(tol, scale, L[i], h)
-        v, r, w = _row_reduce(excess, residual, zs, one_d)
-        viol_rows.append(v)
-        res_rows.append(r)
-        wit_rows.append(w)
-    return idx, viol_rows, res_rows, wit_rows, n_z
+    local = _local_lipschitz(c)
+    # float_power: the same libm pow as a scalar L ** 4
+    L4 = np.float_power(_budget_lipschitz(c, local)[idx], 4)[:, None]
+    f_curve = fn.values(c.points)
+    if not np.isfinite(f_curve[idx]).all() or \
+            not np.isfinite(f_curve[idx + 1]).all():
+        raise PointOutsideDomain(f"curve leaves the finiteness domain of {fn.name}")
+    h = (c.times[idx + 1] - c.times[idx])[:, None]
+    # rows go straight into one array: a list of rows stacked at the end
+    # fragments the heap and raised the peak RSS of later work by ~3 MB
+    zs = None
+    for k, i in enumerate(idx):
+        row = draw(i, max(local[i] * h[k, 0], 1e-3))
+        if zs is None:
+            zs = np.empty((len(idx),) + row.shape)
+        zs[k] = row
+
+    def block(lo, hi):
+        i, z, hb = idx[lo:hi], zs[lo:hi], h[lo:hi]
+        fz = fn.values(z.reshape(-1, *z.shape[2:])).reshape(z.shape[:2])
+        d0 = _pair_distances(c.points[i, None], z, one_d)
+        d1 = _pair_distances(c.points[i + 1, None], z, one_d)
+        if raw is None:
+            q = (d1 ** 2 - d0 ** 2) / (2.0 * hb)
+            gain = 1.0
+        else:
+            q = (s_values(raw, d1 / 2.0) ** 2 - s_values(raw, d0 / 2.0) ** 2) / hb
+            gain = c_values(raw, d0 / 2.0) ** 2 \
+                + abs(raw.K / raw.N) * s_values(raw, d0 / 2.0) ** 2
+        rhs0 = rhs(d0, fz, f_curve[i, None])
+        rhs1 = rhs(d1, fz, f_curve[i + 1, None])
+        with np.errstate(invalid="ignore"):
+            residual = q - 0.5 * (rhs0 + rhs1)
+            scale = np.maximum(1.0, np.where(np.isfinite(rhs0),
+                                             np.abs(rhs0), 1.0))
+        budget = tol.abs + tol.rel * scale \
+            + _STEP_BIAS_COEFF * gain * hb * hb * (1.0 + L4[lo:hi])
+        return residual, budget, keep(fz, z, d0, d1)
+
+    return _evi_report(form, params, c.times[idx], zs, one_d, block)
 
 
 def check_evi_lambda(c: Curve, gn: Functional, lam: float, spec: SampleSpec,
                      tol: Tolerance = DEFAULT_TOL, t_samples: int = 50,
                      z_override=None) -> EviReport:
     """Step-integrated check of the modulus-lambda variational inequality."""
-    one_d = isinstance(gn.space, Interval)
-    rng = spec.rng()
-
-    def z_maker(i, step):
-        if z_override is not None:
-            return np.asarray(z_override, dtype=float), None
-        return _stratified_z(gn, c.point(i), step, rng, spec.count), None
-
-    idx, viol, res, wit, n_z = _lambda_rows(c, gn, lam, spec, tol, t_samples,
-                                            one_d, z_maker)
-    return _reduce_evi("evi_lambda", {"lambda": lam}, n_z, idx,
-                       c.times[idx], viol, res, wit)
+    return _step_check(
+        "evi_lambda", {"lambda": lam}, c, gn, tol, t_samples,
+        _z_rows(c, gn, spec, z_override),
+        keep=lambda gz, z, d0, d1: np.isfinite(gz),
+        rhs=lambda d, gz, g_k: gz - g_k - 0.5 * lam * d ** 2)
 
 
 def _ratio_d_over_s(p: CurvatureParams, d: np.ndarray) -> np.ndarray:
@@ -355,7 +362,7 @@ EVI_KN_FORMS = ("raw", "i", "ii")
 
 
 def _kn_rhs(form, p, d, ratio):
-    """Right-hand side of the chosen form at one time sample."""
+    """Right-hand side of the chosen form."""
     if form == "raw":
         u = s_values(p, d / 2.0) ** 2
         return 0.5 * p.N * (1.0 - ratio) - p.K * u
@@ -382,61 +389,32 @@ def check_evi_kn(c: Curve, fn: Functional, p: CurvatureParams, form: str,
         raise ParamOutOfRange(f"form must be one of {EVI_KN_FORMS}")
     if z_domain not in ("extended", "closure"):
         raise ParamOutOfRange("z_domain must be 'extended' or 'closure'")
-    one_d = isinstance(fn.space, Interval)
-    idx = _time_indices(c, t_samples)
-    L = _budget_lipschitz(c)
-    L_step = _local_lipschitz(c)
-    rng = spec.rng()
-    f_curve = fn.values(c.points)
-    if not np.isfinite(f_curve[idx]).all() or \
-            not np.isfinite(f_curve[idx + 1]).all():
-        raise PointOutsideDomain("curve leaves the finiteness domain of f")
-    g_curve = -f_curve / p.N  # log of the exponential transform
     cap = p.theta_singular
-    viol_rows, res_rows, wit_rows = [], [], []
-    n_z = 0
-    for i in idx:
-        h = c.times[i + 1] - c.times[i]
-        if z_override is not None:
-            zs = np.asarray(z_override, dtype=float)
-        else:
-            zs = _stratified_z(fn, c.point(i), max(L_step[i] * h, 1e-3), rng,
-                               spec.count)
-        n_z = len(zs)
-        fz = fn.values(zs)
-        keep = fz < math.inf if z_domain == "extended" else np.isfinite(fz)
-        d0 = _dists_to(c.points[i], zs, one_d)
-        d1 = _dists_to(c.points[i + 1], zs, one_d)
-        if p.K < 0:
-            keep &= (d0 < cap) & (d1 < cap)
+
+    def keep(fz, z, d0, d1):
+        out = fz < math.inf if z_domain == "extended" else np.isfinite(fz)
+        return out & (d0 < cap) & (d1 < cap)
+
+    def rhs(d, fz, f_k):
+        g_k = -f_k / p.N
         with np.errstate(over="ignore"):
-            ratio0 = np.exp(-fz / p.N - g_curve[i])
-            ratio1 = np.exp(-fz / p.N - g_curve[i + 1])
-        if form == "raw":
-            u0 = s_values(p, d0 / 2.0) ** 2
-            u1 = s_values(p, d1 / 2.0) ** 2
-            q = (u1 - u0) / h
-            kernel_gain = c_values(p, d0 / 2.0) ** 2 \
-                + abs(p.K / p.N) * s_values(p, d0 / 2.0) ** 2
-        else:
-            q = (d1 ** 2 - d0 ** 2) / (2.0 * h)
-            kernel_gain = 1.0
-        rhs0 = _kn_rhs(form, p, d0, ratio0)
-        rhs1 = _kn_rhs(form, p, d1, ratio1)
-        residual = q - 0.5 * (rhs0 + rhs1)
-        residual = np.where(keep, residual, -math.inf)
-        with np.errstate(invalid="ignore"):
-            scale = np.maximum(1.0, np.where(np.isfinite(rhs0),
-                                             np.abs(rhs0), 1.0))
-        budget = tol.abs + tol.rel * scale \
-            + _STEP_BIAS_COEFF * kernel_gain * h * h * (1.0 + L[i] ** 4)
-        excess = residual - budget
-        v, r, w = _row_reduce(excess, residual, zs, one_d)
-        viol_rows.append(v)
-        res_rows.append(r)
-        wit_rows.append(w)
-    return _reduce_evi(f"evi_kn_{form}", {"K": p.K, "N": p.N}, n_z, idx,
-                       c.times[idx], viol_rows, res_rows, wit_rows)
+            ratio = np.exp(-fz / p.N - g_k)
+        return _kn_rhs(form, p, d, ratio)
+
+    return _step_check(f"evi_kn_{form}", {"K": p.K, "N": p.N}, c, fn, tol,
+                       t_samples, _z_rows(c, fn, spec, z_override), keep, rhs,
+                       raw=p if form == "raw" else None)
+
+
+def _first_exits(points, zs, cap: float, one_d: bool) -> np.ndarray:
+    """Per reference point, the first curve index at distance >= cap
+    (len(points) if the curve stays closer)."""
+    out = np.full(len(zs), len(points))
+    for lo, hi in _row_blocks(len(points), len(zs)):
+        far = _pair_distances(points[lo:hi, None], zs, one_d) >= cap
+        new = far.any(axis=0) & (out == len(points))
+        out[new] = lo + far[:, new].argmax(axis=0)
+    return out
 
 
 def check_evi_integrated(c: Curve, fn: Functional, p: CurvatureParams,
@@ -456,41 +434,34 @@ def check_evi_integrated(c: Curve, fn: Functional, p: CurvatureParams,
     rng = spec.rng()
     zs = _stratified_z(fn, c.point(0), 0.5, rng, spec.count)
     fz = fn.values(zs)
-    keep0 = fz < math.inf
     f_curve = fn.values(c.points)
     if not np.isfinite(f_curve).all():
         raise PointOutsideDomain("curve leaves the finiteness domain of f")
-    d_all = np.abs(zs[None, :] - c.points[:, None]) if one_d else \
-        np.linalg.norm(zs[None, :, :] - c.points[:, None, :], axis=-1)
-    running_max = np.maximum.accumulate(d_all, axis=0)
-    u_all = s_values(p, d_all / 2.0) ** 2
-    t0 = c.times[0]
+    u_start = s_values(p, _pair_distances(c.points[:1, None], zs, one_d)
+                       / 2.0) ** 2
     idx = np.unique(np.linspace(1, c.n_samples - 1,
                                 min(t_samples, c.n_samples - 1)).round()
                     .astype(int))
-    cap = p.theta_singular
-    viol_rows, res_rows, wit_rows = [], [], []
-    for j in idx:
-        t = c.times[j] - t0
-        ekt = math.exp(p.K * t)
+    # math.exp, as for a scalar window length: np.exp may differ in the
+    # last bit
+    ekt = np.array([math.exp(p.K * t) for t in c.times[idx] - c.times[0]])[:, None]
+    exits = _first_exits(c.points, zs, p.theta_singular, one_d)
+
+    def block(lo, hi):
+        i, e = idx[lo:hi], ekt[lo:hi]
+        u = s_values(p, _pair_distances(c.points[i, None], zs, one_d) / 2.0) ** 2
         with np.errstate(over="ignore"):
-            ratio = np.exp((-fz + f_curve[j]) / p.N)
-        lhs_gain = ekt * u_all[j] - u_all[0]
-        rhs_gain = p.N * (ekt - 1.0) / (2.0 * p.K) * (1.0 - ratio)
-        residual = lhs_gain - rhs_gain
-        keep = keep0.copy()
-        if p.K < 0:
-            keep &= running_max[j] < cap
-        residual = np.where(keep, residual, -math.inf)
+            ratio = np.exp((-fz + f_curve[i, None]) / p.N)
+        rhs_gain = p.N * (e - 1.0) / (2.0 * p.K) * (1.0 - ratio)
+        with np.errstate(invalid="ignore"):
+            residual = e * u - u_start - rhs_gain
         scale = np.maximum(1.0, np.where(np.isfinite(rhs_gain),
                                          np.abs(rhs_gain), 1.0))
-        excess = residual - (tol.abs + tol.rel * scale)
-        v, r, w = _row_reduce(excess, residual, zs, one_d)
-        viol_rows.append(v)
-        res_rows.append(r)
-        wit_rows.append(w)
-    return _reduce_evi("evi_integrated", {"K": p.K, "N": p.N}, len(zs), idx,
-                       c.times[idx], viol_rows, res_rows, wit_rows)
+        return residual, tol.abs + tol.rel * scale, \
+            (fz < math.inf) & (i[:, None] < exits)
+
+    return _evi_report("evi_integrated", {"K": p.K, "N": p.N}, c.times[idx],
+                       np.broadcast_to(zs, (len(idx),) + zs.shape), one_d, block)
 
 
 def check_evi_local(c: Curve, gn: Functional, lam: float, radius: float,
@@ -505,85 +476,74 @@ def check_evi_local(c: Curve, gn: Functional, lam: float, radius: float,
     box = sampling_box(gn)
     rng = spec.rng()
 
-    def z_maker(i, step):
+    def draw(i, step):
         x_t = c.point(i)
         if one_d:
             lo = max(float(box[0]), x_t - radius)
             hi = min(float(box[1]), x_t + radius)
-            zs = rng.uniform(lo, hi, size=spec.count)
-        else:
-            dirs = rng.normal(size=(spec.count, gn.space.n))
-            dirs /= np.maximum(np.linalg.norm(dirs, axis=1, keepdims=True),
-                               1e-300)
-            radii = radius * rng.uniform(0, 1, size=(spec.count, 1)) ** (
-                1.0 / gn.space.n)
-            zs = np.clip(x_t[None, :] + radii * dirs,
-                         np.asarray(box[0]), np.asarray(box[1]))
-        extra = None
-        if z_filter is not None:
-            extra = np.asarray([bool(z_filter(z)) for z in zs])
-        return zs, extra
+            return rng.uniform(lo, hi, size=spec.count)
+        dirs = rng.normal(size=(spec.count, gn.space.n))
+        dirs /= np.maximum(np.linalg.norm(dirs, axis=1, keepdims=True), 1e-300)
+        radii = radius * rng.uniform(0, 1, size=(spec.count, 1)) ** (
+            1.0 / gn.space.n)
+        return np.clip(x_t[None, :] + radii * dirs,
+                       np.asarray(box[0]), np.asarray(box[1]))
 
-    idx, viol, res, wit, n_z = _lambda_rows(c, gn, lam, spec, tol, t_samples,
-                                            one_d, z_maker)
-    return _reduce_evi("evi_local", {"lambda": lam, "radius": radius}, n_z,
-                       idx, c.times[idx], viol, res, wit)
+    def keep(gz, z, d0, d1):
+        out = np.isfinite(gz)
+        if z_filter is not None:
+            pts = z.reshape(-1, *z.shape[2:])
+            out &= np.asarray([bool(z_filter(z_k)) for z_k in pts]).reshape(gz.shape)
+        return out
+
+    return _step_check(
+        "evi_local", {"lambda": lam, "radius": radius}, c, gn, tol, t_samples,
+        draw, keep, rhs=lambda d, gz, g_k: gz - g_k - 0.5 * lam * d ** 2)
 
 
 # ---------------------------------------------------------------------------
 # slopes
 # ---------------------------------------------------------------------------
 
-def _extrapolated_sup(signed_rows: np.ndarray) -> float:
-    """Limit estimate of direction-wise quotients over halving radii.
+def _definition_slopes(fn: Functional, ys: np.ndarray, fys: np.ndarray,
+                       r0s: np.ndarray, levels: int,
+                       spec: Optional[SampleSpec]) -> np.ndarray:
+    """Definition slopes at the points ys, whose values are fys.
 
-    signed_rows has shape (directions, levels), coarse to fine.  The limit
-    along each direction is Richardson-extrapolated from the two finest
-    levels: exact for quotients linear in the radius, and the identity at
-    kinks, where quotients are radius-independent.  Keeping the raw finest
-    quotient as well would reintroduce the O(radius) bias on directions
-    with concave profiles.  Negative parts are floored at zero.
+    Difference quotients (f(y) - f(y + r u)) / r are taken along
+    directions u at the two finest radii, r0 2^-(levels-2) and
+    r0 2^-(levels-1), of the halving sequence from r0: u = +-1 on
+    intervals, dropping probes outside the interval, and on R^n 32 random
+    unit vectors drawn once from spec.  The limit along each direction is
+    Richardson-extrapolated from the two radii: exact for quotients
+    linear in the radius, and the identity at kinks, where quotients are
+    radius-independent.  Keeping the raw finest quotient as well would
+    reintroduce the O(radius) bias on directions with concave profiles.
+    A direction whose coarser probe is outside uses its finest quotient;
+    one with no probe inside counts as 0.  Negative parts are floored at
+    zero.
     """
-    finest = signed_rows[:, -1]
-    prev = signed_rows[:, -2] if signed_rows.shape[1] > 1 else finest
-    ext = 2.0 * finest - prev
-    return float(np.max(np.maximum(ext, 0.0)))
-
-
-def _slope_definition_1d(fn: Functional, y: float, r0: float, levels: int,
-                         fy: float) -> float:
-    radii = r0 * 0.5 ** np.arange(levels)
-    sp = fn.space
-    rows = []
-    for side in (1.0, -1.0):
-        probes = y + side * radii
-        inside = np.array([sp.contains(z) for z in probes])
-        vals = np.full(levels, math.nan)
-        if inside.any():
-            vals[inside] = fn.values(probes[inside])
-        with np.errstate(invalid="ignore"):
-            quot = (fy - vals) / radii
-        ok = inside & ~np.isnan(quot)
-        if ok.sum() >= 2:
-            rows.append(quot[ok][-2:])
-        elif ok.sum() == 1:
-            rows.append(np.repeat(quot[ok][-1], 2))
-    if not rows:
-        return 0.0
-    return _extrapolated_sup(np.asarray(rows))
-
-
-def _slope_definition_rn(fn: Functional, y: np.ndarray, r0: float,
-                         levels: int, fy: float, rng) -> float:
-    dim = fn.space.n
-    dirs = rng.normal(size=(32, dim))
-    dirs /= np.maximum(np.linalg.norm(dirs, axis=1, keepdims=True), 1e-300)
-    r_prev, r_fin = r0 * 0.5 ** (levels - 2), r0 * 0.5 ** (levels - 1)
-    rows = np.empty((len(dirs), 2))
-    for col, r in enumerate((r_prev, r_fin)):
-        vals = fn.values(y[None, :] + r * dirs)
-        rows[:, col] = (fy - vals) / r
-    return _extrapolated_sup(rows)
+    r = r0s[:, None] * np.array([0.5 ** (levels - 2), 0.5 ** (levels - 1)])
+    if isinstance(fn.space, Interval):
+        sp = fn.space
+        probes = ys[:, None, None] + np.array([1.0, -1.0])[None, :, None] \
+            * r[:, None, :]
+        inside = (probes > sp.a if sp.open_a else probes >= sp.a) \
+            & (probes < sp.b if sp.open_b else probes <= sp.b)
+        vals = np.full(probes.shape, math.nan)
+        vals[inside] = fn.values(probes[inside])
+    else:
+        dim = fn.space.n
+        dirs = (spec or SampleSpec(seed=0, count=32)).rng().normal(size=(32, dim))
+        dirs /= np.maximum(np.linalg.norm(dirs, axis=1, keepdims=True), 1e-300)
+        probes = ys[:, None, None, :] + r[:, None, :, None] \
+            * dirs[None, :, None, :]
+        vals = fn.values(probes.reshape(-1, dim)).reshape(probes.shape[:3])
+        inside = np.ones(vals.shape, dtype=bool)
+    quot = (fys[:, None, None] - vals) / r[:, None, :]
+    prev = np.where(inside[..., 0], quot[..., 0], quot[..., 1])
+    ext = np.where(inside[..., 1], 2.0 * quot[..., 1] - prev, 0.0)
+    return np.max(np.maximum(ext, 0.0), axis=1)
 
 
 def slope(fn: Functional, y, method: str, spec: Optional[SampleSpec] = None,
@@ -605,11 +565,9 @@ def slope(fn: Functional, y, method: str, spec: Optional[SampleSpec] = None,
         one_d = isinstance(fn.space, Interval)
         scale = 1.0 + (abs(float(y)) if one_d else float(np.linalg.norm(y)))
         r_start = r0 if r0 is not None else 0.0625 * scale
-        if one_d:
-            return _slope_definition_1d(fn, float(y), r_start, levels, fy)
-        rng = (spec or SampleSpec(seed=0, count=32)).rng()
-        return _slope_definition_rn(fn, np.asarray(y, float), r_start,
-                                    levels, fy, rng)
+        return float(_definition_slopes(fn, np.asarray([y], float),
+                                        np.array([fy]), np.array([r_start]),
+                                        levels, spec)[0])
     if method == "formula":
         if p is None or R is None:
             raise ParamOutOfRange("formula method needs p=(K,N) and R")
@@ -659,10 +617,11 @@ def energy_audit(c: Curve, fn: Functional, tol: Tolerance = DEFAULT_TOL,
     if not np.isfinite(energy).all():
         raise PointOutsideDomain("curve leaves the finiteness domain")
     speed = metric_derivative(c)
-    slopes = np.empty(c.n_samples)
-    for i in range(c.n_samples):
-        slopes[i] = slope(fn, c.point(i), "definition", spec, tol=tol,
-                          r0=slope_r0 * (1.0 + _point_norm(c.point(i))))
+    # vecdot: bit for bit the np.linalg.norm of each point, as in slope()
+    norms = np.abs(c.points) if c.is_1d \
+        else np.sqrt(np.vecdot(c.points, c.points))
+    slopes = _definition_slopes(fn, c.points, energy, slope_r0 * (1.0 + norms),
+                                _SUP_LEVELS, spec)
     t = c.times
     dfdt = np.empty(c.n_samples)
     dfdt[1:-1] = (energy[2:] - energy[:-2]) / (t[2:] - t[:-2])

@@ -13,12 +13,18 @@ Violations are measured against a scale-aware budget
 because the transform spans many orders of magnitude across a domain.  A
 report stores the worst excess over that budget plus a reproducible
 witness (x0, x1, t).
+
+Both checkers here and the variational-inequality checkers in the analysis
+module reduce their residual grids with one kernel, `_grid_max`, which
+walks the rows in blocks of at most `_BLOCK_CELLS` cells.  Cells outside a
+checker's keep mask are vacuous; a kept cell whose residual is +inf or NaN
+fails the check.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -32,6 +38,7 @@ from .spaces import Interval
 T_GRID_SIZE = 33  # t in {k/32}
 _BOX_MARGIN = 1e-3
 _BOX_EXTENT = 3.0
+_BLOCK_CELLS = 1 << 16  # residual-grid cells evaluated at once
 
 
 @dataclass
@@ -39,9 +46,10 @@ class ConvexityReport:
     """Outcome of a convexity check.
 
     max_violation is the largest excess of the residual over the
-    scale-aware budget; the check passes iff it does not exceed
-    `tolerance` (zero: the budget is already folded in).  max_residual
-    keeps the raw, un-budgeted worst residual for equality-case asserts.
+    scale-aware budget; the check passes iff max_violation <= 0 (the
+    budget is already folded in).  max_residual keeps the raw,
+    un-budgeted worst residual for equality-case asserts.  Both are +inf
+    when a tested cell has a +inf or NaN residual.
     """
 
     kind: str
@@ -51,9 +59,7 @@ class ConvexityReport:
     max_violation: float
     worst_witness: Optional[tuple]
     passed: bool
-    tolerance: float = 0.0
     max_residual: float = -math.inf
-    meta: dict = field(default_factory=dict)
 
     def to_json(self) -> dict:
         out = {"kind": self.kind}
@@ -102,12 +108,14 @@ def _pair_distances(x0, x1, dim1: bool):
     return np.linalg.norm(x1 - x0, axis=-1)
 
 
-def _geodesic_grid(x0, x1, ts, dim1: bool):
-    """Points gamma_t for every pair and every t; shape (pairs, t[, dim])."""
+def _geodesic_values(fn: Functional, x0, x1, ts, dim1: bool):
+    """f at gamma_t for every pair and every t; shape (pairs, t)."""
     if dim1:
-        return (1 - ts)[None, :] * x0[:, None] + ts[None, :] * x1[:, None]
-    return ((1 - ts)[None, :, None] * x0[:, None, :]
-            + ts[None, :, None] * x1[:, None, :])
+        gamma = (1 - ts)[None, :] * x0[:, None] + ts[None, :] * x1[:, None]
+    else:
+        gamma = ((1 - ts)[None, :, None] * x0[:, None, :]
+                 + ts[None, :, None] * x1[:, None, :]).reshape(-1, fn.space.n)
+    return fn.values(gamma).reshape(len(x0), len(ts))
 
 
 def _draw_pairs(fn: Functional, spec: SampleSpec, box, cap: Optional[float]):
@@ -136,6 +144,49 @@ def _finite_pair_filter(v0, v1):
     return good
 
 
+def _row_blocks(n_rows: int, n_cols: int):
+    """(lo, hi) row ranges of at most _BLOCK_CELLS cells, one row at least."""
+    step = max(1, _BLOCK_CELLS // n_cols)
+    return [(lo, min(lo + step, n_rows)) for lo in range(0, n_rows, step)]
+
+
+def _grid_max(n_rows: int, n_cols: int, block):
+    """Worst cell of an n_rows x n_cols residual grid, walked in row blocks.
+
+    block(lo, hi) returns (residual, budget, keep) for rows lo:hi, each
+    broadcastable to (hi - lo, n_cols), with residual of full shape.
+    Cells outside keep are vacuous (excess -inf).  A kept cell whose
+    residual is +inf or NaN fails: its excess and raw residual are +inf.
+    Returns (max_violation, max_residual, (row, col)), where (row, col) is
+    the first worst cell in row-major order, (0, 0) if every cell is -inf.
+    """
+    best, max_res, cell = -math.inf, -math.inf, (0, 0)
+    for lo, hi in _row_blocks(n_rows, n_cols):
+        residual, budget, keep = block(lo, hi)
+        res = np.where(keep, np.where(np.isnan(residual), math.inf, residual),
+                       -math.inf)
+        with np.errstate(invalid="ignore"):
+            excess = np.where(res < math.inf, res - budget, math.inf)
+        k = int(np.argmax(excess))
+        if excess.flat[k] > best:
+            best = float(excess.flat[k])
+            cell = (lo + k // n_cols, k % n_cols)
+        max_res = max(max_res, float(res.max()))
+    return best, max_res, cell
+
+
+def _report(kind, params, x0, x1, ts, dim1, block) -> ConvexityReport:
+    viol, res, (i, j) = _grid_max(len(x0), len(ts), block)
+    witness = (x0[i] if dim1 else x0[i].tolist(),
+               x1[i] if dim1 else x1[i].tolist(),
+               float(ts[j]))
+    return ConvexityReport(
+        kind=kind, params=params, pairs_tested=len(x0), t_grid_size=len(ts),
+        max_violation=viol, worst_witness=witness, passed=viol <= 0.0,
+        max_residual=res,
+    )
+
+
 def check_lambda_convex(fn: Functional, lam: float, spec: SampleSpec,
                         tol: Tolerance = DEFAULT_TOL,
                         box=None) -> ConvexityReport:
@@ -152,18 +203,17 @@ def check_lambda_convex(fn: Functional, lam: float, spec: SampleSpec,
     x0, x1, f0, f1 = x0[good], x1[good], f0[good], f1[good]
     d = _pair_distances(x0, x1, dim1)
     ts = np.linspace(0.0, 1.0, T_GRID_SIZE)
-    gamma = _geodesic_grid(x0, x1, ts, dim1)
-    fg = fn.values(gamma if dim1 else gamma.reshape(-1, fn.space.n))
-    fg = fg.reshape(len(x0), T_GRID_SIZE)
-    chord = ((1 - ts)[None, :] * f0[:, None] + ts[None, :] * f1[:, None]
-             - 0.5 * lam * (ts * (1 - ts))[None, :] * (d ** 2)[:, None])
-    with np.errstate(invalid="ignore"):
-        residual = fg - chord
-    residual = np.where(np.isnan(residual), -math.inf, residual)
     scale = np.maximum(1.0, np.maximum(np.abs(f0), np.abs(f1)))[:, None]
-    excess = residual - (tol.abs + tol.rel * scale)
-    return _reduce_report("lambda", {"lambda": lam}, x0, x1, ts, residual,
-                          excess, dim1)
+    budget = tol.abs + tol.rel * scale
+
+    def block(lo, hi):
+        fg = _geodesic_values(fn, x0[lo:hi], x1[lo:hi], ts, dim1)
+        chord = ((1 - ts)[None, :] * f0[lo:hi, None]
+                 + ts[None, :] * f1[lo:hi, None]
+                 - 0.5 * lam * (ts * (1 - ts))[None, :] * (d[lo:hi] ** 2)[:, None])
+        return fg - chord, budget[lo:hi], True
+
+    return _report("lambda", {"lambda": lam}, x0, x1, ts, dim1, block)
 
 
 def check_kn_convex(fn: Functional, p: CurvatureParams, spec: SampleSpec,
@@ -172,7 +222,7 @@ def check_kn_convex(fn: Functional, p: CurvatureParams, spec: SampleSpec,
     """Sample-based test of the dimensional convexity inequality.
 
     Pairs come from the extended domain; for K < 0 they are kept below
-    the singular distance cap unless enforce_cap=False (singular rows are
+    the singular distance cap unless enforce_cap=False (singular cells are
     then vacuously satisfied since the right side is +inf).
     """
     box = box if box is not None else sampling_box(fn)
@@ -185,24 +235,23 @@ def check_kn_convex(fn: Functional, p: CurvatureParams, spec: SampleSpec,
                                np.where(g1 < math.inf, 0.0, math.nan))
     x0, x1, g0, g1 = x0[good], x1[good], g0[good], g1[good]
     with np.errstate(over="ignore"):
-        fN0 = np.exp(g0)
-        fN1 = np.exp(g1)
-    d = _pair_distances(x0, x1, dim1)
+        fN0 = np.exp(g0)[:, None]
+        fN1 = np.exp(g1)[:, None]
+    d = _pair_distances(x0, x1, dim1)[:, None]
     ts = np.linspace(0.0, 1.0, T_GRID_SIZE)
-    gamma = _geodesic_grid(x0, x1, ts, dim1)
-    with np.errstate(over="ignore"):
-        lhs = np.exp(-fn.values(gamma if dim1 else gamma.reshape(-1, fn.space.n))
-                     / p.N).reshape(len(x0), T_GRID_SIZE)
-    sig_1mt = sigma_values(p, (1 - ts)[None, :], d[:, None])
-    sig_t = sigma_values(p, ts[None, :], d[:, None])
-    rhs = _conv_mul(sig_1mt, fN0[:, None]) + _conv_mul(sig_t, fN1[:, None])
-    with np.errstate(invalid="ignore"):
-        residual = lhs - rhs
-    residual = np.where(np.isnan(residual), -math.inf, residual)
-    scale = np.maximum(1.0, np.maximum(fN0, fN1))[:, None]
-    excess = residual - (tol.abs + tol.rel * scale)
-    return _reduce_report("KN", {"K": p.K, "N": p.N}, x0, x1, ts, residual,
-                          excess, dim1)
+    budget = tol.abs + tol.rel * np.maximum(1.0, np.maximum(fN0, fN1))
+
+    def block(lo, hi):
+        with np.errstate(over="ignore"):
+            lhs = np.exp(-_geodesic_values(fn, x0[lo:hi], x1[lo:hi], ts, dim1)
+                         / p.N)
+        rhs = (_conv_mul(sigma_values(p, (1 - ts)[None, :], d[lo:hi]), fN0[lo:hi])
+               + _conv_mul(sigma_values(p, ts[None, :], d[lo:hi]), fN1[lo:hi]))
+        with np.errstate(invalid="ignore"):
+            residual = lhs - rhs
+        return residual, budget[lo:hi], rhs < math.inf
+
+    return _report("KN", {"K": p.K, "N": p.N}, x0, x1, ts, dim1, block)
 
 
 def _conv_mul(coef, val):
@@ -211,22 +260,6 @@ def _conv_mul(coef, val):
         out = coef * val
     zero = (coef == 0.0) | (val == 0.0)
     return np.where(zero, 0.0, out)
-
-
-def _reduce_report(kind, params, x0, x1, ts, residual, excess, dim1):
-    finite_excess = np.where(np.isfinite(excess), excess, -math.inf)
-    flat = int(np.argmax(finite_excess))
-    i, j = np.unravel_index(flat, excess.shape)
-    max_violation = float(finite_excess[i, j])
-    witness = (x0[i] if dim1 else x0[i].tolist(),
-               x1[i] if dim1 else x1[i].tolist(),
-               float(ts[j]))
-    max_res = float(np.max(np.where(np.isfinite(residual), residual, -math.inf)))
-    return ConvexityReport(
-        kind=kind, params=params, pairs_tested=len(x0), t_grid_size=len(ts),
-        max_violation=max_violation, worst_witness=witness,
-        passed=max_violation <= 0.0, max_residual=max_res,
-    )
 
 
 def check_gluing(fn: Functional, p: CurvatureParams, a: float, b: float,

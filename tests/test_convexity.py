@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from knflow import convexity
 from knflow.coefficients import CurvatureParams
 from knflow.convexity import (
     check_gluing,
@@ -138,6 +139,53 @@ class TestKnConvex:
         rep = check_kn_convex(fn, PM11, SPEC, TOL)
         x0, x1, _ = rep.worst_witness
         assert abs(x1 - x0) < PM11.theta_singular
+
+
+class TestNonFiniteResiduals:
+    """A +inf or NaN residual on a tested cell fails; masked cells do not."""
+
+    HOLE = Functional(space=Interval(-3.0, 3.0, open_a=False, open_b=False),
+                      fvec=lambda x: np.where(np.abs(x) < 0.5, math.inf, 0.0),
+                      name="hole", sample_box=(-3.0, 3.0))
+
+    @staticmethod
+    def _in_hole(rep):
+        x0, x1, t = rep.worst_witness
+        return abs((1 - t) * x0 + t * x1) < 0.5
+
+    def test_infinite_hole_fails_lambda_convexity(self):
+        rep = check_lambda_convex(self.HOLE, 0.0, SPEC, TOL)
+        assert not rep.passed
+        assert rep.max_violation == math.inf and rep.max_residual == math.inf
+        assert self._in_hole(rep)
+
+    def test_infinite_hole_fails_kn_convexity(self):
+        rep = check_kn_convex(self.HOLE, P01, SPEC, TOL)
+        assert not rep.passed and rep.max_violation == math.inf
+        assert self._in_hole(rep)
+
+    def test_kernel_policy(self):
+        residual = np.array([[0.5, math.nan, -1.0],
+                             [math.inf, 2.0, math.nan]])
+        keep = np.array([[True, False, True], [False, True, True]])
+
+        def block(lo, hi):
+            return residual[lo:hi], 1.0, keep[lo:hi]
+        # the masked NaN and +inf are vacuous; the kept NaN at (1, 2) fails
+        assert convexity._grid_max(2, 3, block) == (math.inf, math.inf, (1, 2))
+        keep[1, 2] = False
+        assert convexity._grid_max(2, 3, block) == (1.0, 2.0, (1, 1))
+        keep[:] = False
+        assert convexity._grid_max(2, 3, block) == (-math.inf, -math.inf, (0, 0))
+
+    def test_kernel_ties_go_to_the_first_cell(self, monkeypatch):
+        residual = np.array([[0.0, 3.0], [3.0, 3.0], [1.0, 3.0]])
+
+        def block(lo, hi):
+            return residual[lo:hi], 0.0, True
+        for cells in (1, 2, 3, 1 << 16):
+            monkeypatch.setattr(convexity, "_BLOCK_CELLS", cells)
+            assert convexity._grid_max(3, 2, block) == (3.0, 3.0, (0, 1))
 
 
 class TestGluing:
