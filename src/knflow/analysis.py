@@ -27,7 +27,7 @@ restricted to balls.
 
 Every check reduces its (time sample x reference point) residual grid with
 the convexity module's grid kernel, one block of time samples at a time;
-reference points are drawn row by row in time order and then stacked.
+reference points are drawn in time order, on intervals in one batch.
 Cells with f = +inf at the reference point or past the singular cap are
 vacuous, and so is a right-hand side of +inf (its residual is -inf).  A
 kept cell whose residual is +inf or NaN fails the check.
@@ -215,31 +215,41 @@ def _point_norm(x) -> float:
 # reference-point sampling
 # ---------------------------------------------------------------------------
 
-def _stratified_z(fn: Functional, x_t, step: float, rng, n: int):
-    """Near-curve / mid-range / near-boundary reference points."""
+def _stratified_z(fn: Functional, x_t, steps, rng, n: int) -> np.ndarray:
+    """Near-curve / mid-range / near-boundary reference points.
+
+    One row of n points per curve point x_t[k], the near-curve stratum
+    within steps[k] of it.  On intervals every draw is a uniform, so one
+    rng.random call fills all rows, mapped as low + (high - low) u in the
+    same stream order as row-by-row rng.uniform calls; R^n rows interleave
+    normals and uniforms and are drawn one at a time.
+    """
     box = sampling_box(fn)
-    one_d = isinstance(fn.space, Interval)
     n_near = n // 3
     n_mid = n // 3
     n_bnd = n - n_near - n_mid
-    if one_d:
+    if isinstance(fn.space, Interval):
         lo, hi = float(box[0]), float(box[1])
-        near = x_t + step * rng.uniform(-1.0, 1.0, size=n_near)
-        near = np.clip(near, lo, hi)
-        mid = rng.uniform(lo, hi, size=n_mid)
-        half = n_bnd // 2
-        bnd_lo = lo + _BOUNDARY_MARGIN * rng.uniform(0.0, 1.0, size=half)
-        bnd_hi = hi - _BOUNDARY_MARGIN * rng.uniform(0.0, 1.0, size=n_bnd - half)
-        return np.concatenate([near, mid, np.clip(bnd_lo, lo, hi),
-                               np.clip(bnd_hi, lo, hi)])
+        j1, j2 = n_near, n_near + n_mid
+        j3 = j2 + n_bnd // 2
+        z = rng.random((len(x_t), n))
+        z[:, :j1] = np.clip(x_t[:, None] + steps[:, None] * (-1.0 + 2.0 * z[:, :j1]),
+                            lo, hi)
+        z[:, j1:j2] = lo + (hi - lo) * z[:, j1:j2]
+        z[:, j2:j3] = np.clip(lo + _BOUNDARY_MARGIN * z[:, j2:j3], lo, hi)
+        z[:, j3:] = np.clip(hi - _BOUNDARY_MARGIN * z[:, j3:], lo, hi)
+        return z
     lo = np.asarray(box[0], float)
     hi = np.asarray(box[1], float)
     dim = lo.size
-    dirs = rng.normal(size=(n_near, dim))
-    dirs /= np.maximum(np.linalg.norm(dirs, axis=1, keepdims=True), 1e-300)
-    near = x_t[None, :] + step * rng.uniform(0, 1, size=(n_near, 1)) * dirs
-    mid = rng.uniform(lo, hi, size=(n - n_near, dim))
-    return np.clip(np.concatenate([near, mid], axis=0), lo, hi)
+    z = np.empty((len(x_t), n, dim))
+    for k in range(len(x_t)):
+        dirs = rng.normal(size=(n_near, dim))
+        dirs /= np.maximum(np.linalg.norm(dirs, axis=1, keepdims=True), 1e-300)
+        near = x_t[k][None, :] + steps[k] * rng.uniform(0, 1, size=(n_near, 1)) * dirs
+        mid = rng.uniform(lo, hi, size=(n - n_near, dim))
+        z[k] = np.clip(np.concatenate([near, mid], axis=0), lo, hi)
+    return z
 
 
 def _time_indices(c: Curve, t_samples: int) -> np.ndarray:
@@ -267,12 +277,11 @@ def _evi_report(form, params, times, zs, one_d, block) -> EviReport:
 
 def _z_rows(c: Curve, fn: Functional, spec: SampleSpec, z_override):
     """Row drawer for the stratified (or overridden) reference points."""
-    rng = spec.rng()
-
-    def draw(i, step):
+    def draw(idx, steps):
         if z_override is not None:
-            return np.asarray(z_override, dtype=float)
-        return _stratified_z(fn, c.point(i), step, rng, spec.count)
+            z = np.asarray(z_override, dtype=float)
+            return np.broadcast_to(z, (len(idx),) + z.shape)
+        return _stratified_z(fn, c.points[idx], steps, spec.rng(), spec.count)
     return draw
 
 
@@ -281,7 +290,8 @@ def _step_check(form, params, c: Curve, fn: Functional, tol: Tolerance,
                 raw: Optional[CurvatureParams] = None) -> EviReport:
     """Step-integrated check on the (time sample, reference point) grid.
 
-    draw(i, step) gives the reference points of time sample i.  On a cell
+    draw(idx, steps) gives the reference points of the time samples idx,
+    one row each, with near-curve radii steps.  On a cell
     with reference point z, at distances d0, d1 from the step's end
     points, keep(fz, z, d0, d1) says whether the cell is tested, and
     rhs(d, fz, f_k) is the right-hand side at the end point with value
@@ -298,14 +308,7 @@ def _step_check(form, params, c: Curve, fn: Functional, tol: Tolerance,
             not np.isfinite(f_curve[idx + 1]).all():
         raise PointOutsideDomain(f"curve leaves the finiteness domain of {fn.name}")
     h = (c.times[idx + 1] - c.times[idx])[:, None]
-    # rows go straight into one array: a list of rows stacked at the end
-    # fragments the heap and raised the peak RSS of later work by ~3 MB
-    zs = None
-    for k, i in enumerate(idx):
-        row = draw(i, max(local[i] * h[k, 0], 1e-3))
-        if zs is None:
-            zs = np.empty((len(idx),) + row.shape)
-        zs[k] = row
+    zs = draw(idx, np.maximum(local[idx] * h[:, 0], 1e-3))
 
     def block(lo, hi):
         i, z, hb = idx[lo:hi], zs[lo:hi], h[lo:hi]
@@ -432,7 +435,7 @@ def check_evi_integrated(c: Curve, fn: Functional, p: CurvatureParams,
     if c.n_samples < 2:
         raise TooFewSamples("need at least two samples")
     rng = spec.rng()
-    zs = _stratified_z(fn, c.point(0), 0.5, rng, spec.count)
+    zs = _stratified_z(fn, c.points[:1], np.array([0.5]), rng, spec.count)[0]
     fz = fn.values(zs)
     f_curve = fn.values(c.points)
     if not np.isfinite(f_curve).all():
@@ -474,20 +477,23 @@ def check_evi_local(c: Curve, gn: Functional, lam: float, radius: float,
         raise ParamOutOfRange("radius must be > 0")
     one_d = isinstance(gn.space, Interval)
     box = sampling_box(gn)
-    rng = spec.rng()
 
-    def draw(i, step):
-        x_t = c.point(i)
-        if one_d:
-            lo = max(float(box[0]), x_t - radius)
-            hi = min(float(box[1]), x_t + radius)
-            return rng.uniform(lo, hi, size=spec.count)
-        dirs = rng.normal(size=(spec.count, gn.space.n))
-        dirs /= np.maximum(np.linalg.norm(dirs, axis=1, keepdims=True), 1e-300)
-        radii = radius * rng.uniform(0, 1, size=(spec.count, 1)) ** (
-            1.0 / gn.space.n)
-        return np.clip(x_t[None, :] + radii * dirs,
-                       np.asarray(box[0]), np.asarray(box[1]))
+    def draw(idx, steps):
+        rng = spec.rng()
+        x_t = c.points[idx]
+        if one_d:  # rng.uniform(lo, hi) row by row, as one batch
+            lo = np.maximum(float(box[0]), x_t - radius)[:, None]
+            hi = np.minimum(float(box[1]), x_t + radius)[:, None]
+            return lo + (hi - lo) * rng.random((len(idx), spec.count))
+        z = np.empty((len(idx), spec.count, gn.space.n))
+        for k in range(len(idx)):
+            dirs = rng.normal(size=(spec.count, gn.space.n))
+            dirs /= np.maximum(np.linalg.norm(dirs, axis=1, keepdims=True), 1e-300)
+            radii = radius * rng.uniform(0, 1, size=(spec.count, 1)) ** (
+                1.0 / gn.space.n)
+            z[k] = np.clip(x_t[k][None, :] + radii * dirs,
+                           np.asarray(box[0]), np.asarray(box[1]))
+        return z
 
     def keep(gz, z, d0, d1):
         out = np.isfinite(gz)

@@ -152,7 +152,14 @@ def sigma_values(p: CurvatureParams, t, theta) -> np.ndarray:
         if safe.any():
             num = s_values(p, t[safe] * theta[safe])
             den = s_values(p, theta[safe])
-            out[safe] = num / den
+            with np.errstate(invalid="ignore"):
+                ratio = num / den
+            big = np.isinf(den)  # sinh(w theta) overflowed (K > 0 only)
+            if big.any():
+                x, tb = p.omega * theta[safe][big], t[safe][big]
+                ratio[big] = (np.exp(-x * (1.0 - tb)) * np.expm1(-2.0 * tb * x)
+                              / np.expm1(-2.0 * x))
+            out[safe] = ratio
         out[singular] = math.inf
     return out
 

@@ -9,10 +9,19 @@ Three independent routes produce curves:
 
 When a trajectory reaches the boundary of the finiteness domain the curve
 is continued constantly at the boundary point and the hitting time is
-recorded in ``stop_time``.  Several functionals of interest are not
-coercive (the proximal objective can be unbounded below); the proximal
-solver brackets downhill from the input point and raises
-:class:`NotBoundedBelow` rather than returning a diverging iterate.
+recorded in ``stop_time``.
+
+On intervals the proximal step solves the optimality condition
+psi(w) = (w - v)/tau + f'(w) = 0: from v it doubles its step along the
+descent direction -sign f'(v) until psi changes sign, then solves on that
+bracket with ``brentq``.  For lambda-convex f with 1 + lambda tau > 0 the
+objective is strictly convex and the root is its unique minimizer; in
+general it is the first local minimizer downhill from v.  Several
+functionals of interest are not coercive (the proximal objective can be
+unbounded below): the search raises :class:`NotBoundedBelow` when it
+reaches an end of the closure where f = -inf, or after 200 doublings,
+rather than returning a diverging iterate.  Both the proximal step and the
+ODE route need the analytic gradient ``Functional.grad``.
 """
 
 from __future__ import annotations
@@ -37,8 +46,6 @@ from .errors import (
 )
 from .functionals import Functional
 from .spaces import Interval
-
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 @dataclass
@@ -153,7 +160,18 @@ def oracle_flow(name: str, p: Optional[CurvatureParams], y0, grid,
         if p is None or p.K <= 0:
             raise NoOracle("log-cosh oracle needs K > 0")
         w = math.sqrt(-p.K / p.N)
-        ys = np.arcsinh(math.sinh(w * float(y0)) * np.exp(-p.K * grid)) / w
+        y = w * float(y0)
+        try:
+            ys = np.arcsinh(math.sinh(y) * np.exp(-p.K * grid)) / w
+        except OverflowError:
+            # log domain: L = log|sinh y| - K t and, for L > 0,
+            # asinh(e^L) = L + log1p(sqrt(1 + e^{-2L}))
+            ay = abs(y)
+            L = ay + math.log1p(-math.exp(-2.0 * ay)) - math.log(2.0) - p.K * grid
+            with np.errstate(over="ignore"):
+                big = L + np.log1p(np.sqrt(1.0 + np.exp(-2.0 * L)))
+                small = np.arcsinh(np.exp(L))
+            ys = math.copysign(1.0, y) * np.where(L > 0, big, small) / w
         return Curve(grid, ys, stop_time=None, meta=meta)
     if name == "log-cos":
         if p is None or p.K >= 0:
@@ -278,159 +296,108 @@ def ode_flow(fn: Functional, y0, grid, rtol: float = 1e-9) -> Curve:
 
 @dataclass(frozen=True)
 class ProxStep:
+    """One proximal step.  psi_evals counts evaluations of the gradient of
+    the prox objective; expansions counts doublings of the 1-d search."""
+
     tau: float
     input: object
     output: object
     objective: float
+    psi_evals: int = 0
+    expansions: int = 0
 
 
-def _golden_section(phi, lo, hi, xtol):
-    c = hi - _GOLDEN * (hi - lo)
-    d = lo + _GOLDEN * (hi - lo)
-    fc, fd = phi(c), phi(d)
-    for _ in range(200):
-        if hi - lo <= xtol:
-            break
-        if fc < fd:
-            hi, d, fd = d, c, fc
-            c = hi - _GOLDEN * (hi - lo)
-            fc = phi(c)
-        else:
-            lo, c, fc = c, d, fd
-            d = lo + _GOLDEN * (hi - lo)
-            fd = phi(d)
-    return 0.5 * (lo + hi)
+_MAX_EXPANSIONS = 200
 
 
 def prox(fn: Functional, tau: float, v, tol: Tolerance = DEFAULT_TOL) -> ProxStep:
     """One proximal step: minimize d^2(v, .)/(2 tau) + f over the closure.
 
-    1-d: bracketed golden-section search (gradient-polished when an
-    analytic gradient is available), output clamped to the closure.
-    R^n: damped Newton with gradient-descent fallback.  Raises
-    :class:`NotBoundedBelow` when the objective diverges along the search.
+    1-d: the root of psi(w) = (w - v)/tau + f'(w) along the descent
+    direction -sign f'(v).  From v the search doubles its step (the first
+    is tau|f'(v)|) until psi changes sign, then ``brentq`` solves on that
+    bracket; a search still descending at a finite end of the closure
+    returns that end.  It raises :class:`NotBoundedBelow` when it reaches
+    an end where f = -inf or doubles 200 times.  For lambda-convex f with
+    1 + lambda tau > 0 the root is the unique minimizer; otherwise it is
+    the first local minimizer downhill from v.
+    R^n: damped Newton with gradient-descent fallback.
+    Both need the analytic gradient ``fn.grad``.
     """
     tau = float(tau)
     if not tau > 0:
         raise ParamOutOfRange("tau must be > 0")
+    if fn.grad is None:
+        raise ParamOutOfRange(f"prox of {fn.name} needs an analytic gradient")
     if isinstance(fn.space, Interval):
-        return _prox_1d(fn, tau, float(v), tol)
-    return _prox_rn(fn, tau, np.asarray(v, dtype=float), tol)
+        return _prox_1d(fn, tau, float(v))
+    return _prox_rn(fn, tau, np.asarray(v, dtype=float))
 
 
-def _prox_1d(fn: Functional, tau: float, v: float, tol: Tolerance) -> ProxStep:
+def _prox_1d(fn: Functional, tau: float, v: float) -> ProxStep:
     sp = fn.space
     if not sp.contains_closure(v):
         raise PointOutsideSpace(f"{v} outside the closure of {sp}")
-    a, b = sp.a, sp.b
-
-    def phi(w):
-        return 0.5 * (w - v) ** 2 / tau + fn.value(w)
-
     fv = fn.value(v)
     if fv == math.inf:
         raise BasePointOutsideDomain("f(v) = +inf")
-    phi_v = fv
-    scale = 1.0 + abs(v)
+    if fv == -math.inf:
+        raise NotBoundedBelow(f"prox objective of {fn.name} is -inf at {v}")
+    evals = 0
 
-    # local slope bound -> Euler-sized initial step
-    delta = 1e-6 * scale
-    probes = [w for w in (v - delta, v + delta) if a < w < b]
-    G = 1.0
-    for w in probes:
-        fw = fn.value(w)
-        if math.isfinite(fw) and math.isfinite(fv):
-            G = max(G, abs(fw - fv) / delta)
-    h0 = min(max(tau * G, 1e-12 * scale), max(b - a, 1.0))
+    def psi(w):
+        nonlocal evals
+        evals += 1
+        return (w - v) / tau + float(fn.grad(w))
 
-    lo_cand = max(a, v - h0)
-    hi_cand = min(b, v + h0)
-    phi_lo, phi_hi = phi(lo_cand), phi(hi_cand)
-
-    if phi_lo >= phi_v and phi_hi >= phi_v:
-        bracket = (lo_cand, hi_cand)
-    else:
-        direction = -1.0 if phi_lo < phi_hi else 1.0
-        bound = a if direction < 0 else b
-        x_prev, phi_prev = v, phi_v
-        x_cur = lo_cand if direction < 0 else hi_cand
-        phi_cur = phi_lo if direction < 0 else phi_hi
-        step = h0
-        bracket = None
-        for _ in range(200):
-            step *= 2.0
-            x_next = x_cur + direction * step
-            clipped = False
-            if direction < 0 and x_next <= bound:
-                x_next, clipped = bound, True
-            if direction > 0 and x_next >= bound:
-                x_next, clipped = bound, True
-            if not math.isfinite(x_next):
-                raise NotBoundedBelow(
-                    f"prox objective of {fn.name} decreases without bound")
-            phi_next = phi(x_next)
-            if phi_next >= phi_cur:
-                bracket = (min(x_prev, x_next), max(x_prev, x_next))
-                break
-            if clipped:
-                # still descending at the boundary of the closure
-                if phi_next == -math.inf:
-                    raise NotBoundedBelow(
-                        f"prox objective of {fn.name} diverges to -inf at the boundary")
-                out = bound
-                return ProxStep(tau, v, out, phi_next)
-            x_prev, phi_prev = x_cur, phi_cur
-            x_cur, phi_cur = x_next, phi_next
-        if bracket is None:
+    g = psi(v)  # f'(v): its sign is the uphill direction
+    if g == 0.0:
+        return ProxStep(tau, v, v, fv, evals, 0)
+    down = -1.0 if g > 0 else 1.0
+    bound = sp.a if g > 0 else sp.b
+    last, h = v, max(tau * abs(g), math.ulp(v))  # the first trial must move
+    for k in range(_MAX_EXPANSIONS):
+        w = v + down * h
+        if not math.isfinite(w):
             raise NotBoundedBelow(
-                f"prox objective of {fn.name} keeps descending after 200 expansions")
-
-    lo, hi = bracket
-    # with a gradient polish available the golden phase only localizes
-    xtol = 1e-6 * scale if fn.grad is not None else 1e-11 * scale
-    w_star = _golden_section(phi, lo, hi, xtol)
-
-    # gradient polish: solve (w - v)/tau + f'(w) = 0 near the golden point
-    if fn.grad is not None:
-        def psi(w):
-            return (w - v) / tau + float(fn.grad(w))
-        r = max(1e-5 * scale, 4 * xtol)
-        p_lo = max(lo, w_star - r)
-        p_hi = min(hi, w_star + r)
-        try:
-            if p_lo < p_hi:
-                s_lo, s_hi = psi(p_lo), psi(p_hi)
-                if s_lo == 0.0:
-                    w_star = p_lo
-                elif s_hi == 0.0:
-                    w_star = p_hi
-                elif s_lo * s_hi < 0:
-                    w_star = brentq(psi, p_lo, p_hi, xtol=1e-14 * scale)
-        except (ValueError, ZeroDivisionError, OverflowError):
-            pass
-
-    w_star = min(max(w_star, a), b)
-    obj = phi(w_star)
-    # a bracket endpoint may undercut (or tie, within value resolution) the
-    # interior point; ties snap to the endpoint so boundary hits are exact
-    for w_end in (lo, hi):
-        phi_end = phi(w_end)
-        if phi_end <= obj:
-            w_star, obj = w_end, phi_end
+                f"prox objective of {fn.name} decreases without bound")
+        if down * (w - bound) >= 0:
+            f_end = fn.value(bound)
+            if f_end == -math.inf:
+                raise NotBoundedBelow(
+                    f"prox objective of {fn.name} diverges to -inf at the boundary")
+            if f_end == math.inf:
+                raise BasePointOutsideDomain(
+                    f"{fn.name} is +inf at the end {bound} of the prox search")
+            w = bound
+        s = psi(w)
+        if s == 0.0 or (s > 0) != (g > 0):
+            break
+        if w == bound:  # still descending at the end of the closure
+            return ProxStep(tau, v, w, 0.5 * (w - v) ** 2 / tau + f_end, evals, k)
+        last, h = w, 2.0 * h
+    else:
+        raise NotBoundedBelow(
+            f"prox objective of {fn.name} keeps descending after "
+            f"{_MAX_EXPANSIONS} expansions")
+    if s != 0.0:
+        w = brentq(psi, min(last, w), max(last, w), xtol=1e-16 * (1.0 + abs(v)))
+    obj = 0.5 * (w - v) ** 2 / tau + fn.value(w)
     if obj == -math.inf:
-        raise NotBoundedBelow(f"prox objective of {fn.name} is -inf at {w_star}")
-    return ProxStep(tau, v, w_star, float(obj))
+        raise NotBoundedBelow(f"prox objective of {fn.name} is -inf at {w}")
+    return ProxStep(tau, v, w, obj, evals, k)
 
 
-def _prox_rn(fn: Functional, tau: float, v: np.ndarray, tol: Tolerance) -> ProxStep:
-    if fn.grad is None:
-        raise ParamOutOfRange("R^n prox needs an analytic gradient")
+def _prox_rn(fn: Functional, tau: float, v: np.ndarray) -> ProxStep:
     n = v.size
+    evals = 0
 
     def phi(w):
         return 0.5 * float(np.dot(w - v, w - v)) / tau + fn.value(w)
 
     def grad_phi(w):
+        nonlocal evals
+        evals += 1
         return (w - v) / tau + np.asarray(fn.grad(w), dtype=float)
 
     x = v.copy()
@@ -469,7 +436,7 @@ def _prox_rn(fn: Functional, tau: float, v: np.ndarray, tol: Tolerance) -> ProxS
         x, fx = x_new, f_new
         if float(np.linalg.norm(x)) > 1e9 or fx < -1e15:
             raise NotBoundedBelow(f"prox objective of {fn.name} diverges")
-    return ProxStep(tau, v.copy(), x, float(fx))
+    return ProxStep(tau, v.copy(), x, float(fx), evals)
 
 
 def minimizing_movement(fn: Functional, tau: float, y0, horizon: float,
@@ -478,7 +445,9 @@ def minimizing_movement(fn: Functional, tau: float, y0, horizon: float,
 
     Emits the piecewise-constant interpolant sampled at the step
     boundaries n*tau (including t = 0).  Proximal failures are re-raised
-    with the failing step index.
+    with the failing step index.  meta carries the solver totals
+    ``prox_psi_evals`` (evaluations of the prox objective's gradient) and
+    ``prox_expansions`` (doublings of the 1-d bracket search; 0 on R^n).
     """
     tau = float(tau)
     if not tau > 0:
@@ -490,6 +459,7 @@ def minimizing_movement(fn: Functional, tau: float, y0, horizon: float,
     u = float(y0) if one_d else np.asarray(y0, dtype=float)
     us = [u]
     stop = None
+    psi_evals = expansions = 0
     for k in range(1, n_steps + 1):
         try:
             step = prox(fn, tau, u, tol)
@@ -497,6 +467,8 @@ def minimizing_movement(fn: Functional, tau: float, y0, horizon: float,
             raise type(exc)(f"prox failed at step {k} (t={k * tau}): {exc}") from exc
         u = step.output
         us.append(u)
+        psi_evals += step.psi_evals
+        expansions += step.expansions
         if stop is None and one_d:
             sp = fn.space
             at_edge = (math.isfinite(sp.a) and abs(u - sp.a) <= 1e-12) or \
@@ -506,4 +478,5 @@ def minimizing_movement(fn: Functional, tau: float, y0, horizon: float,
     times = tau * np.arange(n_steps + 1)
     pts = np.asarray(us, dtype=float)
     return Curve(times, pts, stop_time=stop,
-                 meta={"method": "mms", "tau": tau, "functional": fn.name})
+                 meta={"method": "mms", "tau": tau, "functional": fn.name,
+                       "prox_psi_evals": psi_evals, "prox_expansions": expansions})

@@ -27,6 +27,7 @@ from .errors import (
     BasePointOutsideDomain,
     ExpressionError,
     IncompatibleSign,
+    NanError,
     PointOutsideSpace,
 )
 from .spaces import EuclideanRn, Geodesic, Interval, ModelSpace, Point
@@ -55,7 +56,10 @@ class Functional:
         """f(x); +-inf allowed, NaN raises.  x must lie in the closure."""
         if not self.space.contains_closure(x):
             raise PointOutsideSpace(f"{x!r} outside {self.space}")
-        return float(require_not_nan(self._eval_scalar(x), f"{self.name}({x!r})"))
+        v = self._eval_scalar(x)
+        if math.isnan(v):  # x is formatted only here: repr of an array is slow
+            raise NanError(f"NaN in {self.name}({x!r})")
+        return v
 
     def _eval_scalar(self, x) -> float:
         if isinstance(self.space, Interval):
@@ -161,6 +165,34 @@ def _log_pos(v):
     return out
 
 
+_LOG2 = math.log(2.0)
+
+
+def _log_cosh(y):
+    """log cosh y; where cosh overflows, |y| + log1p(e^{-2|y|}) - log 2."""
+    y = np.asarray(y, dtype=float)
+    with np.errstate(over="ignore"):
+        out = np.asarray(np.log(np.cosh(y)))
+    big = np.isinf(out) & np.isfinite(y)
+    if big.any():
+        a = np.abs(y[big])
+        out[big] = a + np.log1p(np.exp(-2.0 * a)) - _LOG2
+    return out
+
+
+def _log_sinh(y):
+    """log sinh y for y >= 0 (log sinh 0 = -inf); where sinh overflows,
+    y + log1p(-e^{-2y}) - log 2."""
+    y = np.asarray(y, dtype=float)
+    with np.errstate(over="ignore"):
+        out = _log_pos(np.sinh(y))
+    big = (out == math.inf) & np.isfinite(y)
+    if big.any():
+        a = y[big]
+        out[big] = a + np.log1p(-np.exp(-2.0 * a)) - _LOG2
+    return out
+
+
 LIBRARY_NAMES = ("log-cosh", "log-sinh", "log-x", "log-cos", "quadratic", "linear")
 
 
@@ -180,7 +212,7 @@ def library(name: str, p: CurvatureParams, *, c: float = 1.0, a: float = 1.0,
         w = math.sqrt(-K / N)
         return Functional(
             space=Interval(),
-            fvec=lambda x: -N * np.log(np.cosh(w * x)),
+            fvec=lambda x: -N * _log_cosh(w * x),
             grad=lambda x: -N * w * math.tanh(w * float(x)),
             name="log-cosh", params=p, sample_box=(-3.0 / w, 3.0 / w),
         )
@@ -190,7 +222,7 @@ def library(name: str, p: CurvatureParams, *, c: float = 1.0, a: float = 1.0,
         w = math.sqrt(-K / N)
         return Functional(
             space=Interval(0.0, math.inf),
-            fvec=lambda x: -N * _log_pos(np.sinh(w * np.maximum(x, 0.0))),
+            fvec=lambda x: -N * _log_sinh(w * np.maximum(x, 0.0)),
             grad=lambda x: -N * w / math.tanh(w * float(x)),
             name="log-sinh", params=p, sample_box=(1e-3 / w, 3.0 / w),
         )
@@ -307,14 +339,53 @@ def directional_derivative(fn: Functional, g: Geodesic,
 # expression grammar
 # ---------------------------------------------------------------------------
 
-_BINOPS = {
-    ast.Add: np.add, ast.Sub: np.subtract, ast.Mult: np.multiply,
-    ast.Div: np.true_divide, ast.Pow: np.power,
-}
+# Forward mode (dual numbers): a compiled node maps an environment of
+# (value, tangent) pairs to the (value, tangent) pair of its subexpression.
+# A tangent of None is an exact zero, so plain evaluation does no
+# derivative work and a constant exponent never differentiates through
+# log of the base (pow(x, 2) has tangent 2x also at x < 0).
 
+def _tsum(da, db):
+    if da is None:
+        return db
+    if db is None:
+        return da
+    return da + db
+
+
+def _add(a, da, b, db):
+    return np.add(a, b), _tsum(da, db)
+
+
+def _sub(a, da, b, db):
+    return np.subtract(a, b), _tsum(da, None if db is None else -db)
+
+
+def _mul(a, da, b, db):
+    return np.multiply(a, b), _tsum(None if da is None else b * da,
+                                    None if db is None else a * db)
+
+
+def _div(a, da, b, db):
+    q = np.true_divide(a, b)
+    return q, _tsum(None if da is None else da / b,
+                    None if db is None else -q / b * db)
+
+
+def _pow(a, da, b, db):
+    p = np.power(a, b)
+    return p, _tsum(None if da is None else b * np.power(a, b - 1.0) * da,
+                    None if db is None else p * np.log(a) * db)
+
+
+_BINOPS = {ast.Add: _add, ast.Sub: _sub, ast.Mult: _mul, ast.Div: _div,
+           ast.Pow: _pow}
+
+# name -> (function, derivative)
 _FUNCS = {
-    "log": _log_pos, "exp": _exp_clip, "sin": np.sin, "cos": np.cos,
-    "sinh": np.sinh, "cosh": np.cosh, "pow": np.power,
+    "log": (_log_pos, lambda a: 1.0 / a), "exp": (_exp_clip, _exp_clip),
+    "sin": (np.sin, np.cos), "cos": (np.cos, lambda a: -np.sin(a)),
+    "sinh": (np.sinh, np.cosh), "cosh": (np.cosh, np.sinh),
 }
 
 _CONSTS = {"pi": math.pi, "e": math.e}
@@ -327,31 +398,32 @@ def _compile_node(node, var_names):
         if not isinstance(node.value, (int, float)):
             raise ExpressionError(f"constant {node.value!r} not allowed")
         v = float(node.value)
-        return lambda env: v
+        return lambda env: (v, None)
     if isinstance(node, ast.Name):
         if node.id in var_names:
             key = node.id
             return lambda env: env[key]
         if node.id in _CONSTS:
             v = _CONSTS[node.id]
-            return lambda env: v
+            return lambda env: (v, None)
         raise ExpressionError(f"unknown name {node.id!r}")
     if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.USub, ast.UAdd)):
         sub = _compile_node(node.operand, var_names)
         if isinstance(node.op, ast.UAdd):
             return sub
-        return lambda env: np.negative(sub(env))
+
+        def neg(env):
+            a, da = sub(env)
+            return np.negative(a), None if da is None else -da
+        return neg
     if isinstance(node, ast.BinOp) and type(node.op) in _BINOPS:
-        op = _BINOPS[type(node.op)]
+        rule = _BINOPS[type(node.op)]
         left = _compile_node(node.left, var_names)
         right = _compile_node(node.right, var_names)
-
-        def run(env):
-            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-                return op(left(env), right(env))
-        return run
+        return lambda env: rule(*left(env), *right(env))
     if isinstance(node, ast.Call):
-        if not isinstance(node.func, ast.Name) or node.func.id not in _FUNCS:
+        if not isinstance(node.func, ast.Name) or \
+                node.func.id not in _FUNCS and node.func.id != "pow":
             raise ExpressionError("only log/exp/sin/cos/sinh/cosh/pow calls allowed")
         if node.keywords:
             raise ExpressionError("keyword arguments not allowed")
@@ -359,13 +431,17 @@ def _compile_node(node, var_names):
         want = 2 if fname == "pow" else 1
         if len(node.args) != want:
             raise ExpressionError(f"{fname} takes {want} argument(s)")
-        f = _FUNCS[fname]
         args = [_compile_node(a, var_names) for a in node.args]
+        if fname == "pow":
+            base, expo = args
+            return lambda env: _pow(*base(env), *expo(env))
+        f, df = _FUNCS[fname]
+        (arg,) = args
 
-        def run(env):
-            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-                return f(*(a(env) for a in args))
-        return run
+        def call(env):
+            a, da = arg(env)
+            return f(a), None if da is None else df(a) * da
+        return call
     raise ExpressionError(f"expression node {type(node).__name__} not allowed")
 
 
@@ -377,6 +453,7 @@ def expression_functional(expr: str, space: Optional[ModelSpace] = None,
 
     Grammar: + - * / and the calls log, exp, sin, cos, sinh, cosh, pow;
     constants (incl. pi, e); variable x on intervals, x1..xn on R^n.
+    The gradient is evaluated in forward mode alongside the value.
     """
     space = space if space is not None else Interval()
     if isinstance(space, Interval):
@@ -388,21 +465,41 @@ def expression_functional(expr: str, space: Optional[ModelSpace] = None,
     except SyntaxError as exc:
         raise ExpressionError(f"cannot parse {expr!r}: {exc}") from exc
     body = _compile_node(tree, var_names)
+    name = name or f"expr:{expr}"
+    grad_where = f"gradient of {name}"
+
+    def evaluate(env):
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            return body(env)
 
     if isinstance(space, Interval):
         def fvec(xs):
-            return np.broadcast_to(np.asarray(body({"x": np.asarray(xs, float)}),
-                                              dtype=float), np.shape(xs)).copy()
+            xs = np.asarray(xs, dtype=float)
+            v, _ = evaluate({"x": (xs, None)})
+            return np.broadcast_to(np.asarray(v, dtype=float), xs.shape).copy()
+
+        def grad(x):
+            _, dv = evaluate({"x": (np.float64(x), np.float64(1.0))})
+            return 0.0 if dv is None else require_not_nan(float(dv), grad_where)
     else:
+        n = space.n
+        basis = np.eye(n)
+
         def fvec(xs):
             arr = np.asarray(xs, dtype=float)
-            env = {f"x{i + 1}": arr[..., i] for i in range(space.n)}
-            return np.broadcast_to(np.asarray(body(env), dtype=float),
+            v, _ = evaluate({f"x{i + 1}": (arr[..., i], None) for i in range(n)})
+            return np.broadcast_to(np.asarray(v, dtype=float),
                                    arr.shape[:-1]).copy()
 
-    return Functional(space=space, fvec=fvec, name=name or f"expr:{expr}",
-                      params=params, sample_box=sample_box,
-                      meta={"expr": expr})
+        def grad(x):
+            x = np.asarray(x, dtype=float)
+            _, dv = evaluate({f"x{i + 1}": (x[i], basis[i]) for i in range(n)})
+            if dv is None:
+                return np.zeros(n)
+            return require_not_nan(np.array(dv, dtype=float), grad_where)
+
+    return Functional(space=space, fvec=fvec, name=name, params=params,
+                      grad=grad, sample_box=sample_box, meta={"expr": expr})
 
 
 def functional_from_json(d: dict) -> Functional:

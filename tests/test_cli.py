@@ -81,8 +81,12 @@ class TestFlowCommand:
             "y0": 2.0, "grid": {"t0": 0.0, "t1": 1.0, "n": 11},
             "out": "ode.csv",
         }
-        with pytest.raises(Exception):
-            run(cfg, str(tmp_path))  # expression functionals have no gradient
+        manifest = run(cfg, str(tmp_path))
+        assert manifest.status == "ok"
+        # the forward-mode gradient of x^2/2 is x, so y(t) = 2 e^{-t}
+        curve = read_curve_csv(str(tmp_path / "ode.csv"))
+        np.testing.assert_allclose(curve.points, 2.0 * np.exp(-curve.times),
+                                   rtol=1e-7)
 
 
 class TestCheckCommands:

@@ -3,6 +3,7 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from knflow.coefficients import (
     CurvatureParams,
@@ -271,3 +272,29 @@ class TestIdentities:
         for theta, s, c in zip(thetas, sv, cv):
             assert s_kn(p, theta) == pytest.approx(s, abs=1e-15)
             assert c_kn(p, theta) == pytest.approx(c, abs=1e-15)
+
+
+class TestSigmaOverflow:
+    """K > 0 with sinh(w theta) past the double range: the scaled form."""
+
+    P = CurvatureParams(1.0, -1e-3)  # w = sqrt(1000), w theta in [949, 1581]
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.floats(0.0, 1.0), st.floats(30.0, 50.0))
+    def test_matches_mpmath(self, t, theta):
+        a = mp.sqrt(mp.mpf(1000)) * mp.mpf(theta)
+        with mp.workdps(40):
+            ref = float(mp.sinh(mp.mpf(t) * a) / mp.sinh(a))
+        got = float(sigma_values(self.P, t, theta))
+        assert abs(got - ref) <= 1e-11 * ref + 1e-300
+        assert float(sigma(self.P, t, theta)) == got
+
+    def test_double_overflow_point_is_finite(self):
+        assert float(sigma(self.P, 0.9, 40.0)) == pytest.approx(1.1630823833259427e-55,
+                                                                rel=1e-12)
+
+    def test_entries_without_overflow_unchanged(self):
+        ts = np.linspace(0.0, 1.0, 11)
+        thetas = np.linspace(0.5, 22.0, 11)  # w theta < 710
+        expected = s_values(self.P, ts * thetas) / s_values(self.P, thetas)
+        assert np.array_equal(sigma_values(self.P, ts, thetas), expected)

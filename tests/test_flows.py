@@ -3,6 +3,7 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from knflow.coefficients import CurvatureParams
 from knflow.core import SampleSpec, Tolerance
@@ -273,3 +274,128 @@ class TestMinimizingMovement:
         c = minimizing_movement(fn, 0.25, 1.0, 2.0, TOL)
         assert c.stop_time == pytest.approx(1.0)
         np.testing.assert_allclose(c.points[c.times >= 1.0], 0.0, atol=1e-9)
+
+
+def _grad_less(space):
+    return Functional(space=space, fvec=lambda x: np.sum(np.atleast_1d(x) ** 2, axis=-1),
+                      name="no-grad")
+
+
+class TestProxRoot:
+    """The 1-d prox is the first root of psi(w) = (w - v)/tau + f'(w)
+    downhill from v."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.floats(0.05, 20.0), st.floats(1e-6, 0.99))
+    def test_log_x_larger_root(self, v, frac):
+        tau = frac * v * v / 4.0  # v^2 > 4 tau
+        step = prox(library("log-x", P01), tau, v, TOL)
+        expected = 0.5 * (v + math.sqrt(v * v - 4.0 * tau))
+        assert abs(step.output - expected) <= 1e-12 * expected
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.floats(0.05, 20.0), st.floats(1.0001, 100.0))
+    def test_log_x_past_extinction_not_bounded_below(self, v, ratio):
+        tau = ratio * v * v / 4.0  # v^2 < 4 tau
+        with pytest.raises(NotBoundedBelow):
+            prox(library("log-x", P01), tau, v, TOL)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.floats(1e-4, 0.1), st.floats(0.5, 5.0))
+    def test_log_sinh_near_zero_not_bounded_below(self, v, tau):
+        with pytest.raises(NotBoundedBelow):
+            prox(library("log-sinh", P11), tau, v, TOL)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.floats(-50.0, 50.0), st.floats(0.0, 10.0), st.floats(1e-4, 10.0))
+    def test_quadratic_resolvent(self, v, c, tau):
+        step = prox(library("quadratic", P11, c=c), tau, v, TOL)
+        assert step.output == pytest.approx(v / (1.0 + c * tau), rel=1e-14, abs=1e-15)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.floats(-4.0, 4.0), st.floats(1e-4, 2.0))
+    def test_log_cosh_matches_mpmath_root(self, v, tau):
+        step = prox(library("log-cosh", P11), tau, v, TOL)
+        with mp.workdps(40):
+            ref = mp.findroot(lambda w: (w - v) / tau + mp.tanh(w), mp.mpf(step.output))
+        assert step.output == pytest.approx(float(ref), rel=1e-13, abs=1e-15)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.sampled_from([("log-x", P01, 1.3), ("log-cosh", P11, 2.0),
+                            ("log-cos", PM11, 0.6), ("log-cos", PM11, -0.7)]),
+           st.floats(1e-4, 1e-2))
+    def test_step_never_raises_the_energy(self, case, tau):
+        name, p, y0 = case
+        fn = library(name, p)
+        c = minimizing_movement(fn, tau, y0, 20 * tau, TOL)  # before extinction
+        f = fn.values(c.points)
+        moved = f[1:] + np.diff(c.points) ** 2 / (2.0 * tau)
+        assert (moved <= f[:-1] + 1e-14 * (1.0 + np.abs(f[:-1]))).all()
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.floats(0.0, 5.0), st.floats(1e-3, 10.0), st.floats(0.1, 3.0))
+    def test_clamped_linear_step_is_the_boundary(self, v, tau, a):
+        step = prox(library("linear", P01, a=a), tau, v, TOL)
+        if v <= a * tau:
+            assert step.output == 0.0
+        else:
+            assert step.output == pytest.approx(v - a * tau, rel=1e-14, abs=1e-15)
+
+    def test_grad_less_functional_rejected(self):
+        for space, v in ((Interval(), 1.0), (EuclideanRn(2), np.ones(2))):
+            fn = _grad_less(space)
+            with pytest.raises(ParamOutOfRange, match="gradient"):
+                prox(fn, 0.1, v, TOL)
+            with pytest.raises(ParamOutOfRange):
+                minimizing_movement(fn, 0.1, v, 1.0, TOL)
+            with pytest.raises(ParamOutOfRange, match="gradient"):
+                ode_flow(fn, v, time_grid(0, 1, 5))
+
+    def test_expression_functional_flows(self):
+        from knflow.functionals import expression_functional
+        fn = expression_functional("pow(x, 2)/2", Interval())
+        c = minimizing_movement(fn, 1e-3, 2.0, 1.0, TOL)
+        # implicit Euler for y' = -y: y_k = y0 (1 + tau)^-k
+        np.testing.assert_allclose(c.points, 2.0 * 1.001 ** -np.arange(1001.0),
+                                   rtol=1e-12)
+
+    def test_solver_counters(self):
+        fn = library("log-x", P01)
+        c = minimizing_movement(fn, 1e-3, 1.0, 0.2, TOL)
+        psi, exp = c.meta["prox_psi_evals"], c.meta["prox_expansions"]
+        assert isinstance(psi, int) and isinstance(exp, int)
+        assert psi >= 2 * 200 and 0 <= exp <= psi
+        again = minimizing_movement(fn, 1e-3, 1.0, 0.2, TOL)
+        assert (again.meta["prox_psi_evals"], again.meta["prox_expansions"]) == (psi, exp)
+        rn = minimizing_movement(library("quadratic", P11, c=1.0, dim=2), 0.1,
+                                 np.array([1.0, -2.0]), 1.0, TOL)
+        assert rn.meta["prox_psi_evals"] > 0 and rn.meta["prox_expansions"] == 0
+
+
+class TestLogCoshOracleOverflow:
+    """sinh(w y0) past the double range: the oracle works in the log domain."""
+
+    P = CurvatureParams(1e3, -1.0)  # w = sqrt(1000)
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.floats(720.0, 2000.0), st.sampled_from([-1.0, 1.0]))
+    def test_matches_mpmath(self, wy0, sign):
+        w = math.sqrt(1000.0)
+        y0 = sign * wy0 / w
+        grid = np.linspace(0.0, 2.5, 41)  # log|sinh| - K t changes sign
+        c = oracle_flow("log-cosh", self.P, y0, grid)
+        mw = mp.sqrt(mp.mpf(1000))
+        with mp.workdps(40):
+            ref = [float(mp.asinh(mp.sinh(mw * y0) * mp.exp(-self.P.K * mp.mpf(t))) / mw)
+                   for t in grid]
+        np.testing.assert_allclose(c.points, ref, rtol=1e-11, atol=1e-300)
+
+    def test_cli_flow_exits_zero(self, tmp_path):
+        from knflow.cli import main
+        import json
+        cfg = {"command": "flow", "method": "oracle",
+               "functional": {"library": "log-cosh", "K": 1e3, "N": -1.0},
+               "y0": 30.0, "grid": {"t0": 0.0, "t1": 0.5, "n": 20}, "out": "big.csv"}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["flow", "--config", str(path), "--out", str(tmp_path)]) == 0

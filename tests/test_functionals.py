@@ -1,7 +1,9 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from knflow.coefficients import CurvatureParams
 from knflow.core import Tolerance
@@ -9,6 +11,7 @@ from knflow.errors import (
     BasePointOutsideDomain,
     ExpressionError,
     IncompatibleSign,
+    NanError,
     PointOutsideSpace,
 )
 from knflow.functionals import (
@@ -265,3 +268,95 @@ class TestExpressionGrammar:
     def test_rejects_unknown_name(self):
         with pytest.raises(ExpressionError):
             expression_functional("x + y", Interval())
+
+
+# (expression, mpmath twin, domain of x) for each grammar rule
+_GRAMMAR = [
+    ("log(x)", mp.log, (0.1, 5.0)),
+    ("exp(x)", mp.exp, (-5.0, 5.0)),
+    ("sin(x)", mp.sin, (-5.0, 5.0)),
+    ("cos(x)", mp.cos, (-5.0, 5.0)),
+    ("sinh(x)", mp.sinh, (-5.0, 5.0)),
+    ("cosh(x)", mp.cosh, (-5.0, 5.0)),
+    ("pow(x, 2)", lambda x: x ** 2, (-5.0, 5.0)),
+    ("x**3 - 2*x", lambda x: x ** 3 - 2 * x, (-5.0, 5.0)),
+    ("pow(x, 0.5)", mp.sqrt, (0.1, 5.0)),
+    ("pow(2, x)", lambda x: mp.mpf(2) ** x, (-5.0, 5.0)),
+    ("pow(x, x)", lambda x: x ** x, (0.1, 3.0)),
+    ("1/x + x/3", lambda x: 1 / x + x / 3, (0.1, 5.0)),
+    ("-x*exp(-x)", lambda x: -x * mp.exp(-x), (-5.0, 5.0)),
+    ("+x - 7", lambda x: x - 7, (-5.0, 5.0)),
+    ("log(cosh(2*x)) - sin(x)/cos(x)",
+     lambda x: mp.log(mp.cosh(2 * x)) - mp.sin(x) / mp.cos(x), (-1.5, 1.5)),
+]
+
+
+class TestForwardMode:
+    @settings(max_examples=25, deadline=None)
+    @given(st.sampled_from(_GRAMMAR), st.floats(0.0, 1.0))
+    def test_matches_mpmath_diff(self, case, u):
+        expr, twin, (lo, hi) = case
+        x = lo + (hi - lo) * u
+        fn = expression_functional(expr, Interval())
+        ref = float(mp.diff(twin, mp.mpf(x)))
+        assert fn.grad(x) == pytest.approx(ref, rel=1e-12, abs=1e-12)
+
+    def test_pow_tangent_at_negative_base(self):
+        fn = expression_functional("pow(x, 2)/2", Interval())
+        assert fn.grad(-1.5) == -1.5
+        assert expression_functional("x**2", Interval()).grad(-3.0) == -6.0
+
+    def test_constant_expression_has_zero_gradient(self):
+        assert expression_functional("pi*0 + 2", Interval()).grad(1.0) == 0.0
+        fn = expression_functional("e", EuclideanRn(3))
+        np.testing.assert_array_equal(fn.grad(np.ones(3)), np.zeros(3))
+
+    def test_rn_tangent_is_a_vector(self):
+        fn = expression_functional("x1*x1 + sin(x2)*x1", EuclideanRn(2))
+        x1, x2 = 0.7, -1.3
+        np.testing.assert_allclose(
+            fn.grad(np.array([x1, x2])),
+            [2 * x1 + math.sin(x2), x1 * math.cos(x2)], rtol=1e-14)
+        # the returned gradient does not alias the forward-mode seeds
+        g = fn.grad(np.array([1.0, 0.0]))
+        g[:] = 99.0
+        assert fn.grad(np.array([1.0, 0.0]))[1] == pytest.approx(1.0)
+
+    def test_nan_gradient_raises(self):
+        fn = expression_functional("pow(x, x)", Interval())
+        with pytest.raises(NanError):
+            fn.grad(-0.5)
+
+    def test_values_unchanged_by_tangents(self):
+        fn = expression_functional("log(x)*x - pow(x, 3)/2", Interval(0, math.inf))
+        xs = np.linspace(0.1, 3.0, 50)
+        expected = np.log(xs) * xs - np.power(xs, 3.0) / 2.0
+        assert np.array_equal(fn.values(xs), expected)
+
+
+class TestLogHyperbolicOverflow:
+    """log-cosh / log-sinh where cosh and sinh overflow (w|x| > 710)."""
+
+    P = CurvatureParams(1.0, -1e-3)
+    W = math.sqrt(1000.0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.floats(720.0, 2000.0), st.sampled_from([-1.0, 1.0]))
+    def test_matches_mpmath(self, y, sign):
+        x = sign * y / self.W
+        wx = mp.sqrt(mp.mpf(1000)) * mp.mpf(x)
+        with mp.workdps(40):
+            ref_cosh = float(-self.P.N * mp.log(mp.cosh(wx)))
+            ref_sinh = float(-self.P.N * mp.log(mp.sinh(abs(wx))))
+        assert library("log-cosh", self.P).value(x) == pytest.approx(ref_cosh, rel=1e-13)
+        assert library("log-sinh", self.P).value(abs(x)) == pytest.approx(ref_sinh,
+                                                                           rel=1e-13)
+
+    def test_entries_without_overflow_unchanged(self):
+        xs = np.linspace(-700.0, 700.0, 101) / self.W
+        np.testing.assert_array_equal(library("log-cosh", self.P).values(xs),
+                                      -self.P.N * np.log(np.cosh(self.W * xs)))
+        pos = np.abs(xs)
+        with np.errstate(divide="ignore"):
+            expected = -self.P.N * np.log(np.sinh(self.W * pos))
+        np.testing.assert_array_equal(library("log-sinh", self.P).values(pos), expected)
