@@ -27,7 +27,6 @@ from .analysis import (
 )
 from .coefficients import (
     CurvatureParams,
-    SigmaValue,
     c_kn,
     s_kn,
     sigma,

@@ -9,6 +9,16 @@ For curvature K and negative dimension N the two kernels are
 and the distortion coefficient sigma^(t)(theta) is the ratio
 s(t*theta)/s(theta), equal to t when K*theta^2 = 0 and +inf in the singular
 regime K*theta^2 <= N*pi^2 (only reachable for K < 0).
+
+Each kernel has an array form (``s_values``, ``c_values``, ``sigma_values``)
+and a scalar form (``s_kn``, ``c_kn``, ``sigma``, ``sigma_rate_limits``) that
+works on Python floats with ``math`` and returns plain floats.  Both take
+the same branches; they agree to a few ulp (``math`` and numpy may round
+sin, sinh, cosh and pow differently), and bitwise in the K > 0 branch where
+sinh(w*theta) overflows, which the scalar ``sigma`` hands to
+``sigma_values``.  At theta = +inf: s = c = +inf for K > 0, sigma is 0 for
+t < 1 and 1 at t = 1; for K < 0 sin and cos have no limit and the scalar
+kernels raise ``ParamOutOfRange``.
 """
 
 from __future__ import annotations
@@ -18,7 +28,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ExtReal, POS_INF
 from .errors import NegativeTheta, ParamOutOfRange, SingularTheta
 
 # Below this value of theta*w the kernels switch to a 5-term Taylor series;
@@ -55,26 +64,17 @@ class CurvatureParams:
         return math.pi * math.sqrt(self.N / self.K)
 
 
-@dataclass(frozen=True)
-class SigmaValue:
-    """Distortion coefficient value in [0, +inf]."""
-
-    value: ExtReal
-
-    @property
-    def is_singular(self) -> bool:
-        return self.value.is_pos_inf
-
-    def __float__(self) -> float:
-        return float(self.value)
+def _series(x2, sign):
+    """Five Taylor terms of sin(x)/x (sign -1) or sinh(x)/x (sign +1), x2 = x*x."""
+    return (1.0 + sign * (x2 / 6.0) + x2**2 / 120.0 + sign * (x2**3 / 5040.0)
+            + x2**4 / 362880.0)
 
 
 def _sin_ratio(x):
     """sin(x)/x, series below the crossover.  Vectorized."""
     x = np.asarray(x, dtype=float)
     small = np.abs(x) < _SERIES_CROSSOVER
-    x2 = x * x
-    series = 1.0 - x2 / 6.0 + x2**2 / 120.0 - x2**3 / 5040.0 + x2**4 / 362880.0
+    series = _series(x * x, -1.0)
     with np.errstate(invalid="ignore", divide="ignore"):
         exact = np.where(x == 0.0, 1.0, np.sin(x) / np.where(x == 0.0, 1.0, x))
     return np.where(small, series, exact)
@@ -84,10 +84,11 @@ def _sinh_ratio(x):
     """sinh(x)/x, series below the crossover.  Vectorized."""
     x = np.asarray(x, dtype=float)
     small = np.abs(x) < _SERIES_CROSSOVER
-    x2 = x * x
-    series = 1.0 + x2 / 6.0 + x2**2 / 120.0 + x2**3 / 5040.0 + x2**4 / 362880.0
+    series = _series(x * x, 1.0)
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-        exact = np.where(x == 0.0, 1.0, np.sinh(x) / np.where(x == 0.0, 1.0, x))
+        # sinh(inf)/1 = inf, the limit, where sinh(inf)/inf would be NaN
+        exact = np.where(x == 0.0, 1.0,
+                         np.sinh(x) / np.where((x == 0.0) | (x == np.inf), 1.0, x))
     return np.where(small, series, exact)
 
 
@@ -120,14 +121,49 @@ def _check_theta(theta: float) -> float:
     return theta
 
 
+def _omega_theta(p: CurvatureParams, theta: float) -> float:
+    """w*theta for the scalar kernels; for K < 0 it must be finite."""
+    x = theta * p.omega
+    if x == math.inf and p.K < 0:
+        raise ParamOutOfRange(f"sin and cos have no limit at theta*w = +inf "
+                              f"(theta={theta})")
+    return x
+
+
+def _s_scalar(p: CurvatureParams, theta: float) -> float:
+    """s(theta) on floats with the branches of s_values; +inf past sinh's range."""
+    if p.K == 0:
+        return theta
+    x = _omega_theta(p, theta)
+    if x < _SERIES_CROSSOVER:
+        return theta * _series(x * x, math.copysign(1.0, p.K))
+    if p.K < 0:
+        return theta * (math.sin(x) / x)
+    if x == math.inf:
+        return math.inf
+    try:
+        return theta * (math.sinh(x) / x)
+    except OverflowError:
+        return math.inf
+
+
 def s_kn(p: CurvatureParams, theta: float) -> float:
     """Kernel s(theta) for theta >= 0."""
-    return float(s_values(p, _check_theta(theta)))
+    return _s_scalar(p, _check_theta(theta))
 
 
 def c_kn(p: CurvatureParams, theta: float) -> float:
     """Kernel c(theta) for theta >= 0."""
-    return float(c_values(p, _check_theta(theta)))
+    theta = _check_theta(theta)
+    if p.K == 0:
+        return 1.0
+    x = _omega_theta(p, theta)
+    if p.K < 0:
+        return math.cos(x)
+    try:
+        return math.cosh(x)
+    except OverflowError:
+        return math.inf
 
 
 def is_singular(p: CurvatureParams, theta: float) -> bool:
@@ -150,45 +186,65 @@ def sigma_values(p: CurvatureParams, t, theta) -> np.ndarray:
         singular = k_theta2 <= p.N * math.pi**2
         safe = generic & ~singular
         if safe.any():
-            num = s_values(p, t[safe] * theta[safe])
-            den = s_values(p, theta[safe])
-            with np.errstate(invalid="ignore"):
+            with np.errstate(invalid="ignore"):  # 0*inf, inf/inf: patched below
+                num = s_values(p, t[safe] * theta[safe])
+                den = s_values(p, theta[safe])
                 ratio = num / den
             big = np.isinf(den)  # sinh(w theta) overflowed (K > 0 only)
             if big.any():
                 x, tb = p.omega * theta[safe][big], t[safe][big]
-                ratio[big] = (np.exp(-x * (1.0 - tb)) * np.expm1(-2.0 * tb * x)
+                with np.errstate(invalid="ignore"):
+                    scaled = (np.exp(-x * (1.0 - tb)) * np.expm1(-2.0 * tb * x)
                               / np.expm1(-2.0 * x))
+                # at w theta = +inf the limit is 0 for t < 1 and 1 at t = 1
+                ratio[big] = np.where(x == np.inf, tb == 1.0, scaled)
             out[safe] = ratio
         out[singular] = math.inf
     return out
 
 
-def sigma(p: CurvatureParams, t: float, theta: float) -> SigmaValue:
-    """Distortion coefficient sigma^(t)(theta)."""
+def sigma(p: CurvatureParams, t: float, theta: float) -> float:
+    """Distortion coefficient sigma^(t)(theta); +inf in the singular regime."""
     t = float(t)
     theta = float(theta)
     if math.isnan(t) or not (0.0 <= t <= 1.0):
         raise ParamOutOfRange(f"t must lie in [0,1], got {t}")
     if math.isnan(theta) or theta < 0:
         raise ParamOutOfRange(f"theta must be >= 0, got {theta}")
-    v = float(sigma_values(p, t, theta))
-    if v == math.inf:
-        return SigmaValue(POS_INF)
-    return SigmaValue(ExtReal(v))
+    k_theta2 = p.K * theta * theta
+    if p.K == 0 or k_theta2 == 0.0:
+        return t
+    if k_theta2 <= p.N * math.pi**2:
+        return math.inf
+    den = _s_scalar(p, theta)
+    if den == math.inf:
+        # sinh(w theta) overflowed: sigma_values' scaled form, bit for bit
+        return float(sigma_values(p, t, theta))
+    return _s_scalar(p, t * theta) / den
 
 
 def sigma_rate_limits(p: CurvatureParams, theta: float) -> tuple[float, float]:
     """Small-t rates of the distortion coefficients at fixed theta > 0.
 
     Returns (lim sigma^(t)/t, lim (sigma^(1-t) - 1)/t) as t -> 0, i.e.
-    (theta/s(theta), -theta*c(theta)/s(theta)).
+    (theta/s(theta), -theta*c(theta)/s(theta)): with x = w*theta,
+    (x/sin x, -x/tan x) for K < 0 and (x/sinh x, -x/tanh x) for K > 0,
+    which stay finite where sinh(x) overflows; (1, -1) for K = 0.
     """
     theta = _check_theta(theta)
     if theta == 0:
         raise NegativeTheta("theta must be > 0")
     if is_singular(p, theta):
         raise SingularTheta(f"theta={theta} is in the singular regime")
-    s = s_kn(p, theta)
-    c = c_kn(p, theta)
-    return theta / s, -theta * c / s
+    x = theta * p.omega
+    if p.K == 0 or x == 0.0:  # x == 0 also when w*theta underflows
+        return 1.0, -1.0
+    if p.K < 0:
+        return x / math.sin(x), -x / math.tan(x)
+    if x == math.inf:
+        return 0.0, -math.inf
+    try:
+        rate0 = x / math.sinh(x)
+    except OverflowError:
+        rate0 = 0.0
+    return rate0, -x / math.tanh(x)

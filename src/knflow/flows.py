@@ -22,10 +22,15 @@ unbounded below): the search raises :class:`NotBoundedBelow` when it
 reaches an end of the closure where f = -inf, or after 200 doublings,
 rather than returning a diverging iterate.  Both the proximal step and the
 ODE route need the analytic gradient ``Functional.grad``.
+
+Solver totals go into ``Curve.meta`` (``ode_nfev``/``ode_status``,
+``prox_psi_evals``/``prox_expansions``) and to the ``knflow`` logger at
+DEBUG level.
 """
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass, field
 from typing import Optional
@@ -46,6 +51,8 @@ from .errors import (
 )
 from .functionals import Functional
 from .spaces import Interval
+
+logger = logging.getLogger("knflow")
 
 
 @dataclass
@@ -217,7 +224,9 @@ def ode_flow(fn: Functional, y0, grid, rtol: float = 1e-9) -> Curve:
 
     Dense output is resampled onto the grid.  On intervals, approach to a
     finite boundary stops the integration and sets stop_time; the curve is
-    continued constantly at the boundary.
+    continued constantly at the boundary.  meta carries the solver's
+    right-hand-side evaluations ``ode_nfev`` and exit ``ode_status`` (0: end
+    of the grid reached, 1: a boundary event stopped it).
     """
     if fn.grad is None:
         raise ParamOutOfRange(f"{fn.name} has no analytic gradient")
@@ -260,6 +269,7 @@ def ode_flow(fn: Functional, y0, grid, rtol: float = 1e-9) -> Curve:
                         events=events)
         if sol.status == -1:
             raise BlowUp(f"integration failed: {sol.message}")
+        _record_ode(meta, sol)
         stop = None
         boundary_val = None
         if sol.status == 1:  # a terminal event fired
@@ -285,9 +295,17 @@ def ode_flow(fn: Functional, y0, grid, rtol: float = 1e-9) -> Curve:
                     rtol=loc_rtol, atol=loc_atol, dense_output=True)
     if sol.status != 0:
         raise BlowUp(f"integration failed: {sol.message}")
+    _record_ode(meta, sol)
     ys = sol.sol(grid).T
     require_not_nan(ys, "ode trajectory")
     return Curve(grid, ys, stop_time=None, meta=meta)
+
+
+def _record_ode(meta: dict, sol) -> None:
+    meta["ode_nfev"] = int(sol.nfev)
+    meta["ode_status"] = int(sol.status)
+    logger.debug("ode_flow %s: nfev=%d status=%d", meta["functional"],
+                 sol.nfev, sol.status)
 
 
 # ---------------------------------------------------------------------------
@@ -475,6 +493,8 @@ def minimizing_movement(fn: Functional, tau: float, y0, horizon: float,
                       (math.isfinite(sp.b) and abs(u - sp.b) <= 1e-12)
             if at_edge:
                 stop = k * tau
+    logger.debug("minimizing_movement %s: %d steps, prox_psi_evals=%d "
+                 "prox_expansions=%d", fn.name, n_steps, psi_evals, expansions)
     times = tau * np.arange(n_steps + 1)
     pts = np.asarray(us, dtype=float)
     return Curve(times, pts, stop_time=stop,

@@ -87,6 +87,7 @@ class TestFlowCommand:
         curve = read_curve_csv(str(tmp_path / "ode.csv"))
         np.testing.assert_allclose(curve.points, 2.0 * np.exp(-curve.times),
                                    rtol=1e-7)
+        assert curve.meta["ode_nfev"] > 0 and curve.meta["ode_status"] == 0
 
 
 class TestCheckCommands:

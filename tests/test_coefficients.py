@@ -9,13 +9,14 @@ from knflow.coefficients import (
     CurvatureParams,
     c_kn,
     c_values,
+    is_singular,
     s_kn,
     s_values,
     sigma,
     sigma_rate_limits,
     sigma_values,
 )
-from knflow.errors import NegativeTheta, ParamOutOfRange, SingularTheta
+from knflow.errors import KNFlowError, NegativeTheta, ParamOutOfRange, SingularTheta
 
 mp.mp.dps = 40
 
@@ -98,7 +99,8 @@ class TestSigma:
         # K*theta^2 = N*pi^2 exactly triggers the singular value
         p = CurvatureParams(-1.0, -1.0)
         v = sigma(p, 0.5, math.pi)
-        assert v.is_singular
+        assert v == math.inf
+        assert is_singular(p, math.pi)
         assert float(v) == math.inf
 
     def test_hyperbolic_ratio(self):
@@ -298,3 +300,102 @@ class TestSigmaOverflow:
         thetas = np.linspace(0.5, 22.0, 11)  # w theta < 710
         expected = s_values(self.P, ts * thetas) / s_values(self.P, thetas)
         assert np.array_equal(sigma_values(self.P, ts, thetas), expected)
+
+
+EPS = np.finfo(float).eps
+
+
+class TestScalarMatchesArray:
+    """The math-on-floats scalar kernels against the array kernels.
+
+    math and numpy may round sin, sinh, cosh and pow differently, so the two
+    forms agree to a few ulp, not bitwise.  The bound is 4 ulp relative to
+    the array value, 4*eps*|array|: a one-ulp difference in sinh at the
+    bottom of a binade reads as two ulps of a result near the top of one.
+    Past sinh's range (K > 0, w*theta > ~710.5) s and c are +inf on both
+    sides and the scalar sigma hands off to sigma_values.
+    """
+
+    @staticmethod
+    def _close(scalar, array):
+        array = float(array)
+        if math.isinf(array):
+            return scalar == array
+        return abs(scalar - array) <= 4 * EPS * abs(array)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from([-1.0, 1.0]), st.floats(-8.0, 4.0), st.floats(0.01, 10.0),
+           st.floats(-9.0, 0.0), st.floats(0.0, 1.0))
+    def test_agree_to_four_ulp(self, sign, log_ratio, n_abs, log_x, t):
+        # |K/N| = 10**log_ratio up to 1e4; w*theta = x_max * 10**log_x runs
+        # across the series crossover at 1e-4 up to 0.999 of the cap (K < 0)
+        # or 2000 (K > 0)
+        p = CurvatureParams(sign * 10.0**log_ratio * n_abs, -n_abs)
+        x_max = 0.999 * math.pi if sign < 0 else 2000.0
+        theta = x_max * 10.0**log_x / p.omega
+        assert self._close(s_kn(p, theta), s_values(p, theta))
+        assert self._close(c_kn(p, theta), c_values(p, theta))
+        assert self._close(sigma(p, t, theta), sigma_values(p, t, theta))
+
+
+class TestInfiniteTheta:
+    """theta = +inf: the limits where they exist, ParamOutOfRange where not."""
+
+    def test_s_positive_K_is_inf(self):
+        p = CurvatureParams(1.0, -1.0)
+        assert s_kn(p, math.inf) == math.inf
+        assert c_kn(p, math.inf) == math.inf
+        assert s_values(p, np.array([1.0, math.inf]))[1] == math.inf
+
+    def test_negative_K_has_no_limit(self):
+        p = CurvatureParams(-1.0, -1.0)
+        with pytest.raises(ParamOutOfRange):
+            s_kn(p, math.inf)
+        with pytest.raises(ParamOutOfRange):
+            c_kn(p, math.inf)
+        with pytest.raises(ParamOutOfRange):  # w*theta overflows to +inf
+            s_kn(CurvatureParams(-1e4, -1e-4), 1e306)
+
+    def test_sigma_positive_K_limits(self):
+        p = CurvatureParams(1.0, -1.0)
+        ts = np.array([0.0, 0.3, 0.999, 1.0])
+        expected = np.array([0.0, 0.0, 0.0, 1.0])
+        assert [sigma(p, t, math.inf) for t in ts] == list(expected)
+        assert np.array_equal(sigma_values(p, ts, math.inf), expected)
+
+    def test_rates_stay_finite_past_sinh_range(self):
+        assert sigma_rate_limits(CurvatureParams(1.0, -1.0), 1000.0) == (0.0, -1000.0)
+
+    def test_flat_rates_at_inf(self):
+        assert sigma_rate_limits(CurvatureParams(0.0, -1.0), math.inf) == (1.0, -1.0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.floats(720.0, 2000.0), st.floats(0.0, 1.0))
+    def test_large_argument_matches_mpmath(self, x, t):
+        p = CurvatureParams(1.0, -1e-3)
+        theta = x / p.omega
+        with mp.workdps(40):
+            a = mp.sqrt(mp.mpf(1000)) * mp.mpf(theta)
+            rate0 = float(a / mp.sinh(a))
+            rate1 = float(-a / mp.tanh(a))
+            ref = float(mp.sinh(mp.mpf(t) * a) / mp.sinh(a))
+        r0, r1 = sigma_rate_limits(p, theta)
+        # a/sinh(a) is subnormal or 0 here
+        assert abs(r0 - rate0) <= 1e-300
+        assert r1 == pytest.approx(rate1, rel=1e-13)
+        assert abs(sigma(p, t, theta) - ref) <= 1e-11 * ref + 1e-300
+
+    @pytest.mark.parametrize("K", [-1.0, 0.0, 1.0])
+    @pytest.mark.parametrize("theta", [math.inf, -math.inf, math.nan])
+    def test_only_library_errors_escape(self, K, theta):
+        p = CurvatureParams(K, -1.0)
+        calls = [lambda: s_kn(p, theta), lambda: c_kn(p, theta),
+                 lambda: sigma(p, 0.5, theta), lambda: sigma(p, 1.0, theta),
+                 lambda: sigma_rate_limits(p, theta),
+                 lambda: sigma(p, math.nan, 1.0), lambda: sigma(p, math.inf, 1.0)]
+        for call in calls:
+            try:
+                value = call()
+            except KNFlowError:
+                continue
+            assert not any(map(math.isnan, np.atleast_1d(value)))

@@ -1,3 +1,4 @@
+import logging
 import math
 
 import mpmath as mp
@@ -159,6 +160,33 @@ class TestOdeFlow:
                         grad=lambda x: -float(x) ** 3, name="neg-quartic")
         with pytest.raises(BlowUp):
             ode_flow(fn, 1.0, time_grid(0, 2.0, 11), rtol=1e-9)
+
+    def test_solver_counters(self):
+        fn = library("log-cos", PM11)
+        grid = time_grid(0, 2.0, 41)
+        c = ode_flow(fn, 0.5, grid, rtol=1e-9)
+        nfev, status = c.meta["ode_nfev"], c.meta["ode_status"]
+        assert isinstance(nfev, int) and nfev > 0
+        assert status == 1  # the boundary event ended the integration
+        again = ode_flow(fn, 0.5, grid, rtol=1e-9)
+        assert (again.meta["ode_nfev"], again.meta["ode_status"]) == (nfev, status)
+        rn = ode_flow(library("quadratic", P11, c=1.0, dim=2),
+                      np.array([1.0, -2.0]), time_grid(0, 1, 5))
+        assert rn.meta["ode_nfev"] > 0 and rn.meta["ode_status"] == 0
+
+    def test_totals_logged_at_debug(self, caplog):
+        fn = library("log-x", P01)
+        with caplog.at_level(logging.DEBUG, logger="knflow"):
+            c = ode_flow(fn, 1.0, time_grid(0, 0.2, 5))
+            m = minimizing_movement(fn, 1e-2, 1.0, 0.2, TOL)
+        records = [r for r in caplog.records if r.name == "knflow"]
+        assert [r.levelno for r in records] == [logging.DEBUG, logging.DEBUG]
+        assert records[0].getMessage() == \
+            f"ode_flow log-x: nfev={c.meta['ode_nfev']} status=0"
+        assert records[1].getMessage() == (
+            f"minimizing_movement log-x: 20 steps, "
+            f"prox_psi_evals={m.meta['prox_psi_evals']} "
+            f"prox_expansions={m.meta['prox_expansions']}")
 
 
 class TestProx:
