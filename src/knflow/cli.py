@@ -87,47 +87,62 @@ def _atomic_write(path: str, data: str):
         raise IoError(f"cannot write {path}: {exc}") from exc
 
 
-def _fmt(x) -> str:
-    """Shortest decimal that round-trips the float."""
-    x = float(x)
-    if x != x:
+def _csv_text(header: str, arr) -> str:
+    """CSV text: the header, then one line per row of arr.
+
+    Every value is written as repr() of the float, the shortest decimal
+    that round-trips it (``inf`` and ``-inf`` spelled out); NaN is refused.
+    """
+    arr = np.asarray(arr, dtype=float)
+    if np.isnan(arr).any():
         raise IoError("NaN cannot be serialized")
-    return repr(x)
+    cols = [map(repr, col) for col in arr.T.tolist()]
+    return "\n".join([header, *map(",".join, zip(*cols))]) + "\n"
 
 
 def write_curve_csv(path: str, curve: Curve):
     n_cols = 1 if curve.is_1d else curve.points.shape[1]
     header = "t," + ",".join(f"x{j}" for j in range(n_cols))
-    lines = [header]
-    for i in range(curve.n_samples):
-        if curve.is_1d:
-            row = [_fmt(curve.times[i]), _fmt(curve.points[i])]
-        else:
-            row = [_fmt(curve.times[i])] + [_fmt(v) for v in curve.points[i]]
-        lines.append(",".join(row))
-    _atomic_write(path, "\n".join(lines) + "\n")
+    _atomic_write(path, _csv_text(header,
+                                  np.column_stack((curve.times, curve.points))))
 
 
 def read_curve_csv(path: str) -> Curve:
+    """Curve from a CSV of write_curve_csv; blank lines and spaces tolerated."""
     try:
         with open(path) as f:
-            lines = [ln.strip() for ln in f if ln.strip()]
+            text = f.read()
     except OSError as exc:
         raise IoError(f"cannot read {path}: {exc}") from exc
-    if not lines or not lines[0].startswith("t,"):
+    except UnicodeDecodeError as exc:
+        raise ConfigInvalid(f"{path} is not a curve CSV: {exc}") from exc
+    header, _, body = text.lstrip().partition("\n")
+    if not header.startswith("t,"):
         raise ConfigInvalid(f"{path} is not a curve CSV")
-    rows = [[float(v) for v in ln.split(",")] for ln in lines[1:]]
-    arr = np.asarray(rows, dtype=float)
+    if not body.strip():
+        raise ConfigInvalid(f"{path} holds no samples")
+    try:
+        arr = np.loadtxt(body.splitlines(), delimiter=",", comments=None,
+                         ndmin=2)
+    except ValueError as exc:
+        raise ConfigInvalid(f"{path}: malformed curve CSV: {exc}") from exc
+    if arr.shape[1] < 2:
+        raise ConfigInvalid(f"{path} has no point columns")
     times = arr[:, 0]
     pts = arr[:, 1] if arr.shape[1] == 2 else arr[:, 1:]
     meta = {}
-    stop = None
     meta_path = path + ".meta.json"
     if os.path.exists(meta_path):
-        with open(meta_path) as f:
-            meta = json.load(f)
-        stop = meta.get("stop_time")
-    return Curve(times, pts, stop_time=stop, meta=meta)
+        try:
+            with open(meta_path) as f:
+                meta = json.load(f)
+        except OSError as exc:
+            raise IoError(f"cannot read {meta_path}: {exc}") from exc
+        except ValueError as exc:
+            raise ConfigInvalid(f"{meta_path} is not valid JSON: {exc}") from exc
+        if not isinstance(meta, dict):
+            raise ConfigInvalid(f"{meta_path} must hold a JSON object")
+    return Curve(times, pts, stop_time=meta.get("stop_time"), meta=meta)
 
 
 def write_json(path: str, payload: dict):
@@ -240,14 +255,13 @@ def _run_coeff(cfg, out_dir):
     thetas = _axis_from(cfg.get("thetas", cfg.get("theta",
                                                   {"min": 0.0, "max": 2.0})))
     ts = _axis_from(cfg.get("ts", cfg.get("t", {"min": 0.0, "max": 1.0})))
-    lines = ["theta,t,sigma"]
-    for theta in thetas:
-        vals = sigma_values(p, ts, np.full_like(ts, theta))
-        for t, v in zip(ts, vals):
-            sv = "inf" if v == math.inf else _fmt(v)
-            lines.append(f"{_fmt(theta)},{_fmt(t)},{sv}")
+    table = np.empty((len(thetas), len(ts), 3))
+    table[:, :, 0] = thetas[:, None]
+    table[:, :, 1] = ts
+    for row, theta in zip(table, thetas):
+        row[:, 2] = sigma_values(p, ts, np.full_like(ts, theta))
     path = _out_path(cfg["out"], out_dir)
-    _atomic_write(path, "\n".join(lines) + "\n")
+    _atomic_write(path, _csv_text("theta,t,sigma", table.reshape(-1, 3)))
     return [path], "ok"
 
 
@@ -365,13 +379,11 @@ def _run_audit_energy(cfg, out_dir):
     fn = functional_from_json(cfg["functional"])
     audit = energy_audit(curve, fn, _tolerance_from(cfg),
                          slope_r0=float(cfg.get("slope_r0", 1e-3)))
-    lines = ["t,speed,slope,energy,residual"]
-    for i in range(len(audit.times)):
-        lines.append(",".join(_fmt(v) for v in
-                              (audit.times[i], audit.speed[i], audit.slope[i],
-                               audit.energy[i], audit.residual[i])))
     csv_path = _out_path(cfg["out_csv"], out_dir)
-    _atomic_write(csv_path, "\n".join(lines) + "\n")
+    _atomic_write(csv_path, _csv_text(
+        "t,speed,slope,energy,residual",
+        np.column_stack((audit.times, audit.speed, audit.slope, audit.energy,
+                         audit.residual))))
     json_path = _out_path(cfg["out_json"], out_dir)
     write_json(json_path, {
         "ede_residual": audit.ede_residual,
@@ -427,11 +439,13 @@ def pipeline(configs, out_dir: str = ".") -> RunManifest:
     outputs, stages = [], []
     status = "ok"
     for k, stage_cfg in enumerate(configs):
+        t0 = time.perf_counter()
         manifest = run(stage_cfg, out_dir)
         outputs.extend(manifest.outputs)
         stages.append({"index": k, "command": manifest.command,
                        "status": manifest.status,
-                       "config_sha256": manifest.config_sha256})
+                       "config_sha256": manifest.config_sha256,
+                       "elapsed_s": time.perf_counter() - t0})
         if manifest.status == "fail":
             status = "fail"
     return RunManifest(version=__version__, command="pipeline",

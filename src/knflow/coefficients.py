@@ -17,8 +17,8 @@ the same branches; they agree to a few ulp (``math`` and numpy may round
 sin, sinh, cosh and pow differently), and bitwise in the K > 0 branch where
 sinh(w*theta) overflows, which the scalar ``sigma`` hands to
 ``sigma_values``.  At theta = +inf: s = c = +inf for K > 0, sigma is 0 for
-t < 1 and 1 at t = 1; for K < 0 sin and cos have no limit and the scalar
-kernels raise ``ParamOutOfRange``.
+t < 1 and 1 at t = 1; for K < 0 sin and cos have no limit and both forms
+of s and c raise ``ParamOutOfRange``.
 """
 
 from __future__ import annotations
@@ -92,14 +92,26 @@ def _sinh_ratio(x):
     return np.where(small, series, exact)
 
 
+def _omega_theta_values(p: CurvatureParams, theta: np.ndarray) -> np.ndarray:
+    """w*theta for the array kernels; for K < 0 every entry must be finite."""
+    with np.errstate(over="ignore"):
+        x = theta * p.omega
+    if p.K < 0 and np.isinf(x).any():
+        raise ParamOutOfRange("sin and cos have no limit at theta*w = +inf")
+    return x
+
+
 def s_values(p: CurvatureParams, theta) -> np.ndarray:
     """Vectorized kernel s(theta); theta array-like, >= 0 assumed."""
     theta = np.asarray(theta, dtype=float)
     if p.K == 0:
         return theta.copy()
-    x = theta * p.omega
-    ratio = _sin_ratio(x) if p.K < 0 else _sinh_ratio(x)
-    return theta * ratio
+    x = _omega_theta_values(p, theta)
+    if p.K < 0:
+        return theta * _sin_ratio(x)
+    # sinh(x)/x finite but theta times it past the double range: +inf
+    with np.errstate(over="ignore"):
+        return theta * _sinh_ratio(x)
 
 
 def c_values(p: CurvatureParams, theta) -> np.ndarray:
@@ -107,7 +119,7 @@ def c_values(p: CurvatureParams, theta) -> np.ndarray:
     theta = np.asarray(theta, dtype=float)
     if p.K == 0:
         return np.ones_like(theta)
-    x = theta * p.omega
+    x = _omega_theta_values(p, theta)
     if p.K < 0:
         return np.cos(x)
     with np.errstate(over="ignore"):

@@ -4,8 +4,10 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from knflow.cli import (
+    _csv_text,
     main,
     pipeline,
     read_curve_csv,
@@ -13,7 +15,7 @@ from knflow.cli import (
     validate_config,
     write_curve,
 )
-from knflow.errors import ConfigInvalid
+from knflow.errors import ConfigInvalid, IoError
 from knflow.flows import Curve
 
 
@@ -204,6 +206,23 @@ class TestPipeline:
         manifest = pipeline([], str(tmp_path))
         assert manifest.status == "ok" and manifest.outputs == []
 
+    def test_stage_times_in_manifest(self, tmp_path, capsys):
+        cfg_path = tmp_path / "pipe.json"
+        cfg_path.write_text(json.dumps({"stages": self.stages()}))
+        dirs = [tmp_path / "a", tmp_path / "b"]
+        for d in dirs:
+            assert main(["pipeline", "--config", str(cfg_path), "--out",
+                         str(d)]) == 0
+            stages = json.loads((d / "manifest.json").read_text())["stages"]
+            assert [s["index"] for s in stages] == [0, 1, 2]
+            for s in stages:
+                assert isinstance(s["elapsed_s"], float) and s["elapsed_s"] >= 0
+        names = sorted(p.name for p in dirs[0].iterdir())
+        assert names == sorted(p.name for p in dirs[1].iterdir())
+        for name in names:
+            if name != "manifest.json":
+                assert (dirs[0] / name).read_bytes() == (dirs[1] / name).read_bytes()
+
     def test_determinism_byte_identical(self, tmp_path):
         d1, d2 = tmp_path / "a", tmp_path / "b"
         pipeline(self.stages(), str(d1))
@@ -237,3 +256,94 @@ class TestMain:
         np.testing.assert_array_equal(back.times, c.times)
         np.testing.assert_array_equal(back.points, c.points)
         assert back.stop_time == 2.0
+
+
+def _reference_csv(header, rows):
+    """The per-value writer the vectorised one replaced."""
+    lines = [header]
+    for row in rows:
+        lines.append(",".join(repr(float(v)) for v in row))
+    return "\n".join(lines) + "\n"
+
+
+# repr switches to exponent form below 1e-4 and from 1e16 on
+EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+               2.225073858507201e-308, 1e-4, 9.999999999999999e-05, 1e-5,
+               1e16, 9999999999999998.0, 1e15, 0.1, 1.7976931348623157e308]
+finite = st.one_of(st.sampled_from(EDGE_FLOATS + [-x for x in EDGE_FLOATS]),
+                   st.floats(allow_nan=False, allow_infinity=False))
+
+
+class TestCsvFormat:
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 4).flatmap(lambda k: st.lists(
+        st.lists(st.one_of(finite, st.sampled_from([math.inf, -math.inf])),
+                 min_size=k, max_size=k), min_size=0, max_size=20)))
+    def test_text_matches_per_value_repr(self, rows):
+        k = len(rows[0]) if rows else 2
+        arr = np.array(rows, dtype=float).reshape(len(rows), k)
+        assert _csv_text("h", arr) == _reference_csv("h", rows)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.one_of(st.sampled_from(EDGE_FLOATS), st.floats(0.0)),
+                    min_size=1, max_size=20, unique=True),
+           st.integers(1, 3), st.data())
+    def test_read_is_bit_identical(self, tmp_path_factory, times, k, data):
+        times = np.sort(np.abs(np.array(times)))
+        times = times[np.concatenate(([True], np.diff(times) > 0))]
+        if times[0] == 0.0 and data.draw(st.booleans()):
+            times[0] = -0.0
+        pts = np.array(data.draw(st.lists(finite, min_size=len(times) * k,
+                                          max_size=len(times) * k)))
+        pts = pts.reshape(len(times), k) if k > 1 else pts
+        path = str(tmp_path_factory.mktemp("csv") / "c.csv")
+        write_curve(path, Curve(times, pts))
+        back = read_curve_csv(path)
+        assert np.array_equal(back.times.view(np.int64), times.view(np.int64))
+        assert np.array_equal(back.points.view(np.int64), pts.view(np.int64))
+
+    def test_nan_refused(self):
+        arr = np.array([[0.0, 1.0], [0.5, math.nan]])
+        with pytest.raises(IoError):
+            _csv_text("t,x0", arr)
+
+    def test_read_tolerates_blank_lines_and_spaces(self, tmp_path):
+        path = tmp_path / "c.csv"
+        path.write_text("\n  t,x0 \n\n 0.0 , 1.0\n\n\t0.5,0.75  \n\n")
+        back = read_curve_csv(str(path))
+        assert back.times.tolist() == [0.0, 0.5]
+        assert back.points.tolist() == [1.0, 0.75]
+
+
+class TestMalformedCurve:
+    """Bad curve files end the CLI with exit code 1 and an error line."""
+
+    def _reparam(self, tmp_path, capsys):
+        cfg = {"command": "reparam", "direction": "r1", "input": "c.csv",
+               "functional": {"library": "log-x", "K": 0, "N": -1},
+               "out": "r1.csv"}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        code = main(["reparam", "--config", str(cfg_path), "--out",
+                     str(tmp_path)])
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        return code
+
+    @pytest.mark.parametrize("text", [
+        "t,x0\n0.0,1.0\n0.1,abc\n",
+        "t,x0\n0.0,1.0\n0.1,0.9,0.8\n",
+        "t,x0\n",
+    ], ids=["non-numeric", "ragged", "header-only"])
+    def test_bad_csv(self, tmp_path, capsys, text):
+        (tmp_path / "c.csv").write_text(text)
+        with pytest.raises(ConfigInvalid):
+            read_curve_csv(str(tmp_path / "c.csv"))
+        assert self._reparam(tmp_path, capsys) == 1
+
+    def test_bad_meta_json(self, tmp_path, capsys):
+        (tmp_path / "c.csv").write_text("t,x0\n0.0,1.0\n0.1,0.9\n")
+        (tmp_path / "c.csv.meta.json").write_text('{"stop_time": 0.5,')
+        with pytest.raises(ConfigInvalid):
+            read_curve_csv(str(tmp_path / "c.csv"))
+        assert self._reparam(tmp_path, capsys) == 1

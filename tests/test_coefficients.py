@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -384,6 +385,31 @@ class TestInfiniteTheta:
         assert abs(r0 - rate0) <= 1e-300
         assert r1 == pytest.approx(rate1, rel=1e-13)
         assert abs(sigma(p, t, theta) - ref) <= 1e-11 * ref + 1e-300
+
+    def test_array_kernels_negative_K_raise(self):
+        p = CurvatureParams(-1.0, -1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for kernel in (s_values, c_values):
+                with pytest.raises(ParamOutOfRange):
+                    kernel(p, np.array([1.0, math.inf]))
+                with pytest.raises(ParamOutOfRange):  # w*theta overflows
+                    kernel(CurvatureParams(-1e4, -1e-4), 1e306)
+
+    @pytest.mark.parametrize("K", [1e-4, 1.0, 1e4])
+    def test_array_kernels_overflow_quietly(self, K):
+        # w < 1 and K = 1e-4: sinh(w theta)/w finite, theta times it not;
+        # then w*theta itself past the double range
+        p = CurvatureParams(K, -1.0)
+        thetas = np.array([70900.0, 1e306, 1e308, math.inf])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sv = s_values(p, thetas)
+            cv = c_values(p, thetas)
+        assert np.all(sv == math.inf) and np.all(cv[1:] == math.inf)
+        assert [s_kn(p, th) for th in thetas] == list(sv)
+        assert [c_kn(p, th) for th in thetas[1:]] == list(cv[1:])
+        assert c_kn(p, thetas[0]) == pytest.approx(cv[0], rel=4 * EPS)
 
     @pytest.mark.parametrize("K", [-1.0, 0.0, 1.0])
     @pytest.mark.parametrize("theta", [math.inf, -math.inf, math.nan])

@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from knflow.core import (
     NEG_INF,
@@ -59,11 +59,16 @@ class TestExtAdd:
             ext_add(NEG_INF, POS_INF)
 
     @given(st.floats(-1e12, 1e12), st.floats(-1e12, 1e12), st.floats(-1e12, 1e12))
+    @example(999999511730.0, -999999487319.0, 1.1)
     def test_commutative_associative(self, a, b, c):
         assert ext_add(a, b) == ext_add(b, a)
-        lhs = ext_add(ext_add(a, b), c)
-        rhs = ext_add(a, ext_add(b, c))
-        assert math.isclose(float(lhs), float(rhs), rel_tol=1e-9, abs_tol=1e-6)
+        lhs = float(ext_add(ext_add(a, b), c))
+        rhs = float(ext_add(a, ext_add(b, c)))
+        # each order rounds twice, by at most u times the exact partial and
+        # final sums; 2u(...) also covers the O(u^2) terms
+        u = 2.0 ** -53
+        bound = 2 * u * (abs(a + b) + abs(b + c) + 2 * abs(a + b + c))
+        assert abs(lhs - rhs) <= bound
 
 
 class TestExtMulConv:
