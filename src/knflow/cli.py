@@ -13,6 +13,7 @@ import argparse
 import hashlib
 import json
 import math
+import numbers
 import os
 import sys
 import tempfile
@@ -224,20 +225,53 @@ def _tolerance_from(cfg: dict) -> Tolerance:
                      h_min=float(t.get("h_min", 1e-6)))
 
 
+def _number(value, what: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConfigInvalid(f"{what} must be a number, got {value!r}")
+    return float(value)
+
+
+def _points(values, what: str, least: int) -> np.ndarray:
+    """A JSON list of at least `least` numbers as a float array."""
+    arr = None
+    if isinstance(values, (list, tuple)):
+        try:
+            arr = np.asarray(values)
+        except ValueError:  # ragged nesting
+            pass
+    if arr is None or arr.ndim != 1 or arr.dtype.kind not in "iuf" \
+            or len(arr) < least:
+        raise ConfigInvalid(f"{what} must be a list of at least {least} numbers")
+    return arr.astype(float)
+
+
+def _linspace(spec, lo: str, hi: str, what: str, least: int,
+              default_n=None) -> np.ndarray:
+    """np.linspace from a {lo, hi, n} mapping with an integer n >= least."""
+    if not isinstance(spec, dict) or lo not in spec or hi not in spec \
+            or set(spec) - {lo, hi, "n"}:
+        raise ConfigInvalid(f"{what} must be a list of numbers or a mapping "
+                            f"with keys {lo}, {hi} and n")
+    n = _number(spec.get("n", default_n), f"{what} n")
+    if not (n.is_integer() and n >= least):
+        raise ConfigInvalid(f"{what} n must be an integer >= {least}, "
+                            f"got {spec.get('n')!r}")
+    return np.linspace(_number(spec[lo], f"{what} {lo}"),
+                       _number(spec[hi], f"{what} {hi}"), int(n))
+
+
 def _grid_from(cfg: dict) -> np.ndarray:
     if "times" in cfg:
-        return np.asarray(cfg["times"], dtype=float)
+        return _points(cfg["times"], "times", 2)
     if "grid" in cfg:
-        g = cfg["grid"]
-        return np.linspace(float(g["t0"]), float(g["t1"]), int(g["n"]))
+        return _linspace(cfg["grid"], "t0", "t1", "grid", 2)
     raise ConfigInvalid("flow config needs 'times' or 'grid'")
 
 
-def _axis_from(spec, default_n=33) -> np.ndarray:
+def _axis_from(spec, what: str, default_n=33) -> np.ndarray:
     if isinstance(spec, (list, tuple)):
-        return np.asarray(spec, dtype=float)
-    return np.linspace(float(spec["min"]), float(spec["max"]),
-                       int(spec.get("n", default_n)))
+        return _points(spec, what, 1)
+    return _linspace(spec, "min", "max", what, 1, default_n)
 
 
 def _out_path(cfg_value: str, out_dir: str) -> str:
@@ -253,8 +287,10 @@ def _out_path(cfg_value: str, out_dir: str) -> str:
 def _run_coeff(cfg, out_dir):
     p = CurvatureParams(float(cfg["K"]), float(cfg["N"]))
     thetas = _axis_from(cfg.get("thetas", cfg.get("theta",
-                                                  {"min": 0.0, "max": 2.0})))
-    ts = _axis_from(cfg.get("ts", cfg.get("t", {"min": 0.0, "max": 1.0})))
+                                                  {"min": 0.0, "max": 2.0})),
+                        "theta axis")
+    ts = _axis_from(cfg.get("ts", cfg.get("t", {"min": 0.0, "max": 1.0})),
+                    "t axis")
     table = np.empty((len(thetas), len(ts), 3))
     table[:, :, 0] = thetas[:, None]
     table[:, :, 1] = ts

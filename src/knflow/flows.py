@@ -20,8 +20,15 @@ general it is the first local minimizer downhill from v.  Several
 functionals of interest are not coercive (the proximal objective can be
 unbounded below): the search raises :class:`NotBoundedBelow` when it
 reaches an end of the closure where f = -inf, or after 200 doublings,
-rather than returning a diverging iterate.  Both the proximal step and the
-ODE route need the analytic gradient ``Functional.grad``.
+rather than returning a diverging iterate.  On R^n the proximal step is a
+damped Newton iteration whose matrix is I/tau + ``Functional.hess`` when
+the functional carries an analytic Hessian, and a finite-difference
+Jacobian of the objective's gradient otherwise.  Both the proximal step
+and the ODE route need the analytic gradient ``Functional.grad``.
+
+A minimizing movement evaluates f once per step: each step returns f at
+its output, and the next step takes that value as f(U^{n-1}) instead of
+evaluating it again.
 
 Solver totals go into ``Curve.meta`` (``ode_nfev``/``ode_status``,
 ``prox_psi_evals``/``prox_expansions``) and to the ``knflow`` logger at
@@ -44,6 +51,7 @@ from .core import DEFAULT_TOL, Tolerance, require_not_nan
 from .errors import (
     BasePointOutsideDomain,
     BlowUp,
+    NanError,
     NoOracle,
     NotBoundedBelow,
     ParamOutOfRange,
@@ -314,13 +322,16 @@ def _record_ode(meta: dict, sol) -> None:
 
 @dataclass(frozen=True)
 class ProxStep:
-    """One proximal step.  psi_evals counts evaluations of the gradient of
-    the prox objective; expansions counts doublings of the 1-d search."""
+    """One proximal step.  f_output is f(output), which a step from output
+    can take instead of evaluating f again.  psi_evals counts evaluations
+    of the gradient of the prox objective; expansions counts doublings of
+    the 1-d search."""
 
     tau: float
     input: object
     output: object
     objective: float
+    f_output: float
     psi_evals: int = 0
     expansions: int = 0
 
@@ -328,8 +339,15 @@ class ProxStep:
 _MAX_EXPANSIONS = 200
 
 
-def prox(fn: Functional, tau: float, v, tol: Tolerance = DEFAULT_TOL) -> ProxStep:
+def prox(fn: Functional, tau: float, v, tol: Tolerance = DEFAULT_TOL,
+         fv: Optional[float] = None) -> ProxStep:
     """One proximal step: minimize d^2(v, .)/(2 tau) + f over the closure.
+
+    fv is f(v) when the caller already has it (``minimizing_movement``
+    passes on the previous step's ``f_output``); otherwise it is evaluated
+    here.  Either way v must lie in the closure, f(v) = +inf raises
+    :class:`BasePointOutsideDomain` and f(v) = -inf :class:`NotBoundedBelow`.
+    Each step then evaluates f once more, at its output.
 
     1-d: the root of psi(w) = (w - v)/tau + f'(w) along the descent
     direction -sign f'(v).  From v the search doubles its step (the first
@@ -339,7 +357,10 @@ def prox(fn: Functional, tau: float, v, tol: Tolerance = DEFAULT_TOL) -> ProxSte
     an end where f = -inf or doubles 200 times.  For lambda-convex f with
     1 + lambda tau > 0 the root is the unique minimizer; otherwise it is
     the first local minimizer downhill from v.
-    R^n: damped Newton with gradient-descent fallback.
+    R^n: damped Newton with gradient-descent fallback.  The Newton matrix
+    is I/tau + ``fn.hess(x)`` when the functional has an analytic Hessian,
+    else a central finite-difference Jacobian of the objective's gradient
+    (2n more gradient calls per iteration).
     Both need the analytic gradient ``fn.grad``.
     """
     tau = float(tau)
@@ -347,20 +368,25 @@ def prox(fn: Functional, tau: float, v, tol: Tolerance = DEFAULT_TOL) -> ProxSte
         raise ParamOutOfRange("tau must be > 0")
     if fn.grad is None:
         raise ParamOutOfRange(f"prox of {fn.name} needs an analytic gradient")
-    if isinstance(fn.space, Interval):
-        return _prox_1d(fn, tau, float(v))
-    return _prox_rn(fn, tau, np.asarray(v, dtype=float))
-
-
-def _prox_1d(fn: Functional, tau: float, v: float) -> ProxStep:
-    sp = fn.space
-    if not sp.contains_closure(v):
-        raise PointOutsideSpace(f"{v} outside the closure of {sp}")
-    fv = fn.value(v)
+    one_d = isinstance(fn.space, Interval)
+    v = float(v) if one_d else np.asarray(v, dtype=float)
+    if not fn.space.contains_closure(v):
+        raise PointOutsideSpace(f"{v} outside the closure of {fn.space}")
+    if fv is None:
+        fv = fn.value(v)
+    elif math.isnan(fv):
+        raise NanError(f"NaN passed as {fn.name}({v})")
     if fv == math.inf:
         raise BasePointOutsideDomain("f(v) = +inf")
     if fv == -math.inf:
         raise NotBoundedBelow(f"prox objective of {fn.name} is -inf at {v}")
+    if one_d:
+        return _prox_1d(fn, tau, v, float(fv))
+    return _prox_rn(fn, tau, v, float(fv))
+
+
+def _prox_1d(fn: Functional, tau: float, v: float, fv: float) -> ProxStep:
+    sp = fn.space
     evals = 0
 
     def psi(w):
@@ -370,7 +396,7 @@ def _prox_1d(fn: Functional, tau: float, v: float) -> ProxStep:
 
     g = psi(v)  # f'(v): its sign is the uphill direction
     if g == 0.0:
-        return ProxStep(tau, v, v, fv, evals, 0)
+        return ProxStep(tau, v, v, fv, fv, evals, 0)
     down = -1.0 if g > 0 else 1.0
     bound = sp.a if g > 0 else sp.b
     last, h = v, max(tau * abs(g), math.ulp(v))  # the first trial must move
@@ -392,7 +418,8 @@ def _prox_1d(fn: Functional, tau: float, v: float) -> ProxStep:
         if s == 0.0 or (s > 0) != (g > 0):
             break
         if w == bound:  # still descending at the end of the closure
-            return ProxStep(tau, v, w, 0.5 * (w - v) ** 2 / tau + f_end, evals, k)
+            return ProxStep(tau, v, w, 0.5 * (w - v) ** 2 / tau + f_end, f_end,
+                            evals, k)
         last, h = w, 2.0 * h
     else:
         raise NotBoundedBelow(
@@ -400,40 +427,44 @@ def _prox_1d(fn: Functional, tau: float, v: float) -> ProxStep:
             f"{_MAX_EXPANSIONS} expansions")
     if s != 0.0:
         w = brentq(psi, min(last, w), max(last, w), xtol=1e-16 * (1.0 + abs(v)))
-    obj = 0.5 * (w - v) ** 2 / tau + fn.value(w)
+    fw = fn.value(w)
+    obj = 0.5 * (w - v) ** 2 / tau + fw
     if obj == -math.inf:
         raise NotBoundedBelow(f"prox objective of {fn.name} is -inf at {w}")
-    return ProxStep(tau, v, w, obj, evals, k)
+    return ProxStep(tau, v, w, obj, fw, evals, k)
 
 
-def _prox_rn(fn: Functional, tau: float, v: np.ndarray) -> ProxStep:
+def _prox_rn(fn: Functional, tau: float, v: np.ndarray, fv: float) -> ProxStep:
     n = v.size
     evals = 0
 
-    def phi(w):
-        return 0.5 * float(np.dot(w - v, w - v)) / tau + fn.value(w)
+    def phi(w):  # (prox objective, f) at w
+        fw = fn.value(w)
+        return 0.5 * float(np.dot(w - v, w - v)) / tau + fw, fw
 
     def grad_phi(w):
         nonlocal evals
         evals += 1
         return (w - v) / tau + np.asarray(fn.grad(w), dtype=float)
 
-    x = v.copy()
-    fx = phi(x)
+    x, obj, fx = v.copy(), fv, fv
     h = 1e-6 * (1.0 + float(np.linalg.norm(v)))
     for _ in range(100):
         g = grad_phi(x)
         gnorm = float(np.linalg.norm(g))
         if gnorm <= 1e-12 * (1.0 + 1.0 / tau):
             break
-        # damped Newton via finite-difference Jacobian of grad_phi
-        H = np.empty((n, n))
-        for j in range(n):
-            e = np.zeros(n)
-            e[j] = h
-            H[:, j] = (grad_phi(x + e) - grad_phi(x - e)) / (2 * h)
-        try:
-            step = np.linalg.solve(0.5 * (H + H.T), -g)
+        if fn.hess is not None:
+            H = np.eye(n) / tau + fn.hess(x)
+        else:  # finite-difference Jacobian of grad_phi, symmetrized
+            H = np.empty((n, n))
+            for j in range(n):
+                e = np.zeros(n)
+                e[j] = h
+                H[:, j] = (grad_phi(x + e) - grad_phi(x - e)) / (2 * h)
+            H = 0.5 * (H + H.T)
+        try:  # damped Newton
+            step = np.linalg.solve(H, -g)
             if not np.isfinite(step).all() or float(np.dot(step, g)) >= 0:
                 step = -g
         except np.linalg.LinAlgError:
@@ -441,20 +472,20 @@ def _prox_rn(fn: Functional, tau: float, v: np.ndarray) -> ProxStep:
         t = 1.0
         for _ in range(50):
             x_new = x + t * step
-            f_new = phi(x_new)
-            if f_new < fx - 1e-4 * t * min(gnorm ** 2, abs(fx) + 1.0):
+            obj_new, f_new = phi(x_new)
+            if obj_new < obj - 1e-4 * t * min(gnorm ** 2, abs(obj) + 1.0):
                 break
             t *= 0.5
         else:
             # gradient-descent fallback with a conservative step
             x_new = x - min(1.0 / (1.0 + gnorm), tau) * g
-            f_new = phi(x_new)
-            if f_new >= fx:
+            obj_new, f_new = phi(x_new)
+            if obj_new >= obj:
                 break
-        x, fx = x_new, f_new
-        if float(np.linalg.norm(x)) > 1e9 or fx < -1e15:
+        x, obj, fx = x_new, obj_new, f_new
+        if float(np.linalg.norm(x)) > 1e9 or obj < -1e15:
             raise NotBoundedBelow(f"prox objective of {fn.name} diverges")
-    return ProxStep(tau, v.copy(), x, float(fx), evals)
+    return ProxStep(tau, v.copy(), x, float(obj), fx, evals)
 
 
 def minimizing_movement(fn: Functional, tau: float, y0, horizon: float,
@@ -462,9 +493,12 @@ def minimizing_movement(fn: Functional, tau: float, y0, horizon: float,
     """Implicit Euler scheme: iterate prox steps up to the horizon.
 
     Emits the piecewise-constant interpolant sampled at the step
-    boundaries n*tau (including t = 0).  Proximal failures are re-raised
-    with the failing step index.  meta carries the solver totals
-    ``prox_psi_evals`` (evaluations of the prox objective's gradient) and
+    boundaries n*tau (including t = 0).  Step n takes f(U^{n-1}) from step
+    n-1, so f is evaluated n_steps + 1 times when no search reaches an end
+    of the closure.  Proximal failures are re-raised with the failing step
+    index.  meta carries the solver totals ``prox_psi_evals`` (evaluations
+    of the prox objective's gradient; on R^n this includes the 2n per
+    Newton iteration of a finite-difference Hessian) and
     ``prox_expansions`` (doublings of the 1-d bracket search; 0 on R^n).
     """
     tau = float(tau)
@@ -476,14 +510,15 @@ def minimizing_movement(fn: Functional, tau: float, y0, horizon: float,
     one_d = isinstance(fn.space, Interval)
     u = float(y0) if one_d else np.asarray(y0, dtype=float)
     us = [u]
+    fu = None  # f(u), carried from one step to the next
     stop = None
     psi_evals = expansions = 0
     for k in range(1, n_steps + 1):
         try:
-            step = prox(fn, tau, u, tol)
+            step = prox(fn, tau, u, tol, fu)
         except (NotBoundedBelow, BasePointOutsideDomain, PointOutsideSpace) as exc:
             raise type(exc)(f"prox failed at step {k} (t={k * tau}): {exc}") from exc
-        u = step.output
+        u, fu = step.output, step.f_output
         us.append(u)
         psi_evals += step.psi_evals
         expansions += step.expansions

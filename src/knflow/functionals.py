@@ -40,7 +40,9 @@ class Functional:
     fvec evaluates a batch of points (shape (m,) on intervals, (m, n) on
     R^n) and may return +-inf entries; NaN is rejected at the scalar
     boundary.  grad, if present, is the analytic gradient at interior
-    smooth points (scalar on intervals, vector on R^n).
+    smooth points (scalar on intervals, vector on R^n).  hess, if present,
+    is the analytic Hessian on R^n (an (n, n) array); the R^n proximal
+    step uses it in place of a finite-difference Jacobian of grad.
     """
 
     space: ModelSpace
@@ -48,6 +50,7 @@ class Functional:
     name: str
     params: Optional[CurvatureParams] = None
     grad: Optional[Callable] = None
+    hess: Optional[Callable] = None
     upper_bound: Optional[float] = None
     sample_box: Optional[tuple] = None
     meta: dict = field(default_factory=dict)
@@ -157,12 +160,12 @@ def fN_ratio_values(fn: Functional, p: CurvatureParams, zs, y: Point) -> np.ndar
 # ---------------------------------------------------------------------------
 
 def _log_pos(v):
-    """log with the domain conventions log(0) = -inf, log(v<0) = +inf."""
+    """log with the domain conventions log(+-0) = -inf, log(v<0) = +inf
+    (also for NaN)."""
     v = np.asarray(v, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.log(np.where(v > 0, v, 1.0))
-    out = np.where(v > 0, out, np.where(v == 0, -math.inf, math.inf))
-    return out
+        out = np.log(v)
+    return np.where(v >= 0, out, math.inf)
 
 
 _LOG2 = math.log(2.0)
@@ -259,10 +262,13 @@ def library(name: str, p: CurvatureParams, *, c: float = 1.0, a: float = 1.0,
                 name=f"quadratic({c})", params=p, sample_box=(-3.0, 3.0),
                 meta={"c": c},
             )
+        hess = c * np.eye(dim)
+        hess.flags.writeable = False
         return Functional(
             space=EuclideanRn(dim),
             fvec=lambda x: 0.5 * c * np.sum(x * x, axis=-1),
             grad=lambda x: c * np.asarray(x, dtype=float),
+            hess=lambda x: hess,
             name=f"quadratic({c})", params=p,
             sample_box=(-3.0 * np.ones(dim), 3.0 * np.ones(dim)),
             meta={"c": c},

@@ -347,3 +347,37 @@ class TestMalformedCurve:
         with pytest.raises(ConfigInvalid):
             read_curve_csv(str(tmp_path / "c.csv"))
         assert self._reparam(tmp_path, capsys) == 1
+
+
+class TestBadAxis:
+    """Malformed axis and grid configs end the CLI with exit code 1."""
+
+    LOG_X = {"library": "log-x", "K": 0, "N": -1}
+
+    @pytest.mark.parametrize("cfg", [
+        {"command": "coeff", "K": -1, "N": -1, "theta": 1.0, "out": "s.csv"},
+        {"command": "coeff", "K": -1, "N": -1,
+         "thetas": {"min": 0, "max": 1, "n": -3}, "out": "s.csv"},
+        {"command": "coeff", "K": -1, "N": -1,
+         "ts": {"min": 0, "max": 1, "n": 2.5}, "out": "s.csv"},
+        {"command": "coeff", "K": -1, "N": -1, "thetas": [0.5, "1"],
+         "out": "s.csv"},
+        {"command": "coeff", "K": -1, "N": -1, "ts": [], "out": "s.csv"},
+        {"command": "flow", "method": "oracle", "functional": LOG_X,
+         "y0": 1.0, "grid": {"t0": 0.0, "t1": 0.4, "n": 1}, "out": "c.csv"},
+        {"command": "flow", "method": "oracle", "functional": LOG_X,
+         "y0": 1.0, "grid": {"t0": 0.0, "t1": 0.4}, "out": "c.csv"},
+        {"command": "flow", "method": "oracle", "functional": LOG_X,
+         "y0": 1.0, "times": [0.0, [0.1]], "out": "c.csv"},
+    ], ids=["scalar-theta", "negative-n", "fractional-n", "string-entry",
+            "empty-list", "one-point-grid", "grid-without-n", "nested-times"])
+    def test_exit_one_without_traceback(self, tmp_path, capsys, cfg):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        code = main([cfg["command"], "--config", str(cfg_path), "--out",
+                     str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ") and "Traceback" not in err
+        with pytest.raises(ConfigInvalid):
+            run(cfg, str(tmp_path))

@@ -1,3 +1,4 @@
+import dataclasses
 import logging
 import math
 
@@ -9,6 +10,8 @@ from hypothesis import given, settings, strategies as st
 from knflow.coefficients import CurvatureParams
 from knflow.core import SampleSpec, Tolerance
 from knflow.errors import (
+    BasePointOutsideDomain,
+    NanError,
     NoOracle,
     NotBoundedBelow,
     ParamOutOfRange,
@@ -22,7 +25,12 @@ from knflow.flows import (
     prox,
     time_grid,
 )
-from knflow.functionals import Functional, fN_functional, library
+from knflow.functionals import (
+    Functional,
+    expression_functional,
+    fN_functional,
+    library,
+)
 from knflow.spaces import EuclideanRn, Interval
 
 mp.mp.dps = 30
@@ -398,6 +406,83 @@ class TestProxRoot:
         rn = minimizing_movement(library("quadratic", P11, c=1.0, dim=2), 0.1,
                                  np.array([1.0, -2.0]), 1.0, TOL)
         assert rn.meta["prox_psi_evals"] > 0 and rn.meta["prox_expansions"] == 0
+
+
+class TestOneEvaluationPerStep:
+    """Each step takes f(U^{n-1}) from the step before it; on R^n the
+    quadratic's Newton matrix is exact."""
+
+    EPS = 2.0 ** -52
+
+    @pytest.mark.parametrize("tau, steps", [(0.1, 5), (1.0 / 1800, 1800)])
+    def test_rn_quadratic_is_the_exact_implicit_euler_iterate(self, tau, steps):
+        y0 = np.array([1.0, -0.5])
+        c = minimizing_movement(library("quadratic", P11, c=1.0, dim=2), tau,
+                                y0, steps * tau, TOL)
+        assert c.n_samples == steps + 1
+        with mp.workdps(40):
+            q = 1 / (1 + mp.mpf(tau))  # y_k = y0 (1 + c tau)^-k, c = 1
+            for k, row in enumerate(c.points):
+                for y, x in zip(y0, row):
+                    ref = mp.mpf(y) * q ** k
+                    assert abs(x - ref) <= 4 * k * self.EPS * abs(ref), (k, x)
+
+    @pytest.mark.parametrize("fn, y0, tau, horizon", [
+        (library("log-x", P01), 1.0, 0.01, 0.3),
+        (library("quadratic", P11, c=1.0, dim=2), np.array([1.0, -0.5]), 0.1, 0.5),
+    ], ids=["log-x", "quadratic-r2"])
+    def test_f_evaluated_once_per_step(self, fn, y0, tau, horizon):
+        calls = []
+
+        def fvec(xs):
+            calls.append(len(xs))
+            return fn.fvec(xs)
+
+        c = minimizing_movement(dataclasses.replace(fn, fvec=fvec), tau, y0,
+                                horizon, TOL)
+        n_steps = c.n_samples - 1
+        assert len(calls) == n_steps + 1
+        np.testing.assert_array_equal(
+            c.points, minimizing_movement(fn, tau, y0, horizon, TOL).points)
+
+    def test_expression_on_rn_keeps_the_finite_difference_newton(self):
+        fn = expression_functional("x1*x1 + x2*x2", EuclideanRn(2))
+        assert fn.hess is None
+        tau, steps = 0.05, 20
+        y0 = np.array([1.0, -0.5])
+        c = minimizing_movement(fn, tau, y0, steps * tau, TOL)
+        ref = y0[None, :] * (1.0 + 2.0 * tau) ** -np.arange(steps + 1.0)[:, None]
+        np.testing.assert_allclose(c.points, ref, rtol=1e-10)
+        # a finite-difference Jacobian costs 2n = 4 gradient calls per
+        # Newton iteration; the exact Hessian path takes 2 per step
+        assert c.meta["prox_psi_evals"] >= 6 * steps
+
+    def test_quadratic_hessian_is_constant(self):
+        fn = library("quadratic", P11, c=2.5, dim=3)
+        H = fn.hess(np.ones(3))
+        np.testing.assert_array_equal(H, 2.5 * np.eye(3))
+        assert H is fn.hess(np.zeros(3)) and not H.flags.writeable
+        assert library("log-x", P01).hess is None
+
+    @pytest.mark.parametrize("fn, v", [
+        (library("log-x", P01), 0.7),
+        (library("quadratic", P11, c=1.0, dim=2), np.array([1.0, -0.5])),
+    ], ids=["log-x", "quadratic-r2"])
+    def test_carried_value_checked_like_a_fresh_one(self, fn, v):
+        fresh = prox(fn, 0.01, v, TOL)
+        carried = prox(fn, 0.01, v, TOL, fn.value(v))
+        np.testing.assert_array_equal(carried.output, fresh.output)
+        assert (carried.objective, carried.f_output, carried.psi_evals) == \
+            (fresh.objective, fresh.f_output, fresh.psi_evals)
+        assert fresh.f_output == fn.value(fresh.output)
+        with pytest.raises(BasePointOutsideDomain):
+            prox(fn, 0.01, v, TOL, math.inf)
+        with pytest.raises(NotBoundedBelow):
+            prox(fn, 0.01, v, TOL, -math.inf)
+        with pytest.raises(NanError):
+            prox(fn, 0.01, v, TOL, math.nan)
+        with pytest.raises(PointOutsideSpace):
+            prox(library("log-x", P01), 0.01, -1.0, TOL, 0.0)
 
 
 class TestLogCoshOracleOverflow:

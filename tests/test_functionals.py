@@ -16,6 +16,7 @@ from knflow.errors import (
 )
 from knflow.functionals import (
     Functional,
+    _log_pos,
     directional_derivative,
     eval_fN,
     expression_functional,
@@ -360,3 +361,33 @@ class TestLogHyperbolicOverflow:
         with np.errstate(divide="ignore"):
             expected = -self.P.N * np.log(np.sinh(self.W * pos))
         np.testing.assert_array_equal(library("log-sinh", self.P).values(pos), expected)
+
+
+def _log_pos_three_branch(v):
+    """The earlier formula: log of the positive entries, then -inf at 0
+    and +inf elsewhere."""
+    v = np.asarray(v, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = np.log(np.where(v > 0, v, 1.0))
+    return np.where(v > 0, out, np.where(v == 0, -math.inf, math.inf))
+
+
+LOG_EDGES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+             2.225073858507201e-308, -2.225073858507201e-308, 1.0, -1.0,
+             1.7976931348623157e308, math.inf, -math.inf, math.nan]
+
+
+class TestLogPos:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.one_of(st.sampled_from(LOG_EDGES), st.floats()),
+                    max_size=40))
+    def test_bit_identical_to_three_branch_formula(self, xs):
+        v = np.array(xs, dtype=float)
+        new, old = _log_pos(v), _log_pos_three_branch(v)
+        assert new.shape == old.shape and new.tobytes() == old.tobytes()
+
+    @pytest.mark.parametrize("x", LOG_EDGES)
+    def test_scalar_edges(self, x):
+        new, old = _log_pos(x), _log_pos_three_branch(x)
+        assert new.shape == () and new.tobytes() == old.tobytes()
+        assert not math.isnan(float(new))
