@@ -39,17 +39,7 @@ from .convexity import (
     check_lambda_convex,
     check_lifting,
 )
-from .core import (
-    DEFAULT_TOL,
-    NEG_INF,
-    POS_INF,
-    ExtReal,
-    SampleSpec,
-    Tolerance,
-    as_ext,
-    ext_add,
-    ext_mul_conv,
-)
+from .core import DEFAULT_TOL, SampleSpec, Tolerance
 from .flows import (
     Curve,
     ProxStep,
@@ -62,15 +52,14 @@ from .flows import (
 from .functionals import (
     Functional,
     directional_derivative,
-    eval_fN,
     expression_functional,
     fN_functional,
-    fN_ratio,
+    fN_ratio_values,
+    fN_values,
     library,
 )
 from .reparam import (
     Membership,
-    TimeChange,
     class_membership,
     r1,
     r2,

@@ -511,6 +511,12 @@ def check_evi_local(c: Curve, gn: Functional, lam: float, radius: float,
 # slopes
 # ---------------------------------------------------------------------------
 
+def _in_interval(sp: Interval, z: np.ndarray) -> np.ndarray:
+    """Elementwise ``sp.contains``: finite and inside, per the open ends."""
+    return np.isfinite(z) & (z > sp.a if sp.open_a else z >= sp.a) \
+        & (z < sp.b if sp.open_b else z <= sp.b)
+
+
 def _definition_slopes(fn: Functional, ys: np.ndarray, fys: np.ndarray,
                        r0s: np.ndarray, levels: int,
                        spec: Optional[SampleSpec]) -> np.ndarray:
@@ -531,11 +537,9 @@ def _definition_slopes(fn: Functional, ys: np.ndarray, fys: np.ndarray,
     """
     r = r0s[:, None] * np.array([0.5 ** (levels - 2), 0.5 ** (levels - 1)])
     if isinstance(fn.space, Interval):
-        sp = fn.space
         probes = ys[:, None, None] + np.array([1.0, -1.0])[None, :, None] \
             * r[:, None, :]
-        inside = (probes > sp.a if sp.open_a else probes >= sp.a) \
-            & (probes < sp.b if sp.open_b else probes <= sp.b)
+        inside = _in_interval(fn.space, probes)
         vals = np.full(probes.shape, math.nan)
         vals[inside] = fn.values(probes[inside])
     else:
@@ -583,12 +587,11 @@ def slope(fn: Functional, y, method: str, spec: Optional[SampleSpec] = None,
             raise ParamOutOfRange("formula slope implemented on intervals")
         y = float(y)
         radii = R * 0.5 ** np.arange(levels)
-        zs = list(y + radii) + list(y - radii)
+        parts = [y + radii, y - radii]
         if spec is not None:
-            rng = spec.rng()
-            zs += list(y + R * rng.uniform(-1, 1, size=spec.count))
-        sp = fn.space
-        zs = np.asarray([z for z in zs if sp.contains(z) and z != y])
+            parts.append(y + R * spec.rng().uniform(-1, 1, size=spec.count))
+        zs = np.concatenate(parts)
+        zs = zs[_in_interval(fn.space, zs) & (zs != y)]
         if len(zs) == 0:
             return 0.0
         fz = fn.values(zs)

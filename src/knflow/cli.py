@@ -13,7 +13,6 @@ import argparse
 import hashlib
 import json
 import math
-import numbers
 import os
 import sys
 import tempfile
@@ -33,7 +32,7 @@ from .analysis import (
 )
 from .coefficients import CurvatureParams, sigma_values
 from .convexity import check_kn_convex, check_lambda_convex, check_lifting
-from .core import SampleSpec, Tolerance
+from .core import SampleSpec, Tolerance, _integer, _number
 from .errors import ConfigInvalid, IoError, KNFlowError
 from .flows import Curve, minimizing_movement, ode_flow, oracle_flow
 from .functionals import functional_from_json
@@ -220,15 +219,18 @@ def validate_config(cfg: dict, command: str) -> dict:
 
 def _tolerance_from(cfg: dict) -> Tolerance:
     t = cfg.get("tolerance", {})
-    return Tolerance(abs=float(t.get("abs", 1e-8)),
-                     rel=float(t.get("rel", 1e-6)),
-                     h_min=float(t.get("h_min", 1e-6)))
+    if not isinstance(t, dict):
+        raise ConfigInvalid(f"tolerance must be a mapping, got {t!r}")
+    return Tolerance(**{k: _number(t[k], f"tolerance {k}")
+                        for k in ("abs", "rel", "h_min") if k in t})
 
 
-def _number(value, what: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ConfigInvalid(f"{what} must be a number, got {value!r}")
-    return float(value)
+def _pair(value, what: str) -> tuple:
+    """A JSON pair [lo, hi] of numbers (or, for boxes on R^n, of lists)."""
+    if not isinstance(value, (list, tuple)) or len(value) != 2:
+        raise ConfigInvalid(f"{what} must be a pair [lo, hi], got {value!r}")
+    return tuple(_points(v, what, 1) if isinstance(v, list)
+                 else _number(v, what) for v in value)
 
 
 def _points(values, what: str, least: int) -> np.ndarray:
@@ -274,7 +276,15 @@ def _axis_from(spec, what: str, default_n=33) -> np.ndarray:
     return _linspace(spec, "min", "max", what, 1, default_n)
 
 
+def _params(cfg: dict, K=None, N=None) -> CurvatureParams:
+    """(K, N) from a config; K and N are required unless given defaults."""
+    return CurvatureParams(_number(cfg.get("K", K), "K"),
+                           _number(cfg.get("N", N), "N"))
+
+
 def _out_path(cfg_value: str, out_dir: str) -> str:
+    if not isinstance(cfg_value, str):
+        raise ConfigInvalid(f"a file name must be a string, got {cfg_value!r}")
     if os.path.isabs(cfg_value):
         return cfg_value
     return os.path.join(out_dir, cfg_value)
@@ -285,7 +295,7 @@ def _out_path(cfg_value: str, out_dir: str) -> str:
 # ---------------------------------------------------------------------------
 
 def _run_coeff(cfg, out_dir):
-    p = CurvatureParams(float(cfg["K"]), float(cfg["N"]))
+    p = _params(cfg)
     thetas = _axis_from(cfg.get("thetas", cfg.get("theta",
                                                   {"min": 0.0, "max": 2.0})),
                         "theta axis")
@@ -305,21 +315,20 @@ def _run_flow(cfg, out_dir):
     fn = functional_from_json(cfg["functional"])
     method = cfg["method"]
     y0 = cfg["y0"]
-    y0 = np.asarray(y0, dtype=float) if isinstance(y0, list) else float(y0)
+    y0 = _points(y0, "y0", 1) if isinstance(y0, list) else _number(y0, "y0")
     if method == "oracle":
         name = cfg.get("oracle", cfg["functional"].get("library"))
         kwargs = {}
-        if "c" in cfg:
-            kwargs["c"] = float(cfg["c"])
-        if "a" in cfg:
-            kwargs["a"] = float(cfg["a"])
+        for key in ("c", "a"):
+            if key in cfg:
+                kwargs[key] = _number(cfg[key], key)
         curve = oracle_flow(name, fn.params, y0, _grid_from(cfg), **kwargs)
     elif method == "ode":
         curve = ode_flow(fn, y0, _grid_from(cfg),
-                         rtol=float(cfg.get("rtol", 1e-9)))
+                         rtol=_number(cfg.get("rtol", 1e-9), "rtol"))
     elif method == "mms":
-        curve = minimizing_movement(fn, float(cfg["tau"]), y0,
-                                    float(cfg["horizon"]),
+        curve = minimizing_movement(fn, _number(cfg["tau"], "tau"), y0,
+                                    _number(cfg["horizon"], "horizon"),
                                     _tolerance_from(cfg))
     else:
         raise ConfigInvalid(f"unknown flow method {method!r}")
@@ -328,19 +337,19 @@ def _run_flow(cfg, out_dir):
 
 def _run_check_convexity(cfg, out_dir):
     fn = functional_from_json(cfg["functional"])
-    spec = SampleSpec(seed=int(cfg.get("seed", 0)),
-                      count=int(cfg.get("pairs", 2000)))
+    spec = SampleSpec(seed=_integer(cfg.get("seed", 0), "seed"),
+                      count=_integer(cfg.get("pairs", 2000), "pairs"))
     tol = _tolerance_from(cfg)
-    box = tuple(cfg["box"]) if "box" in cfg else None
+    box = _pair(cfg["box"], "box") if "box" in cfg else None
     if cfg["kind"] == "lambda":
-        rep = check_lambda_convex(fn, float(cfg["lambda"]), spec, tol, box=box)
+        rep = check_lambda_convex(fn, _number(cfg["lambda"], "lambda"), spec,
+                                  tol, box=box)
     elif cfg["kind"] == "kn":
-        p = CurvatureParams(float(cfg["K"]), float(cfg["N"]))
-        rep = check_kn_convex(fn, p, spec, tol, box=box)
+        rep = check_kn_convex(fn, _params(cfg), spec, tol, box=box)
     elif cfg["kind"] == "lifting":
-        p = CurvatureParams(float(cfg["K"]), float(cfg["N"]))
-        M = cfg.get("M", fn.upper_bound)
-        rep = check_lifting(fn, p, M, spec, tol, box=box)
+        M = cfg.get("M", fn.upper_bound)  # null: no upper bound
+        M = None if M is None else _number(M, "M")
+        rep = check_lifting(fn, _params(cfg), M, spec, tol, box=box)
     else:
         raise ConfigInvalid(f"unknown convexity kind {cfg['kind']!r}")
     path = _out_path(cfg["out"], out_dir)
@@ -351,26 +360,24 @@ def _run_check_convexity(cfg, out_dir):
 def _run_check_evi(cfg, out_dir):
     curve = read_curve_csv(_out_path(cfg["input"], out_dir))
     fn = functional_from_json(cfg["functional"])
-    spec = SampleSpec(seed=int(cfg.get("seed", 0)),
-                      count=int(cfg.get("z_per_time", 500)))
+    spec = SampleSpec(seed=_integer(cfg.get("seed", 0), "seed"),
+                      count=_integer(cfg.get("z_per_time", 500), "z_per_time"))
     tol = _tolerance_from(cfg)
-    t_samples = int(cfg.get("time_samples", 50))
+    t_samples = _integer(cfg.get("time_samples", 50), "time_samples")
     form = cfg["form"]
     if form == "lambda":
-        rep = check_evi_lambda(curve, fn, float(cfg["lambda"]), spec, tol,
-                               t_samples=t_samples)
+        rep = check_evi_lambda(curve, fn, _number(cfg["lambda"], "lambda"),
+                               spec, tol, t_samples=t_samples)
     elif form in ("raw", "i", "ii"):
-        p = CurvatureParams(float(cfg["K"]), float(cfg["N"]))
-        rep = check_evi_kn(curve, fn, p, form, spec, tol,
+        rep = check_evi_kn(curve, fn, _params(cfg), form, spec, tol,
                            t_samples=t_samples,
                            z_domain=cfg.get("z_domain", "extended"))
     elif form == "integrated":
-        p = CurvatureParams(float(cfg["K"]), float(cfg["N"]))
-        rep = check_evi_integrated(curve, fn, p, spec, tol,
+        rep = check_evi_integrated(curve, fn, _params(cfg), spec, tol,
                                    t_samples=t_samples)
     elif form == "local":
-        rep = check_evi_local(curve, fn, float(cfg["lambda"]),
-                              float(cfg["radius"]), spec, tol,
+        rep = check_evi_local(curve, fn, _number(cfg["lambda"], "lambda"),
+                              _number(cfg["radius"], "radius"), spec, tol,
                               t_samples=t_samples)
     else:
         raise ConfigInvalid(f"unknown evi form {form!r}")
@@ -384,7 +391,7 @@ def _run_reparam(cfg, out_dir):
     fn = functional_from_json(cfg["functional"])
     p = fn.params
     if p is None or "K" in cfg:
-        p = CurvatureParams(float(cfg.get("K", 0.0)), float(cfg.get("N", -1.0)))
+        p = _params(cfg, 0.0, -1.0)
     tol = _tolerance_from(cfg)
     if cfg["direction"] == "r1":
         out = r1(curve, fn, p, tol)
@@ -398,8 +405,8 @@ def _run_reparam(cfg, out_dir):
 def _run_contract(cfg, out_dir):
     c1 = read_curve_csv(_out_path(cfg["input1"], out_dir))
     c2 = read_curve_csv(_out_path(cfg["input2"], out_dir))
-    s_grid = np.asarray(cfg["s_grid"], float) if "s_grid" in cfg else None
-    rate = contraction_rate(c1, c2, float(cfg["r"]), s_grid)
+    s_grid = _points(cfg["s_grid"], "s_grid", 1) if "s_grid" in cfg else None
+    rate = contraction_rate(c1, c2, _number(cfg["r"], "r"), s_grid)
     path = _out_path(cfg["out"], out_dir)
     write_json(path, {"max_log_slope": rate.max_log_slope,
                       "fitted_rate": rate.fitted_rate,
@@ -410,11 +417,12 @@ def _run_contract(cfg, out_dir):
 def _run_audit_energy(cfg, out_dir):
     curve = read_curve_csv(_out_path(cfg["input"], out_dir))
     if "window" in cfg:
-        lo, hi = cfg["window"]
-        curve = curve.segment(float(lo), float(hi))
+        lo, hi = _pair(cfg["window"], "window")
+        curve = curve.segment(_number(lo, "window"), _number(hi, "window"))
     fn = functional_from_json(cfg["functional"])
     audit = energy_audit(curve, fn, _tolerance_from(cfg),
-                         slope_r0=float(cfg.get("slope_r0", 1e-3)))
+                         slope_r0=_number(cfg.get("slope_r0", 1e-3),
+                                          "slope_r0"))
     csv_path = _out_path(cfg["out_csv"], out_dir)
     _atomic_write(csv_path, _csv_text(
         "t,speed,slope,energy,residual",

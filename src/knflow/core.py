@@ -1,111 +1,20 @@
-"""Extended-real arithmetic, tolerance policy and deterministic sampling.
+"""Tolerance policy, the NaN firewall, deterministic sampling and the
+number checks of JSON configs.
 
-Values live in [-inf, +inf].  NaN is banned at every type boundary: any
-operation that would produce one raises immediately instead of letting it
-propagate into an inequality check.
+Values are plain floats in [-inf, +inf].  NaN is banned at every type
+boundary: any operation that would produce one raises immediately instead
+of letting it propagate into an inequality check.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
-from functools import total_ordering
-from typing import Union
 
 import numpy as np
 
-from .errors import IndeterminateSum, NanError, NegativeCoefficient, ParamOutOfRange
-
-Number = Union["ExtReal", float, int]
-
-
-@total_ordering
-@dataclass(frozen=True)
-class ExtReal:
-    """A number in [-inf, +inf].  Total order, no NaN representable."""
-
-    value: float
-
-    def __post_init__(self):
-        v = float(self.value)
-        if math.isnan(v):
-            raise NanError("ExtReal cannot hold NaN")
-        object.__setattr__(self, "value", v)
-
-    @property
-    def is_finite(self) -> bool:
-        return math.isfinite(self.value)
-
-    @property
-    def is_pos_inf(self) -> bool:
-        return self.value == math.inf
-
-    @property
-    def is_neg_inf(self) -> bool:
-        return self.value == -math.inf
-
-    def __float__(self) -> float:
-        return self.value
-
-    def __eq__(self, other):
-        return self.value == _raw(other)
-
-    def __lt__(self, other):
-        return self.value < _raw(other)
-
-    def __hash__(self):
-        return hash(self.value)
-
-    def __repr__(self):
-        if self.is_pos_inf:
-            return "ExtReal(+inf)"
-        if self.is_neg_inf:
-            return "ExtReal(-inf)"
-        return f"ExtReal({self.value!r})"
-
-
-POS_INF = ExtReal(math.inf)
-NEG_INF = ExtReal(-math.inf)
-
-
-def _raw(x: Number) -> float:
-    if isinstance(x, ExtReal):
-        return x.value
-    v = float(x)
-    if math.isnan(v):
-        raise NanError("NaN is not a valid extended real")
-    return v
-
-
-def as_ext(x: Number) -> ExtReal:
-    """Coerce a number to :class:`ExtReal`, rejecting NaN."""
-    return x if isinstance(x, ExtReal) else ExtReal(float(x))
-
-
-def ext_add(a: Number, b: Number) -> ExtReal:
-    """Extended-real sum; (+inf) + (-inf) raises :class:`IndeterminateSum`."""
-    x, y = _raw(a), _raw(b)
-    if (x == math.inf and y == -math.inf) or (x == -math.inf and y == math.inf):
-        raise IndeterminateSum("(+inf) + (-inf) is undefined")
-    return ExtReal(x + y)
-
-
-def ext_mul_conv(c: float, a: Number) -> ExtReal:
-    """c * a for convexity combinations, with the convention 0 * inf = 0.
-
-    c must be finite and >= 0; a must lie in [0, +inf].
-    """
-    c = float(c)
-    if math.isnan(c) or not math.isfinite(c):
-        raise ParamOutOfRange("coefficient must be finite")
-    if c < 0:
-        raise NegativeCoefficient(f"coefficient {c} < 0")
-    x = _raw(a)
-    if x < 0:
-        raise ParamOutOfRange("value must lie in [0, +inf]")
-    if c == 0.0:
-        return ExtReal(0.0)
-    return ExtReal(c * x)
+from .errors import ConfigInvalid, NanError, ParamOutOfRange
 
 
 def require_not_nan(x: float, where: str = "value") -> float:
@@ -117,6 +26,22 @@ def require_not_nan(x: float, where: str = "value") -> float:
     if math.isnan(x):
         raise NanError(f"NaN in {where}")
     return x
+
+
+def _number(value, what: str) -> float:
+    """A JSON config number as a float; anything else is ConfigInvalid."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConfigInvalid(f"{what} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError as exc:  # an int beyond the float range
+        raise ConfigInvalid(f"{what} is out of range: {value!r}") from exc
+
+
+def _integer(value, what: str) -> int:
+    if not _number(value, what).is_integer():
+        raise ConfigInvalid(f"{what} must be an integer, got {value!r}")
+    return int(value)  # from value, not the float: seeds reach 2**64 - 1
 
 
 @dataclass(frozen=True)

@@ -15,16 +15,6 @@ class NanError(KNFlowError):
     """A NaN appeared where a value in [-inf, +inf] was required."""
 
 
-# -- extended-real arithmetic ------------------------------------------------
-
-class IndeterminateSum(KNFlowError):
-    """(+inf) + (-inf) has no value."""
-
-
-class NegativeCoefficient(KNFlowError):
-    """Convex-combination coefficient must be nonnegative."""
-
-
 # -- coefficient kernels -----------------------------------------------------
 
 class NegativeTheta(KNFlowError):

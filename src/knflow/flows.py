@@ -129,12 +129,6 @@ class Curve:
             stop = None
         return Curve(self.times[mask], self.points[mask], stop, dict(self.meta))
 
-    def pre_stop(self, margin: float = 0.0) -> "Curve":
-        """Portion strictly before stop_time - margin (whole curve if none)."""
-        if self.stop_time is None:
-            return self
-        return self.segment(self.times[0], self.stop_time - margin - 1e-15)
-
 
 def _as_grid(grid) -> np.ndarray:
     g = np.asarray(grid, dtype=float)
@@ -152,9 +146,6 @@ def time_grid(t0: float, t1: float, n: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # closed-form oracles
 # ---------------------------------------------------------------------------
-
-ORACLE_NAMES = ("log-x", "log-cosh", "log-cos", "quadratic", "fN-linear")
-
 
 def oracle_flow(name: str, p: Optional[CurvatureParams], y0, grid,
                 c: float = 1.0, a: float = 1.0) -> Curve:

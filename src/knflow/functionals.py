@@ -1,8 +1,9 @@
-"""Extended-real functionals with a log-domain exponential transform.
+"""Functionals with values in [-inf, +inf] and their log-domain transform.
 
-A functional f: X -> [-inf, +inf] is stored together with its log-domain
-companion g = -f/N, so that the exponential transform f_N = exp(g) never
-has to be formed for unboundedly negative f.  The conventions are
+A functional f: X -> [-inf, +inf], valued in plain floats, is stored
+together with its log-domain companion g = -f/N, so that the exponential
+transform f_N = exp(g) never has to be formed for unboundedly negative f.
+The conventions are
 
     f = -inf  <=>  g = -inf  <=>  f_N = 0,
     f = +inf  <=>  g = +inf  <=>  f_N = +inf.
@@ -22,7 +23,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .coefficients import CurvatureParams
-from .core import DEFAULT_TOL, ExtReal, Tolerance, require_not_nan
+from .core import DEFAULT_TOL, Tolerance, _integer, _number, require_not_nan
 from .errors import (
     BasePointOutsideDomain,
     ExpressionError,
@@ -35,7 +36,7 @@ from .spaces import EuclideanRn, Geodesic, Interval, ModelSpace, Point
 
 @dataclass(frozen=True)
 class Functional:
-    """Extended-real function on a model space.
+    """Function with values in [-inf, +inf] on a model space.
 
     fvec evaluates a batch of points (shape (m,) on intervals, (m, n) on
     R^n) and may return +-inf entries; NaN is rejected at the scalar
@@ -74,45 +75,14 @@ class Functional:
         out = np.asarray(self.fvec(np.asarray(xs, dtype=float)), dtype=float)
         return require_not_nan(out, f"{self.name} batch")
 
-    def in_domain(self, x: Point) -> bool:
-        """x in D[f]: value finite."""
-        return self.space.contains(x) and math.isfinite(self.value(x))
-
-    def in_extended_domain(self, x: Point) -> bool:
-        """x in D*[f]: value < +inf."""
-        return self.space.contains(x) and self.value(x) < math.inf
-
-    def grad_at(self, x: Point):
-        if self.grad is None:
-            return None
-        return self.grad(x)
-
 
 # ---------------------------------------------------------------------------
 # exponential transform, log-domain
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class LogDomainValue:
-    """Value g = -f/N of the log-domain representation, so f_N = exp(g).
-
-    f = -inf <=> g = -inf <=> f_N = 0, and f = +inf <=> g = +inf <=> f_N = +inf.
-    """
-
-    g: ExtReal
-
-    @property
-    def fN(self) -> ExtReal:
-        return ExtReal(float(_exp_clip(self.g.value)))
-
-
 def log_fN(fn: Functional, p: CurvatureParams, x: Point) -> float:
     """g(x) = -f(x)/N, the log of the exponential transform."""
     return -fn.value(x) / p.N
-
-
-def log_domain_value(fn: Functional, p: CurvatureParams, x: Point) -> LogDomainValue:
-    return LogDomainValue(ExtReal(log_fN(fn, p, x)))
 
 
 def log_fN_values(fn: Functional, p: CurvatureParams, xs) -> np.ndarray:
@@ -129,26 +99,9 @@ def fN_values(fn: Functional, p: CurvatureParams, xs) -> np.ndarray:
     return _exp_clip(log_fN_values(fn, p, xs))
 
 
-def eval_fN(fn: Functional, p: CurvatureParams, x: Point) -> ExtReal:
-    """f_N(x) in [0, +inf], computed through the log domain."""
-    return ExtReal(float(_exp_clip(log_fN(fn, p, x))))
-
-
-def fN_ratio(fn: Functional, p: CurvatureParams, z: Point, y: Point) -> ExtReal:
-    """f_N(z)/f_N(y) = exp(g(z) - g(y)); y must have finite f."""
-    gy = log_fN(fn, p, y)
-    if not math.isfinite(gy):
-        raise BasePointOutsideDomain(f"f({y!r}) is not finite")
-    gz = log_fN(fn, p, z)
-    if gz == -math.inf:
-        return ExtReal(0.0)
-    if gz == math.inf:
-        return ExtReal(math.inf)
-    return ExtReal(float(_exp_clip(gz - gy)))
-
-
 def fN_ratio_values(fn: Functional, p: CurvatureParams, zs, y: Point) -> np.ndarray:
-    """Vectorized f_N(z)/f_N(y) over a batch of z."""
+    """f_N(z)/f_N(y) = exp(g(z) - g(y)) over a batch of z; f(y) must be
+    finite."""
     gy = log_fN(fn, p, y)
     if not math.isfinite(gy):
         raise BasePointOutsideDomain(f"f({y!r}) is not finite")
@@ -194,9 +147,6 @@ def _log_sinh(y):
         a = y[big]
         out[big] = a + np.log1p(-np.exp(-2.0 * a)) - _LOG2
     return out
-
-
-LIBRARY_NAMES = ("log-cosh", "log-sinh", "log-x", "log-cos", "quadratic", "linear")
 
 
 def library(name: str, p: CurvatureParams, *, c: float = 1.0, a: float = 1.0,
@@ -379,7 +329,9 @@ def _div(a, da, b, db):
 
 
 def _pow(a, da, b, db):
-    p = np.power(a, b)
+    # a negative base with a fractional exponent is off the domain: +inf,
+    # as for log of a negative number
+    p = np.where((a < 0) & (np.mod(b, 1.0) > 0), math.inf, np.power(a, b))
     return p, _tsum(None if da is None else b * np.power(a, b - 1.0) * da,
                     None if db is None else p * np.log(a) * db)
 
@@ -520,20 +472,19 @@ def functional_from_json(d: dict) -> Functional:
     if not isinstance(d, dict):
         raise ConfigInvalid("functional descriptor must be a dict")
     if "library" in d:
-        p = CurvatureParams(float(d.get("K", 0.0)), float(d.get("N", -1.0)))
-        kwargs = {}
-        if "c" in d:
-            kwargs["c"] = float(d["c"])
-        if "a" in d:
-            kwargs["a"] = float(d["a"])
+        p = CurvatureParams(_number(d.get("K", 0.0), "K"),
+                            _number(d.get("N", -1.0), "N"))
+        kwargs = {key: _number(d[key], key) for key in ("c", "a") if key in d}
         if "dim" in d:
-            kwargs["dim"] = int(d["dim"])
+            kwargs["dim"] = _integer(d["dim"], "dim")
         return library(d["library"], p, **kwargs)
     if "expr" in d:
+        if not isinstance(d["expr"], str):
+            raise ConfigInvalid(f"expr must be a string, got {d['expr']!r}")
         space = space_from_json(d["domain"]) if "domain" in d else Interval()
         p = None
         if "K" in d and "N" in d:
-            p = CurvatureParams(float(d["K"]), float(d["N"]))
+            p = CurvatureParams(_number(d["K"], "K"), _number(d["N"], "N"))
         box = tuple(d["sample_box"]) if "sample_box" in d else None
         return expression_functional(d["expr"], space, params=p, sample_box=box)
     raise ConfigInvalid("functional descriptor needs 'library' or 'expr'")

@@ -32,24 +32,8 @@ from .errors import (
 )
 from .flows import Curve
 from .functionals import Functional
-from .spaces import dist_closure
 
 _FN_FLOOR = 1e-12
-
-
-@dataclass(frozen=True)
-class TimeChange:
-    """Monotone map between a source and a target grid."""
-
-    source_times: np.ndarray
-    target_times: np.ndarray
-    direction: str  # "alpha" (f-time -> f_N-time) or "beta" (reverse)
-
-    def __post_init__(self):
-        if self.direction not in ("alpha", "beta"):
-            raise ParamOutOfRange("direction must be 'alpha' or 'beta'")
-        if not (np.diff(self.target_times) > 0).all():
-            raise ParamOutOfRange("target grid must be strictly increasing")
 
 
 @dataclass(frozen=True)
@@ -130,10 +114,9 @@ def r1(c: Curve, fn: Functional, p: CurvatureParams,
     integrand = -p.N / fN
     alpha0 = float(c.times[0] * integrand[0])
     alpha = _trapezoid_cum(c.times, integrand, alpha0)
-    change = TimeChange(c.times, alpha, "alpha")
     meta = dict(c.meta)
     meta["reparam"] = "r1"
-    return Curve(change.target_times, c.points.copy(), stop_time=None, meta=meta)
+    return Curve(alpha, c.points.copy(), stop_time=None, meta=meta)
 
 
 def r2(c: Curve, fn: Functional, p: CurvatureParams,
@@ -146,10 +129,9 @@ def r2(c: Curve, fn: Functional, p: CurvatureParams,
     integrand = fN / (-p.N)
     beta0 = float(c.times[0] * integrand[0])
     beta = _trapezoid_cum(c.times, integrand, beta0)
-    change = TimeChange(c.times, beta, "beta")
     meta = dict(c.meta)
     meta["reparam"] = "r2"
-    return Curve(change.target_times, c.points.copy(), stop_time=None, meta=meta)
+    return Curve(beta, c.points.copy(), stop_time=None, meta=meta)
 
 
 def roundtrip_error(c: Curve, fn: Functional, p: CurvatureParams,
@@ -179,7 +161,7 @@ def roundtrip_error(c: Curve, fn: Functional, p: CurvatureParams,
     lo = max(times[0], rt.times[0])
     hi = min(times[-1], rt.times[-1])
     inside = (times >= lo) & (times <= hi)
-    space_gap = 0.0
-    for t, x in zip(times[inside], c.points[:m][inside]):
-        space_gap = max(space_gap, dist_closure(fn.space, x, rt.at(t)))
-    return space_gap + time_gap
+    diff = c.points[:m][inside] - rt.at(times[inside])
+    # vecdot: bit for bit the np.linalg.norm of each row
+    gaps = np.abs(diff) if c.is_1d else np.sqrt(np.vecdot(diff, diff))
+    return float(np.max(gaps, initial=0.0)) + time_gap

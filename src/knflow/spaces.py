@@ -13,6 +13,7 @@ from typing import Union
 
 import numpy as np
 
+from .core import _integer, _number
 from .errors import ConfigInvalid, ParamOutOfRange, PointOutsideSpace
 
 Point = Union[float, np.ndarray]
@@ -105,13 +106,6 @@ def dist(space: ModelSpace, x: Point, y: Point) -> float:
     return float(np.linalg.norm(x - y))
 
 
-def dist_closure(space: ModelSpace, x: Point, y: Point) -> float:
-    """Distance allowing points of the metric completion (flow endpoints)."""
-    if isinstance(space, Interval):
-        return abs(float(x) - float(y))
-    return float(np.linalg.norm(np.asarray(x, float) - np.asarray(y, float)))
-
-
 @dataclass(frozen=True)
 class Geodesic:
     """Constant-speed segment t in [0,1] |-> (1-t) p0 + t p1."""
@@ -151,7 +145,7 @@ def _endpoint_from_json(v) -> float:
         if s in ("-inf", "-infinity"):
             return -math.inf
         raise ConfigInvalid(f"bad interval endpoint {v!r}")
-    return float(v)
+    return _number(v, "interval endpoint")
 
 
 def space_from_json(d: dict) -> ModelSpace:
@@ -174,7 +168,7 @@ def space_from_json(d: dict) -> ModelSpace:
             bool(open_flags[1]),
         )
     if kind == "euclidean":
-        return EuclideanRn(int(d["n"]))
+        return EuclideanRn(_integer(d.get("n"), "n"))
     raise ConfigInvalid(f"unknown space kind {kind!r}")
 
 

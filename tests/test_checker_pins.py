@@ -192,6 +192,26 @@ CASES = {
         analysis.slope(QUAD2, np.array([0.3, -1.0]), "definition",
                        spec=SampleSpec(45, 8), r0=0.1),
     ],
+    # formula slopes, recorded with the per-probe `Interval.contains`
+    # filter that the array mask replaced: probes past an open end are
+    # dropped, a probe on the closed end of `linear` (0.00125 - 0.01/8 = 0)
+    # is kept
+    "slopes-formula": lambda: [
+        analysis.slope(LOG_COSH, 0.7, "formula", p=P11, R=0.5),
+        analysis.slope(LOG_COSH, -2.0, "formula", SampleSpec(46, 64),
+                       p=P11, R=1.5),
+        analysis.slope(LOG_COS, 0.3, "formula", p=PM11,
+                       R=0.99 * PM11.theta_singular),
+        analysis.slope(LOG_COS, -1.2, "formula", SampleSpec(47, 64), p=PM11,
+                       R=0.999 * PM11.theta_singular),
+        analysis.slope(LOG_X, 0.5, "formula", p=P01, R=0.4),
+        analysis.slope(LOG_X, 0.5, "formula", SampleSpec(48, 64), p=P01,
+                       R=1.0),
+        analysis.slope(LINEAR, 0.00125, "formula", p=P01, R=0.01),
+        analysis.slope(LINEAR, 0.00125, "formula", SampleSpec(49, 64),
+                       p=P01, R=0.01),
+        analysis.slope(LINEAR, 0.0, "formula", p=P01, R=0.01),
+    ],
 }
 
 

@@ -350,7 +350,7 @@ class TestMalformedCurve:
 
 
 class TestBadAxis:
-    """Malformed axis and grid configs end the CLI with exit code 1."""
+    """Malformed axis, grid and scalar configs end the CLI with exit code 1."""
 
     LOG_X = {"library": "log-x", "K": 0, "N": -1}
 
@@ -369,8 +369,26 @@ class TestBadAxis:
          "y0": 1.0, "grid": {"t0": 0.0, "t1": 0.4}, "out": "c.csv"},
         {"command": "flow", "method": "oracle", "functional": LOG_X,
          "y0": 1.0, "times": [0.0, [0.1]], "out": "c.csv"},
+        {"command": "coeff", "K": "abc", "N": -1, "out": "s.csv"},
+        {"command": "check-convexity", "kind": "kn", "functional": LOG_X,
+         "K": 0, "N": -1, "seed": "x", "out": "r.json"},
+        {"command": "check-convexity", "kind": "kn", "functional": LOG_X,
+         "K": 0, "N": -1, "box": 3, "out": "r.json"},
+        {"command": "check-convexity", "kind": "kn", "functional": LOG_X,
+         "K": 0, "N": -1, "tolerance": 5, "out": "r.json"},
+        {"command": "flow", "method": "oracle", "functional": LOG_X,
+         "y0": "a", "grid": {"t0": 0.0, "t1": 0.4, "n": 5}, "out": "c.csv"},
+        {"command": "flow", "method": "oracle",
+         "functional": {"library": "quadratic", "K": "z", "N": -1},
+         "y0": 1.0, "grid": {"t0": 0.0, "t1": 0.4, "n": 5}, "out": "c.csv"},
+        {"command": "coeff", "K": -1, "N": -1, "out": 5},
+        {"command": "check-convexity", "kind": "lambda", "lambda": 0.0,
+         "functional": {"expr": 5}, "out": "r.json"},
     ], ids=["scalar-theta", "negative-n", "fractional-n", "string-entry",
-            "empty-list", "one-point-grid", "grid-without-n", "nested-times"])
+            "empty-list", "one-point-grid", "grid-without-n", "nested-times",
+            "string-K", "string-seed", "scalar-box", "scalar-tolerance",
+            "string-y0", "string-functional-K", "numeric-out",
+            "numeric-expr"])
     def test_exit_one_without_traceback(self, tmp_path, capsys, cfg):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(cfg))

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from knflow import convexity
 from knflow.coefficients import CurvatureParams
@@ -186,6 +187,27 @@ class TestNonFiniteResiduals:
         for cells in (1, 2, 3, 1 << 16):
             monkeypatch.setattr(convexity, "_BLOCK_CELLS", cells)
             assert convexity._grid_max(3, 2, block) == (3.0, 3.0, (0, 1))
+
+
+class TestConvMul:
+    """The product of the (K,N) right-hand side, with 0*inf = inf*0 = 0."""
+
+    def test_zero_times_inf_is_zero(self):
+        assert convexity._conv_mul(0.0, math.inf) == 0.0
+
+    def test_inf_times_zero_is_zero(self):
+        assert convexity._conv_mul(math.inf, 0.0) == 0.0
+
+    def test_half_times_four(self):
+        assert convexity._conv_mul(0.5, 4.0) == 2.0
+
+    def test_two_times_inf(self):
+        assert convexity._conv_mul(2.0, math.inf) == math.inf
+
+    @given(st.floats(0, 1e6), st.floats(0, 1e12), st.floats(0, 1e12))
+    def test_monotone_in_value(self, c, a, b):
+        lo, hi = sorted((a, b))
+        assert convexity._conv_mul(c, lo) <= convexity._conv_mul(c, hi)
 
 
 class TestGluing:

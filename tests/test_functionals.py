@@ -18,11 +18,10 @@ from knflow.functionals import (
     Functional,
     _log_pos,
     directional_derivative,
-    eval_fN,
     expression_functional,
     fN_functional,
-    fN_ratio,
     fN_ratio_values,
+    fN_values,
     library,
     log_fN,
 )
@@ -37,13 +36,13 @@ class TestLibrary:
     def test_log_x_values(self):
         fn = library("log-x", P01)
         assert fn.value(2.0) == pytest.approx(math.log(2.0))
-        assert float(eval_fN(fn, P01, 2.0)) == pytest.approx(2.0)
+        assert fN_values(fn, P01, [2.0])[0] == pytest.approx(2.0)
 
     def test_log_x_general_N_transform_is_identity(self):
         p = CurvatureParams(0.0, -2.5)
         fn = library("log-x", p)
         assert fn.value(2.0) == pytest.approx(2.5 * math.log(2.0))
-        assert float(eval_fN(fn, p, 3.7)) == pytest.approx(3.7)
+        assert fN_values(fn, p, [3.7])[0] == pytest.approx(3.7)
 
     def test_log_cos(self):
         fn = library("log-cos", PM11)
@@ -55,7 +54,7 @@ class TestLibrary:
     def test_log_cosh(self):
         fn = library("log-cosh", P11)
         assert fn.value(0.0) == 0.0
-        assert fn.grad_at(0.7) == pytest.approx(math.tanh(0.7))
+        assert fn.grad(0.7) == pytest.approx(math.tanh(0.7))
 
     def test_log_sinh(self):
         fn = library("log-sinh", P11)
@@ -92,14 +91,12 @@ class TestLibrary:
 
 class TestLogDomain:
     def test_conventions(self):
-        from knflow.functionals import log_domain_value
-
         fn = library("log-x", P01)
-        v = log_domain_value(fn, P01, 2.0)
-        assert float(v.g) == pytest.approx(math.log(2.0))
-        assert float(v.fN) == pytest.approx(2.0)
-        at_zero = log_domain_value(fn, P01, 0.0)  # closure boundary
-        assert at_zero.g.is_neg_inf and float(at_zero.fN) == 0.0
+        assert log_fN(fn, P01, 2.0) == pytest.approx(math.log(2.0))
+        assert fN_values(fn, P01, [2.0])[0] == pytest.approx(2.0)
+        # closure boundary
+        assert log_fN(fn, P01, 0.0) == -math.inf
+        assert fN_values(fn, P01, [0.0])[0] == 0.0
 
     def test_lower_semicontinuity_spot_check(self):
         # liminf of f over converging sample sequences >= f at the limit
@@ -126,14 +123,14 @@ class TestTransform:
             fvec=lambda x: np.where(x > 0, math.inf, np.where(x < 0, -math.inf, 0.0)),
             name="step",
         )
-        assert float(eval_fN(fn, P01, 1.0)) == math.inf
-        assert float(eval_fN(fn, P01, -1.0)) == 0.0
+        assert fN_values(fn, P01, [1.0])[0] == math.inf
+        assert fN_values(fn, P01, [-1.0])[0] == 0.0
         assert log_fN(fn, P01, -1.0) == -math.inf
 
     def test_ratio_closed_form(self):
         fn = library("log-x", P01)
-        assert float(fN_ratio(fn, P01, 1.0, 2.0)) == pytest.approx(0.5)
-        assert float(fN_ratio(fn, P01, 2.0, 2.0)) == 1.0
+        assert fN_ratio_values(fn, P01, [1.0], 2.0)[0] == pytest.approx(0.5)
+        assert fN_ratio_values(fn, P01, [2.0], 2.0)[0] == 1.0
 
     def test_ratio_infinite_numerator(self):
         fn = Functional(
@@ -141,17 +138,17 @@ class TestTransform:
             fvec=lambda x: np.where(x > 0, math.inf, 0.0),
             name="halfinf",
         )
-        assert float(fN_ratio(fn, P01, 1.0, -1.0)) == math.inf
+        assert fN_ratio_values(fn, P01, [1.0], -1.0)[0] == math.inf
 
     def test_ratio_base_must_be_finite(self):
         fn = library("log-x", P01)
         with pytest.raises(BasePointOutsideDomain):
-            fN_ratio(fn, P01, 1.0, 0.0)
+            fN_ratio_values(fn, P01, [1.0], 0.0)
 
     def test_ratio_no_overflow_for_very_negative_f(self):
         # f(y) = -3000 would overflow exp(3000) in the linear domain
         fn = Functional(space=Interval(), fvec=lambda x: -1500.0 * (x + 2), name="steep")
-        r = float(fN_ratio(fn, P01, -1.0, -1.001))
+        r = fN_ratio_values(fn, P01, [-1.0], -1.001)[0]
         assert r == pytest.approx(math.exp(-1500 * 0.001), rel=1e-9)
 
     def test_vectorized_ratio(self):
@@ -166,19 +163,19 @@ class TestFnFunctional:
         fn = library("log-cos", PM11)
         g = fN_functional(fn, PM11)
         assert g.value(0.3) == pytest.approx(math.cos(0.3))
-        assert g.grad_at(0.3) == pytest.approx(-math.sin(0.3))
+        assert g.grad(0.3) == pytest.approx(-math.sin(0.3))
 
     def test_log_cosh_becomes_cosh(self):
         fn = library("log-cosh", P11)
         g = fN_functional(fn, P11)
         assert g.value(0.5) == pytest.approx(math.cosh(0.5))
-        assert g.grad_at(0.5) == pytest.approx(math.sinh(0.5))
+        assert g.grad(0.5) == pytest.approx(math.sinh(0.5))
 
     def test_log_x_becomes_identity(self):
         fn = library("log-x", P01)
         g = fN_functional(fn, P01)
         assert g.value(1.7) == pytest.approx(1.7)
-        assert g.grad_at(1.7) == pytest.approx(1.0)
+        assert g.grad(1.7) == pytest.approx(1.0)
 
 
 class TestDirectionalDerivative:
@@ -221,7 +218,7 @@ class TestDirectionalDerivative:
                     continue
                 g = geodesic(fn.space, x0, x1)
                 lhs = directional_derivative(gN, g)
-                rhs = (-1.0 / p.N) * float(eval_fN(fn, p, x0)) \
+                rhs = (-1.0 / p.N) * fN_values(fn, p, [x0])[0] \
                     * directional_derivative(fn, g)
                 assert lhs == pytest.approx(rhs, rel=5e-3, abs=1e-4)
 
@@ -253,6 +250,23 @@ class TestExpressionGrammar:
     def test_log_zero_is_neg_inf(self):
         fn = expression_functional("log(x)", Interval(0, math.inf))
         assert fn.value(0.0) == -math.inf
+
+    def test_pow_off_domain_is_pos_inf(self):
+        fn = expression_functional("pow(x,0.5)", Interval(-1, 1))
+        np.testing.assert_array_equal(fn.values([-0.5, 0.25]), [math.inf, 0.5])
+        assert fn.value(-0.5) == math.inf
+        assert expression_functional("x**1.5", Interval()).value(-2.0) == math.inf
+
+    @given(st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=16),
+           st.floats(-4.0, 4.0))
+    def test_pow_negative_base_fractional_exponent(self, xs, b):
+        fn = expression_functional(f"pow(x, {b!r})", Interval())
+        xs = np.array(xs)
+        off = (xs < 0) & (b != math.floor(b))
+        got = fn.values(xs)
+        assert (got[off] == math.inf).all()
+        with np.errstate(divide="ignore", over="ignore"):
+            np.testing.assert_array_equal(got[~off], np.power(xs[~off], b))
 
     def test_multivariate(self):
         fn = expression_functional("x1*x1 + x2*x2", EuclideanRn(2))
