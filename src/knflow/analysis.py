@@ -151,11 +151,8 @@ def forward_upper_derivative(g: Callable[[float], float], t: float,
     if h0 < tol.h_min:
         raise StepUnderflow(f"h0={h0} below h_min={tol.h_min}")
     g0 = float(g(t))
-    quotients = []
-    h = float(h0)
-    while h >= tol.h_min:
-        quotients.append((float(g(t + h)) - g0) / h)
-        h *= 0.5
+    hs = h0 * 0.5 ** np.arange(int(math.log2(h0 / tol.h_min)) + 2)
+    quotients = [(float(g(t + h)) - g0) / h for h in hs[hs >= tol.h_min].tolist()]
     return float(max(quotients[-tail:]))
 
 
@@ -164,21 +161,13 @@ def metric_derivative(c: Curve) -> np.ndarray:
     if c.n_samples < 3:
         raise TooFewSamples("metric derivative needs >= 3 samples")
     t, x = c.times, c.points
-    diffs = x[1:] - x[:-1]
-    seg = np.abs(diffs) if c.is_1d else np.linalg.norm(diffs, axis=-1)
-    out = np.empty(c.n_samples)
-    gaps = x[2:] - x[:-2]
-    central = np.abs(gaps) if c.is_1d else np.linalg.norm(gaps, axis=-1)
-    out[1:-1] = central / (t[2:] - t[:-2])
-    out[0] = seg[0] / (t[1] - t[0])
-    out[-1] = seg[-1] / (t[-1] - t[-2])
-    return out
+    seg = _interval_speeds(c)
+    central = _pair_distances(x[:-2], x[2:], c.is_1d) / (t[2:] - t[:-2])
+    return np.concatenate((seg[:1], central, seg[-1:]))
 
 
 def _interval_speeds(c: Curve) -> np.ndarray:
-    diffs = c.points[1:] - c.points[:-1]
-    seg = np.abs(diffs) if c.is_1d else np.linalg.norm(diffs, axis=-1)
-    return seg / np.diff(c.times)
+    return _pair_distances(c.points[:-1], c.points[1:], c.is_1d) / np.diff(c.times)
 
 
 def _local_lipschitz(c: Curve, window: int = 3) -> np.ndarray:
@@ -201,14 +190,9 @@ def _budget_lipschitz(c: Curve, local: np.ndarray,
     i = np.arange(len(local))
     lo = np.maximum(i - stride, 0)
     hi = np.minimum(i + stride, m - 1)
-    gaps = c.points[hi] - c.points[lo]
-    span = np.abs(gaps) if c.is_1d else np.linalg.norm(gaps, axis=-1)
-    avg = span / (c.times[hi] - c.times[lo])
+    avg = _pair_distances(c.points[lo], c.points[hi], c.is_1d) \
+        / (c.times[hi] - c.times[lo])
     return np.minimum(local, 2.0 * avg + 1e-12)
-
-
-def _point_norm(x) -> float:
-    return abs(float(x)) if np.ndim(x) == 0 else float(np.linalg.norm(x))
 
 
 # ---------------------------------------------------------------------------
@@ -346,32 +330,23 @@ def check_evi_lambda(c: Curve, gn: Functional, lam: float, spec: SampleSpec,
         rhs=lambda d, gz, g_k: gz - g_k - 0.5 * lam * d ** 2)
 
 
-def _ratio_d_over_s(p: CurvatureParams, d: np.ndarray) -> np.ndarray:
-    """d / s(d) with the limit value 1 at d = 0."""
-    s = s_values(p, d)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(d > 0, d / np.where(s != 0, s, 1.0), 1.0)
-
-
-def _half_kernel_term(p: CurvatureParams, d: np.ndarray) -> np.ndarray:
-    """d * s(d/2)^2 / s(d) with the limit value 0 at d = 0."""
-    s = s_values(p, d)
-    sh = s_values(p, d / 2.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(d > 0, d * sh ** 2 / np.where(s != 0, s, 1.0), 0.0)
-
-
 EVI_KN_FORMS = ("raw", "i", "ii")
 
 
 def _kn_rhs(form, p, d, ratio):
-    """Right-hand side of the chosen form."""
+    """Right-hand side of the chosen form; d/s(d) and d s(d/2)^2/s(d)
+    take their limit values 1 and 0 at d = 0."""
     if form == "raw":
         u = s_values(p, d / 2.0) ** 2
         return 0.5 * p.N * (1.0 - ratio) - p.K * u
-    dos = _ratio_d_over_s(p, d)
-    if form == "i":
-        return p.N * dos * (1.0 - ratio) - 2.0 * p.K * _half_kernel_term(p, d)
+    pos = d > 0
+    s = s_values(p, d)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s = np.where(s != 0, s, 1.0)
+        dos = np.where(pos, d / s, 1.0)
+        if form == "i":
+            half = np.where(pos, d * s_values(p, d / 2.0) ** 2 / s, 0.0)
+            return p.N * dos * (1.0 - ratio) - 2.0 * p.K * half
     return p.N * dos * (c_values(p, d) - ratio)
 
 
@@ -673,26 +648,20 @@ def bracket(c: Curve, t0: float, g: Geodesic, tol: Tolerance = DEFAULT_TOL,
         raise ParamOutOfRange(f"t0={t0} is not a grid time")
     if i >= c.n_samples - 1:
         raise ParamOutOfRange("t0 must have a forward neighbor")
-    x0, x1 = c.point(i), c.point(i + 1)
-    p0 = g.p0
-    gap = abs(float(p0) - float(x0)) if c.is_1d else \
-        float(np.linalg.norm(np.asarray(p0) - np.asarray(x0)))
-    if gap > 1e-9 * (1.0 + _point_norm(x0)):
+    one_d = c.is_1d
+    x0, x1 = c.points[i], c.points[i + 1]
+    p0, p1 = np.asarray(g.p0, float), np.asarray(g.p1, float)
+    # |x0| as the distance from the origin
+    if _pair_distances(x0, p0, one_d) > 1e-9 * (1.0 + _pair_distances(0.0, x0, one_d)):
         raise ParamOutOfRange("geodesic must emanate from the curve point")
     h = c.times[i + 1] - c.times[i]
-    s_floor = min(0.25, 256.0 * h)
-    s_list = [0.5 ** k for k in range(levels) if 0.5 ** k >= s_floor] or [1.0]
-    best = -math.inf
-    for s in s_list:
-        z = g(s)
-        if c.is_1d:
-            d0, d1 = abs(x0 - z), abs(x1 - z)
-        else:
-            d0 = float(np.linalg.norm(x0 - z))
-            d1 = float(np.linalg.norm(x1 - z))
-        q = (d1 ** 2 - d0 ** 2) / h / (2.0 * s)
-        best = max(best, q)
-    return Bracket(value=float(best))
+    s = 0.5 ** np.arange(max(levels, 1))
+    s = s[s >= min(0.25, 256.0 * h)]  # keeps s = 1
+    z = (1.0 - s) * p0 + s * p1 if one_d else \
+        (1.0 - s)[:, None] * p0 + s[:, None] * p1
+    q = (_pair_distances(x1, z, one_d) ** 2 - _pair_distances(x0, z, one_d) ** 2) \
+        / h / (2.0 * s)
+    return Bracket(value=float(np.max(q)))
 
 
 # ---------------------------------------------------------------------------
@@ -717,11 +686,7 @@ def contraction_rate(c1: Curve, c2: Curve, r: float,
         raise DisjointWindows("common window holds fewer than two samples")
     if not (lo - 1e-12 <= r <= hi):
         raise ParamOutOfRange(f"r={r} outside the common window [{lo}, {hi}]")
-    x1 = c1.at(s_grid)
-    x2 = c2.at(s_grid)
-    gaps = x1 - x2
-    d = np.abs(gaps) if c1.is_1d else np.linalg.norm(gaps, axis=-1)
-    d = np.maximum(d, 1e-300)
+    d = np.maximum(_pair_distances(c2.at(s_grid), c1.at(s_grid), c1.is_1d), 1e-300)
     log_d = np.log(d)
     dr = float(np.interp(r, s_grid, log_d))
     after = s_grid > r + 1e-12

@@ -32,7 +32,7 @@ from .analysis import (
 )
 from .coefficients import CurvatureParams, sigma_values
 from .convexity import check_kn_convex, check_lambda_convex, check_lifting
-from .core import SampleSpec, Tolerance, _integer, _number
+from .core import SampleSpec, Tolerance, _integer, _number, _pair, _points
 from .errors import ConfigInvalid, IoError, KNFlowError
 from .flows import Curve, minimizing_movement, ode_flow, oracle_flow
 from .functionals import functional_from_json
@@ -223,28 +223,6 @@ def _tolerance_from(cfg: dict) -> Tolerance:
         raise ConfigInvalid(f"tolerance must be a mapping, got {t!r}")
     return Tolerance(**{k: _number(t[k], f"tolerance {k}")
                         for k in ("abs", "rel", "h_min") if k in t})
-
-
-def _pair(value, what: str) -> tuple:
-    """A JSON pair [lo, hi] of numbers (or, for boxes on R^n, of lists)."""
-    if not isinstance(value, (list, tuple)) or len(value) != 2:
-        raise ConfigInvalid(f"{what} must be a pair [lo, hi], got {value!r}")
-    return tuple(_points(v, what, 1) if isinstance(v, list)
-                 else _number(v, what) for v in value)
-
-
-def _points(values, what: str, least: int) -> np.ndarray:
-    """A JSON list of at least `least` numbers as a float array."""
-    arr = None
-    if isinstance(values, (list, tuple)):
-        try:
-            arr = np.asarray(values)
-        except ValueError:  # ragged nesting
-            pass
-    if arr is None or arr.ndim != 1 or arr.dtype.kind not in "iuf" \
-            or len(arr) < least:
-        raise ConfigInvalid(f"{what} must be a list of at least {least} numbers")
-    return arr.astype(float)
 
 
 def _linspace(spec, lo: str, hi: str, what: str, least: int,

@@ -8,7 +8,10 @@ For curvature K and negative dimension N the two kernels are
 
 and the distortion coefficient sigma^(t)(theta) is the ratio
 s(t*theta)/s(theta), equal to t when K*theta^2 = 0 and +inf in the singular
-regime K*theta^2 <= N*pi^2 (only reachable for K < 0).
+regime K*theta^2 <= N*pi^2 (only reachable for K < 0).  Below the
+crossover w*theta = 1e-4, s uses a 5-term Taylor series of sin(x)/x or
+sinh(x)/x; the array form evaluates the series only on the entries below
+the crossover and sin or sinh only on the rest.
 
 Each kernel has an array form (``s_values``, ``c_values``, ``sigma_values``)
 and a scalar form (``s_kn``, ``c_kn``, ``sigma``, ``sigma_rate_limits``) that
@@ -70,26 +73,19 @@ def _series(x2, sign):
             + x2**4 / 362880.0)
 
 
-def _sin_ratio(x):
-    """sin(x)/x, series below the crossover.  Vectorized."""
+def _ratio(x, sign):
+    """sin(x)/x (sign -1) or sinh(x)/x (sign +1), the series below the
+    crossover; each form is evaluated only on its own entries."""
     x = np.asarray(x, dtype=float)
     small = np.abs(x) < _SERIES_CROSSOVER
-    series = _series(x * x, -1.0)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        exact = np.where(x == 0.0, 1.0, np.sin(x) / np.where(x == 0.0, 1.0, x))
-    return np.where(small, series, exact)
-
-
-def _sinh_ratio(x):
-    """sinh(x)/x, series below the crossover.  Vectorized."""
-    x = np.asarray(x, dtype=float)
-    small = np.abs(x) < _SERIES_CROSSOVER
-    series = _series(x * x, 1.0)
-    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+    out = np.empty_like(x)
+    xs, xb = x[small], x[~small]
+    out[small] = _series(xs * xs, sign)
+    with np.errstate(invalid="ignore", over="ignore"):
         # sinh(inf)/1 = inf, the limit, where sinh(inf)/inf would be NaN
-        exact = np.where(x == 0.0, 1.0,
-                         np.sinh(x) / np.where((x == 0.0) | (x == np.inf), 1.0, x))
-    return np.where(small, series, exact)
+        out[~small] = (np.sinh if sign > 0 else np.sin)(xb) \
+            / np.where(xb == np.inf, 1.0, xb)
+    return out
 
 
 def _omega_theta_values(p: CurvatureParams, theta: np.ndarray) -> np.ndarray:
@@ -107,11 +103,9 @@ def s_values(p: CurvatureParams, theta) -> np.ndarray:
     if p.K == 0:
         return theta.copy()
     x = _omega_theta_values(p, theta)
-    if p.K < 0:
-        return theta * _sin_ratio(x)
     # sinh(x)/x finite but theta times it past the double range: +inf
     with np.errstate(over="ignore"):
-        return theta * _sinh_ratio(x)
+        return theta * _ratio(x, math.copysign(1.0, p.K))
 
 
 def c_values(p: CurvatureParams, theta) -> np.ndarray:

@@ -49,7 +49,8 @@ class ConvexityReport:
     scale-aware budget; the check passes iff max_violation <= 0 (the
     budget is already folded in).  max_residual keeps the raw,
     un-budgeted worst residual for equality-case asserts.  Both are +inf
-    when a tested cell has a +inf or NaN residual.
+    when a tested cell has a +inf or NaN residual, and worst_witness is
+    None when every cell is vacuous.
     """
 
     kind: str
@@ -177,9 +178,11 @@ def _grid_max(n_rows: int, n_cols: int, block):
 
 def _report(kind, params, x0, x1, ts, dim1, block) -> ConvexityReport:
     viol, res, (i, j) = _grid_max(len(x0), len(ts), block)
-    witness = (x0[i] if dim1 else x0[i].tolist(),
-               x1[i] if dim1 else x1[i].tolist(),
-               float(ts[j]))
+    witness = None  # every cell vacuous
+    if viol > -math.inf:
+        witness = (x0[i] if dim1 else x0[i].tolist(),
+                   x1[i] if dim1 else x1[i].tolist(),
+                   float(ts[j]))
     return ConvexityReport(
         kind=kind, params=params, pairs_tested=len(x0), t_grid_size=len(ts),
         max_violation=viol, worst_witness=witness, passed=viol <= 0.0,

@@ -1,5 +1,5 @@
 """Tolerance policy, the NaN firewall, deterministic sampling and the
-number checks of JSON configs.
+number, pair and list checks of JSON configs.
 
 Values are plain floats in [-inf, +inf].  NaN is banned at every type
 boundary: any operation that would produce one raises immediately instead
@@ -42,6 +42,28 @@ def _integer(value, what: str) -> int:
     if not _number(value, what).is_integer():
         raise ConfigInvalid(f"{what} must be an integer, got {value!r}")
     return int(value)  # from value, not the float: seeds reach 2**64 - 1
+
+
+def _pair(value, what: str) -> tuple:
+    """A JSON pair [lo, hi] of numbers (or, for boxes on R^n, of lists)."""
+    if not isinstance(value, (list, tuple)) or len(value) != 2:
+        raise ConfigInvalid(f"{what} must be a pair [lo, hi], got {value!r}")
+    return tuple(_points(v, what, 1) if isinstance(v, list)
+                 else _number(v, what) for v in value)
+
+
+def _points(values, what: str, least: int) -> np.ndarray:
+    """A JSON list of at least `least` numbers as a float array."""
+    arr = None
+    if isinstance(values, (list, tuple)):
+        try:
+            arr = np.asarray(values)
+        except ValueError:  # ragged nesting
+            pass
+    if arr is None or arr.ndim != 1 or arr.dtype.kind not in "iuf" \
+            or len(arr) < least:
+        raise ConfigInvalid(f"{what} must be a list of at least {least} numbers")
+    return arr.astype(float)
 
 
 @dataclass(frozen=True)

@@ -107,9 +107,6 @@ class Curve:
     def window(self) -> tuple:
         return float(self.times[0]), float(self.times[-1])
 
-    def point(self, i: int):
-        return self.points[i] if self.is_1d else self.points[i].copy()
-
     def at(self, t):
         """Piecewise-linear interpolation (clamped outside the window)."""
         t = np.asarray(t, dtype=float)
@@ -235,9 +232,12 @@ def ode_flow(fn: Functional, y0, grid, rtol: float = 1e-9) -> Curve:
     loc_rtol = max(1e-13, 1e-2 * rtol)
     loc_atol = max(1e-15, 1e-4 * rtol)
 
-    if isinstance(fn.space, Interval):
+    one_d = isinstance(fn.space, Interval)
+    events = []
+    if one_d:
         a, b = fn.space.a, fn.space.b
         pad = 1e-13 * (1.0 + abs(float(y0)))
+        y0 = [float(y0)]
 
         def rhs(t, y):
             yy = min(max(y[0], a + pad), b - pad)
@@ -245,66 +245,40 @@ def ode_flow(fn: Functional, y0, grid, rtol: float = 1e-9) -> Curve:
 
         # the margin keeps the event ahead of the step-size collapse at a
         # gradient blow-up; crossing the last 1e-6 takes O(1e-12) time
-        events = []
-        if math.isfinite(a):
-            eps = 1e-6 * (1.0 + abs(a))
+        for end, inward in ((a, 1.0), (b, -1.0)):
+            if math.isfinite(end):
+                def hit(t, y, _edge=end + inward * 1e-6 * (1.0 + abs(end)),
+                        _inward=inward):
+                    return _inward * (y[0] - _edge)
+                hit.terminal = True
+                hit.direction = -1
+                events.append(hit)
+    else:
+        y0 = np.asarray(y0, dtype=float)
 
-            def hit_a(t, y, _eps=eps):
-                return y[0] - (a + _eps)
-            hit_a.terminal = True
-            hit_a.direction = -1
-            events.append(hit_a)
-        if math.isfinite(b):
-            eps = 1e-6 * (1.0 + abs(b))
-
-            def hit_b(t, y, _eps=eps):
-                return (b - _eps) - y[0]
-            hit_b.terminal = True
-            hit_b.direction = -1
-            events.append(hit_b)
-
-        sol = solve_ivp(rhs, (grid[0], grid[-1]), [float(y0)], method="RK45",
-                        rtol=loc_rtol, atol=loc_atol, dense_output=True,
-                        events=events)
-        if sol.status == -1:
-            raise BlowUp(f"integration failed: {sol.message}")
-        _record_ode(meta, sol)
-        stop = None
-        boundary_val = None
-        if sol.status == 1:  # a terminal event fired
-            times = [float(te[0]) for te in sol.t_events if len(te)]
-            stop = min(times)
-            y_end = float(sol.sol(stop)[0])
-            boundary_val = a if abs(y_end - a) < abs(y_end - b) else b
-        t_end = sol.t[-1]
-        ys = np.empty_like(grid)
-        before = grid <= t_end
-        ys[before] = sol.sol(grid[before])[0]
-        ys[~before] = boundary_val if boundary_val is not None else ys[before][-1]
-        ys = np.clip(ys, a, b)
-        require_not_nan(ys, "ode trajectory")
-        return Curve(grid, ys, stop_time=stop, meta=meta)
-
-    y0 = np.asarray(y0, dtype=float)
-
-    def rhs(t, y):
-        return -np.asarray(fn.grad(y), dtype=float)
+        def rhs(t, y):
+            return -np.asarray(fn.grad(y), dtype=float)
 
     sol = solve_ivp(rhs, (grid[0], grid[-1]), y0, method="RK45",
-                    rtol=loc_rtol, atol=loc_atol, dense_output=True)
-    if sol.status != 0:
+                    rtol=loc_rtol, atol=loc_atol, dense_output=True,
+                    events=events or None)
+    if sol.status == -1:
         raise BlowUp(f"integration failed: {sol.message}")
-    _record_ode(meta, sol)
-    ys = sol.sol(grid).T
-    require_not_nan(ys, "ode trajectory")
-    return Curve(grid, ys, stop_time=None, meta=meta)
-
-
-def _record_ode(meta: dict, sol) -> None:
     meta["ode_nfev"] = int(sol.nfev)
     meta["ode_status"] = int(sol.status)
-    logger.debug("ode_flow %s: nfev=%d status=%d", meta["functional"],
-                 sol.nfev, sol.status)
+    logger.debug("ode_flow %s: nfev=%d status=%d", fn.name, sol.nfev, sol.status)
+    before = grid <= sol.t[-1]
+    ys = sol.sol(grid[before]).T
+    stop = None
+    if sol.status == 1:  # a terminal event fired: continue at the boundary
+        stop = min(float(te[0]) for te in sol.t_events if len(te))
+        y_end = float(sol.sol(stop)[0])
+        edge = a if abs(y_end - a) < abs(y_end - b) else b
+        ys = np.concatenate([ys, np.full((len(grid) - len(ys), 1), edge)])
+    if one_d:
+        ys = np.clip(ys[:, 0], a, b)
+    require_not_nan(ys, "ode trajectory")
+    return Curve(grid, ys, stop_time=stop, meta=meta)
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .coefficients import CurvatureParams
-from .core import DEFAULT_TOL, Tolerance, _integer, _number, require_not_nan
+from .core import DEFAULT_TOL, Tolerance, _integer, _number, _pair, require_not_nan
 from .errors import (
     BasePointOutsideDomain,
     ExpressionError,
@@ -60,15 +60,10 @@ class Functional:
         """f(x); +-inf allowed, NaN raises.  x must lie in the closure."""
         if not self.space.contains_closure(x):
             raise PointOutsideSpace(f"{x!r} outside {self.space}")
-        v = self._eval_scalar(x)
+        v = float(self.fvec(np.asarray(x, float)[None])[0])
         if math.isnan(v):  # x is formatted only here: repr of an array is slow
             raise NanError(f"NaN in {self.name}({x!r})")
         return v
-
-    def _eval_scalar(self, x) -> float:
-        if isinstance(self.space, Interval):
-            return float(self.fvec(np.asarray([x], dtype=float))[0])
-        return float(self.fvec(np.asarray([x], dtype=float).reshape(1, -1))[0])
 
     def values(self, xs: np.ndarray) -> np.ndarray:
         """Batch evaluation; caller guarantees points in the closure."""
@@ -242,14 +237,12 @@ def fN_functional(fn: Functional, p: CurvatureParams) -> Functional:
 
     grad = None
     if fn.grad is not None:
+        one_d = isinstance(fn.space, Interval)
+
         def grad(x):  # chain rule through the log domain
             g = _exp_clip(-fn.value(x) / p.N)
-            return -(1.0 / p.N) * g * np.asarray(fn.grad(x))
-        if isinstance(fn.space, Interval):
-            base_grad = grad
-
-            def grad(x):
-                return float(base_grad(x))
+            out = -(1.0 / p.N) * g * np.asarray(fn.grad(x))
+            return float(out) if one_d else out
 
     ub = None
     if fn.upper_bound is not None:
@@ -269,26 +262,21 @@ def directional_derivative(fn: Functional, g: Geodesic,
                            t0: float = 0.25, tail: int = 4) -> float:
     """liminf of (f(gamma_t) - f(gamma_0))/t as t -> 0+.
 
-    Difference quotients are evaluated on the geometric sequence
-    t_k = t0 * 2^-k down to tol.h_min; the minimum over the finest `tail`
-    levels estimates the liminf.  +-inf results are legitimate.
+    Difference quotients are taken on the finest `tail` levels of the
+    geometric sequence t_k = t0 * 2^-k down to tol.h_min; their minimum
+    estimates the liminf.  +-inf results are legitimate.
     """
     f0 = fn.value(g.p0)
     if not math.isfinite(f0):
         raise BasePointOutsideDomain(f"f(gamma(0)) = {f0}")
-    steps = []
-    t = float(t0)
-    while t >= tol.h_min:
-        steps.append(t)
-        t *= 0.5
-    if not steps:
+    if not t0 >= tol.h_min:
         raise BasePointOutsideDomain("t0 below h_min")
+    ts = t0 * 0.5 ** np.arange(int(math.log2(t0 / tol.h_min)) + 2)
     quotients = []
-    for t in steps:
+    for t in ts[ts >= tol.h_min][-tail:].tolist():
         ft = fn.value(g(t))
         quotients.append((ft - f0) / t if math.isfinite(ft) else ft)
-    tail_q = quotients[-tail:]
-    return float(min(tail_q))
+    return float(min(quotients))
 
 
 # ---------------------------------------------------------------------------
@@ -485,6 +473,7 @@ def functional_from_json(d: dict) -> Functional:
         p = None
         if "K" in d and "N" in d:
             p = CurvatureParams(_number(d["K"], "K"), _number(d["N"], "N"))
-        box = tuple(d["sample_box"]) if "sample_box" in d else None
+        box = (_pair(d["sample_box"], "sample_box") if "sample_box" in d
+               else None)
         return expression_functional(d["expr"], space, params=p, sample_box=box)
     raise ConfigInvalid("functional descriptor needs 'library' or 'expr'")

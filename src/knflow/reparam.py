@@ -31,7 +31,7 @@ from .errors import (
     ParamOutOfRange,
 )
 from .flows import Curve
-from .functionals import Functional
+from .functionals import Functional, fN_values
 
 _FN_FLOOR = 1e-12
 
@@ -41,17 +41,6 @@ class Membership:
     in_C: bool
     in_Cprime: bool
     in_CsecondN: bool
-
-
-def _fN_along(c: Curve, fn: Functional, p: CurvatureParams) -> np.ndarray:
-    with np.errstate(over="ignore"):
-        return np.exp(-fn.values(c.points) / p.N)
-
-
-def _trapezoid_cum(times: np.ndarray, vals: np.ndarray, v0: float) -> np.ndarray:
-    """Cumulative trapezoid with an initial offset v0 at the first grid point."""
-    inc = 0.5 * (vals[1:] + vals[:-1]) * np.diff(times)
-    return v0 + np.concatenate(([0.0], np.cumsum(inc)))
 
 
 def class_membership(c: Curve, fn: Functional, p: CurvatureParams,
@@ -106,17 +95,11 @@ def r1(c: Curve, fn: Functional, p: CurvatureParams,
     alpha integrates -N/f_N by trapezoid on the curve's grid; an initial
     rectangle accounts for (0, t_0) when the grid starts after 0.
     """
-    fN = _fN_along(c, fn, p)
-    c, fN = _truncate_before_extinction(c, fN)
+    c, fN = _truncate_before_extinction(c, fN_values(fn, p, c.points))
     member = class_membership(c, fn, p, tol)
     if not member.in_Cprime:
         raise NotInCPrime(f"energy not non-increasing along {c.meta}")
-    integrand = -p.N / fN
-    alpha0 = float(c.times[0] * integrand[0])
-    alpha = _trapezoid_cum(c.times, integrand, alpha0)
-    meta = dict(c.meta)
-    meta["reparam"] = "r1"
-    return Curve(alpha, c.points.copy(), stop_time=None, meta=meta)
+    return _time_change(c, -p.N / fN, "r1")
 
 
 def r2(c: Curve, fn: Functional, p: CurvatureParams,
@@ -125,13 +108,16 @@ def r2(c: Curve, fn: Functional, p: CurvatureParams,
     member = class_membership(c, fn, p, tol)
     if not member.in_CsecondN:
         raise NotInCsecondN(f"integral of f_N not finite/stable along {c.meta}")
-    fN = _fN_along(c, fn, p)
-    integrand = fN / (-p.N)
-    beta0 = float(c.times[0] * integrand[0])
-    beta = _trapezoid_cum(c.times, integrand, beta0)
-    meta = dict(c.meta)
-    meta["reparam"] = "r2"
-    return Curve(beta, c.points.copy(), stop_time=None, meta=meta)
+    return _time_change(c, fN_values(fn, p, c.points) / (-p.N), "r2")
+
+
+def _time_change(c: Curve, rate: np.ndarray, tag: str) -> Curve:
+    """The curve's points on the grid integrating rate: a rectangle over
+    (0, t_0), then the cumulative trapezoid on the curve's grid."""
+    inc = 0.5 * (rate[1:] + rate[:-1]) * np.diff(c.times)
+    new_times = float(c.times[0] * rate[0]) + np.concatenate(([0.0], np.cumsum(inc)))
+    return Curve(new_times, c.points.copy(), stop_time=None,
+                 meta={**c.meta, "reparam": tag})
 
 
 def roundtrip_error(c: Curve, fn: Functional, p: CurvatureParams,

@@ -159,13 +159,13 @@ def space_from_json(d: dict) -> ModelSpace:
     kind = d["kind"]
     if kind == "interval":
         open_flags = d.get("open", [True, True])
-        if not (isinstance(open_flags, (list, tuple)) and len(open_flags) == 2):
+        if not (isinstance(open_flags, (list, tuple)) and len(open_flags) == 2
+                and all(isinstance(flag, bool) for flag in open_flags)):
             raise ConfigInvalid("'open' must be a pair of booleans")
         return Interval(
             _endpoint_from_json(d.get("a", -math.inf)),
             _endpoint_from_json(d.get("b", math.inf)),
-            bool(open_flags[0]),
-            bool(open_flags[1]),
+            *open_flags,
         )
     if kind == "euclidean":
         return EuclideanRn(_integer(d.get("n"), "n"))

@@ -384,11 +384,16 @@ class TestBadAxis:
         {"command": "coeff", "K": -1, "N": -1, "out": 5},
         {"command": "check-convexity", "kind": "lambda", "lambda": 0.0,
          "functional": {"expr": 5}, "out": "r.json"},
+        {"command": "check-convexity", "kind": "lambda", "lambda": 0.0,
+         "functional": {"expr": "x*x", "sample_box": 3}, "out": "r.json"},
+        {"command": "check-convexity", "kind": "lambda", "lambda": 0.0,
+         "functional": {"expr": "x*x", "sample_box": ["a", "b"]},
+         "out": "r.json"},
     ], ids=["scalar-theta", "negative-n", "fractional-n", "string-entry",
             "empty-list", "one-point-grid", "grid-without-n", "nested-times",
             "string-K", "string-seed", "scalar-box", "scalar-tolerance",
             "string-y0", "string-functional-K", "numeric-out",
-            "numeric-expr"])
+            "numeric-expr", "scalar-sample-box", "string-sample-box"])
     def test_exit_one_without_traceback(self, tmp_path, capsys, cfg):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(cfg))

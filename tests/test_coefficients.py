@@ -7,7 +7,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from knflow.coefficients import (
+    _SERIES_CROSSOVER,
     CurvatureParams,
+    _ratio,
+    _series,
     c_kn,
     c_values,
     is_singular,
@@ -425,3 +428,63 @@ class TestInfiniteTheta:
             except KNFlowError:
                 continue
             assert not any(map(math.isnan, np.atleast_1d(value)))
+
+
+def _sin_ratio_reference(x):
+    """The earlier sin(x)/x: series and sin evaluated on every entry, then
+    np.where picks one."""
+    x = np.asarray(x, dtype=float)
+    small = np.abs(x) < _SERIES_CROSSOVER
+    series = _series(x * x, -1.0)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        exact = np.where(x == 0.0, 1.0, np.sin(x) / np.where(x == 0.0, 1.0, x))
+    return np.where(small, series, exact)
+
+
+def _sinh_ratio_reference(x):
+    """The earlier sinh(x)/x, with sinh(inf)/1 = inf."""
+    x = np.asarray(x, dtype=float)
+    small = np.abs(x) < _SERIES_CROSSOVER
+    series = _series(x * x, 1.0)
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        exact = np.where(x == 0.0, 1.0,
+                         np.sinh(x) / np.where((x == 0.0) | (x == np.inf), 1.0, x))
+    return np.where(small, series, exact)
+
+
+RATIO_EDGES = [0.0, -0.0, 5e-324, -5e-324, 9.999999999999999e-05, 1e-4,
+               1.0000000000000002e-4, -9.999999999999999e-05, -1e-4, 1.0, -1.0,
+               709.78, 710.0, 710.5, 711.0, -711.0, 1e300]
+
+
+class TestRatio:
+    """_ratio evaluates the series and sin/sinh each on its own entries;
+    it must equal the formulas that evaluated both everywhere, bit for bit."""
+
+    @staticmethod
+    def _assert_bitwise(x, sign):
+        reference = _sinh_ratio_reference if sign > 0 else _sin_ratio_reference
+        with np.errstate(over="ignore", invalid="ignore"):  # x*x past 1e154
+            old = reference(x)
+        new = _ratio(x, sign)
+        assert new.shape == old.shape and new.tobytes() == old.tobytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.one_of(st.sampled_from(RATIO_EDGES),
+                              st.floats(-2e-4, 2e-4),
+                              st.floats(-800.0, 800.0),
+                              st.floats(allow_nan=False, allow_infinity=False)),
+                    max_size=40),
+           st.sampled_from([-1.0, 1.0]))
+    def test_bit_identical_to_earlier_formulas(self, xs, sign):
+        self._assert_bitwise(np.array(xs, dtype=float), sign)
+
+    @pytest.mark.parametrize("sign", [-1.0, 1.0])
+    @pytest.mark.parametrize("x", RATIO_EDGES)
+    def test_scalar_edges(self, x, sign):
+        self._assert_bitwise(np.asarray(x), sign)
+
+    def test_sinh_limits(self):
+        x = np.array([math.inf, 711.0, 1e300])
+        self._assert_bitwise(x, 1.0)
+        assert np.all(_ratio(x, 1.0) == math.inf)

@@ -135,6 +135,15 @@ class TestKnConvex:
         rep = check_kn_convex(fn, p, SPEC, TOL, enforce_cap=False)
         assert rep.passed
 
+    def test_all_vacuous_report_has_no_witness(self):
+        # one pair beyond the singular cap: every cell has right side +inf
+        rep = check_kn_convex(library("quadratic", P11, c=1.0), PM11,
+                              SampleSpec(0, 1), TOL, box=(-8.0, 8.0),
+                              enforce_cap=False)
+        assert rep.passed and rep.max_violation == -math.inf
+        assert rep.worst_witness is None
+        assert rep.to_json()["witness"] is None
+
     def test_cap_enforced_for_negative_K(self):
         fn = library("log-cos", PM11)
         rep = check_kn_convex(fn, PM11, SPEC, TOL)

@@ -116,6 +116,12 @@ class TestJson:
         with pytest.raises(ConfigInvalid):
             space_from_json({"kind": "sphere"})
 
+    @pytest.mark.parametrize("flags", [["false", 0], [True, 1], [None, False],
+                                       [True], "true"])
+    def test_open_flags_must_be_booleans(self, flags):
+        with pytest.raises(ConfigInvalid):
+            space_from_json({"kind": "interval", "a": 0, "b": 1, "open": flags})
+
     def test_minus_inf_endpoint(self):
         sp = space_from_json({"kind": "interval", "a": "-inf", "b": 0})
         assert sp.a == -math.inf and sp.b == 0.0
