@@ -13,7 +13,6 @@ from .analysis import (
     Bracket,
     ContractionRate,
     EnergyAudit,
-    EviReport,
     bracket,
     check_evi_integrated,
     check_evi_kn,
@@ -33,7 +32,7 @@ from .coefficients import (
     sigma_rate_limits,
 )
 from .convexity import (
-    ConvexityReport,
+    Report,
     check_gluing,
     check_kn_convex,
     check_lambda_convex,

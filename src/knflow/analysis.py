@@ -26,8 +26,9 @@ window form with no differentiation at all, and in a localized form
 restricted to balls.
 
 Every check reduces its (time sample x reference point) residual grid with
-the convexity module's grid kernel, one block of time samples at a time;
-reference points are drawn in time order, on intervals in one batch.
+the convexity module's grid kernel, one block of time samples at a time,
+into a `Report` with witness (t, z); reference points are drawn in time
+order, on intervals in one batch.
 Cells with f = +inf at the reference point or past the singular cap are
 vacuous, and so is a right-hand side of +inf (its residual is -inf).  A
 kept cell whose residual is +inf or NaN fails the check.
@@ -43,7 +44,8 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .coefficients import CurvatureParams, c_values, s_values
-from .convexity import _grid_max, _pair_distances, _row_blocks, sampling_box
+from .convexity import (Report, _grid_report, _pair_distances, _row_blocks,
+                        sampling_box)
 from .core import DEFAULT_TOL, SampleSpec, Tolerance
 from .errors import (
     DisjointWindows,
@@ -60,38 +62,6 @@ from .spaces import Geodesic, Interval
 _BOUNDARY_MARGIN = 1e-3
 _SUP_LEVELS = 12
 _STEP_BIAS_COEFF = 20.0  # C in the step-residual budget
-
-
-@dataclass
-class EviReport:
-    """Outcome of a variational-inequality check.
-
-    max_violation is the worst excess of the residual over the
-    discretization-aware budget; the check passes iff max_violation <= 0.
-    max_residual keeps the raw worst residual for equality-case asserts.
-    Both are +inf when a kept cell has a +inf or NaN residual, and worst
-    is None when every cell is vacuous.
-    """
-
-    form: str
-    params: dict
-    z_samples: int
-    t_samples: int
-    max_violation: float
-    worst: Optional[tuple]
-    passed: bool
-    max_residual: float = -math.inf
-
-    def to_json(self) -> dict:
-        out = {"form": self.form}
-        out.update(self.params)
-        out["z_samples"] = self.z_samples
-        out["t_samples"] = self.t_samples
-        out["max_violation"] = self.max_violation
-        out["max_residual"] = self.max_residual
-        out["worst"] = list(self.worst) if self.worst else None
-        out["pass"] = bool(self.passed)
-        return out
 
 
 @dataclass
@@ -150,6 +120,8 @@ def forward_upper_derivative(g: Callable[[float], float], t: float,
     """
     if h0 < tol.h_min:
         raise StepUnderflow(f"h0={h0} below h_min={tol.h_min}")
+    if not h0 < math.inf:
+        raise ParamOutOfRange(f"h0={h0} must be finite")
     g0 = float(g(t))
     hs = h0 * 0.5 ** np.arange(int(math.log2(h0 / tol.h_min)) + 2)
     quotients = [(float(g(t + h)) - g0) / h for h in hs[hs >= tol.h_min].tolist()]
@@ -248,17 +220,6 @@ def _time_indices(c: Curve, t_samples: int) -> np.ndarray:
 # variational inequality checks
 # ---------------------------------------------------------------------------
 
-def _evi_report(form, params, times, zs, one_d, block) -> EviReport:
-    """Reduce a check's grid; times and zs label its rows and cells."""
-    viol, res, (i, j) = _grid_max(len(times), zs.shape[1], block)
-    worst = None
-    if viol > -math.inf:
-        worst = (float(times[i]), float(zs[i, j]) if one_d else zs[i, j].tolist())
-    return EviReport(form=form, params=params, z_samples=zs.shape[1],
-                     t_samples=len(times), max_violation=viol, worst=worst,
-                     passed=viol <= 0.0, max_residual=res)
-
-
 def _z_rows(c: Curve, fn: Functional, spec: SampleSpec, z_override):
     """Row drawer for the stratified (or overridden) reference points."""
     def draw(idx, steps):
@@ -271,7 +232,7 @@ def _z_rows(c: Curve, fn: Functional, spec: SampleSpec, z_override):
 
 def _step_check(form, params, c: Curve, fn: Functional, tol: Tolerance,
                 t_samples: int, draw, keep, rhs,
-                raw: Optional[CurvatureParams] = None) -> EviReport:
+                raw: Optional[CurvatureParams] = None) -> Report:
     """Step-integrated check on the (time sample, reference point) grid.
 
     draw(idx, steps) gives the reference points of the time samples idx,
@@ -316,12 +277,13 @@ def _step_check(form, params, c: Curve, fn: Functional, tol: Tolerance,
             + _STEP_BIAS_COEFF * gain * hb * hb * (1.0 + L4[lo:hi])
         return residual, budget, keep(fz, z, d0, d1)
 
-    return _evi_report(form, params, c.times[idx], zs, one_d, block)
+    return _grid_report(form, params, len(idx), zs.shape[1], block,
+                        lambda i, j: (float(c.times[idx[i]]), zs[i, j].tolist()))
 
 
 def check_evi_lambda(c: Curve, gn: Functional, lam: float, spec: SampleSpec,
                      tol: Tolerance = DEFAULT_TOL, t_samples: int = 50,
-                     z_override=None) -> EviReport:
+                     z_override=None) -> Report:
     """Step-integrated check of the modulus-lambda variational inequality."""
     return _step_check(
         "evi_lambda", {"lambda": lam}, c, gn, tol, t_samples,
@@ -353,7 +315,7 @@ def _kn_rhs(form, p, d, ratio):
 def check_evi_kn(c: Curve, fn: Functional, p: CurvatureParams, form: str,
                  spec: SampleSpec, tol: Tolerance = DEFAULT_TOL,
                  t_samples: int = 50, z_domain: str = "extended",
-                 z_override=None) -> EviReport:
+                 z_override=None) -> Report:
     """Step-integrated check of the dimensional variational inequality.
 
     form "raw" tests the inequality on the squared half-angle kernel;
@@ -397,7 +359,7 @@ def _first_exits(points, zs, cap: float, one_d: bool) -> np.ndarray:
 
 def check_evi_integrated(c: Curve, fn: Functional, p: CurvatureParams,
                          spec: SampleSpec, tol: Tolerance = DEFAULT_TOL,
-                         t_samples: int = 50) -> EviReport:
+                         t_samples: int = 50) -> Report:
     """Integrated window form of the dimensional inequality (K != 0 only).
 
     Compares exponential-window gains of the squared half-angle kernel
@@ -438,14 +400,15 @@ def check_evi_integrated(c: Curve, fn: Functional, p: CurvatureParams,
         return residual, tol.abs + tol.rel * scale, \
             (fz < math.inf) & (i[:, None] < exits)
 
-    return _evi_report("evi_integrated", {"K": p.K, "N": p.N}, c.times[idx],
-                       np.broadcast_to(zs, (len(idx),) + zs.shape), one_d, block)
+    return _grid_report("evi_integrated", {"K": p.K, "N": p.N}, len(idx),
+                        len(zs), block,
+                        lambda i, j: (float(c.times[idx[i]]), zs[j].tolist()))
 
 
 def check_evi_local(c: Curve, gn: Functional, lam: float, radius: float,
                     spec: SampleSpec, tol: Tolerance = DEFAULT_TOL,
                     t_samples: int = 50,
-                    z_filter: Optional[Callable] = None) -> EviReport:
+                    z_filter: Optional[Callable] = None) -> Report:
     """Localized version: reference points restricted to balls around the
     curve (optionally filtered further, e.g. to a sublevel set)."""
     if not radius > 0:

@@ -11,20 +11,20 @@ Violations are measured against a scale-aware budget
     residual <= abs + rel * max(value(x0), value(x1), 1)
 
 because the transform spans many orders of magnitude across a domain.  A
-report stores the worst excess over that budget plus a reproducible
+`Report` stores the worst excess over that budget plus a reproducible
 witness (x0, x1, t).
 
 Both checkers here and the variational-inequality checkers in the analysis
-module reduce their residual grids with one kernel, `_grid_max`, which
-walks the rows in blocks of at most `_BLOCK_CELLS` cells.  Cells outside a
-checker's keep mask are vacuous; a kept cell whose residual is +inf or NaN
-fails the check.
+module reduce their residual grids with one kernel, `_grid_report`, which
+walks the rows in blocks of at most `_BLOCK_CELLS` cells and returns a
+`Report`.  Cells outside a checker's keep mask are vacuous; a kept cell
+whose residual is +inf or NaN fails the check.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -41,37 +41,41 @@ _BOX_EXTENT = 3.0
 _BLOCK_CELLS = 1 << 16  # residual-grid cells evaluated at once
 
 
-@dataclass
-class ConvexityReport:
-    """Outcome of a convexity check.
+@dataclass(frozen=True)
+class Report:
+    """Outcome of an inequality check on a rows x cols grid of cells.
 
-    max_violation is the largest excess of the residual over the
-    scale-aware budget; the check passes iff max_violation <= 0 (the
-    budget is already folded in).  max_residual keeps the raw,
+    The grid is pairs x t for convexity and time samples x reference
+    points for the variational inequalities; `tested` cells lie inside the
+    check's keep mask, the other rows*cols - tested are vacuous.
+    max_violation is the largest excess of a residual over its budget; the
+    check passes iff max_violation <= 0.  max_residual keeps the raw,
     un-budgeted worst residual for equality-case asserts.  Both are +inf
-    when a tested cell has a +inf or NaN residual, and worst_witness is
-    None when every cell is vacuous.
+    when a tested cell has a +inf or NaN residual.  witness labels the
+    first worst cell, (x0, x1, t) or (t, z), and is None when every cell
+    is vacuous.
     """
 
     kind: str
     params: dict
-    pairs_tested: int
-    t_grid_size: int
+    rows: int
+    cols: int
+    tested: int
     max_violation: float
-    worst_witness: Optional[tuple]
+    max_residual: float
+    witness: Optional[tuple]
     passed: bool
-    max_residual: float = -math.inf
+
+    pairs_tested = t_samples = property(lambda self: self.rows)
+    t_grid_size = z_samples = property(lambda self: self.cols)
 
     def to_json(self) -> dict:
-        out = {"kind": self.kind}
-        out.update(self.params)
-        out["pairs"] = self.pairs_tested
-        out["t_grid"] = self.t_grid_size
-        out["max_violation"] = self.max_violation
-        out["max_residual"] = self.max_residual
-        out["witness"] = list(self.worst_witness) if self.worst_witness else None
-        out["pass"] = bool(self.passed)
-        return out
+        return {"kind": self.kind, **self.params, "rows": self.rows,
+                "cols": self.cols, "tested": self.tested,
+                "max_violation": self.max_violation,
+                "max_residual": self.max_residual,
+                "witness": None if self.witness is None else list(self.witness),
+                "pass": bool(self.passed)}
 
 
 def sampling_box(fn: Functional, margin: float = _BOX_MARGIN,
@@ -151,19 +155,22 @@ def _row_blocks(n_rows: int, n_cols: int):
     return [(lo, min(lo + step, n_rows)) for lo in range(0, n_rows, step)]
 
 
-def _grid_max(n_rows: int, n_cols: int, block):
-    """Worst cell of an n_rows x n_cols residual grid, walked in row blocks.
+def _grid_report(kind, params, n_rows: int, n_cols: int, block,
+                 label) -> Report:
+    """Reduce an n_rows x n_cols residual grid, walked in row blocks.
 
     block(lo, hi) returns (residual, budget, keep) for rows lo:hi, each
     broadcastable to (hi - lo, n_cols), with residual of full shape.
     Cells outside keep are vacuous (excess -inf).  A kept cell whose
     residual is +inf or NaN fails: its excess and raw residual are +inf.
-    Returns (max_violation, max_residual, (row, col)), where (row, col) is
-    the first worst cell in row-major order, (0, 0) if every cell is -inf.
+    The witness is label(row, col) of the first worst cell in row-major
+    order, None if every cell is vacuous.
     """
-    best, max_res, cell = -math.inf, -math.inf, (0, 0)
+    best, max_res, cell, tested = -math.inf, -math.inf, None, 0
     for lo, hi in _row_blocks(n_rows, n_cols):
         residual, budget, keep = block(lo, hi)
+        tested += int(np.count_nonzero(keep)) * ((hi - lo) * n_cols
+                                                 // np.size(keep))
         res = np.where(keep, np.where(np.isnan(residual), math.inf, residual),
                        -math.inf)
         with np.errstate(invalid="ignore"):
@@ -173,26 +180,13 @@ def _grid_max(n_rows: int, n_cols: int, block):
             best = float(excess.flat[k])
             cell = (lo + k // n_cols, k % n_cols)
         max_res = max(max_res, float(res.max()))
-    return best, max_res, cell
-
-
-def _report(kind, params, x0, x1, ts, dim1, block) -> ConvexityReport:
-    viol, res, (i, j) = _grid_max(len(x0), len(ts), block)
-    witness = None  # every cell vacuous
-    if viol > -math.inf:
-        witness = (x0[i] if dim1 else x0[i].tolist(),
-                   x1[i] if dim1 else x1[i].tolist(),
-                   float(ts[j]))
-    return ConvexityReport(
-        kind=kind, params=params, pairs_tested=len(x0), t_grid_size=len(ts),
-        max_violation=viol, worst_witness=witness, passed=viol <= 0.0,
-        max_residual=res,
-    )
+    return Report(kind, params, n_rows, n_cols, tested, best, max_res,
+                  None if cell is None else label(*cell), best <= 0.0)
 
 
 def check_lambda_convex(fn: Functional, lam: float, spec: SampleSpec,
                         tol: Tolerance = DEFAULT_TOL,
-                        box=None) -> ConvexityReport:
+                        box=None) -> Report:
     """Sample-based test of the modulus-lambda convexity inequality."""
     lam = float(lam)
     if math.isnan(lam):
@@ -216,12 +210,13 @@ def check_lambda_convex(fn: Functional, lam: float, spec: SampleSpec,
                  - 0.5 * lam * (ts * (1 - ts))[None, :] * (d[lo:hi] ** 2)[:, None])
         return fg - chord, budget[lo:hi], True
 
-    return _report("lambda", {"lambda": lam}, x0, x1, ts, dim1, block)
+    return _grid_report("lambda", {"lambda": lam}, len(x0), len(ts), block,
+                        lambda i, j: (x0[i].tolist(), x1[i].tolist(), float(ts[j])))
 
 
 def check_kn_convex(fn: Functional, p: CurvatureParams, spec: SampleSpec,
                     tol: Tolerance = DEFAULT_TOL, box=None,
-                    enforce_cap: bool = True) -> ConvexityReport:
+                    enforce_cap: bool = True) -> Report:
     """Sample-based test of the dimensional convexity inequality.
 
     Pairs come from the extended domain; for K < 0 they are kept below
@@ -254,7 +249,8 @@ def check_kn_convex(fn: Functional, p: CurvatureParams, spec: SampleSpec,
             residual = lhs - rhs
         return residual, budget[lo:hi], rhs < math.inf
 
-    return _report("KN", {"K": p.K, "N": p.N}, x0, x1, ts, dim1, block)
+    return _grid_report("KN", {"K": p.K, "N": p.N}, len(x0), len(ts), block,
+                        lambda i, j: (x0[i].tolist(), x1[i].tolist(), float(ts[j])))
 
 
 def _conv_mul(coef, val):
@@ -304,13 +300,12 @@ def lifted_modulus(p: CurvatureParams, M) -> float:
 
 
 def check_lifting(fn: Functional, p: CurvatureParams, M, spec: SampleSpec,
-                  tol: Tolerance = DEFAULT_TOL, box=None) -> ConvexityReport:
+                  tol: Tolerance = DEFAULT_TOL, box=None) -> Report:
     """Check that the exponential transform is lambda-convex with the
     inherited modulus (0 for K >= 0, -(K/N)e^{-M/N} for K < 0)."""
     lam = lifted_modulus(p, M if M is not None else math.inf)
     gN = fN_functional(fn, p)
-    report = check_lambda_convex(gN, lam, spec, tol, box=box)
-    report.kind = "lifting"
-    report.params = {"K": p.K, "N": p.N, "M": None if p.K >= 0 else float(M),
-                     "lambda": lam}
-    return report
+    return replace(check_lambda_convex(gN, lam, spec, tol, box=box),
+                   kind="lifting",
+                   params={"K": p.K, "N": p.N,
+                           "M": None if p.K >= 0 else float(M), "lambda": lam})

@@ -15,6 +15,10 @@ class NanError(KNFlowError):
     """A NaN appeared where a value in [-inf, +inf] was required."""
 
 
+class ConfigInvalid(KNFlowError):
+    """Experiment configuration failed schema validation."""
+
+
 # -- coefficient kernels -----------------------------------------------------
 
 class NegativeTheta(KNFlowError):
@@ -45,7 +49,7 @@ class IncompatibleSign(KNFlowError):
     """Closed-form example incompatible with the sign of the parameters."""
 
 
-class ExpressionError(KNFlowError):
+class ExpressionError(ConfigInvalid):
     """Malformed or disallowed functional expression."""
 
 
@@ -114,10 +118,6 @@ class PointOutsideDomain(KNFlowError):
 
 
 # -- CLI -----------------------------------------------------------------------
-
-class ConfigInvalid(KNFlowError):
-    """Experiment configuration failed schema validation."""
-
 
 class IoError(KNFlowError):
     """Reading or writing an artifact file failed."""

@@ -29,6 +29,7 @@ from .errors import (
     ExpressionError,
     IncompatibleSign,
     NanError,
+    ParamOutOfRange,
     PointOutsideSpace,
 )
 from .spaces import EuclideanRn, Geodesic, Interval, ModelSpace, Point
@@ -269,7 +270,9 @@ def directional_derivative(fn: Functional, g: Geodesic,
     f0 = fn.value(g.p0)
     if not math.isfinite(f0):
         raise BasePointOutsideDomain(f"f(gamma(0)) = {f0}")
-    if not t0 >= tol.h_min:
+    if not t0 < math.inf:
+        raise ParamOutOfRange(f"t0={t0} must be finite")
+    if t0 < tol.h_min:
         raise BasePointOutsideDomain("t0 below h_min")
     ts = t0 * 0.5 ** np.arange(int(math.log2(t0 / tol.h_min)) + 2)
     quotients = []
@@ -343,7 +346,10 @@ def _compile_node(node, var_names):
     if isinstance(node, ast.Constant):
         if not isinstance(node.value, (int, float)):
             raise ExpressionError(f"constant {node.value!r} not allowed")
-        v = float(node.value)
+        try:
+            v = float(node.value)
+        except OverflowError as exc:
+            raise ExpressionError("integer constant too large for a float") from exc
         return lambda env: (v, None)
     if isinstance(node, ast.Name):
         if node.id in var_names:
@@ -407,16 +413,20 @@ def expression_functional(expr: str, space: Optional[ModelSpace] = None,
     else:
         var_names = {f"x{i + 1}" for i in range(space.n)}
     try:
-        tree = ast.parse(expr, mode="eval")
-    except SyntaxError as exc:
-        raise ExpressionError(f"cannot parse {expr!r}: {exc}") from exc
-    body = _compile_node(tree, var_names)
+        body = _compile_node(ast.parse(expr, mode="eval"), var_names)
+    except (SyntaxError, RecursionError, MemoryError) as exc:
+        # deep nesting overflows the parser's or the compiler's stack
+        raise ExpressionError(f"cannot parse {expr[:80]!r}: "
+                              f"{str(exc) or 'nested too deeply'}") from exc
     name = name or f"expr:{expr}"
     grad_where = f"gradient of {name}"
 
     def evaluate(env):
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            return body(env)
+            try:
+                return body(env)
+            except RecursionError as exc:  # a deeper caller's stack
+                raise ExpressionError(f"{name} is nested too deeply") from exc
 
     if isinstance(space, Interval):
         def fvec(xs):

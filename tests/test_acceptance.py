@@ -149,11 +149,11 @@ def test_criterion_03_convexity_battery():
         details.append(f"{fn.name}:{rep.max_violation:.1e}")
     concave = library("quadratic", P01, c=-1.0)
     bad = check_kn_convex(concave, P01, spec, TOL)
-    failure_ok = (not bad.passed) and bad.worst_witness is not None
+    failure_ok = (not bad.passed) and bad.witness is not None
     elapsed = time.perf_counter() - t0
     ok = all_pass and failure_ok and elapsed < 10.0
     report(3, "convexity battery", ok,
-           f"({'; '.join(details)}; concave witness={bad.worst_witness}, "
+           f"({'; '.join(details)}; concave witness={bad.witness}, "
            f"{elapsed:.2f}s)")
 
 

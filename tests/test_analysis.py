@@ -77,6 +77,14 @@ class TestForwardUpperDerivative:
         with pytest.raises(StepUnderflow):
             forward_upper_derivative(lambda t: t, 0.0, TOL, h0=1e-9)
 
+    def test_infinite_step_is_out_of_range(self):
+        with pytest.raises(ParamOutOfRange):
+            forward_upper_derivative(lambda t: t, 0.0, TOL, h0=math.inf)
+
+    def test_nan_step_is_out_of_range(self):
+        with pytest.raises(ParamOutOfRange):
+            forward_upper_derivative(lambda t: t, 0.0, TOL, h0=math.nan)
+
     def test_kink(self):
         assert forward_upper_derivative(abs, 0.0, TOL) == pytest.approx(1.0)
 
@@ -109,23 +117,23 @@ class TestEviLambda:
     def test_linear_flow_passes(self):
         c = oracle_flow("fN-linear", None, 1.0, time_grid(0, 0.95, 400))
         rep = check_evi_lambda(c, LINEAR, 0.0, SPEC, TOL)
-        assert rep.passed, rep.worst
+        assert rep.passed, rep.witness
 
     def test_cos_flow_passes_minus_one(self):
         rep = check_evi_lambda(cos_transform_flow(), COS_FN, -1.0, SPEC, TOL)
-        assert rep.passed, rep.worst
+        assert rep.passed, rep.witness
 
     def test_linear_flow_fails_plus_one(self):
         c = oracle_flow("fN-linear", None, 1.0, time_grid(0, 0.95, 400))
         rep = check_evi_lambda(c, LINEAR, 1.0, SPEC, TOL)
         assert not rep.passed
         # worst witness reproduces a genuine violation at large distance
-        t, z = rep.worst
+        t, z = rep.witness
         assert abs(z - c.at(t)) > 0.5
 
     def test_cosh_flow_passes_zero(self):
         rep = check_evi_lambda(cosh_transform_flow(), COSH_FN, 0.0, SPEC, TOL)
-        assert rep.passed, rep.worst
+        assert rep.passed, rep.witness
 
     def test_jittered_flow_fails(self):
         c = jitter(cosh_transform_flow(), amount=0.05)
@@ -138,20 +146,20 @@ class TestEviKn:
         c = oracle_flow("log-x", P01, 1.0, time_grid(0, 0.45, 1500))
         for form in ("raw", "i", "ii"):
             rep = check_evi_kn(c, LOG_X, P01, form, SPEC, TOL)
-            assert rep.passed, (form, rep.worst, rep.max_violation)
+            assert rep.passed, (form, rep.witness, rep.max_violation)
 
     def test_log_cosh_passes_all_forms(self):
         c = oracle_flow("log-cosh", P11, 1.0, time_grid(0, 2.0, 1500))
         for form in ("raw", "i", "ii"):
             rep = check_evi_kn(c, LOG_COSH, P11, form, SPEC, TOL)
-            assert rep.passed, (form, rep.worst, rep.max_violation)
+            assert rep.passed, (form, rep.witness, rep.max_violation)
 
     def test_log_cos_passes_all_forms(self):
         t_end = 0.8 * (-math.log(math.sin(0.3)))
         c = oracle_flow("log-cos", PM11, 0.3, time_grid(0, t_end, 1500))
         for form in ("raw", "i", "ii"):
             rep = check_evi_kn(c, LOG_COS, PM11, form, SPEC, TOL)
-            assert rep.passed, (form, rep.worst, rep.max_violation)
+            assert rep.passed, (form, rep.witness, rep.max_violation)
 
     def test_stationary_point_equality(self):
         c = Curve(np.linspace(0, 1, 50), np.zeros(50))
@@ -210,7 +218,7 @@ class TestEviLambdaRn:
         c = oracle_flow("quadratic", None, np.array([1.0, -0.5]),
                         time_grid(0, 1, 400), c=1.0)
         rep = check_evi_lambda(c, fn, 1.0, SPEC, TOL)
-        assert rep.passed, rep.worst
+        assert rep.passed, rep.witness
 
     def test_planar_jitter_fails(self):
         fn = library("quadratic", P11, c=1.0, dim=2)

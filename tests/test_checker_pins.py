@@ -1,7 +1,8 @@
 """Pinned outputs of the sampled verifiers on small seeded grids.
 
 `tests/data/checker_pins.json` holds, for every case below, the report
-(`to_json()`) or the energy-audit arrays produced by the per-row
+(`to_json()`, in the layout that `report_keymap.old_layout` maps a
+`Report` back to) or the energy-audit arrays produced by the per-row
 implementation that the shared grid kernel replaced.  The kernel must
 reproduce them exactly: verdicts, worst violations, raw residuals and
 witnesses, for every seed, masking rule and space used here.  The seam
@@ -20,6 +21,8 @@ from knflow.coefficients import CurvatureParams
 from knflow.core import SampleSpec, Tolerance
 from knflow.flows import Curve, oracle_flow, time_grid
 from knflow.functionals import Functional, fN_functional, library
+
+from report_keymap import old_layout
 
 PINS = Path(__file__).parent / "data" / "checker_pins.json"
 
@@ -219,7 +222,7 @@ def run_case(name):
     """The case's output as it round-trips through JSON."""
     out = CASES[name]()
     if hasattr(out, "to_json"):
-        out = out.to_json()
+        out = old_layout(out.to_json())
     elif hasattr(out, "budget"):
         out = _audit(out)
     return json.loads(json.dumps(out))
@@ -246,3 +249,29 @@ def test_block_seams_inside_grids(pins, monkeypatch):
     for name in sorted(CASES):
         if not name.startswith(("audit", "slopes")):
             assert run_case(name) == pins[name], name
+
+
+@pytest.mark.parametrize("name", sorted(n for n in CASES
+                                        if n.startswith(("lambda", "lifting"))))
+def test_unmasked_checks_test_every_cell(name):
+    rep = CASES[name]()
+    assert rep.tested == rep.rows * rep.cols
+
+
+def test_all_masked_grid_tests_nothing():
+    rep = CASES["evi-kn-all-masked"]()
+    assert rep.tested == 0 and rep.witness is None
+    assert rep.rows * rep.cols > 0
+
+
+def test_pairs_past_the_cap_are_not_tested():
+    # the pairs of kn-no-cap, redrawn: every t of a pair below the
+    # singular cap is tested, no cell of a pair past it
+    rng = SampleSpec(11, 40).rng()
+    x0 = rng.uniform(-8.0, 8.0, 40)
+    x1 = rng.uniform(-8.0, 8.0, 40)
+    below = int(np.count_nonzero(np.abs(x1 - x0) < PM11.theta_singular))
+    rep = CASES["kn-no-cap"]()
+    assert 0 < below < 40
+    assert rep.tested == convexity.T_GRID_SIZE * below
+    assert (rep.rows, rep.cols) == (40, convexity.T_GRID_SIZE)

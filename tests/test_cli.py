@@ -100,7 +100,7 @@ class TestCheckCommands:
         bad = run(evi_cfg("ii", 0.5, "rep_bad.json"), str(tmp_path))
         assert bad.status == "fail" and bad.exit_code == 2
         rep = json.loads((tmp_path / "rep_bad.json").read_text())
-        assert rep["pass"] is False and rep["worst"] is not None
+        assert rep["pass"] is False and rep["witness"] is not None
 
     def test_convexity_report_schema(self, tmp_path):
         cfg = {
@@ -112,7 +112,7 @@ class TestCheckCommands:
         assert manifest.status == "pass"
         rep = json.loads((tmp_path / "conv.json").read_text())
         assert rep["kind"] == "KN"
-        assert {"K", "N", "pairs", "max_violation", "witness", "pass"} <= set(rep)
+        assert {"K", "N", "rows", "max_violation", "witness", "pass"} <= set(rep)
 
     def test_lifting_kind(self, tmp_path):
         cfg = {
@@ -389,11 +389,16 @@ class TestBadAxis:
         {"command": "check-convexity", "kind": "lambda", "lambda": 0.0,
          "functional": {"expr": "x*x", "sample_box": ["a", "b"]},
          "out": "r.json"},
+        {"command": "check-convexity", "kind": "lambda", "lambda": 0.0,
+         "functional": {"expr": "-" * 1000 + "x"}, "out": "r.json"},
+        {"command": "check-convexity", "kind": "lambda", "lambda": 0.0,
+         "functional": {"expr": "x" + "+x" * 1000}, "out": "r.json"},
     ], ids=["scalar-theta", "negative-n", "fractional-n", "string-entry",
             "empty-list", "one-point-grid", "grid-without-n", "nested-times",
             "string-K", "string-seed", "scalar-box", "scalar-tolerance",
             "string-y0", "string-functional-K", "numeric-out",
-            "numeric-expr", "scalar-sample-box", "string-sample-box"])
+            "numeric-expr", "scalar-sample-box", "string-sample-box",
+            "deep-unary-expr", "deep-sum-expr"])
     def test_exit_one_without_traceback(self, tmp_path, capsys, cfg):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(cfg))

@@ -38,7 +38,7 @@ class TestLambdaConvex:
         fn = library("quadratic", P11, c=1.0)
         rep = check_lambda_convex(fn, 1.5, SPEC, TOL)
         assert not rep.passed
-        x0, x1, t = rep.worst_witness
+        x0, x1, t = rep.witness
         # witness reproduces the reported residual: (lam-1)/2 t(1-t) d^2
         expected = 0.25 * t * (1 - t) * (x1 - x0) ** 2
         gamma = (1 - t) * x0 + t * x1
@@ -56,7 +56,7 @@ class TestLambdaConvex:
         fn = library("quadratic", P11, c=1.0)
         d = check_lambda_convex(fn, 1.0, SPEC, TOL).to_json()
         assert d["kind"] == "lambda" and d["pass"] is True
-        assert {"pairs", "max_violation", "witness"} <= set(d)
+        assert {"rows", "max_violation", "witness"} <= set(d)
 
 
 class TestKnConvex:
@@ -83,7 +83,7 @@ class TestKnConvex:
         # brute-force midpoint violation on x0=-1, x1=1: e^0 vs e^{-1/2}
         assert rep.max_violation > 0.1
         mid_gap = 1.0 - math.exp(-0.5)
-        x0, x1, t = rep.worst_witness
+        x0, x1, t = rep.witness
         assert rep.max_residual >= mid_gap - 0.05
 
     def test_scaling_law(self):
@@ -141,14 +141,21 @@ class TestKnConvex:
                               SampleSpec(0, 1), TOL, box=(-8.0, 8.0),
                               enforce_cap=False)
         assert rep.passed and rep.max_violation == -math.inf
-        assert rep.worst_witness is None
+        assert rep.witness is None
         assert rep.to_json()["witness"] is None
 
     def test_cap_enforced_for_negative_K(self):
         fn = library("log-cos", PM11)
         rep = check_kn_convex(fn, PM11, SPEC, TOL)
-        x0, x1, _ = rep.worst_witness
+        x0, x1, _ = rep.witness
         assert abs(x1 - x0) < PM11.theta_singular
+
+
+def _grid_max(n_rows, n_cols, block):
+    """The grid kernel's maxima and worst cell, labelled by its indices."""
+    rep = convexity._grid_report("grid", {}, n_rows, n_cols, block,
+                                 lambda i, j: (i, j))
+    return rep.max_violation, rep.max_residual, rep.witness
 
 
 class TestNonFiniteResiduals:
@@ -160,7 +167,7 @@ class TestNonFiniteResiduals:
 
     @staticmethod
     def _in_hole(rep):
-        x0, x1, t = rep.worst_witness
+        x0, x1, t = rep.witness
         return abs((1 - t) * x0 + t * x1) < 0.5
 
     def test_infinite_hole_fails_lambda_convexity(self):
@@ -182,11 +189,11 @@ class TestNonFiniteResiduals:
         def block(lo, hi):
             return residual[lo:hi], 1.0, keep[lo:hi]
         # the masked NaN and +inf are vacuous; the kept NaN at (1, 2) fails
-        assert convexity._grid_max(2, 3, block) == (math.inf, math.inf, (1, 2))
+        assert _grid_max(2, 3, block) == (math.inf, math.inf, (1, 2))
         keep[1, 2] = False
-        assert convexity._grid_max(2, 3, block) == (1.0, 2.0, (1, 1))
+        assert _grid_max(2, 3, block) == (1.0, 2.0, (1, 1))
         keep[:] = False
-        assert convexity._grid_max(2, 3, block) == (-math.inf, -math.inf, (0, 0))
+        assert _grid_max(2, 3, block) == (-math.inf, -math.inf, None)
 
     def test_kernel_ties_go_to_the_first_cell(self, monkeypatch):
         residual = np.array([[0.0, 3.0], [3.0, 3.0], [1.0, 3.0]])
@@ -195,7 +202,7 @@ class TestNonFiniteResiduals:
             return residual[lo:hi], 0.0, True
         for cells in (1, 2, 3, 1 << 16):
             monkeypatch.setattr(convexity, "_BLOCK_CELLS", cells)
-            assert convexity._grid_max(3, 2, block) == (3.0, 3.0, (0, 1))
+            assert _grid_max(3, 2, block) == (3.0, 3.0, (0, 1))
 
 
 class TestConvMul:
@@ -286,4 +293,4 @@ class TestSamplingBox:
         r1 = check_kn_convex(fn, P01, SPEC, TOL)
         r2 = check_kn_convex(fn, P01, SPEC, TOL)
         assert r1.max_violation == r2.max_violation
-        assert r1.worst_witness == r2.worst_witness
+        assert r1.witness == r2.witness

@@ -11,7 +11,9 @@ from knflow.errors import (
     BasePointOutsideDomain,
     ExpressionError,
     IncompatibleSign,
+    KNFlowError,
     NanError,
+    ParamOutOfRange,
     PointOutsideSpace,
 )
 from knflow.functionals import (
@@ -222,6 +224,16 @@ class TestDirectionalDerivative:
                     * directional_derivative(fn, g)
                 assert lhs == pytest.approx(rhs, rel=5e-3, abs=1e-4)
 
+    def test_infinite_step_is_out_of_range(self):
+        fn = library("log-x", P01)
+        with pytest.raises(ParamOutOfRange):
+            directional_derivative(fn, geodesic(fn.space, 1.0, 2.0), t0=math.inf)
+
+    def test_nan_step_is_out_of_range(self):
+        fn = library("log-x", P01)
+        with pytest.raises(ParamOutOfRange):
+            directional_derivative(fn, geodesic(fn.space, 1.0, 2.0), t0=math.nan)
+
     def test_liminf_uses_small_steps(self):
         # kink at t=0.1 along the segment: the early quotient is larger
         fn = Functional(
@@ -283,6 +295,90 @@ class TestExpressionGrammar:
     def test_rejects_unknown_name(self):
         with pytest.raises(ExpressionError):
             expression_functional("x + y", Interval())
+
+    @pytest.mark.parametrize("expr", ["-" * 1000 + "x", "x" + "+x" * 1000,
+                                      "-" * 10000 + "x"],
+                             ids=["unary-1000", "sum-1000", "unary-10000"])
+    def test_rejects_deep_nesting(self, expr):
+        with pytest.raises(ExpressionError):
+            expression_functional(expr, Interval())
+
+    def test_rejects_integer_constant_too_large_for_a_float(self):
+        with pytest.raises(ExpressionError):
+            expression_functional("x + 1" + "0" * 400, Interval())
+
+    def test_shallower_nesting_still_parses(self):
+        assert expression_functional("-" * 900 + "x").value(2.0) == 2.0
+        assert expression_functional("x" + "+x" * 900).value(1.0) == 901.0
+
+    def test_deep_evaluation_raises_expression_error(self):
+        # compiles at the top of the stack, overflows it when evaluated
+        # from a deeper caller
+        for depth in range(1000, 0, -5):
+            try:
+                deepest = expression_functional("x" + "+x" * depth)
+                break
+            except ExpressionError:
+                pass
+
+        def nested(n):
+            return nested(n - 1) if n else deepest.values([1.0])
+        with pytest.raises(ExpressionError):
+            nested(50)
+
+
+_LEAVES = st.one_of(
+    st.sampled_from(["x", "pi", "e", "0", "1", "2"]),
+    st.integers(0, 2**70).map(str),
+    st.floats(0.0, allow_infinity=False).map(repr),
+)
+
+
+def _nodes(sub):
+    return st.one_of(
+        st.tuples(sub, st.sampled_from(["+", "-", "*", "/", "**"]), sub)
+        .map(lambda t: f"({t[0]}) {t[1]} ({t[2]})"),
+        sub.map(lambda a: f"-({a})"),
+        st.tuples(st.sampled_from(["log", "exp", "sin", "cos", "sinh", "cosh"]),
+                  sub).map(lambda t: f"{t[0]}({t[1]})"),
+        st.tuples(sub, sub).map(lambda t: f"pow({t[0]}, {t[1]})"),
+    )
+
+
+_POINTS = st.lists(st.one_of(st.just(0.0), st.just(-0.0),
+                             st.floats(-10.0, 10.0),
+                             st.floats(allow_nan=False, allow_infinity=False)),
+                   min_size=1, max_size=6)
+
+
+def _outcome(call):
+    """A call's value, or None when it raised a knflow error."""
+    try:
+        return call()
+    except KNFlowError:
+        return None
+
+
+class TestGrammarFuzz:
+    """Random trees over every node of the grammar, evaluated at finite
+    points: only knflow errors escape and no NaN is returned."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.recursive(_LEAVES, _nodes, max_leaves=12), _POINTS)
+    def test_only_knflow_errors_and_no_nan(self, expr, xs):
+        fn = _outcome(lambda: expression_functional(expr, Interval()))
+        if fn is None:
+            return
+        batch = _outcome(lambda: fn.values(np.array(xs)))
+        assert batch is None or not np.isnan(batch).any()
+        for x in xs:
+            one = _outcome(lambda: fn.values(np.array([x])))
+            v = _outcome(lambda: fn.value(x))
+            assert (v is None) == (one is None), (expr, x)
+            if v is not None:
+                assert not math.isnan(v) and v == one[0], (expr, x)
+            d = _outcome(lambda: fn.grad(x))
+            assert d is None or not math.isnan(d), (expr, x)
 
 
 # (expression, mpmath twin, domain of x) for each grammar rule
