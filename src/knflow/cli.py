@@ -10,8 +10,10 @@ byte.  Exit codes: 0 success, 2 a check ran and failed, 1 hard error.
 from __future__ import annotations
 
 import argparse
+import contextvars
 import hashlib
 import json
+import logging
 import math
 import os
 import sys
@@ -37,6 +39,8 @@ from .errors import ConfigInvalid, IoError, KNFlowError
 from .flows import Curve, minimizing_movement, ode_flow, oracle_flow
 from .functionals import functional_from_json
 from .reparam import r1, r2
+
+logger = logging.getLogger("knflow")
 
 COMMANDS = ("coeff", "flow", "check-convexity", "check-evi", "reparam",
             "contract", "audit-energy", "pipeline")
@@ -75,6 +79,11 @@ class RunManifest:
 # serialization helpers
 # ---------------------------------------------------------------------------
 
+# Curves written in the running pipeline, by real path: (table, meta JSON
+# text, stat identity of the CSV and its sidecar).  None outside a pipeline.
+_CURVES = contextvars.ContextVar("knflow_curves", default=None)
+
+
 def _atomic_write(path: str, data: str):
     d = os.path.dirname(os.path.abspath(path)) or "."
     try:
@@ -85,6 +94,9 @@ def _atomic_write(path: str, data: str):
         os.replace(tmp, path)
     except OSError as exc:
         raise IoError(f"cannot write {path}: {exc}") from exc
+    curves = _CURVES.get()
+    if curves:
+        curves.pop(os.path.realpath(path), None)
 
 
 def _csv_text(header: str, arr) -> str:
@@ -100,15 +112,59 @@ def _csv_text(header: str, arr) -> str:
     return "\n".join([header, *map(",".join, zip(*cols))]) + "\n"
 
 
-def write_curve_csv(path: str, curve: Curve):
+def write_curve_csv(path: str, curve: Curve) -> np.ndarray:
+    """Write the curve's (t, x...) table; returns the table."""
     n_cols = 1 if curve.is_1d else curve.points.shape[1]
     header = "t," + ",".join(f"x{j}" for j in range(n_cols))
-    _atomic_write(path, _csv_text(header,
-                                  np.column_stack((curve.times, curve.points))))
+    table = np.column_stack((curve.times, curve.points))
+    _atomic_write(path, _csv_text(header, table))
+    return table
+
+
+def _curve_from_table(arr: np.ndarray, meta: dict) -> Curve:
+    pts = arr[:, 1] if arr.shape[1] == 2 else arr[:, 1:]
+    return Curve(arr[:, 0], pts, stop_time=meta.get("stop_time"), meta=meta)
+
+
+def _file_identity(path: str):
+    """(inode, mtime, size) of a curve CSV and its sidecar; None if missing."""
+    try:
+        return tuple((st.st_ino, st.st_mtime_ns, st.st_size)
+                     for st in map(os.stat, (path, path + ".meta.json")))
+    except OSError:
+        return None
+
+
+def _handed_over(path: str):
+    """The curve this pipeline last wrote to path, if the files are unchanged.
+
+    The repr/loadtxt round trip is bit-exact, so the table kept at write
+    time equals what the CSV parses to; each caller gets its own copy.
+    """
+    curves = _CURVES.get()
+    if not curves:
+        return None
+    key = os.path.realpath(path)
+    entry = curves.get(key)
+    if entry is None:
+        return None
+    table, meta_text, identity = entry
+    if _file_identity(path) != identity:  # changed outside this pipeline
+        del curves[key]
+        return None
+    logger.debug("curve %s handed over in memory", path)
+    return _curve_from_table(table.copy(), json.loads(meta_text))
 
 
 def read_curve_csv(path: str) -> Curve:
-    """Curve from a CSV of write_curve_csv; blank lines and spaces tolerated."""
+    """Curve from a CSV of write_curve_csv; blank lines and spaces tolerated.
+
+    Within a pipeline, a curve that write_curve wrote to path earlier in
+    the same pipeline comes from memory, equal to what the files parse to.
+    """
+    curve = _handed_over(path)
+    if curve is not None:
+        return curve
     try:
         with open(path) as f:
             text = f.read()
@@ -128,8 +184,6 @@ def read_curve_csv(path: str) -> Curve:
         raise ConfigInvalid(f"{path}: malformed curve CSV: {exc}") from exc
     if arr.shape[1] < 2:
         raise ConfigInvalid(f"{path} has no point columns")
-    times = arr[:, 0]
-    pts = arr[:, 1] if arr.shape[1] == 2 else arr[:, 1:]
     meta = {}
     meta_path = path + ".meta.json"
     if os.path.exists(meta_path):
@@ -142,18 +196,25 @@ def read_curve_csv(path: str) -> Curve:
             raise ConfigInvalid(f"{meta_path} is not valid JSON: {exc}") from exc
         if not isinstance(meta, dict):
             raise ConfigInvalid(f"{meta_path} must hold a JSON object")
-    return Curve(times, pts, stop_time=meta.get("stop_time"), meta=meta)
+    return _curve_from_table(arr, meta)
 
 
-def write_json(path: str, payload: dict):
-    _atomic_write(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+def write_json(path: str, payload: dict) -> str:
+    """Write payload as sorted, indented JSON; returns the text written."""
+    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    _atomic_write(path, text)
+    return text
 
 
 def write_curve(path: str, curve: Curve):
-    write_curve_csv(path, curve)
+    table = write_curve_csv(path, curve)
     meta = dict(curve.meta)
     meta["stop_time"] = curve.stop_time
-    write_json(path + ".meta.json", _jsonable(meta))
+    meta_text = write_json(path + ".meta.json", _jsonable(meta))
+    curves = _CURVES.get()
+    if curves is not None:
+        curves[os.path.realpath(path)] = (table, meta_text,
+                                          _file_identity(path))
     return [path, path + ".meta.json"]
 
 
@@ -163,7 +224,7 @@ def _jsonable(obj):
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
     if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
+        obj = obj.item()
     if isinstance(obj, float) and math.isinf(obj):
         return "inf" if obj > 0 else "-inf"
     return obj
@@ -282,8 +343,7 @@ def _run_coeff(cfg, out_dir):
     table = np.empty((len(thetas), len(ts), 3))
     table[:, :, 0] = thetas[:, None]
     table[:, :, 1] = ts
-    for row, theta in zip(table, thetas):
-        row[:, 2] = sigma_values(p, ts, np.full_like(ts, theta))
+    table[:, :, 2] = sigma_values(p, ts, thetas[:, None])
     path = _out_path(cfg["out"], out_dir)
     _atomic_write(path, _csv_text("theta,t,sigma", table.reshape(-1, 3)))
     return [path], "ok"
@@ -451,7 +511,9 @@ def pipeline(configs, out_dir: str = ".") -> RunManifest:
     """Run stages sequentially.
 
     A hard error stops the pipeline; a check failure is recorded in the
-    manifest and the remaining stages still run.
+    manifest and the remaining stages still run.  A stage that reads a
+    curve written earlier in this pipeline gets it from memory; outputs
+    are byte-identical to reading it back from disk.
     """
     if isinstance(configs, dict):
         configs = configs.get("stages", [])
@@ -460,16 +522,20 @@ def pipeline(configs, out_dir: str = ".") -> RunManifest:
     started = time.time()
     outputs, stages = [], []
     status = "ok"
-    for k, stage_cfg in enumerate(configs):
-        t0 = time.perf_counter()
-        manifest = run(stage_cfg, out_dir)
-        outputs.extend(manifest.outputs)
-        stages.append({"index": k, "command": manifest.command,
-                       "status": manifest.status,
-                       "config_sha256": manifest.config_sha256,
-                       "elapsed_s": time.perf_counter() - t0})
-        if manifest.status == "fail":
-            status = "fail"
+    token = _CURVES.set({})
+    try:
+        for k, stage_cfg in enumerate(configs):
+            t0 = time.perf_counter()
+            manifest = run(stage_cfg, out_dir)
+            outputs.extend(manifest.outputs)
+            stages.append({"index": k, "command": manifest.command,
+                           "status": manifest.status,
+                           "config_sha256": manifest.config_sha256,
+                           "elapsed_s": time.perf_counter() - t0})
+            if manifest.status == "fail":
+                status = "fail"
+    finally:
+        _CURVES.reset(token)
     return RunManifest(version=__version__, command="pipeline",
                        config_sha256=_config_hash({"stages": configs}),
                        outputs=outputs, status=status, started=started,

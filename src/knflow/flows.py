@@ -412,15 +412,19 @@ def _prox_rn(fn: Functional, tau: float, v: np.ndarray, fv: float) -> ProxStep:
         evals += 1
         return (w - v) / tau + np.asarray(fn.grad(w), dtype=float)
 
+    def norm(w):  # what np.linalg.norm computes for a 1-d vector
+        return math.sqrt(float(np.dot(w, w)))
+
     x, obj, fx = v.copy(), fv, fv
-    h = 1e-6 * (1.0 + float(np.linalg.norm(v)))
+    h = 1e-6 * (1.0 + norm(v))
+    eye_tau = np.eye(n) / tau
     for _ in range(100):
         g = grad_phi(x)
-        gnorm = float(np.linalg.norm(g))
+        gnorm = norm(g)
         if gnorm <= 1e-12 * (1.0 + 1.0 / tau):
             break
         if fn.hess is not None:
-            H = np.eye(n) / tau + fn.hess(x)
+            H = eye_tau + fn.hess(x)
         else:  # finite-difference Jacobian of grad_phi, symmetrized
             H = np.empty((n, n))
             for j in range(n):
@@ -448,7 +452,7 @@ def _prox_rn(fn: Functional, tau: float, v: np.ndarray, fv: float) -> ProxStep:
             if obj_new >= obj:
                 break
         x, obj, fx = x_new, obj_new, f_new
-        if float(np.linalg.norm(x)) > 1e9 or obj < -1e15:
+        if norm(x) > 1e9 or obj < -1e15:
             raise NotBoundedBelow(f"prox objective of {fn.name} diverges")
     return ProxStep(tau, v.copy(), x, float(obj), fx, evals)
 

@@ -8,12 +8,14 @@ from hypothesis import given, settings, strategies as st
 
 from knflow.cli import (
     _csv_text,
+    _jsonable,
     main,
     pipeline,
     read_curve_csv,
     run,
     validate_config,
     write_curve,
+    write_json,
 )
 from knflow.errors import ConfigInvalid, IoError
 from knflow.flows import Curve
@@ -256,6 +258,13 @@ class TestMain:
         np.testing.assert_array_equal(back.times, c.times)
         np.testing.assert_array_equal(back.points, c.points)
         assert back.stop_time == 2.0
+
+    def test_jsonable_numpy_infinities(self, tmp_path):
+        obj = {"a": np.float64(np.inf), "b": math.inf,
+               "c": np.float64(-np.inf)}
+        assert _jsonable(obj) == {"a": "inf", "b": "inf", "c": "-inf"}
+        write_json(str(tmp_path / "x.json"), _jsonable(obj))
+        assert "Infinity" not in (tmp_path / "x.json").read_text()
 
 
 def _reference_csv(header, rows):

@@ -1,0 +1,265 @@
+"""Curves handed from stage to stage in memory within one pipeline.
+
+A stage that reads a curve written earlier in the same pipeline gets it
+from memory.  It must get exactly what reading the files would give:
+bitwise-equal arrays with the reader's memory layout, and the meta of
+the `.meta.json` round trip.  A stage that overwrites the files, or any
+change to them from outside the pipeline, sends the next read to disk.
+"""
+
+import json
+import logging
+import os
+import threading
+from dataclasses import dataclass
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from knflow import cli
+from knflow.cli import pipeline, run
+from knflow.errors import ConfigInvalid
+from knflow.flows import Curve
+
+from test_cli_pins import LOG_COSH, LOG_X, PIN_STAGES, PLANE
+
+READ_CURVE = cli.read_curve_csv
+
+
+def _disk_read(path):
+    token = cli._CURVES.set(None)
+    try:
+        return READ_CURVE(path)
+    finally:
+        cli._CURVES.reset(token)
+
+
+@dataclass
+class Read:
+    path: str
+    held: bool  # the map held an entry for the path before the read
+    handed_over: bool
+    curve: Curve  # as read from disk, equal to what the stage got
+    curves: object  # the map active during the read
+
+
+@pytest.fixture
+def reads(monkeypatch, caplog):
+    """Every curve read through `read_curve_csv`, checked against a disk
+    read of the same files at the time of the read."""
+    caplog.set_level(logging.DEBUG, logger="knflow")
+    log = []
+
+    def read(path):
+        curves = cli._CURVES.get()
+        held = curves is not None and os.path.realpath(path) in curves
+        n = len(caplog.records)
+        curve = READ_CURVE(path)
+        handed = any("handed over" in r.getMessage()
+                     for r in caplog.records[n:])
+        disk = _disk_read(path)
+        assert_same_curve(curve, disk)
+        log.append(Read(os.path.basename(path), held, handed, disk, curves))
+        return curve
+
+    monkeypatch.setattr(cli, "read_curve_csv", read)
+    return log
+
+
+def assert_same_curve(got, want):
+    for name in ("times", "points"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.strides == b.strides
+        assert a.flags.c_contiguous == b.flags.c_contiguous
+        assert a.tobytes() == b.tobytes()
+    assert got.meta == want.meta
+    assert json.dumps(got.meta, sort_keys=True) == \
+        json.dumps(want.meta, sort_keys=True)
+    assert got.stop_time == want.stop_time
+
+
+def _oracle(y0, out, fn=LOG_X, t1=0.49, n=393):
+    return {"command": "flow", "method": "oracle", "functional": fn,
+            "y0": y0, "grid": {"t0": 0.0, "t1": t1, "n": n}, "out": out}
+
+
+def _r1(inp, out):
+    return {"command": "reparam", "direction": "r1", "input": inp,
+            "functional": LOG_X, "out": out}
+
+
+def _outputs(out_dir):
+    return {p.name: p.read_bytes() for p in sorted(out_dir.iterdir())
+            if p.name != "manifest.json"}
+
+
+# the pinned pipeline, then two stages that read its R^2 curves
+R2_STAGES = PIN_STAGES + [
+    {"command": "audit-energy", "input": "plane.csv", "functional": PLANE,
+     "out_csv": "plane_audit.csv", "out_json": "plane_audit.json"},
+    {"command": "contract", "input1": "plane.csv", "input2": "plane_mms.csv",
+     "r": 0.01, "out": "plane_contract.json"},
+]
+
+
+class TestSameAsDisk:
+    def test_every_handed_curve_equals_the_disk_read(self, tmp_path, reads):
+        manifest = pipeline(R2_STAGES, str(tmp_path))
+        assert manifest.status == "ok"
+        assert [r.path for r in reads] == [
+            "c.csv", "c_r1.csv", "c.csv", "cosh.csv", "plane.csv",
+            "plane.csv", "plane_mms.csv"]
+        assert all(r.handed_over for r in reads)
+        assert {r.curve.is_1d for r in reads} == {True, False}
+
+    def test_outputs_equal_standalone_runs(self, tmp_path):
+        piped, alone = tmp_path / "piped", tmp_path / "alone"
+        pipeline(R2_STAGES, str(piped))
+        for stage in R2_STAGES:
+            run(stage, str(alone))
+        assert _outputs(piped) == _outputs(alone)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.floats(0.0, 1e300), min_size=1, max_size=12,
+                    unique=True),
+           st.integers(1, 3), st.data())
+    def test_round_trip_property(self, tmp_path_factory, times, k, data):
+        times = np.sort(np.array(times))
+        pts = np.array(data.draw(st.lists(
+            st.floats(allow_nan=False, allow_infinity=False),
+            min_size=len(times) * k, max_size=len(times) * k)))
+        pts = pts.reshape(len(times), k) if k > 1 else pts
+        path = str(tmp_path_factory.mktemp("csv") / "c.csv")
+        curve = Curve(times, pts, stop_time=data.draw(st.sampled_from(
+            [None, float(times[-1])])), meta={"tag": ("a", 1)})
+        token = cli._CURVES.set({})
+        try:
+            cli.write_curve(path, curve)
+            handed = cli._handed_over(path)
+        finally:
+            cli._CURVES.reset(token)
+        assert handed is not None
+        assert_same_curve(handed, _disk_read(path))
+
+
+class TestStale:
+    def test_flow_overwrite_hands_over_the_new_curve(self, tmp_path, reads):
+        pipeline([_oracle(1.0, "c.csv"), _oracle(0.8, "c.csv"),
+                  _r1("c.csv", "r.csv")], str(tmp_path))
+        (r,) = reads
+        assert r.handed_over and r.curve.points[0] == 0.8
+
+    def test_nested_flow_overwrite_is_read_from_disk(self, tmp_path, reads):
+        pipeline([_oracle(1.0, "c.csv"),
+                  {"command": "pipeline", "stages": [_oracle(0.8, "c.csv")]},
+                  _r1("c.csv", "r.csv")], str(tmp_path))
+        (r,) = reads
+        assert r.held and not r.handed_over  # stale: the files changed
+        assert r.curve.points[0] == 0.8
+
+    def test_audit_csv_overwrite_is_read_from_disk(self, tmp_path, reads):
+        pipeline([_oracle(1.0, "c.csv"),
+                  _oracle(1.0, "h.csv", LOG_COSH, 2.0, 400),
+                  {"command": "audit-energy", "input": "h.csv",
+                   "functional": LOG_COSH, "out_csv": "c.csv",
+                   "out_json": "audit.json"},
+                  {"command": "contract", "input1": "c.csv", "input2": "c.csv",
+                   "r": 0.01, "out": "cc.json"}], str(tmp_path))
+        assert [(r.path, r.handed_over) for r in reads] == [
+            ("h.csv", True), ("c.csv", False), ("c.csv", False)]
+        assert reads[1].curve.points.shape == (400, 4)  # the audit table
+        assert not reads[1].held  # the audit's write dropped the entry
+
+    def test_rewrite_from_outside_is_read_from_disk(self, tmp_path, reads,
+                                                    monkeypatch):
+        def rewrite(cfg, out_dir):  # in place: same inode, new size
+            with open(os.path.join(out_dir, "c.csv"), "w") as f:
+                f.write("t,x0\n0.0,0.5\n0.25,0.25\n")
+            return [], "ok"
+
+        monkeypatch.setitem(cli._HANDLERS, "coeff", rewrite)
+        pipeline([_oracle(1.0, "c.csv"),
+                  {"command": "coeff", "K": 0, "N": -1, "out": "-"},
+                  _r1("c.csv", "r.csv")], str(tmp_path))
+        (r,) = reads
+        assert r.held and not r.handed_over
+        assert r.curve.points.tolist() == [0.5, 0.25]
+
+
+class TestCopies:
+    def test_mutations_do_not_reach_the_next_stage(self, tmp_path,
+                                                   monkeypatch, reads):
+        write, read = cli.write_curve, cli.read_curve_csv
+
+        def write_then_mutate(path, curve):
+            out = write(path, curve)
+            curve.points[...] = -1.0
+            curve.meta["method"] = "mutated"
+            return out
+
+        def mutate_then_read_again(path):
+            curve = read(path)
+            curve.times[...] = 7.0
+            curve.points[...] = -1.0
+            curve.meta["stop_time"] = "mutated"
+            curve.meta.setdefault("added", []).append(1)
+            return read(path)  # checked against the disk read
+
+        monkeypatch.setattr(cli, "write_curve", write_then_mutate)
+        monkeypatch.setattr(cli, "read_curve_csv", mutate_then_read_again)
+        pipeline([_oracle(1.0, "c.csv"), _r1("c.csv", "r1.csv"),
+                  _r1("c.csv", "r2.csv")], str(tmp_path))
+        assert [r.handed_over for r in reads] == [True] * 4
+        assert (tmp_path / "r1.csv").read_bytes() == \
+            (tmp_path / "r2.csv").read_bytes()
+
+
+class TestScope:
+    def test_no_map_outside_a_pipeline(self, tmp_path, reads):
+        assert cli._CURVES.get() is None
+        run(_oracle(1.0, "c.csv"), str(tmp_path))
+        run(_r1("c.csv", "r.csv"), str(tmp_path))
+        assert not reads[0].handed_over and reads[0].curves is None
+        pipeline([_oracle(1.0, "c.csv"), _r1("c.csv", "r.csv")],
+                 str(tmp_path))
+        assert reads[1].handed_over
+        assert cli._CURVES.get() is None
+
+    def test_no_map_after_a_pipeline_that_raises(self, tmp_path):
+        bad = dict(_oracle(1.0, "d.csv"), method="bogus")
+        with pytest.raises(ConfigInvalid):
+            pipeline([_oracle(1.0, "c.csv"), bad], str(tmp_path))
+        assert cli._CURVES.get() is None
+
+    def test_nested_pipeline_has_its_own_map(self, tmp_path, reads):
+        pipeline([_oracle(1.0, "c.csv"), _r1("c.csv", "a.csv"),
+                  {"command": "pipeline", "stages": [
+                      _r1("c.csv", "b.csv"), _r1("b.csv", "b2.csv")]},
+                  _r1("b.csv", "d.csv"), _r1("c.csv", "e.csv")],
+                 str(tmp_path))
+        outer = [reads[0], reads[3], reads[4]]
+        inner = [reads[1], reads[2]]
+        assert [r.handed_over for r in reads] == [True, False, True, False,
+                                                  True]
+        assert all(r.curves is outer[0].curves for r in outer)
+        assert inner[0].curves is inner[1].curves
+        assert inner[0].curves is not outer[0].curves
+        assert cli._CURVES.get() is None
+
+    def test_threads_see_no_map(self, tmp_path, monkeypatch):
+        seen = []
+        read = cli.read_curve_csv
+
+        def read_and_look(path):
+            t = threading.Thread(target=lambda: seen.append(cli._CURVES.get()))
+            t.start()
+            t.join(timeout=10)
+            assert not t.is_alive()
+            return read(path)
+
+        monkeypatch.setattr(cli, "read_curve_csv", read_and_look)
+        pipeline([_oracle(1.0, "c.csv"), _r1("c.csv", "r.csv")],
+                 str(tmp_path))
+        assert seen == [None]
