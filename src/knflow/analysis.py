@@ -239,9 +239,10 @@ def _step_check(form, params, c: Curve, fn: Functional, tol: Tolerance,
     one row each, with near-curve radii steps.  On a cell
     with reference point z, at distances d0, d1 from the step's end
     points, keep(fz, z, d0, d1) says whether the cell is tested, and
-    rhs(d, fz, f_k) is the right-hand side at the end point with value
+    rhs(d, u, fz, f_k) is the right-hand side at the end point with value
     f_k.  The left side is the step quotient of d^2/2, or, when raw holds
-    the curvature parameters, of the squared half-angle kernel s(d/2)^2.
+    the curvature parameters, of the squared half-angle kernel
+    u = s(d/2)^2, which rhs then gets (None otherwise).
     """
     one_d = isinstance(fn.space, Interval)
     idx = _time_indices(c, t_samples)
@@ -261,14 +262,15 @@ def _step_check(form, params, c: Curve, fn: Functional, tol: Tolerance,
         d0 = _pair_distances(c.points[i, None], z, one_d)
         d1 = _pair_distances(c.points[i + 1, None], z, one_d)
         if raw is None:
+            u0 = u1 = None
             q = (d1 ** 2 - d0 ** 2) / (2.0 * hb)
             gain = 1.0
         else:
-            q = (s_values(raw, d1 / 2.0) ** 2 - s_values(raw, d0 / 2.0) ** 2) / hb
-            gain = c_values(raw, d0 / 2.0) ** 2 \
-                + abs(raw.K / raw.N) * s_values(raw, d0 / 2.0) ** 2
-        rhs0 = rhs(d0, fz, f_curve[i, None])
-        rhs1 = rhs(d1, fz, f_curve[i + 1, None])
+            u0, u1 = (s_values(raw, d / 2.0) ** 2 for d in (d0, d1))
+            q = (u1 - u0) / hb
+            gain = c_values(raw, d0 / 2.0) ** 2 + abs(raw.K / raw.N) * u0
+        rhs0 = rhs(d0, u0, fz, f_curve[i, None])
+        rhs1 = rhs(d1, u1, fz, f_curve[i + 1, None])
         with np.errstate(invalid="ignore"):
             residual = q - 0.5 * (rhs0 + rhs1)
             scale = np.maximum(1.0, np.where(np.isfinite(rhs0),
@@ -289,17 +291,17 @@ def check_evi_lambda(c: Curve, gn: Functional, lam: float, spec: SampleSpec,
         "evi_lambda", {"lambda": lam}, c, gn, tol, t_samples,
         _z_rows(c, gn, spec, z_override),
         keep=lambda gz, z, d0, d1: np.isfinite(gz),
-        rhs=lambda d, gz, g_k: gz - g_k - 0.5 * lam * d ** 2)
+        rhs=lambda d, u, gz, g_k: gz - g_k - 0.5 * lam * d ** 2)
 
 
 EVI_KN_FORMS = ("raw", "i", "ii")
 
 
-def _kn_rhs(form, p, d, ratio):
-    """Right-hand side of the chosen form; d/s(d) and d s(d/2)^2/s(d)
-    take their limit values 1 and 0 at d = 0."""
+def _kn_rhs(form, p, d, u, ratio):
+    """Right-hand side of the chosen form, with u = s(d/2)^2 in the raw
+    form; d/s(d) and d s(d/2)^2/s(d) take their limit values 1 and 0 at
+    d = 0."""
     if form == "raw":
-        u = s_values(p, d / 2.0) ** 2
         return 0.5 * p.N * (1.0 - ratio) - p.K * u
     pos = d > 0
     s = s_values(p, d)
@@ -335,11 +337,11 @@ def check_evi_kn(c: Curve, fn: Functional, p: CurvatureParams, form: str,
         out = fz < math.inf if z_domain == "extended" else np.isfinite(fz)
         return out & (d0 < cap) & (d1 < cap)
 
-    def rhs(d, fz, f_k):
+    def rhs(d, u, fz, f_k):
         g_k = -f_k / p.N
         with np.errstate(over="ignore"):
             ratio = np.exp(-fz / p.N - g_k)
-        return _kn_rhs(form, p, d, ratio)
+        return _kn_rhs(form, p, d, u, ratio)
 
     return _step_check(f"evi_kn_{form}", {"K": p.K, "N": p.N}, c, fn, tol,
                        t_samples, _z_rows(c, fn, spec, z_override), keep, rhs,
@@ -442,7 +444,7 @@ def check_evi_local(c: Curve, gn: Functional, lam: float, radius: float,
 
     return _step_check(
         "evi_local", {"lambda": lam, "radius": radius}, c, gn, tol, t_samples,
-        draw, keep, rhs=lambda d, gz, g_k: gz - g_k - 0.5 * lam * d ** 2)
+        draw, keep, rhs=lambda d, u, gz, g_k: gz - g_k - 0.5 * lam * d ** 2)
 
 
 # ---------------------------------------------------------------------------
@@ -570,15 +572,9 @@ def energy_audit(c: Curve, fn: Functional, tol: Tolerance = DEFAULT_TOL,
     slopes = _definition_slopes(fn, c.points, energy, slope_r0 * (1.0 + norms),
                                 _SUP_LEVELS, spec)
     t = c.times
-    dfdt = np.empty(c.n_samples)
-    dfdt[1:-1] = (energy[2:] - energy[:-2]) / (t[2:] - t[:-2])
-    dfdt[0] = (energy[1] - energy[0]) / (t[1] - t[0])
-    dfdt[-1] = (energy[-1] - energy[-2]) / (t[-1] - t[-2])
+    h = np.gradient(t)  # half the central step; the one-sided step at the ends
+    dfdt = np.gradient(energy) / h
     residual = -dfdt - 0.5 * speed ** 2 - 0.5 * slopes ** 2
-    h = np.empty(c.n_samples)
-    h[1:-1] = 0.5 * (t[2:] - t[:-2])
-    h[0] = t[1] - t[0]
-    h[-1] = t[-1] - t[-2]
     r_fin = slope_r0 * 0.5 ** (_SUP_LEVELS - 1)
     budget = (tol.abs + 4.0 * h ** 2 * (1.0 + speed ** 6)
               + 1e-4 * r_fin * (1.0 + np.abs(slopes) ** 3)

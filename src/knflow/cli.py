@@ -157,7 +157,7 @@ def _handed_over(path: str):
 
 
 def read_curve_csv(path: str) -> Curve:
-    """Curve from a CSV of write_curve_csv; blank lines and spaces tolerated.
+    """Curve from a CSV with header t,x0[,x1...]; blanks and spaces tolerated.
 
     Within a pipeline, a curve that write_curve wrote to path earlier in
     the same pipeline comes from memory, equal to what the files parse to.
@@ -173,8 +173,9 @@ def read_curve_csv(path: str) -> Curve:
     except UnicodeDecodeError as exc:
         raise ConfigInvalid(f"{path} is not a curve CSV: {exc}") from exc
     header, _, body = text.lstrip().partition("\n")
-    if not header.startswith("t,"):
-        raise ConfigInvalid(f"{path} is not a curve CSV")
+    names = [name.strip() for name in header.split(",")]
+    if names != ["t"] + [f"x{j}" for j in range(max(len(names) - 1, 1))]:
+        raise ConfigInvalid(f"{path} is not a curve CSV (header t,x0[,x1...])")
     if not body.strip():
         raise ConfigInvalid(f"{path} holds no samples")
     try:
@@ -182,8 +183,8 @@ def read_curve_csv(path: str) -> Curve:
                          ndmin=2)
     except ValueError as exc:
         raise ConfigInvalid(f"{path}: malformed curve CSV: {exc}") from exc
-    if arr.shape[1] < 2:
-        raise ConfigInvalid(f"{path} has no point columns")
+    if arr.shape[1] != len(names):
+        raise ConfigInvalid(f"{path}: {arr.shape[1]} columns, {len(names)} names")
     meta = {}
     meta_path = path + ".meta.json"
     if os.path.exists(meta_path):

@@ -10,8 +10,8 @@ and the distortion coefficient sigma^(t)(theta) is the ratio
 s(t*theta)/s(theta), equal to t when K*theta^2 = 0 and +inf in the singular
 regime K*theta^2 <= N*pi^2 (only reachable for K < 0).  Below the
 crossover w*theta = 1e-4, s uses a 5-term Taylor series of sin(x)/x or
-sinh(x)/x; the array form evaluates the series only on the entries below
-the crossover and sin or sinh only on the rest.
+sinh(x)/x; the array form evaluates sin or sinh on the whole array and
+overwrites the entries below the crossover, if any, with the series.
 
 Each kernel has an array form (``s_values``, ``c_values``, ``sigma_values``)
 and a scalar form (``s_kn``, ``c_kn``, ``sigma``, ``sigma_rate_limits``) that
@@ -21,7 +21,7 @@ sin, sinh, cosh and pow differently), and bitwise in the K > 0 branch where
 sinh(w*theta) overflows, which the scalar ``sigma`` hands to
 ``sigma_values``.  At theta = +inf: s = c = +inf for K > 0, sigma is 0 for
 t < 1 and 1 at t = 1; for K < 0 sin and cos have no limit and both forms
-of s and c raise ``ParamOutOfRange``.
+of s and c raise ``ParamOutOfRange``.  NaN raises in both forms.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NegativeTheta, ParamOutOfRange, SingularTheta
+from .errors import NanError, NegativeTheta, ParamOutOfRange, SingularTheta
 
 # Below this value of theta*w the kernels switch to a 5-term Taylor series;
 # keeps ratios like theta/s(theta) cancellation-free.
@@ -74,35 +74,40 @@ def _series(x2, sign):
 
 
 def _ratio(x, sign):
-    """sin(x)/x (sign -1) or sinh(x)/x (sign +1), the series below the
-    crossover; each form is evaluated only on its own entries."""
+    """sin(x)/x (sign -1) or sinh(x)/x (sign +1) on the whole array, then
+    the series on the entries below the crossover, if there are any."""
     x = np.asarray(x, dtype=float)
-    small = np.abs(x) < _SERIES_CROSSOVER
     out = np.empty_like(x)
-    xs, xb = x[small], x[~small]
-    out[small] = _series(xs * xs, sign)
-    with np.errstate(invalid="ignore", over="ignore"):
-        # sinh(inf)/1 = inf, the limit, where sinh(inf)/inf would be NaN
-        out[~small] = (np.sinh if sign > 0 else np.sin)(xb) \
-            / np.where(xb == np.inf, 1.0, xb)
+    with np.errstate(invalid="ignore", over="ignore"):  # 0/0 at x = 0
+        (np.sinh if sign > 0 else np.sin)(x, out=out)
+        out /= x
+    small = np.abs(x) < _SERIES_CROSSOVER
+    if small.any():
+        xs = x[small]
+        out[small] = _series(xs * xs, sign)
+    if sign > 0:  # sinh(inf)/inf is NaN; the limit is inf
+        np.copyto(out, np.inf, where=x == np.inf)
     return out
 
 
 def _omega_theta_values(p: CurvatureParams, theta: np.ndarray) -> np.ndarray:
-    """w*theta for the array kernels; for K < 0 every entry must be finite."""
-    with np.errstate(over="ignore"):
+    """w*theta for the array kernels; NaN raises, and so does inf for K < 0."""
+    with np.errstate(over="ignore", invalid="ignore"):  # 0*inf when K = 0
         x = theta * p.omega
-    if p.K < 0 and np.isinf(x).any():
-        raise ParamOutOfRange("sin and cos have no limit at theta*w = +inf")
+    if not np.isfinite(x).all():
+        if np.isnan(theta).any():
+            raise NanError("theta must not be NaN")
+        if p.K < 0:
+            raise ParamOutOfRange("sin and cos have no limit at theta*w = +inf")
     return x
 
 
 def s_values(p: CurvatureParams, theta) -> np.ndarray:
     """Vectorized kernel s(theta); theta array-like, >= 0 assumed."""
     theta = np.asarray(theta, dtype=float)
+    x = _omega_theta_values(p, theta)
     if p.K == 0:
         return theta.copy()
-    x = _omega_theta_values(p, theta)
     # sinh(x)/x finite but theta times it past the double range: +inf
     with np.errstate(over="ignore"):
         return theta * _ratio(x, math.copysign(1.0, p.K))
@@ -111,9 +116,9 @@ def s_values(p: CurvatureParams, theta) -> np.ndarray:
 def c_values(p: CurvatureParams, theta) -> np.ndarray:
     """Vectorized kernel c(theta)."""
     theta = np.asarray(theta, dtype=float)
+    x = _omega_theta_values(p, theta)
     if p.K == 0:
         return np.ones_like(theta)
-    x = _omega_theta_values(p, theta)
     if p.K < 0:
         return np.cos(x)
     with np.errstate(over="ignore"):
@@ -180,32 +185,42 @@ def is_singular(p: CurvatureParams, theta: float) -> bool:
 def sigma_values(p: CurvatureParams, t, theta) -> np.ndarray:
     """Vectorized distortion coefficients; +inf in the singular regime.
 
-    t and theta broadcast against each other; t in [0,1], theta >= 0.
+    t and theta broadcast against each other; t in [0,1], theta >= 0.  A
+    NaN t or theta raises NanError.  When no entry is flat or singular,
+    the kernels run on the broadcast inputs, else on copies of the rest.
     """
     t = np.asarray(t, dtype=float)
     theta = np.asarray(theta, dtype=float)
+    if not np.isfinite(t).all():
+        bad = NanError if np.isnan(t).any() else ParamOutOfRange
+        raise bad("t must be finite")
     t, theta = np.broadcast_arrays(t, theta)
-    k_theta2 = p.K * theta * theta
-    out = np.array(t, dtype=float, copy=True)  # covers K*theta^2 == 0
-    if p.K != 0:
-        generic = k_theta2 != 0.0
-        singular = k_theta2 <= p.N * math.pi**2
-        safe = generic & ~singular
-        if safe.any():
-            with np.errstate(invalid="ignore"):  # 0*inf, inf/inf: patched below
-                num = s_values(p, t[safe] * theta[safe])
-                den = s_values(p, theta[safe])
-                ratio = num / den
-            big = np.isinf(den)  # sinh(w theta) overflowed (K > 0 only)
-            if big.any():
-                x, tb = p.omega * theta[safe][big], t[safe][big]
-                with np.errstate(invalid="ignore"):
-                    scaled = (np.exp(-x * (1.0 - tb)) * np.expm1(-2.0 * tb * x)
-                              / np.expm1(-2.0 * x))
-                # at w theta = +inf the limit is 0 for t < 1 and 1 at t = 1
-                ratio[big] = np.where(x == np.inf, tb == 1.0, scaled)
-            out[safe] = ratio
-        out[singular] = math.inf
+    with np.errstate(over="ignore", invalid="ignore"):  # 0*inf when K = 0
+        k_theta2 = p.K * theta * theta
+    # a NaN theta fails both tests, so it is never safe
+    safe = (k_theta2 > p.N * math.pi**2) & (k_theta2 != 0.0)
+    all_safe = safe.all()
+    if not all_safe and np.isnan(theta).any():
+        raise NanError("theta must not be NaN")
+    ts, th = (t, theta) if all_safe else (t[safe], theta[safe])
+    with np.errstate(over="ignore", invalid="ignore"):  # 0*inf, inf/inf:
+        x, tth = th * p.omega, ts * th                  # patched below
+        den = th * _ratio(x, math.copysign(1.0, p.K))
+        ratio = _ratio(tth * p.omega, math.copysign(1.0, p.K))
+        ratio *= tth
+        ratio /= den
+        big = np.isinf(den)  # sinh(w theta) overflowed (K > 0 only)
+        if big.any():
+            xb, tb = x[big], ts[big]
+            scaled = (np.exp(-xb * (1.0 - tb)) * np.expm1(-2.0 * tb * xb)
+                      / np.expm1(-2.0 * xb))
+            # at w theta = +inf the limit is 0 for t < 1 and 1 at t = 1
+            ratio[big] = np.where(xb == np.inf, tb == 1.0, scaled)
+    if all_safe:
+        return ratio
+    out = t.copy()  # covers K*theta^2 == 0
+    out[safe] = ratio
+    out[k_theta2 <= p.N * math.pi**2] = math.inf
     return out
 
 

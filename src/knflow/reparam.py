@@ -31,7 +31,7 @@ from .errors import (
     ParamOutOfRange,
 )
 from .flows import Curve
-from .functionals import Functional, fN_values
+from .functionals import Functional, _exp_clip, fN_values
 
 _FN_FLOOR = 1e-12
 
@@ -47,30 +47,33 @@ def class_membership(c: Curve, fn: Functional, p: CurvatureParams,
                      tol: Tolerance = DEFAULT_TOL) -> Membership:
     """Report-style membership test for C, C' and C''_N."""
     fs = fn.values(c.points)
-    in_c = bool(np.isfinite(fs).all())
-    in_cprime = in_c and bool((np.diff(fs) <= tol.abs).all())
+    in_cprime = _in_cprime(fs, tol)
+    return Membership(in_C=bool(np.isfinite(fs).all()), in_Cprime=in_cprime,
+                      in_CsecondN=in_cprime and _in_csecond(c, fn, p, tol, fs))
 
-    in_csecond = False
-    if in_cprime:
-        t_end = min(c.times[-1], c.times[0] + 1.0)
-        idx = c.times <= t_end + 1e-15
-        times = c.times[idx]
-        if len(times) >= 2:
-            fN = np.exp(-fs[idx] / p.N)
-            if np.isfinite(fN).all():
-                coarse = float(np.trapezoid(fN, times))
-                # refine by 2: midpoints of the piecewise-linear curve
-                mid_t = 0.5 * (times[1:] + times[:-1])
-                mid_x = c.at(mid_t)
-                mid_fN = np.exp(-fn.values(mid_x) / p.N)
-                t2 = np.sort(np.concatenate([times, mid_t]))
-                fine_vals = np.empty(len(times) + len(mid_t))
-                fine_vals[0::2] = fN
-                fine_vals[1::2] = mid_fN
-                fine = float(np.trapezoid(fine_vals, t2))
-                stable = abs(fine - coarse) <= tol.rel * max(abs(coarse), 1.0)
-                in_csecond = bool(math.isfinite(coarse) and stable)
-    return Membership(in_C=in_c, in_Cprime=in_cprime, in_CsecondN=in_csecond)
+
+def _in_cprime(fs: np.ndarray, tol: Tolerance) -> bool:
+    """C': the energy is finite and non-increasing along the curve."""
+    return bool(np.isfinite(fs).all() and (np.diff(fs) <= tol.abs).all())
+
+
+def _in_csecond(c: Curve, fn: Functional, p: CurvatureParams, tol: Tolerance,
+                fs: np.ndarray) -> bool:
+    """C''_N for a curve in C' with energies fs: the integral of f_N over
+    the window (capped at 1) is finite and stable under grid refinement."""
+    t_end = min(c.times[-1], c.times[0] + 1.0)
+    idx = c.times <= t_end + 1e-15
+    times, fN = c.times[idx], _exp_clip(-fs[idx] / p.N)
+    if len(times) < 2 or not np.isfinite(fN).all():
+        return False
+    coarse = float(np.trapezoid(fN, times))
+    mid_t = 0.5 * (times[1:] + times[:-1])
+    fine_vals = np.empty(len(times) + len(mid_t))
+    fine_vals[0::2] = fN
+    fine_vals[1::2] = fN_values(fn, p, c.at(mid_t))
+    fine = float(np.trapezoid(fine_vals, np.sort(np.concatenate([times, mid_t]))))
+    stable = abs(fine - coarse) <= tol.rel * max(abs(coarse), 1.0)
+    return bool(math.isfinite(coarse) and stable)
 
 
 def _truncate_before_extinction(c: Curve, fN: np.ndarray):
@@ -95,9 +98,9 @@ def r1(c: Curve, fn: Functional, p: CurvatureParams,
     alpha integrates -N/f_N by trapezoid on the curve's grid; an initial
     rectangle accounts for (0, t_0) when the grid starts after 0.
     """
-    c, fN = _truncate_before_extinction(c, fN_values(fn, p, c.points))
-    member = class_membership(c, fn, p, tol)
-    if not member.in_Cprime:
+    fs = fn.values(c.points)  # f once per curve: for f_N and for C'
+    c, fN = _truncate_before_extinction(c, _exp_clip(-fs / p.N))
+    if not _in_cprime(fs[:c.n_samples], tol):
         raise NotInCPrime(f"energy not non-increasing along {c.meta}")
     return _time_change(c, -p.N / fN, "r1")
 
@@ -105,10 +108,10 @@ def r1(c: Curve, fn: Functional, p: CurvatureParams,
 def r2(c: Curve, fn: Functional, p: CurvatureParams,
        tol: Tolerance = DEFAULT_TOL) -> Curve:
     """Backward time change: new grid t = beta(s), same points."""
-    member = class_membership(c, fn, p, tol)
-    if not member.in_CsecondN:
+    fs = fn.values(c.points)
+    if not (_in_cprime(fs, tol) and _in_csecond(c, fn, p, tol, fs)):
         raise NotInCsecondN(f"integral of f_N not finite/stable along {c.meta}")
-    return _time_change(c, fN_values(fn, p, c.points) / (-p.N), "r2")
+    return _time_change(c, _exp_clip(-fs / p.N) / (-p.N), "r2")
 
 
 def _time_change(c: Curve, rate: np.ndarray, tag: str) -> Curve:
@@ -128,16 +131,14 @@ def roundtrip_error(c: Curve, fn: Functional, p: CurvatureParams,
     (order="auto" prefers the former).  The result is the sup over grid
     points of the spatial mismatch plus the sup time-grid discrepancy.
     """
-    member = class_membership(c, fn, p, tol)
+    in_cprime = _in_cprime(fn.values(c.points), tol)
     if order == "auto":
-        order = "r2r1" if member.in_Cprime else "r1r2"
+        order = "r2r1" if in_cprime else "r1r2"
     if order == "r2r1":
-        if not member.in_Cprime:
+        if not in_cprime:
             raise NotInCPrime("curve not in C'")
         rt = r2(r1(c, fn, p, tol), fn, p, tol)
-    elif order == "r1r2":
-        if not member.in_CsecondN:
-            raise NotInCsecondN("curve not in C''_N")
+    elif order == "r1r2":  # r2 raises NotInCsecondN off C''_N
         rt = r1(r2(c, fn, p, tol), fn, p, tol)
     else:
         raise ParamOutOfRange("order must be 'auto', 'r2r1' or 'r1r2'")

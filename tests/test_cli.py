@@ -343,7 +343,14 @@ class TestMalformedCurve:
         "t,x0\n0.0,1.0\n0.1,abc\n",
         "t,x0\n0.0,1.0\n0.1,0.9,0.8\n",
         "t,x0\n",
-    ], ids=["non-numeric", "ragged", "header-only"])
+        "t,speed,slope,energy,residual\n0.0,1.0,1.0,0.5,0.0\n",
+        "t,x1\n0.0,1.0\n0.1,0.9\n",
+        "t\n0.0\n0.1\n",
+        "t,x0\n0.0,1.0,2.0\n0.1,0.9,1.8\n",
+        "s,x0\n0.0,1.0\n0.1,0.9\n",
+    ], ids=["non-numeric", "ragged", "header-only", "audit-table",
+            "misnamed-column", "no-point-column", "unnamed-column",
+            "not-t"])
     def test_bad_csv(self, tmp_path, capsys, text):
         (tmp_path / "c.csv").write_text(text)
         with pytest.raises(ConfigInvalid):

@@ -159,18 +159,30 @@ class TestStale:
         assert r.held and not r.handed_over  # stale: the files changed
         assert r.curve.points[0] == 0.8
 
-    def test_audit_csv_overwrite_is_read_from_disk(self, tmp_path, reads):
-        pipeline([_oracle(1.0, "c.csv"),
-                  _oracle(1.0, "h.csv", LOG_COSH, 2.0, 400),
-                  {"command": "audit-energy", "input": "h.csv",
-                   "functional": LOG_COSH, "out_csv": "c.csv",
-                   "out_json": "audit.json"},
-                  {"command": "contract", "input1": "c.csv", "input2": "c.csv",
-                   "r": 0.01, "out": "cc.json"}], str(tmp_path))
-        assert [(r.path, r.handed_over) for r in reads] == [
-            ("h.csv", True), ("c.csv", False), ("c.csv", False)]
-        assert reads[1].curve.points.shape == (400, 4)  # the audit table
-        assert not reads[1].held  # the audit's write dropped the entry
+    def test_audit_csv_overwrite_is_read_from_disk(self, tmp_path, reads,
+                                                   capsys):
+        # the audit table (t,speed,slope,energy,residual) replaces the
+        # curve but not its sidecar; the contract stage must not take it
+        # for a curve paired with the old flow's meta
+        cfg_path = tmp_path / "pipe.json"
+        cfg_path.write_text(json.dumps({"stages": [
+            _oracle(1.0, "c.csv"),
+            _oracle(1.0, "h.csv", LOG_COSH, 2.0, 400),
+            {"command": "audit-energy", "input": "h.csv",
+             "functional": LOG_COSH, "out_csv": "c.csv",
+             "out_json": "audit.json"},
+            {"command": "contract", "input1": "c.csv", "input2": "c.csv",
+             "r": 0.01, "out": "cc.json"}]}))
+        code = cli.main(["pipeline", "--config", str(cfg_path), "--out",
+                         str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ") and "not a curve CSV" in err
+        assert [(r.path, r.handed_over) for r in reads] == [("h.csv", True)]
+        assert (tmp_path / "c.csv.meta.json").exists()
+        assert not (tmp_path / "cc.json").exists()
+        with pytest.raises(ConfigInvalid):  # and from disk, outside a pipeline
+            _disk_read(str(tmp_path / "c.csv"))
 
     def test_rewrite_from_outside_is_read_from_disk(self, tmp_path, reads,
                                                     monkeypatch):

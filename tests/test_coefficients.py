@@ -20,7 +20,8 @@ from knflow.coefficients import (
     sigma_rate_limits,
     sigma_values,
 )
-from knflow.errors import KNFlowError, NegativeTheta, ParamOutOfRange, SingularTheta
+from knflow.errors import (KNFlowError, NanError, NegativeTheta, ParamOutOfRange,
+                           SingularTheta)
 
 mp.mp.dps = 40
 
@@ -488,3 +489,159 @@ class TestRatio:
         x = np.array([math.inf, 711.0, 1e300])
         self._assert_bitwise(x, 1.0)
         assert np.all(_ratio(x, 1.0) == math.inf)
+
+
+def _s_values_reference(p, theta):
+    """The earlier s_values: _ratio on copies gathered from below and above
+    the crossover, here through the reference ratio forms."""
+    theta = np.asarray(theta, dtype=float)
+    if p.K == 0:
+        return theta.copy()
+    x = theta * p.omega
+    if p.K < 0 and np.isinf(x).any():
+        raise ParamOutOfRange("sin and cos have no limit at theta*w = +inf")
+    ratio = (_sinh_ratio_reference if p.K > 0 else _sin_ratio_reference)(x)
+    return theta * ratio
+
+
+def _sigma_values_reference(p, t, theta):
+    """The earlier sigma_values: the kernels on copies of the entries that
+    are neither flat nor singular, scattered back into a copy of t."""
+    t = np.asarray(t, dtype=float)
+    theta = np.asarray(theta, dtype=float)
+    t, theta = np.broadcast_arrays(t, theta)
+    k_theta2 = p.K * theta * theta
+    out = np.array(t, dtype=float, copy=True)
+    if p.K != 0:
+        generic = k_theta2 != 0.0
+        singular = k_theta2 <= p.N * math.pi**2
+        safe = generic & ~singular
+        if safe.any():
+            num = _s_values_reference(p, t[safe] * theta[safe])
+            den = _s_values_reference(p, theta[safe])
+            ratio = num / den
+            big = np.isinf(den)
+            if big.any():
+                x, tb = p.omega * theta[safe][big], t[safe][big]
+                scaled = (np.exp(-x * (1.0 - tb)) * np.expm1(-2.0 * tb * x)
+                          / np.expm1(-2.0 * x))
+                ratio[big] = np.where(x == np.inf, tb == 1.0, scaled)
+            out[safe] = ratio
+        out[singular] = math.inf
+    return out
+
+
+def _theta_edges(p):
+    """theta at the kernel's branch points for p: 0, one ulp either side of
+    the series crossover (in w*theta and in theta), the singular cap
+    (K < 0), where sinh(w*theta) overflows and +inf (K > 0)."""
+    w = p.omega if p.K != 0 else 1.0
+    edges = [0.0, 1e-4, math.nextafter(1e-4, 0.0), math.nextafter(1e-4, 1.0)]
+    for x in (_SERIES_CROSSOVER, math.nextafter(_SERIES_CROSSOVER, 0.0),
+              math.nextafter(_SERIES_CROSSOVER, 1.0), 1.0, 3.0):
+        edges.append(x / w)
+    if p.K < 0:
+        cap = p.theta_singular
+        edges += [cap, math.nextafter(cap, 0.0), math.nextafter(cap, math.inf),
+                  0.5 * cap]
+    else:
+        edges += [709.0 / w, 710.5 / w, 711.0 / w, 2000.0 / w, 1e300, math.inf]
+    return edges
+
+
+@st.composite
+def kernel_inputs(draw):
+    """(p, t, theta) over both signs of K and K = 0, with theta from the
+    branch points, uniform below the cap (K < 0) or up to w*theta = 2000,
+    0-d, flat or (m,1) x (1,n) broadcast."""
+    sign = draw(st.sampled_from([-1.0, 0.0, 1.0]))
+    n_abs = draw(st.floats(0.01, 10.0))
+    p = CurvatureParams(sign * 10.0 ** draw(st.floats(-6.0, 4.0)) * n_abs, -n_abs)
+    hi = 1.2 * p.theta_singular if p.K < 0 else 2000.0 / (p.omega or 1.0)
+    theta_st = st.one_of(st.sampled_from(_theta_edges(p)), st.floats(0.0, hi))
+    t_st = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+    layout = draw(st.sampled_from(["0-d", "flat", "broadcast"]))
+    if layout == "0-d":
+        return p, np.asarray(draw(t_st)), np.asarray(draw(theta_st))
+    if layout == "flat":
+        theta = draw(st.lists(theta_st, min_size=1, max_size=30))
+        t = draw(st.lists(t_st, min_size=len(theta), max_size=len(theta)))
+        return p, np.array(t), np.array(theta)
+    theta = draw(st.lists(theta_st, min_size=1, max_size=8))
+    t = draw(st.lists(t_st, min_size=1, max_size=8))
+    return p, np.array(t)[None, :], np.array(theta)[:, None]
+
+
+class TestKernelsBitwise:
+    """s_values, c_values and sigma_values against the gathering forms
+    they replaced, bit for bit, with results that own their memory."""
+
+    @staticmethod
+    def _same(new, old):
+        assert type(new) is type(old)
+        assert np.shape(new) == np.shape(old)
+        assert np.asarray(new).tobytes() == np.asarray(old).tobytes()
+
+    @staticmethod
+    def _owned(out, *inputs):
+        assert out.flags.writeable
+        assert not any(np.shares_memory(out, a) for a in inputs)
+
+    def _check(self, p, t, theta):
+        with np.errstate(all="ignore"):
+            old_sigma = _sigma_values_reference(p, t, theta)
+            old_s = _s_values_reference(p, theta)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sig = sigma_values(p, t, theta)
+            self._same(s_values(p, theta), old_s)
+        self._same(sig, old_sigma)
+        self._owned(sig, t, theta)
+        if theta.ndim:
+            self._owned(s_values(p, theta), theta)
+            self._owned(c_values(p, theta), theta)
+
+    @settings(max_examples=400, deadline=None)
+    @given(kernel_inputs())
+    def test_bit_identical_to_gathering_forms(self, args):
+        self._check(*args)
+
+    @pytest.mark.parametrize("K", [-1.1, 1.1])
+    def test_half_below_crossover_at_random_positions(self, K):
+        p = CurvatureParams(K, -1.1)
+        rng = np.random.default_rng(20)
+        n = 20000
+        x = np.where(rng.random(n) < 0.5, rng.uniform(0.0, 1e-4, n),
+                     rng.uniform(1e-4, 2.0, n))
+        self._check(p, rng.uniform(0.0, 1.0, n), x / p.omega)
+
+    def test_every_entry_safe_and_some_singular(self):
+        # the whole-array path and the gathering path of sigma_values
+        p = CurvatureParams(-2.6, -0.4)
+        rng = np.random.default_rng(21)
+        t = rng.uniform(0.0, 1.0, 5000)
+        for hi in (0.9 * p.theta_singular, 5.0):
+            self._check(p, t, rng.uniform(1e-3, hi, 5000))
+
+
+class TestNanBan:
+    """A NaN t or theta raises NanError in the array kernels, as in the
+    scalar ones."""
+
+    @pytest.mark.parametrize("K", [-1.0, 0.0, 1.0])
+    def test_nan_raises(self, K):
+        p = CurvatureParams(K, -1.0)
+        nan = math.nan
+        calls = [lambda: s_values(p, [1.0, nan]), lambda: c_values(p, [nan]),
+                 lambda: sigma_values(p, 0.5, [1.0, nan]),
+                 lambda: sigma_values(p, [0.5, nan], 1.0),
+                 lambda: sigma_values(p, nan, 0.0),  # a flat entry
+                 lambda: sigma_values(p, [0.5, nan], [4.0, 4.0])]  # singular for K < 0
+        for call in calls:
+            with pytest.raises(NanError):
+                call()
+
+    @pytest.mark.parametrize("K", [-1.0, 0.0, 1.0])
+    def test_infinite_t_raises(self, K):
+        with pytest.raises(ParamOutOfRange):
+            sigma_values(CurvatureParams(K, -1.0), [0.5, math.inf], 1.0)

@@ -1,13 +1,14 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from knflow.coefficients import CurvatureParams
 from knflow.core import Tolerance
-from knflow.errors import DivergentIntegrand, NotInCPrime, NotInCsecondN
+from knflow.errors import DivergentIntegrand, KNFlowError, NotInCPrime, NotInCsecondN
 from knflow.flows import Curve, oracle_flow, time_grid
-from knflow.functionals import Functional, library
+from knflow.functionals import Functional, expression_functional, library
 from knflow.reparam import class_membership, r1, r2, roundtrip_error
 from knflow.spaces import Interval
 
@@ -32,6 +33,18 @@ class TestMembership:
         c = Curve(np.linspace(0, 1, 11), np.full(11, 2.0))
         m = class_membership(c, LOG_X, P01, TOL)
         assert m.in_Cprime and m.in_CsecondN
+
+    def test_fN_overflow_is_quiet(self):
+        # f_N = exp(800 - x) is past the double range along the curve
+        fn = expression_functional("800 - x", Interval())
+        c = Curve(np.linspace(0.0, 1.0, 5), np.linspace(0.0, 1.0, 5))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            m = class_membership(c, fn, P01, TOL)
+            for call in (r1, r2):
+                with pytest.raises(KNFlowError):
+                    call(c, fn, P01, TOL)
+        assert m.in_Cprime and not m.in_CsecondN
 
     def test_time_reversed_curve_not_in_cprime(self):
         base = log_x_curve(n=100)
