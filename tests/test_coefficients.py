@@ -552,8 +552,8 @@ def _theta_edges(p):
 @st.composite
 def kernel_inputs(draw):
     """(p, t, theta) over both signs of K and K = 0, with theta from the
-    branch points, uniform below the cap (K < 0) or up to w*theta = 2000,
-    0-d, flat or (m,1) x (1,n) broadcast."""
+    branch points or uniform up to 1.2 times the cap (K < 0) or up to
+    w*theta = 2000, 0-d, flat or (m,1) x (1,n) broadcast."""
     sign = draw(st.sampled_from([-1.0, 0.0, 1.0]))
     n_abs = draw(st.floats(0.01, 10.0))
     p = CurvatureParams(sign * 10.0 ** draw(st.floats(-6.0, 4.0)) * n_abs, -n_abs)
