@@ -572,9 +572,15 @@ def energy_audit(c: Curve, fn: Functional, tol: Tolerance = DEFAULT_TOL,
     slopes = _definition_slopes(fn, c.points, energy, slope_r0 * (1.0 + norms),
                                 _SUP_LEVELS, spec)
     t = c.times
-    h = np.gradient(t)  # half the central step; the one-sided step at the ends
-    dfdt = np.gradient(energy) / h
+    dfdt = np.empty(c.n_samples)
+    dfdt[1:-1] = (energy[2:] - energy[:-2]) / (t[2:] - t[:-2])
+    dfdt[0] = (energy[1] - energy[0]) / (t[1] - t[0])
+    dfdt[-1] = (energy[-1] - energy[-2]) / (t[-1] - t[-2])
     residual = -dfdt - 0.5 * speed ** 2 - 0.5 * slopes ** 2
+    h = np.empty(c.n_samples)
+    h[1:-1] = 0.5 * (t[2:] - t[:-2])
+    h[0] = t[1] - t[0]
+    h[-1] = t[-1] - t[-2]
     r_fin = slope_r0 * 0.5 ** (_SUP_LEVELS - 1)
     budget = (tol.abs + 4.0 * h ** 2 * (1.0 + speed ** 6)
               + 1e-4 * r_fin * (1.0 + np.abs(slopes) ** 3)

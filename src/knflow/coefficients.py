@@ -77,14 +77,12 @@ def _ratio(x, sign):
     """sin(x)/x (sign -1) or sinh(x)/x (sign +1) on the whole array, then
     the series on the entries below the crossover, if there are any."""
     x = np.asarray(x, dtype=float)
-    out = np.empty_like(x)
     with np.errstate(invalid="ignore", over="ignore"):  # 0/0 at x = 0
-        (np.sinh if sign > 0 else np.sin)(x, out=out)
+        out = (np.sinh if sign > 0 else np.sin)(x, out=np.empty_like(x))
         out /= x
     small = np.abs(x) < _SERIES_CROSSOVER
     if small.any():
-        xs = x[small]
-        out[small] = _series(xs * xs, sign)
+        out[small] = _series(np.square(x[small]), sign)
     if sign > 0:  # sinh(inf)/inf is NaN; the limit is inf
         np.copyto(out, np.inf, where=x == np.inf)
     return out
@@ -186,8 +184,9 @@ def sigma_values(p: CurvatureParams, t, theta) -> np.ndarray:
     """Vectorized distortion coefficients; +inf in the singular regime.
 
     t and theta broadcast against each other; t in [0,1], theta >= 0.  A
-    NaN t or theta raises NanError.  When no entry is flat or singular,
-    the kernels run on the broadcast inputs, else on copies of the rest.
+    NaN t or theta raises NanError.  For K != 0 with no singular entry
+    the kernels run on the broadcast inputs (flat entries set to t
+    afterwards), else on copies of the entries neither flat nor singular.
     """
     t = np.asarray(t, dtype=float)
     theta = np.asarray(theta, dtype=float)
@@ -197,14 +196,14 @@ def sigma_values(p: CurvatureParams, t, theta) -> np.ndarray:
     t, theta = np.broadcast_arrays(t, theta)
     with np.errstate(over="ignore", invalid="ignore"):  # 0*inf when K = 0
         k_theta2 = p.K * theta * theta
-    # a NaN theta fails both tests, so it is never safe
-    safe = (k_theta2 > p.N * math.pi**2) & (k_theta2 != 0.0)
-    all_safe = safe.all()
-    if not all_safe and np.isnan(theta).any():
+    live = k_theta2 > p.N * math.pi**2  # not singular; a NaN fails too
+    whole = p.K != 0 and live.all()  # K = 0: all flat, nothing to evaluate
+    if not whole and np.isnan(theta).any():
         raise NanError("theta must not be NaN")
-    ts, th = (t, theta) if all_safe else (t[safe], theta[safe])
-    with np.errstate(over="ignore", invalid="ignore"):  # 0*inf, inf/inf:
-        x, tth = th * p.omega, ts * th                  # patched below
+    sel = ... if whole else live & (k_theta2 != 0.0)  # t[...] is a view
+    ts, th = t[sel], theta[sel]
+    with np.errstate(over="ignore", invalid="ignore"):  # 0*inf, inf/inf and
+        x, tth = th * p.omega, ts * th                  # 0/0: patched below
         den = th * _ratio(x, math.copysign(1.0, p.K))
         ratio = _ratio(tth * p.omega, math.copysign(1.0, p.K))
         ratio *= tth
@@ -216,10 +215,11 @@ def sigma_values(p: CurvatureParams, t, theta) -> np.ndarray:
                       / np.expm1(-2.0 * xb))
             # at w theta = +inf the limit is 0 for t < 1 and 1 at t = 1
             ratio[big] = np.where(xb == np.inf, tb == 1.0, scaled)
-    if all_safe:
+    if whole:
+        np.copyto(ratio, t, where=k_theta2 == 0.0)  # flat: sigma = t
         return ratio
-    out = t.copy()  # covers K*theta^2 == 0
-    out[safe] = ratio
+    out = t.copy()  # covers K*theta^2 == 0, and NaN (K = 0, theta = +inf)
+    out[sel] = ratio
     out[k_theta2 <= p.N * math.pi**2] = math.inf
     return out
 

@@ -191,6 +191,7 @@ def oracle_flow(name: str, p: Optional[CurvatureParams], y0, grid,
         stop = math.log(abs(s0)) / p.K  # positive: K < 0, |s0| < 1
         m = np.minimum(abs(s0) * np.exp(-p.K * grid), 1.0)
         ys = sgn * np.arcsin(m) / w
+        meta = dict(meta)
         return Curve(grid, ys, stop_time=stop, meta=meta)
     if name == "quadratic":
         y0 = np.asarray(y0, dtype=float)

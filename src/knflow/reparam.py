@@ -48,8 +48,8 @@ def class_membership(c: Curve, fn: Functional, p: CurvatureParams,
     """Report-style membership test for C, C' and C''_N."""
     fs = fn.values(c.points)
     in_cprime = _in_cprime(fs, tol)
-    return Membership(in_C=bool(np.isfinite(fs).all()), in_Cprime=in_cprime,
-                      in_CsecondN=in_cprime and _in_csecond(c, fn, p, tol, fs))
+    return Membership(in_cprime or bool(np.isfinite(fs).all()), in_cprime,
+                      in_cprime and _in_csecond(c, fn, p, tol, fs))
 
 
 def _in_cprime(fs: np.ndarray, tol: Tolerance) -> bool:

@@ -41,9 +41,11 @@ class Interval:
 
     def contains(self, x: float) -> bool:
         x = float(x)
+        if math.isnan(x) or not math.isfinite(x):
+            return False
         lo_ok = x > self.a if self.open_a else x >= self.a
         hi_ok = x < self.b if self.open_b else x <= self.b
-        return math.isfinite(x) and lo_ok and hi_ok
+        return lo_ok and hi_ok
 
     def contains_closure(self, x: float) -> bool:
         x = float(x)

@@ -40,7 +40,7 @@ class Read:
     path: str
     held: bool  # the map held an entry for the path before the read
     handed_over: bool
-    curve: Curve  # as read from disk, equal to what the stage got
+    curve: Curve  # as read from disk, as the stage got it; None if it raised
     curves: object  # the map active during the read
 
 
@@ -55,7 +55,11 @@ def reads(monkeypatch, caplog):
         curves = cli._CURVES.get()
         held = curves is not None and os.path.realpath(path) in curves
         n = len(caplog.records)
-        curve = READ_CURVE(path)
+        try:
+            curve = READ_CURVE(path)
+        except ConfigInvalid:
+            log.append(Read(os.path.basename(path), held, False, None, curves))
+            raise
         handed = any("handed over" in r.getMessage()
                      for r in caplog.records[n:])
         disk = _disk_read(path)
@@ -178,7 +182,9 @@ class TestStale:
         err = capsys.readouterr().err
         assert code == 1
         assert err.startswith("error: ") and "not a curve CSV" in err
-        assert [(r.path, r.handed_over) for r in reads] == [("h.csv", True)]
+        assert [(r.path, r.handed_over, r.curve is None) for r in reads] == [
+            ("h.csv", True, False), ("c.csv", False, True)]
+        assert not reads[1].held  # the audit's write dropped the entry
         assert (tmp_path / "c.csv.meta.json").exists()
         assert not (tmp_path / "cc.json").exists()
         with pytest.raises(ConfigInvalid):  # and from disk, outside a pipeline

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from knflow import coefficients
 from knflow.coefficients import (
     _SERIES_CROSSOVER,
     CurvatureParams,
@@ -615,13 +616,33 @@ class TestKernelsBitwise:
                      rng.uniform(1e-4, 2.0, n))
         self._check(p, rng.uniform(0.0, 1.0, n), x / p.omega)
 
-    def test_every_entry_safe_and_some_singular(self):
-        # the whole-array path and the gathering path of sigma_values
+    def test_whole_array_and_gathering_paths(self):
+        # no singular entry: the whole-array path of sigma_values, with
+        # and without flat entries (theta = 0); some singular: gathering
         p = CurvatureParams(-2.6, -0.4)
         rng = np.random.default_rng(21)
         t = rng.uniform(0.0, 1.0, 5000)
         for hi in (0.9 * p.theta_singular, 5.0):
-            self._check(p, t, rng.uniform(1e-3, hi, 5000))
+            theta = rng.uniform(1e-3, hi, 5000)
+            self._check(p, t, theta)
+            theta[::7] = 0.0
+            self._check(p, t, theta)
+
+    def test_k_zero_evaluates_no_kernel(self, monkeypatch):
+        # sigma = t at every entry; the whole-array path would compute
+        # the kernels on the full grid and then discard them
+        sizes = []
+        ratio = coefficients._ratio
+
+        def counting(x, sign):
+            sizes.append(np.size(x))
+            return ratio(x, sign)
+
+        monkeypatch.setattr(coefficients, "_ratio", counting)
+        t = np.linspace(0.0, 1.0, 7)[None, :]
+        self._check(CurvatureParams(0.0, -1.0), t,
+                    np.linspace(0.0, 3.0, 5)[:, None])
+        assert sum(sizes) == 0
 
 
 class TestNanBan:
