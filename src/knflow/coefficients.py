@@ -83,18 +83,20 @@ def _ratio(x, sign):
     small = np.abs(x) < _SERIES_CROSSOVER
     if small.any():
         out[small] = _series(np.square(x[small]), sign)
-    if sign > 0:  # sinh(inf)/inf is NaN; the limit is inf
-        np.copyto(out, np.inf, where=x == np.inf)
+    if sign > 0:  # sinh(+-inf)/+-inf is NaN; the limit is inf
+        np.copyto(out, np.inf, where=np.isinf(x))
     return out
 
 
 def _omega_theta_values(p: CurvatureParams, theta: np.ndarray) -> np.ndarray:
-    """w*theta for the array kernels; NaN raises, and so does inf for K < 0."""
+    """w*theta for the array kernels; NaN, -inf and (for K < 0) +inf raise."""
     with np.errstate(over="ignore", invalid="ignore"):  # 0*inf when K = 0
         x = theta * p.omega
     if not np.isfinite(x).all():
         if np.isnan(theta).any():
             raise NanError("theta must not be NaN")
+        if (theta == -math.inf).any() or (x == -math.inf).any():
+            raise NegativeTheta("theta must be >= 0")
         if p.K < 0:
             raise ParamOutOfRange("sin and cos have no limit at theta*w = +inf")
     return x
@@ -198,8 +200,9 @@ def sigma_values(p: CurvatureParams, t, theta) -> np.ndarray:
         k_theta2 = p.K * theta * theta
     live = k_theta2 > p.N * math.pi**2  # not singular; a NaN fails too
     whole = p.K != 0 and live.all()  # K = 0: all flat, nothing to evaluate
-    if not whole and np.isnan(theta).any():
-        raise NanError("theta must not be NaN")
+    if not whole and not (theta > -math.inf).all():
+        bad = NanError if np.isnan(theta).any() else ParamOutOfRange
+        raise bad("theta must not be NaN or -inf")
     sel = ... if whole else live & (k_theta2 != 0.0)  # t[...] is a view
     ts, th = t[sel], theta[sel]
     with np.errstate(over="ignore", invalid="ignore"):  # 0*inf, inf/inf and
@@ -211,6 +214,8 @@ def sigma_values(p: CurvatureParams, t, theta) -> np.ndarray:
         big = np.isinf(den)  # sinh(w theta) overflowed (K > 0 only)
         if big.any():
             xb, tb = x[big], ts[big]
+            if (xb < 0).any():  # theta = -inf, or negative past sinh's range
+                raise ParamOutOfRange("theta must be >= 0")
             scaled = (np.exp(-xb * (1.0 - tb)) * np.expm1(-2.0 * tb * xb)
                       / np.expm1(-2.0 * xb))
             # at w theta = +inf the limit is 0 for t < 1 and 1 at t = 1

@@ -11,24 +11,12 @@ When a trajectory reaches the boundary of the finiteness domain the curve
 is continued constantly at the boundary point and the hitting time is
 recorded in ``stop_time``.
 
-On intervals the proximal step solves the optimality condition
-psi(w) = (w - v)/tau + f'(w) = 0: from v it doubles its step along the
-descent direction -sign f'(v) until psi changes sign, then solves on that
-bracket with ``brentq``.  For lambda-convex f with 1 + lambda tau > 0 the
-objective is strictly convex and the root is its unique minimizer; in
-general it is the first local minimizer downhill from v.  Several
-functionals of interest are not coercive (the proximal objective can be
-unbounded below): the search raises :class:`NotBoundedBelow` when it
-reaches an end of the closure where f = -inf, or after 200 doublings,
-rather than returning a diverging iterate.  On R^n the proximal step is a
-damped Newton iteration whose matrix is I/tau + ``Functional.hess`` when
-the functional carries an analytic Hessian, and a finite-difference
-Jacobian of the objective's gradient otherwise.  Both the proximal step
-and the ODE route need the analytic gradient ``Functional.grad``.
-
-A minimizing movement evaluates f once per step: each step returns f at
-its output, and the next step takes that value as f(U^{n-1}) instead of
-evaluating it again.
+The proximal step :func:`prox` solves (w - v)/tau + f'(w) = 0 on intervals
+and runs damped Newton on R^n; both need ``Functional.grad``, as does the
+ODE route, and raise :class:`NotBoundedBelow` where the proximal objective
+is unbounded below.  On intervals a minimizing movement evaluates f on all
+its iterates in one array call; the first where f is not finite decides
+its error.
 
 Solver totals go into ``Curve.meta`` (``ode_nfev``/``ode_status``,
 ``prox_psi_evals``/``prox_expansions``) and to the ``knflow`` logger at
@@ -191,7 +179,6 @@ def oracle_flow(name: str, p: Optional[CurvatureParams], y0, grid,
         stop = math.log(abs(s0)) / p.K  # positive: K < 0, |s0| < 1
         m = np.minimum(abs(s0) * np.exp(-p.K * grid), 1.0)
         ys = sgn * np.arcsin(m) / w
-        meta = dict(meta)
         return Curve(grid, ys, stop_time=stop, meta=meta)
     if name == "quadratic":
         y0 = np.asarray(y0, dtype=float)
@@ -304,39 +291,39 @@ class ProxStep:
 _MAX_EXPANSIONS = 200
 
 
-def prox(fn: Functional, tau: float, v, tol: Tolerance = DEFAULT_TOL,
-         fv: Optional[float] = None) -> ProxStep:
-    """One proximal step: minimize d^2(v, .)/(2 tau) + f over the closure.
-
-    fv is f(v) when the caller already has it (``minimizing_movement``
-    passes on the previous step's ``f_output``); otherwise it is evaluated
-    here.  Either way v must lie in the closure, f(v) = +inf raises
-    :class:`BasePointOutsideDomain` and f(v) = -inf :class:`NotBoundedBelow`.
-    Each step then evaluates f once more, at its output.
-
-    1-d: the root of psi(w) = (w - v)/tau + f'(w) along the descent
-    direction -sign f'(v).  From v the search doubles its step (the first
-    is tau|f'(v)|) until psi changes sign, then ``brentq`` solves on that
-    bracket; a search still descending at a finite end of the closure
-    returns that end.  It raises :class:`NotBoundedBelow` when it reaches
-    an end where f = -inf or doubles 200 times.  For lambda-convex f with
-    1 + lambda tau > 0 the root is the unique minimizer; otherwise it is
-    the first local minimizer downhill from v.
-    R^n: damped Newton with gradient-descent fallback.  The Newton matrix
-    is I/tau + ``fn.hess(x)`` when the functional has an analytic Hessian,
-    else a central finite-difference Jacobian of the objective's gradient
-    (2n more gradient calls per iteration).
-    Both need the analytic gradient ``fn.grad``.
-    """
+def _prox_args(fn: Functional, tau, v, horizon=None) -> tuple:
     tau = float(tau)
     if not tau > 0:
         raise ParamOutOfRange("tau must be > 0")
+    n_steps = 1 if horizon is None else int(math.floor(float(horizon) / tau + 1e-9))
+    if n_steps < 1:
+        raise ParamOutOfRange("horizon shorter than one step")
     if fn.grad is None:
         raise ParamOutOfRange(f"prox of {fn.name} needs an analytic gradient")
     one_d = isinstance(fn.space, Interval)
     v = float(v) if one_d else np.asarray(v, dtype=float)
     if not fn.space.contains_closure(v):
         raise PointOutsideSpace(f"{v} outside the closure of {fn.space}")
+    return tau, v, one_d, n_steps
+
+
+def prox(fn: Functional, tau: float, v, tol: Tolerance = DEFAULT_TOL,
+         fv: Optional[float] = None) -> ProxStep:
+    """One proximal step: minimize d^2(v, .)/(2 tau) + f over the closure.
+
+    fv is f(v) if the caller has it, else it is evaluated here.  v must lie
+    in the closure; f(v) = +inf raises :class:`BasePointOutsideDomain`, and
+    f(v) = -inf or an objective of -inf at the output :class:`NotBoundedBelow`.
+    1-d: the first root of psi(w) = (w - v)/tau + f'(w) downhill from v
+    (the minimizer for lambda-convex f with 1 + lambda tau > 0), bracketed
+    by doubling steps from tau|f'(v)| and solved with ``brentq``.  A search
+    still descending at a finite end of the closure stops there; it raises
+    NotBoundedBelow where f = -inf at that end or after 200 doublings.  It
+    evaluates f only at such an end.  R^n: damped Newton with an Armijo
+    line search on f; the matrix is I/tau + ``fn.hess(x)``, or a central
+    finite-difference Jacobian (2n more gradient calls per iteration).
+    """
+    tau, v, one_d, _ = _prox_args(fn, tau, v)
     if fv is None:
         fv = fn.value(v)
     elif math.isnan(fv):
@@ -345,13 +332,18 @@ def prox(fn: Functional, tau: float, v, tol: Tolerance = DEFAULT_TOL,
         raise BasePointOutsideDomain("f(v) = +inf")
     if fv == -math.inf:
         raise NotBoundedBelow(f"prox objective of {fn.name} is -inf at {v}")
-    if one_d:
-        return _prox_1d(fn, tau, v, float(fv))
-    return _prox_rn(fn, tau, v, float(fv))
+    if not one_d:
+        x, obj, fx, evals = _prox_rn(fn, tau, v, float(fv), np.eye(v.size) / tau)
+        return ProxStep(tau, v.copy(), x, obj, fx, evals)
+    w, evals, k = _prox_1d(fn, tau, v)
+    fw = fn.value(w)
+    if fw == -math.inf:
+        raise NotBoundedBelow(f"prox objective of {fn.name} is -inf at {w}")
+    return ProxStep(tau, v, w, 0.5 * (w - v) ** 2 / tau + fw, fw, evals, k)
 
 
-def _prox_1d(fn: Functional, tau: float, v: float, fv: float) -> ProxStep:
-    sp = fn.space
+def _prox_1d(fn: Functional, tau: float, v: float) -> tuple:
+    """(output, psi evaluations, expansions) of the 1-d search from v."""
     evals = 0
 
     def psi(w):
@@ -361,9 +353,9 @@ def _prox_1d(fn: Functional, tau: float, v: float, fv: float) -> ProxStep:
 
     g = psi(v)  # f'(v): its sign is the uphill direction
     if g == 0.0:
-        return ProxStep(tau, v, v, fv, fv, evals, 0)
+        return v, evals, 0
     down = -1.0 if g > 0 else 1.0
-    bound = sp.a if g > 0 else sp.b
+    bound = fn.space.a if g > 0 else fn.space.b
     last, h = v, max(tau * abs(g), math.ulp(v))  # the first trial must move
     for k in range(_MAX_EXPANSIONS):
         w = v + down * h
@@ -383,8 +375,7 @@ def _prox_1d(fn: Functional, tau: float, v: float, fv: float) -> ProxStep:
         if s == 0.0 or (s > 0) != (g > 0):
             break
         if w == bound:  # still descending at the end of the closure
-            return ProxStep(tau, v, w, 0.5 * (w - v) ** 2 / tau + f_end, f_end,
-                            evals, k)
+            return w, evals, k
         last, h = w, 2.0 * h
     else:
         raise NotBoundedBelow(
@@ -392,14 +383,11 @@ def _prox_1d(fn: Functional, tau: float, v: float, fv: float) -> ProxStep:
             f"{_MAX_EXPANSIONS} expansions")
     if s != 0.0:
         w = brentq(psi, min(last, w), max(last, w), xtol=1e-16 * (1.0 + abs(v)))
-    fw = fn.value(w)
-    obj = 0.5 * (w - v) ** 2 / tau + fw
-    if obj == -math.inf:
-        raise NotBoundedBelow(f"prox objective of {fn.name} is -inf at {w}")
-    return ProxStep(tau, v, w, obj, fw, evals, k)
+    return w, evals, k
 
 
-def _prox_rn(fn: Functional, tau: float, v: np.ndarray, fv: float) -> ProxStep:
+def _prox_rn(fn: Functional, tau: float, v, fv: float, eye_tau) -> tuple:
+    """(output, objective, f there, grad_phi calls); eye_tau is I/tau."""
     n = v.size
     evals = 0
 
@@ -417,7 +405,6 @@ def _prox_rn(fn: Functional, tau: float, v: np.ndarray, fv: float) -> ProxStep:
 
     x, obj, fx = v.copy(), fv, fv
     h = 1e-6 * (1.0 + norm(v))
-    eye_tau = np.eye(n) / tau
     for _ in range(100):
         g = grad_phi(x)
         gnorm = norm(g)
@@ -454,53 +441,63 @@ def _prox_rn(fn: Functional, tau: float, v: np.ndarray, fv: float) -> ProxStep:
         x, obj, fx = x_new, obj_new, f_new
         if norm(x) > 1e9 or obj < -1e15:
             raise NotBoundedBelow(f"prox objective of {fn.name} diverges")
-    return ProxStep(tau, v.copy(), x, float(obj), fx, evals)
+    return x, float(obj), fx, evals
 
 
 def minimizing_movement(fn: Functional, tau: float, y0, horizon: float,
                         tol: Tolerance = DEFAULT_TOL) -> Curve:
-    """Implicit Euler scheme: iterate prox steps up to the horizon.
+    """Implicit Euler scheme: prox steps up to the horizon, sampled at the
+    step boundaries n*tau (including t = 0).
 
-    Emits the piecewise-constant interpolant sampled at the step
-    boundaries n*tau (including t = 0).  Step n takes f(U^{n-1}) from step
-    n-1, so f is evaluated n_steps + 1 times when no search reaches an end
-    of the closure.  Proximal failures are re-raised with the failing step
-    index.  meta carries the solver totals ``prox_psi_evals`` (evaluations
-    of the prox objective's gradient; on R^n this includes the 2n per
-    Newton iteration of a finite-difference Hessian) and
-    ``prox_expansions`` (doublings of the 1-d bracket search; 0 on R^n).
+    The arguments are checked once, then each step runs the search of
+    :func:`prox`; its errors are re-raised with the step index.  On
+    intervals f is then evaluated on all iterates in one call (on R^n each
+    step passes it on), and the first iterate u_k where f is not finite
+    fails as in a loop of prox calls, also if a later step raised: -inf
+    with :class:`NotBoundedBelow` at step max(k, 1), +inf with
+    :class:`BasePointOutsideDomain` at step k + 1 (none after the last),
+    NaN with :class:`NanError`.  meta has ``prox_psi_evals`` (prox-objective
+    gradient evaluations; 2n more per Newton iteration with a
+    finite-difference Hessian) and ``prox_expansions`` (1-d doublings).
     """
-    tau = float(tau)
-    if not tau > 0:
-        raise ParamOutOfRange("tau must be > 0")
-    n_steps = int(math.floor(float(horizon) / tau + 1e-9))
-    if n_steps < 1:
-        raise ParamOutOfRange("horizon shorter than one step")
-    one_d = isinstance(fn.space, Interval)
-    u = float(y0) if one_d else np.asarray(y0, dtype=float)
-    us = [u]
-    fu = None  # f(u), carried from one step to the next
-    stop = None
+    tau, k, us, fs, err = float(tau), 1, [], [], None
     psi_evals = expansions = 0
-    for k in range(1, n_steps + 1):
-        try:
-            step = prox(fn, tau, u, tol, fu)
-        except (NotBoundedBelow, BasePointOutsideDomain, PointOutsideSpace) as exc:
-            raise type(exc)(f"prox failed at step {k} (t={k * tau}): {exc}") from exc
-        u, fu = step.output, step.f_output
+    try:
+        tau, u, one_d, n_steps = _prox_args(fn, tau, y0, horizon)
         us.append(u)
-        psi_evals += step.psi_evals
-        expansions += step.expansions
-        if stop is None and one_d:
-            sp = fn.space
-            at_edge = (math.isfinite(sp.a) and abs(u - sp.a) <= 1e-12) or \
-                      (math.isfinite(sp.b) and abs(u - sp.b) <= 1e-12)
-            if at_edge:
-                stop = k * tau
+        if not one_d:
+            fs, eye_tau = [fn.value(u)], np.eye(u.size) / tau
+        for k in range(1, n_steps + 1):
+            if one_d:
+                u, evals, doublings = _prox_1d(fn, tau, u)
+                expansions += doublings
+            else:
+                u, _, fu, evals = _prox_rn(fn, tau, u, fs[-1], eye_tau)
+                fs.append(fu)
+            us.append(u)
+            psi_evals += evals
+    except Exception as exc:
+        err = exc
+    f = np.append(fn.fvec(np.asarray(us, dtype=float)) if us and one_d else fs, 0.0)
+    j = int(np.isfinite(f).argmin())  # the first f not finite, if any (f ends in 0.0)
+    if math.isnan(f[j]):
+        raise NanError(f"NaN in {fn.name}({us[j]!r})")
+    if f[j] == -math.inf:
+        k, err = max(j, 1), NotBoundedBelow(
+            f"prox objective of {fn.name} is -inf at {us[j]}")
+    elif f[j] == math.inf and j < n_steps:
+        k, err = j + 1, BasePointOutsideDomain("f(v) = +inf")
+    if isinstance(err, (NotBoundedBelow, BasePointOutsideDomain, PointOutsideSpace)):
+        raise type(err)(f"prox failed at step {k} (t={k * tau}): {err}") from err
+    if err is not None:
+        raise err
     logger.debug("minimizing_movement %s: %d steps, prox_psi_evals=%d "
                  "prox_expansions=%d", fn.name, n_steps, psi_evals, expansions)
-    times = tau * np.arange(n_steps + 1)
     pts = np.asarray(us, dtype=float)
-    return Curve(times, pts, stop_time=stop,
+    stop = None
+    if one_d:  # the first step ending within 1e-12 of a finite end
+        edge = np.minimum(abs(pts - fn.space.a), abs(pts - fn.space.b))[1:] <= 1e-12
+        stop = (int(edge.argmax()) + 1) * tau if edge.any() else None
+    return Curve(tau * np.arange(n_steps + 1), pts, stop_time=stop,
                  meta={"method": "mms", "tau": tau, "functional": fn.name,
                        "prox_psi_evals": psi_evals, "prox_expansions": expansions})

@@ -41,15 +41,13 @@ class Interval:
 
     def contains(self, x: float) -> bool:
         x = float(x)
-        if math.isnan(x) or not math.isfinite(x):
-            return False
         lo_ok = x > self.a if self.open_a else x >= self.a
         hi_ok = x < self.b if self.open_b else x <= self.b
-        return lo_ok and hi_ok
+        return lo_ok and hi_ok and math.isfinite(x)
 
     def contains_closure(self, x: float) -> bool:
         x = float(x)
-        return not math.isnan(x) and self.a <= x <= self.b and math.isfinite(x)
+        return self.a <= x <= self.b and math.isfinite(x)
 
     def clamp(self, x: float) -> float:
         """Nearest point of the metric completion."""

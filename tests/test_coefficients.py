@@ -666,3 +666,24 @@ class TestNanBan:
     def test_infinite_t_raises(self, K):
         with pytest.raises(ParamOutOfRange):
             sigma_values(CurvatureParams(K, -1.0), [0.5, math.inf], 1.0)
+
+    @pytest.mark.parametrize("K", [-1.0, 0.0, 1.0])
+    def test_minus_inf_theta_in_s_and_c_raises_negative_theta(self, K):
+        p = CurvatureParams(K, -1.0)
+        for array_form, scalar_form in ((s_values, s_kn), (c_values, c_kn)):
+            with pytest.raises(NegativeTheta):
+                scalar_form(p, -math.inf)
+            with pytest.raises(NegativeTheta):  # NaN from sinh(-inf)/-inf before
+                array_form(p, [1.0, -math.inf])
+
+    @pytest.mark.parametrize("K", [-1.0, 0.0, 1.0])
+    def test_minus_inf_theta_in_sigma_raises_param_out_of_range(self, K):
+        p = CurvatureParams(K, -1.0)
+        with pytest.raises(ParamOutOfRange):
+            sigma(p, 0.5, -math.inf)
+        # the whole-array path (K > 0), the gathering path with a singular
+        # entry (K < 0) and the all-flat path (K = 0)
+        for t, theta in ((0.5, -math.inf), ([0.0, 1.0], -math.inf),
+                         (0.5, [1.0, 4.0, -math.inf])):
+            with pytest.raises(ParamOutOfRange):
+                sigma_values(p, t, theta)

@@ -85,6 +85,14 @@ class TestOracleFlow:
         after = c.times > c.stop_time
         np.testing.assert_allclose(c.points[after], math.pi / 2, atol=1e-12)
 
+    def test_log_cos_meta(self):
+        grid = time_grid(0, 2.0, 11)
+        expected = {"method": "oracle", "functional": "log-cos", "K": -1.0, "N": -1.0}
+        for y0 in (0.3, 0.0):  # 0.0: the constant branch
+            a = oracle_flow("log-cos", PM11, y0, grid)
+            b = oracle_flow("log-cos", PM11, y0, grid)
+            assert a.meta == expected and a.meta is not b.meta
+
     def test_log_cos_general_params(self):
         p = CurvatureParams(-2.0, -0.5)  # omega = 2
         c = oracle_flow("log-cos", p, 0.2, time_grid(0, 0.1, 6))
@@ -409,8 +417,9 @@ class TestProxRoot:
 
 
 class TestOneEvaluationPerStep:
-    """Each step takes f(U^{n-1}) from the step before it; on R^n the
-    quadratic's Newton matrix is exact."""
+    """On intervals a minimizing movement evaluates f on all its iterates
+    in one call; on R^n each step takes f(U^{n-1}) from the step before
+    it, and the quadratic's Newton matrix is exact."""
 
     EPS = 2.0 ** -52
 
@@ -431,7 +440,7 @@ class TestOneEvaluationPerStep:
         (library("log-x", P01), 1.0, 0.01, 0.3),
         (library("quadratic", P11, c=1.0, dim=2), np.array([1.0, -0.5]), 0.1, 0.5),
     ], ids=["log-x", "quadratic-r2"])
-    def test_f_evaluated_once_per_step(self, fn, y0, tau, horizon):
+    def test_f_evaluation_calls(self, fn, y0, tau, horizon):
         calls = []
 
         def fvec(xs):
@@ -441,7 +450,10 @@ class TestOneEvaluationPerStep:
         c = minimizing_movement(dataclasses.replace(fn, fvec=fvec), tau, y0,
                                 horizon, TOL)
         n_steps = c.n_samples - 1
-        assert len(calls) == n_steps + 1
+        if isinstance(fn.space, Interval):
+            assert calls == [n_steps + 1]
+        else:
+            assert calls == [1] * (n_steps + 1)
         np.testing.assert_array_equal(
             c.points, minimizing_movement(fn, tau, y0, horizon, TOL).points)
 
@@ -483,6 +495,130 @@ class TestOneEvaluationPerStep:
             prox(fn, 0.01, v, TOL, math.nan)
         with pytest.raises(PointOutsideSpace):
             prox(library("log-x", P01), 0.01, -1.0, TOL, 0.0)
+
+
+def _prox_loop(fn, tau, y0, horizon):
+    """The minimizing movement as a loop of public prox calls, each taking
+    f(U^{n-1}) from the step before it: the step-by-step reference."""
+    n_steps = int(math.floor(horizon / tau + 1e-9))
+    u, fu, us = y0, None, [y0]
+    for k in range(1, n_steps + 1):
+        try:
+            step = prox(fn, tau, u, TOL, fu)
+        except (NotBoundedBelow, BasePointOutsideDomain, PointOutsideSpace) as exc:
+            raise type(exc)(f"prox failed at step {k} (t={k * tau}): {exc}") from exc
+        u, fu = step.output, step.f_output
+        us.append(u)
+    return np.asarray(us, dtype=float)
+
+
+def _outcome(run, *args):
+    try:
+        return "points", run(*args).tobytes()
+    except Exception as exc:  # the type and message are compared
+        return type(exc), str(exc)
+
+
+def _band(value):
+    """x^2/2 on R, except value on the band |x - 0.5| < 0.05; f' = x."""
+    return Functional(
+        space=Interval(), name=f"band({value})", grad=lambda x: float(x),
+        fvec=lambda x: np.where(np.abs(x - 0.5) < 0.05, value, 0.5 * x * x))
+
+
+def _expr(expr, a=-math.inf):
+    return expression_functional(expr, Interval(a, math.inf, open_a=False))
+
+
+class TestOneArrayOfValues:
+    """A minimizing movement on an interval finds the first iterate where
+    f is not finite after its search, and fails as a loop of prox calls
+    does: same points, same error type and message."""
+
+    @staticmethod
+    def _mms_points(fn, tau, y0, horizon):
+        return minimizing_movement(fn, tau, y0, horizon, TOL).points
+
+    # (functional, y0, tau, steps, expected error, failing step); the
+    # iterates are u_0 = y0, u_1, ...
+    CASES = {
+        "y0-plus-inf": (_expr("-log(x)", 0.0), 0.0, 0.1, 5,
+                        BasePointOutsideDomain, 1),
+        "y0-minus-inf": (_expr("log(x)", 0.0), 0.0, 0.1, 5, NotBoundedBelow, 1),
+        "y0-nan": (_expr("x*x/2 + 0*log(x - 0.3)"), 0.2, 0.1, 3, NanError, None),
+        "u1-minus-inf": (_expr("x*x/2 - log(x - 0.3)"), 5.0, 1.0, 3,
+                         NotBoundedBelow, 1),
+        "u2-minus-inf": (_expr("x*x/2 - log(x - 0.3)"), 3.0, 2.0, 3,
+                         NotBoundedBelow, 2),
+        "band-minus-inf": (_band(-math.inf), 1.0, 0.1, 20, NotBoundedBelow, 7),
+        "band-plus-inf": (_band(math.inf), 1.0, 0.1, 20, BasePointOutsideDomain, 8),
+        "last-plus-inf": (_band(math.inf), 1.0, 0.1, 7, None, None),
+        "band-nan": (_band(math.nan), 1.0, 0.1, 20, NanError, None),
+        "nan-on-the-way": (_expr("x*x/2 + 0*log(x - 0.3)"), 1.0, 0.1, 30,
+                           NanError, None),
+        # u_1 = +inf, then brentq fails at step 2 (a RuntimeError)
+        "plus-inf-before-a-raise": (_expr("x*x/2 + log(x - 0.3)"), 1.0, 0.1, 30,
+                                    BasePointOutsideDomain, 2),
+        "u2-plus-inf-before-a-raise": (_expr("x*x/2 + log(x - 0.3)"), 2.0, 0.3, 3,
+                                       BasePointOutsideDomain, 3),
+        "nan-gradient": (_expr("x - 0*log(x - 1)"), 3.0, 0.5, 10, NanError, None),
+        "extinction": (library("log-x", P01), 0.35, 0.05, 20, NotBoundedBelow, None),
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_matches_the_prox_loop(self, case):
+        fn, y0, tau, steps, error, step = self.CASES[case]
+        horizon = steps * tau
+        got = _outcome(self._mms_points, fn, tau, y0, horizon)
+        assert got == _outcome(_prox_loop, fn, tau, y0, horizon)
+        if error is None:
+            assert got[0] == "points"
+            return
+        assert got[0] is error
+        if step is not None:
+            assert got[1].startswith(f"prox failed at step {step} ")
+
+    def test_a_raise_in_the_search_waits_for_the_earlier_iterates(self):
+        # f' raises past the band: the +inf iterate in the band wins
+        def grad(x):
+            if x < 0.3:
+                raise ZeroDivisionError("no gradient below 0.3")
+            return float(x)
+
+        fn = dataclasses.replace(_band(math.inf), grad=grad)
+        with pytest.raises(BasePointOutsideDomain, match="step 8 "):
+            minimizing_movement(fn, 0.1, 1.0, 3.0, TOL)
+        # no bad iterate before it: the search's own error comes through
+        fn = dataclasses.replace(library("quadratic", P11, c=1.0), grad=grad)
+        with pytest.raises(ZeroDivisionError):
+            minimizing_movement(fn, 0.1, 1.0, 3.0, TOL)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from([("log-x", P01, 0.0, 3.0), ("log-cos", PM11, -0.5, 0.5),
+                            ("log-sinh", P11, 0.0, 3.0)]),
+           st.floats(0.0, 1.0), st.floats(1e-4, 1.0), st.integers(1, 40))
+    def test_property_matches_the_prox_loop(self, case, frac, tau, steps):
+        name, p, lo, hi = case
+        fn = library(name, p)
+        if name == "log-cos":  # the closure [-pi/2, pi/2]
+            lo, hi = fn.space.a, fn.space.b
+        y0 = lo + frac * (hi - lo)
+        horizon = steps * tau
+        assert _outcome(self._mms_points, fn, tau, y0, horizon) == \
+            _outcome(_prox_loop, fn, tau, y0, horizon)
+
+    @pytest.mark.parametrize("expr, error", [
+        ("x1*x1 + x2*x2", None),
+        ("x1*x1 + x2*x2 - log(x1)", NotBoundedBelow),  # f(-1, 0.5) = -inf
+        ("x1*x1 + x2*x2 + log(x1)", BasePointOutsideDomain),  # f(-1, 0.5) = +inf
+    ])
+    def test_rn_matches_the_prox_loop(self, expr, error):
+        fn = expression_functional(expr, EuclideanRn(2))
+        for y0 in (np.array([1.0, -0.5]), np.array([-1.0, 0.5])):
+            got = _outcome(self._mms_points, fn, 0.1, y0, 1.0)
+            assert got == _outcome(_prox_loop, fn, 0.1, y0, 1.0)
+        if error is not None:  # y0 = (-1, 0.5) fails at step 1
+            assert got[0] is error and got[1].startswith("prox failed at step 1 ")
 
 
 class TestLogCoshOracleOverflow:

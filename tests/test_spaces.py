@@ -31,6 +31,15 @@ class TestInterval:
         with pytest.raises(ParamOutOfRange):
             Interval(1.0, 1.0)
 
+    @pytest.mark.parametrize("sp", [
+        Interval(), Interval(0.0, math.inf, open_a=False),
+        Interval(-math.inf, math.inf, False, False), Interval(-1.0, 1.0, False, False),
+    ], ids=["open-line", "closed-at-0", "flags-closed-line", "closed-bounded"])
+    def test_nan_and_infinities_are_not_members(self, sp):
+        for x in (math.nan, math.inf, -math.inf, np.float64(math.nan)):
+            assert not sp.contains(x) and not sp.contains_closure(x)
+        assert sp.contains_closure(0.0)
+
     def test_dist(self):
         sp = Interval(0.0, math.inf)
         assert dist(sp, 1.0, 0.5) == pytest.approx(0.5)
