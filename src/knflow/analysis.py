@@ -27,8 +27,8 @@ restricted to balls.
 
 Every check reduces its (time sample x reference point) residual grid with
 the convexity module's grid kernel, one block of time samples at a time,
-into a `Report` with witness (t, z); reference points are drawn in time
-order, on intervals in one batch.
+into a `Report` with witness (t, z); reference points are drawn for all
+time samples at once, one call per stratum.
 Cells with f = +inf at the reference point or past the singular cap are
 vacuous, and so is a right-hand side of +inf (its residual is -inf).  A
 kept cell whose residual is +inf or NaN fails the check.
@@ -44,20 +44,18 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .coefficients import CurvatureParams, c_values, s_values
-from .convexity import (Report, _grid_report, _pair_distances, _row_blocks,
-                        sampling_box)
-from .core import DEFAULT_TOL, SampleSpec, Tolerance
+from .convexity import Report, _grid_report, _row_blocks, sampling_box
+from .core import DEFAULT_TOL, SampleSpec, Tolerance, _halving_steps
 from .errors import (
     DisjointWindows,
     KZero,
     ParamOutOfRange,
     PointOutsideDomain,
-    StepUnderflow,
     TooFewSamples,
 )
 from .flows import Curve
 from .functionals import Functional
-from .spaces import Geodesic, Interval
+from .spaces import Geodesic, Interval, distances
 
 _BOUNDARY_MARGIN = 1e-3
 _SUP_LEVELS = 12
@@ -118,13 +116,9 @@ def forward_upper_derivative(g: Callable[[float], float], t: float,
     Difference quotients over h = h0 * 2^-k down to tol.h_min; the max of
     the finest `tail` levels estimates the limsup.
     """
-    if h0 < tol.h_min:
-        raise StepUnderflow(f"h0={h0} below h_min={tol.h_min}")
-    if not h0 < math.inf:
-        raise ParamOutOfRange(f"h0={h0} must be finite")
+    hs = _halving_steps(h0, tol.h_min, "h0")
     g0 = float(g(t))
-    hs = h0 * 0.5 ** np.arange(int(math.log2(h0 / tol.h_min)) + 2)
-    quotients = [(float(g(t + h)) - g0) / h for h in hs[hs >= tol.h_min].tolist()]
+    quotients = [(float(g(t + h)) - g0) / h for h in hs]
     return float(max(quotients[-tail:]))
 
 
@@ -134,12 +128,12 @@ def metric_derivative(c: Curve) -> np.ndarray:
         raise TooFewSamples("metric derivative needs >= 3 samples")
     t, x = c.times, c.points
     seg = _interval_speeds(c)
-    central = _pair_distances(x[:-2], x[2:], c.is_1d) / (t[2:] - t[:-2])
+    central = distances(x[:-2], x[2:], c.is_1d) / (t[2:] - t[:-2])
     return np.concatenate((seg[:1], central, seg[-1:]))
 
 
 def _interval_speeds(c: Curve) -> np.ndarray:
-    return _pair_distances(c.points[:-1], c.points[1:], c.is_1d) / np.diff(c.times)
+    return distances(c.points[:-1], c.points[1:], c.is_1d) / np.diff(c.times)
 
 
 def _local_lipschitz(c: Curve, window: int = 3) -> np.ndarray:
@@ -162,7 +156,7 @@ def _budget_lipschitz(c: Curve, local: np.ndarray,
     i = np.arange(len(local))
     lo = np.maximum(i - stride, 0)
     hi = np.minimum(i + stride, m - 1)
-    avg = _pair_distances(c.points[lo], c.points[hi], c.is_1d) \
+    avg = distances(c.points[lo], c.points[hi], c.is_1d) \
         / (c.times[hi] - c.times[lo])
     return np.minimum(local, 2.0 * avg + 1e-12)
 
@@ -171,14 +165,21 @@ def _budget_lipschitz(c: Curve, local: np.ndarray,
 # reference-point sampling
 # ---------------------------------------------------------------------------
 
-def _stratified_z(fn: Functional, x_t, steps, rng, n: int) -> np.ndarray:
-    """Near-curve / mid-range / near-boundary reference points.
+def _directions(rng, shape, dim: int) -> np.ndarray:
+    """Unit vectors of R^dim, uniform on the sphere, of shape shape + (dim,)."""
+    u = rng.normal(size=(*shape, dim))
+    return u / np.maximum(distances(0.0, u, False), 1e-300)[..., None]
 
-    One row of n points per curve point x_t[k], the near-curve stratum
-    within steps[k] of it.  On intervals every draw is a uniform, so one
-    rng.random call fills all rows, mapped as low + (high - low) u in the
-    same stream order as row-by-row rng.uniform calls; R^n rows interleave
-    normals and uniforms and are drawn one at a time.
+
+def _stratified_z(fn: Functional, x_t, steps, rng, n: int) -> np.ndarray:
+    """Near-curve / mid-range / near-boundary reference points in the box.
+
+    One row of n points per curve point x_t[k]; its first n // 3 lie
+    within steps[k] of x_t[k].  Each stratum is one call for all rows: on
+    intervals one rng.random, mapped as low + (high - low) u in the stream
+    order of row-by-row rng.uniform calls; on R^n unit directions e, radii
+    u, then uniform points for the rest (no boundary stratum), with near
+    points x_t[k] + steps[k] u e clipped to the box.
     """
     box = sampling_box(fn)
     n_near = n // 3
@@ -197,15 +198,12 @@ def _stratified_z(fn: Functional, x_t, steps, rng, n: int) -> np.ndarray:
         return z
     lo = np.asarray(box[0], float)
     hi = np.asarray(box[1], float)
-    dim = lo.size
-    z = np.empty((len(x_t), n, dim))
-    for k in range(len(x_t)):
-        dirs = rng.normal(size=(n_near, dim))
-        dirs /= np.maximum(np.linalg.norm(dirs, axis=1, keepdims=True), 1e-300)
-        near = x_t[k][None, :] + steps[k] * rng.uniform(0, 1, size=(n_near, 1)) * dirs
-        mid = rng.uniform(lo, hi, size=(n - n_near, dim))
-        z[k] = np.clip(np.concatenate([near, mid], axis=0), lo, hi)
-    return z
+    rows, dim = len(x_t), lo.size
+    dirs = _directions(rng, (rows, n_near), dim)
+    near = x_t[:, None, :] + steps[:, None, None] \
+        * rng.uniform(0, 1, size=(rows, n_near, 1)) * dirs
+    mid = rng.uniform(lo, hi, size=(rows, n - n_near, dim))
+    return np.clip(np.concatenate([near, mid], axis=1), lo, hi)
 
 
 def _time_indices(c: Curve, t_samples: int) -> np.ndarray:
@@ -259,8 +257,8 @@ def _step_check(form, params, c: Curve, fn: Functional, tol: Tolerance,
     def block(lo, hi):
         i, z, hb = idx[lo:hi], zs[lo:hi], h[lo:hi]
         fz = fn.values(z.reshape(-1, *z.shape[2:])).reshape(z.shape[:2])
-        d0 = _pair_distances(c.points[i, None], z, one_d)
-        d1 = _pair_distances(c.points[i + 1, None], z, one_d)
+        d0 = distances(c.points[i, None], z, one_d)
+        d1 = distances(c.points[i + 1, None], z, one_d)
         if raw is None:
             u0 = u1 = None
             q = (d1 ** 2 - d0 ** 2) / (2.0 * hb)
@@ -353,7 +351,7 @@ def _first_exits(points, zs, cap: float, one_d: bool) -> np.ndarray:
     (len(points) if the curve stays closer)."""
     out = np.full(len(zs), len(points))
     for lo, hi in _row_blocks(len(points), len(zs)):
-        far = _pair_distances(points[lo:hi, None], zs, one_d) >= cap
+        far = distances(points[lo:hi, None], zs, one_d) >= cap
         new = far.any(axis=0) & (out == len(points))
         out[new] = lo + far[:, new].argmax(axis=0)
     return out
@@ -379,7 +377,7 @@ def check_evi_integrated(c: Curve, fn: Functional, p: CurvatureParams,
     f_curve = fn.values(c.points)
     if not np.isfinite(f_curve).all():
         raise PointOutsideDomain("curve leaves the finiteness domain of f")
-    u_start = s_values(p, _pair_distances(c.points[:1, None], zs, one_d)
+    u_start = s_values(p, distances(c.points[:1, None], zs, one_d)
                        / 2.0) ** 2
     idx = np.unique(np.linspace(1, c.n_samples - 1,
                                 min(t_samples, c.n_samples - 1)).round()
@@ -391,7 +389,7 @@ def check_evi_integrated(c: Curve, fn: Functional, p: CurvatureParams,
 
     def block(lo, hi):
         i, e = idx[lo:hi], ekt[lo:hi]
-        u = s_values(p, _pair_distances(c.points[i, None], zs, one_d) / 2.0) ** 2
+        u = s_values(p, distances(c.points[i, None], zs, one_d) / 2.0) ** 2
         with np.errstate(over="ignore"):
             ratio = np.exp((-fz + f_curve[i, None]) / p.N)
         rhs_gain = p.N * (e - 1.0) / (2.0 * p.K) * (1.0 - ratio)
@@ -425,15 +423,11 @@ def check_evi_local(c: Curve, gn: Functional, lam: float, radius: float,
             lo = np.maximum(float(box[0]), x_t - radius)[:, None]
             hi = np.minimum(float(box[1]), x_t + radius)[:, None]
             return lo + (hi - lo) * rng.random((len(idx), spec.count))
-        z = np.empty((len(idx), spec.count, gn.space.n))
-        for k in range(len(idx)):
-            dirs = rng.normal(size=(spec.count, gn.space.n))
-            dirs /= np.maximum(np.linalg.norm(dirs, axis=1, keepdims=True), 1e-300)
-            radii = radius * rng.uniform(0, 1, size=(spec.count, 1)) ** (
-                1.0 / gn.space.n)
-            z[k] = np.clip(x_t[k][None, :] + radii * dirs,
-                           np.asarray(box[0]), np.asarray(box[1]))
-        return z
+        shape, dim = (len(idx), spec.count), gn.space.n
+        dirs = _directions(rng, shape, dim)
+        radii = radius * rng.uniform(0, 1, size=(*shape, 1)) ** (1.0 / dim)
+        return np.clip(x_t[:, None, :] + radii * dirs,
+                       np.asarray(box[0]), np.asarray(box[1]))
 
     def keep(gz, z, d0, d1):
         out = np.isfinite(gz)
@@ -484,8 +478,8 @@ def _definition_slopes(fn: Functional, ys: np.ndarray, fys: np.ndarray,
         vals[inside] = fn.values(probes[inside])
     else:
         dim = fn.space.n
-        dirs = (spec or SampleSpec(seed=0, count=32)).rng().normal(size=(32, dim))
-        dirs /= np.maximum(np.linalg.norm(dirs, axis=1, keepdims=True), 1e-300)
+        dirs = _directions((spec or SampleSpec(seed=0, count=32)).rng(), (32,),
+                           dim)
         probes = ys[:, None, None, :] + r[:, None, :, None] \
             * dirs[None, :, None, :]
         vals = fn.values(probes.reshape(-1, dim)).reshape(probes.shape[:3])
@@ -498,8 +492,7 @@ def _definition_slopes(fn: Functional, ys: np.ndarray, fys: np.ndarray,
 
 def slope(fn: Functional, y, method: str, spec: Optional[SampleSpec] = None,
           p: Optional[CurvatureParams] = None, R: Optional[float] = None,
-          tol: Tolerance = DEFAULT_TOL, r0: Optional[float] = None,
-          levels: int = _SUP_LEVELS) -> float:
+          r0: Optional[float] = None, levels: int = _SUP_LEVELS) -> float:
     """Descending slope at y.
 
     "definition": limsup of the negative part of difference quotients,
@@ -512,12 +505,11 @@ def slope(fn: Functional, y, method: str, spec: Optional[SampleSpec] = None,
     if not math.isfinite(fy):
         raise PointOutsideDomain(f"f({y!r}) = {fy}")
     if method == "definition":
-        one_d = isinstance(fn.space, Interval)
-        scale = 1.0 + (abs(float(y)) if one_d else float(np.linalg.norm(y)))
-        r_start = r0 if r0 is not None else 0.0625 * scale
-        return float(_definition_slopes(fn, np.asarray([y], float),
-                                        np.array([fy]), np.array([r_start]),
-                                        levels, spec)[0])
+        y0 = np.asarray(y, float)
+        norm = float(distances(0.0, y0, isinstance(fn.space, Interval)))
+        r_start = r0 if r0 is not None else 0.0625 * (1.0 + norm)
+        return float(_definition_slopes(fn, y0[None], np.array([fy]),
+                                        np.array([r_start]), levels, spec)[0])
     if method == "formula":
         if p is None or R is None:
             raise ParamOutOfRange("formula method needs p=(K,N) and R")
@@ -537,7 +529,7 @@ def slope(fn: Functional, y, method: str, spec: Optional[SampleSpec] = None,
         fz = fn.values(zs)
         keep = fz < math.inf
         zs, fz = zs[keep], fz[keep]
-        d = np.abs(zs - y)
+        d = distances(y, zs, True)
         with np.errstate(over="ignore"):
             ratio = np.exp((-fz + fy) / p.N)
         expr = p.N / s_values(p, d) * (1.0 - ratio) \
@@ -566,9 +558,7 @@ def energy_audit(c: Curve, fn: Functional, tol: Tolerance = DEFAULT_TOL,
     if not np.isfinite(energy).all():
         raise PointOutsideDomain("curve leaves the finiteness domain")
     speed = metric_derivative(c)
-    # vecdot: bit for bit the np.linalg.norm of each point, as in slope()
-    norms = np.abs(c.points) if c.is_1d \
-        else np.sqrt(np.vecdot(c.points, c.points))
+    norms = distances(0.0, c.points, c.is_1d)
     slopes = _definition_slopes(fn, c.points, energy, slope_r0 * (1.0 + norms),
                                 _SUP_LEVELS, spec)
     t = c.times
@@ -599,7 +589,7 @@ def energy_audit(c: Curve, fn: Functional, tol: Tolerance = DEFAULT_TOL,
 # bracket against geodesics
 # ---------------------------------------------------------------------------
 
-def bracket(c: Curve, t0: float, g: Geodesic, tol: Tolerance = DEFAULT_TOL,
+def bracket(c: Curve, t0: float, g: Geodesic,
             levels: int = _SUP_LEVELS) -> Bracket:
     """Sup over ray parameters s of the scaled forward quotient of d^2.
 
@@ -617,14 +607,14 @@ def bracket(c: Curve, t0: float, g: Geodesic, tol: Tolerance = DEFAULT_TOL,
     x0, x1 = c.points[i], c.points[i + 1]
     p0, p1 = np.asarray(g.p0, float), np.asarray(g.p1, float)
     # |x0| as the distance from the origin
-    if _pair_distances(x0, p0, one_d) > 1e-9 * (1.0 + _pair_distances(0.0, x0, one_d)):
+    if distances(x0, p0, one_d) > 1e-9 * (1.0 + distances(0.0, x0, one_d)):
         raise ParamOutOfRange("geodesic must emanate from the curve point")
     h = c.times[i + 1] - c.times[i]
     s = 0.5 ** np.arange(max(levels, 1))
     s = s[s >= min(0.25, 256.0 * h)]  # keeps s = 1
     z = (1.0 - s) * p0 + s * p1 if one_d else \
         (1.0 - s)[:, None] * p0 + s[:, None] * p1
-    q = (_pair_distances(x1, z, one_d) ** 2 - _pair_distances(x0, z, one_d) ** 2) \
+    q = (distances(x1, z, one_d) ** 2 - distances(x0, z, one_d) ** 2) \
         / h / (2.0 * s)
     return Bracket(value=float(np.max(q)))
 
@@ -651,7 +641,7 @@ def contraction_rate(c1: Curve, c2: Curve, r: float,
         raise DisjointWindows("common window holds fewer than two samples")
     if not (lo - 1e-12 <= r <= hi):
         raise ParamOutOfRange(f"r={r} outside the common window [{lo}, {hi}]")
-    d = np.maximum(_pair_distances(c2.at(s_grid), c1.at(s_grid), c1.is_1d), 1e-300)
+    d = np.maximum(distances(c2.at(s_grid), c1.at(s_grid), c1.is_1d), 1e-300)
     log_d = np.log(d)
     dr = float(np.interp(r, s_grid, log_d))
     after = s_grid > r + 1e-12

@@ -367,8 +367,7 @@ def _run_flow(cfg, out_dir):
                          rtol=_number(cfg.get("rtol", 1e-9), "rtol"))
     elif method == "mms":
         curve = minimizing_movement(fn, _number(cfg["tau"], "tau"), y0,
-                                    _number(cfg["horizon"], "horizon"),
-                                    _tolerance_from(cfg))
+                                    _number(cfg["horizon"], "horizon"))
     else:
         raise ConfigInvalid(f"unknown flow method {method!r}")
     return write_curve(_out_path(cfg["out"], out_dir), curve), "ok"

@@ -33,7 +33,7 @@ from .coefficients import CurvatureParams, sigma_values
 from .core import DEFAULT_TOL, SampleSpec, Tolerance
 from .errors import BadBracket, EmptyDomain, ParamOutOfRange, UnboundedAbove
 from .functionals import Functional, fN_functional
-from .spaces import Interval
+from .spaces import Interval, distances
 
 T_GRID_SIZE = 33  # t in {k/32}
 _BOX_MARGIN = 1e-3
@@ -107,12 +107,6 @@ def _draw_points(rng, box, count, dim1: bool):
     return rng.uniform(lo, hi, size=(count, lo.size))
 
 
-def _pair_distances(x0, x1, dim1: bool):
-    if dim1:
-        return np.abs(x1 - x0)
-    return np.linalg.norm(x1 - x0, axis=-1)
-
-
 def _geodesic_values(fn: Functional, x0, x1, ts, dim1: bool):
     """f at gamma_t for every pair and every t; shape (pairs, t)."""
     if dim1:
@@ -131,7 +125,7 @@ def _draw_pairs(fn: Functional, spec: SampleSpec, box, cap: Optional[float]):
     x1 = _draw_points(rng, box, spec.count, dim1)
     if cap is not None and math.isfinite(cap):
         for _ in range(1000):
-            bad = _pair_distances(x0, x1, dim1) >= cap
+            bad = distances(x0, x1, dim1) >= cap
             if not bad.any():
                 break
             k = int(bad.sum())
@@ -142,8 +136,8 @@ def _draw_pairs(fn: Functional, spec: SampleSpec, box, cap: Optional[float]):
     return x0, x1
 
 
-def _finite_pair_filter(v0, v1):
-    good = np.isfinite(v0) & np.isfinite(v1)
+def _finite_pair_filter(good):
+    """The mask of pairs to test; EmptyDomain if it keeps none."""
     if not good.any():
         raise EmptyDomain("no sampled pair has finite values")
     return good
@@ -196,9 +190,9 @@ def check_lambda_convex(fn: Functional, lam: float, spec: SampleSpec,
     x0, x1 = _draw_pairs(fn, spec, box, cap=None)
     f0 = fn.values(x0)
     f1 = fn.values(x1)
-    good = _finite_pair_filter(f0, f1)
+    good = _finite_pair_filter(np.isfinite(f0) & np.isfinite(f1))
     x0, x1, f0, f1 = x0[good], x1[good], f0[good], f1[good]
-    d = _pair_distances(x0, x1, dim1)
+    d = distances(x0, x1, dim1)
     ts = np.linspace(0.0, 1.0, T_GRID_SIZE)
     scale = np.maximum(1.0, np.maximum(np.abs(f0), np.abs(f1)))[:, None]
     budget = tol.abs + tol.rel * scale
@@ -229,13 +223,12 @@ def check_kn_convex(fn: Functional, p: CurvatureParams, spec: SampleSpec,
     x0, x1 = _draw_pairs(fn, spec, box, cap)
     g0 = -fn.values(x0) / p.N
     g1 = -fn.values(x1) / p.N
-    good = _finite_pair_filter(np.where(g0 < math.inf, 0.0, math.nan),
-                               np.where(g1 < math.inf, 0.0, math.nan))
+    good = _finite_pair_filter((g0 < math.inf) & (g1 < math.inf))
     x0, x1, g0, g1 = x0[good], x1[good], g0[good], g1[good]
     with np.errstate(over="ignore"):
         fN0 = np.exp(g0)[:, None]
         fN1 = np.exp(g1)[:, None]
-    d = _pair_distances(x0, x1, dim1)[:, None]
+    d = distances(x0, x1, dim1)[:, None]
     ts = np.linspace(0.0, 1.0, T_GRID_SIZE)
     budget = tol.abs + tol.rel * np.maximum(1.0, np.maximum(fN0, fN1))
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigInvalid, NanError, ParamOutOfRange
+from .errors import ConfigInvalid, NanError, ParamOutOfRange, StepUnderflow
 
 
 def require_not_nan(x: float, where: str = "value") -> float:
@@ -86,6 +86,18 @@ class Tolerance:
 
 
 DEFAULT_TOL = Tolerance()
+
+
+def _halving_steps(h0: float, h_min: float, what: str) -> list:
+    """The steps h0 * 2^-k >= h_min of a difference-quotient limit,
+    coarsest first: StepUnderflow for h0 below h_min, ParamOutOfRange for
+    an h0 that is not finite (`what` names it in the message)."""
+    if h0 < h_min:
+        raise StepUnderflow(f"{what}={h0} below h_min={h_min}")
+    if not h0 < math.inf:
+        raise ParamOutOfRange(f"{what}={h0} must be finite")
+    hs = h0 * 0.5 ** np.arange(int(math.log2(h0 / h_min)) + 2)
+    return hs[hs >= h_min].tolist()
 
 
 @dataclass(frozen=True)

@@ -322,6 +322,8 @@ def prox(fn: Functional, tau: float, v, tol: Tolerance = DEFAULT_TOL,
     evaluates f only at such an end.  R^n: damped Newton with an Armijo
     line search on f; the matrix is I/tau + ``fn.hess(x)``, or a central
     finite-difference Jacobian (2n more gradient calls per iteration).
+    tol is not read; it keeps its position ahead of fv, where callers pass
+    it, as ``perfbench/jobs.py`` does in :func:`minimizing_movement`.
     """
     tau, v, one_d, _ = _prox_args(fn, tau, v)
     if fv is None:
@@ -400,7 +402,7 @@ def _prox_rn(fn: Functional, tau: float, v, fv: float, eye_tau) -> tuple:
         evals += 1
         return (w - v) / tau + np.asarray(fn.grad(w), dtype=float)
 
-    def norm(w):  # what np.linalg.norm computes for a 1-d vector
+    def norm(w):  # spaces.distances from 0 of one vector, as a float
         return math.sqrt(float(np.dot(w, w)))
 
     x, obj, fx = v.copy(), fv, fv
@@ -459,6 +461,7 @@ def minimizing_movement(fn: Functional, tau: float, y0, horizon: float,
     NaN with :class:`NanError`.  meta has ``prox_psi_evals`` (prox-objective
     gradient evaluations; 2n more per Newton iteration with a
     finite-difference Hessian) and ``prox_expansions`` (1-d doublings).
+    tol is not read; ``perfbench/jobs.py`` passes it by position.
     """
     tau, k, us, fs, err = float(tau), 1, [], [], None
     psi_evals = expansions = 0

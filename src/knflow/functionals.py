@@ -23,13 +23,13 @@ from typing import Callable, Optional
 import numpy as np
 
 from .coefficients import CurvatureParams
-from .core import DEFAULT_TOL, Tolerance, _integer, _number, _pair, require_not_nan
+from .core import (DEFAULT_TOL, Tolerance, _halving_steps, _integer, _number,
+                   _pair, require_not_nan)
 from .errors import (
     BasePointOutsideDomain,
     ExpressionError,
     IncompatibleSign,
     NanError,
-    ParamOutOfRange,
     PointOutsideSpace,
 )
 from .spaces import EuclideanRn, Geodesic, Interval, ModelSpace, Point
@@ -265,18 +265,14 @@ def directional_derivative(fn: Functional, g: Geodesic,
 
     Difference quotients are taken on the finest `tail` levels of the
     geometric sequence t_k = t0 * 2^-k down to tol.h_min; their minimum
-    estimates the liminf.  +-inf results are legitimate.
+    estimates the liminf.  +-inf results are legitimate.  A t0 below
+    tol.h_min raises StepUnderflow, one that is not finite ParamOutOfRange.
     """
     f0 = fn.value(g.p0)
     if not math.isfinite(f0):
         raise BasePointOutsideDomain(f"f(gamma(0)) = {f0}")
-    if not t0 < math.inf:
-        raise ParamOutOfRange(f"t0={t0} must be finite")
-    if t0 < tol.h_min:
-        raise BasePointOutsideDomain("t0 below h_min")
-    ts = t0 * 0.5 ** np.arange(int(math.log2(t0 / tol.h_min)) + 2)
     quotients = []
-    for t in ts[ts >= tol.h_min][-tail:].tolist():
+    for t in _halving_steps(t0, tol.h_min, "t0")[-tail:]:
         ft = fn.value(g(t))
         quotients.append((ft - f0) / t if math.isfinite(ft) else ft)
     return float(min(quotients))

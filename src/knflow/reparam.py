@@ -32,6 +32,7 @@ from .errors import (
 )
 from .flows import Curve
 from .functionals import Functional, _exp_clip, fN_values
+from .spaces import distances
 
 _FN_FLOOR = 1e-12
 
@@ -148,7 +149,5 @@ def roundtrip_error(c: Curve, fn: Functional, p: CurvatureParams,
     lo = max(times[0], rt.times[0])
     hi = min(times[-1], rt.times[-1])
     inside = (times >= lo) & (times <= hi)
-    diff = c.points[:m][inside] - rt.at(times[inside])
-    # vecdot: bit for bit the np.linalg.norm of each row
-    gaps = np.abs(diff) if c.is_1d else np.sqrt(np.vecdot(diff, diff))
+    gaps = distances(rt.at(times[inside]), c.points[:m][inside], c.is_1d)
     return float(np.max(gaps, initial=0.0)) + time_gap

@@ -95,13 +95,19 @@ def _require_member(space: ModelSpace, x: Point) -> Point:
     return space.as_point(x)
 
 
+def distances(x0, x1, one_d: bool):
+    """|x1 - x0| on an interval, sqrt(d.d) over the last axis on R^n, for
+    broadcast x0, x1: every distance (and, from 0.0, norm) of the library."""
+    d = x1 - x0
+    if one_d:
+        return np.abs(d)
+    return np.sqrt(np.vecdot(d, d))
+
+
 def dist(space: ModelSpace, x: Point, y: Point) -> float:
     """Euclidean distance between two points of the space."""
-    x = _require_member(space, x)
-    y = _require_member(space, y)
-    if isinstance(space, Interval):
-        return abs(x - y)
-    return float(np.linalg.norm(x - y))
+    return float(distances(_require_member(space, x), _require_member(space, y),
+                           isinstance(space, Interval)))
 
 
 @dataclass(frozen=True)

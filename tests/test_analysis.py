@@ -229,6 +229,51 @@ class TestEviLambdaRn:
         assert not check_evi_lambda(bad, fn, 1.0, SPEC, TOL).passed
 
 
+class TestRnSamplers:
+    """Properties of the R^n reference points that hold for any draw order."""
+
+    QUAD2 = library("quadratic", P11, c=1.0, dim=2)
+
+    def test_stratified_rows_lie_in_the_box_and_near_the_curve(self):
+        from knflow.analysis import _stratified_z
+        from knflow.spaces import distances
+        # curve points on and near the edges of the box [-3, 3]^2, so the
+        # clip acts on the near-curve stratum too
+        x_t = np.array([[0.0, 0.0], [2.95, -1.0], [-3.0, 3.0], [1.0, 2.99]])
+        steps = np.array([0.5, 0.2, 0.1, 1.0])
+        n = 31
+        z = _stratified_z(self.QUAD2, x_t, steps, np.random.default_rng(4), n)
+        assert z.shape == (len(x_t), n, 2)
+        assert ((z >= -3.0) & (z <= 3.0)).all()
+        near = distances(x_t[:, None, :], z[:, :n // 3], False)
+        assert (near <= steps[:, None] * (1.0 + 1e-12)).all()
+
+    def test_local_points_lie_in_the_box_and_the_ball(self, monkeypatch):
+        from knflow import analysis
+        from knflow.spaces import distances
+        real = analysis._step_check
+        seen = {}
+
+        def spy(form, params, c, fn, tol, t_samples, draw, *args, **kwargs):
+            def record(idx, steps):
+                seen["idx"], seen["z"] = idx, draw(idx, steps)
+                return seen["z"]
+            return real(form, params, c, fn, tol, t_samples, record, *args,
+                        **kwargs)
+
+        monkeypatch.setattr(analysis, "_step_check", spy)
+        c = oracle_flow("quadratic", None, np.array([2.9, -2.95]),
+                        time_grid(0, 1, 60), c=1.0)
+        radius = 0.4
+        check_evi_local(c, self.QUAD2, 1.0, radius, SampleSpec(5, 25), TOL,
+                        t_samples=12)
+        z, x_t = seen["z"], c.points[seen["idx"]]
+        assert z.shape == (len(x_t), 25, 2)
+        assert ((z >= -3.0) & (z <= 3.0)).all()
+        assert (distances(x_t[:, None, :], z, False)
+                <= radius * (1.0 + 1e-12)).all()
+
+
 class TestEviIntegrated:
     def test_log_cosh_passes(self):
         c = oracle_flow("log-cosh", P11, 1.0, time_grid(0, 2, 800))
@@ -353,7 +398,7 @@ class TestBracket:
         t0 = float(c.times[500])
         y = float(c.points[500])
         g = geodesic(LOG_X.space, y, 2.0)
-        b = bracket(c, t0, g, TOL)
+        b = bracket(c, t0, g)
         dd = directional_derivative(LOG_X, g)
         # discrete bias ~ h/(4 s_min) * curvature, systematically positive
         assert b.value <= dd + 5e-3
@@ -362,20 +407,20 @@ class TestBracket:
     def test_constant_curve_zero(self):
         c = Curve(np.linspace(0, 1, 20), np.full(20, 1.0))
         g = geodesic(LOG_X.space, 1.0, 2.5)
-        assert bracket(c, float(c.times[10]), g, TOL).value == pytest.approx(0.0, abs=1e-12)
+        assert bracket(c, float(c.times[10]), g).value == pytest.approx(0.0, abs=1e-12)
 
     def test_downstream_direction_negative(self):
         c = oracle_flow("log-x", P01, 1.0, time_grid(0, 0.45, 2000))
         t0 = float(c.times[500])
         y = float(c.points[500])
         g = geodesic(LOG_X.space, y, max(y - 0.3, 1e-3))
-        assert bracket(c, t0, g, TOL).value < 0
+        assert bracket(c, t0, g).value < 0
 
     def test_non_grid_time_rejected(self):
         c = oracle_flow("log-x", P01, 1.0, time_grid(0, 0.4, 10))
         g = geodesic(LOG_X.space, float(c.points[0]), 2.0)
         with pytest.raises(ParamOutOfRange):
-            bracket(c, 0.1234, g, TOL)
+            bracket(c, 0.1234, g)
 
     def test_audit_too_few_samples(self):
         c = Curve(np.array([0.0, 1.0]), np.array([1.0, 1.0]))

@@ -234,6 +234,14 @@ class TestDirectionalDerivative:
         with pytest.raises(ParamOutOfRange):
             directional_derivative(fn, geodesic(fn.space, 1.0, 2.0), t0=math.nan)
 
+    def test_step_below_h_min_underflows(self):
+        # as in forward_upper_derivative: the base point is fine, the step
+        # is too small
+        from knflow.errors import StepUnderflow
+        fn = library("log-x", P01)
+        with pytest.raises(StepUnderflow):
+            directional_derivative(fn, geodesic(fn.space, 1.0, 2.0), t0=1e-9)
+
     def test_liminf_uses_small_steps(self):
         # kink at t=0.1 along the segment: the early quotient is larger
         fn = Functional(

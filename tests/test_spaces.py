@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from knflow.spaces import (
     EuclideanRn,
     Interval,
     dist,
+    distances,
     geodesic,
     geodesic_eval,
     space_from_json,
@@ -61,6 +63,69 @@ class TestEuclidean:
         sp = EuclideanRn(2)
         assert not sp.contains(np.array([1.0]))
         assert sp.contains(np.array([1.0, 2.0]))
+
+
+class TestOneNorm:
+    """Every distance on R^n is sqrt(d.d), bit for bit, wherever it is taken.
+
+    np.linalg.norm(axis=-1) sums the squares in another order and differs
+    from it in the last bit on some rows; the seeded rows below include
+    such rows.
+    """
+
+    @staticmethod
+    def _rows(n=400, dim=3, seed=11):
+        rng = np.random.default_rng(seed)
+        x0, x1 = rng.normal(size=(2, n, dim))
+        d = x1 - x0
+        want = np.sqrt(np.vecdot(d, d))
+        other = np.flatnonzero(np.linalg.norm(d, axis=-1) != want)
+        assert len(other) > 0
+        return x0, x1, want, other
+
+    def test_distances_dist_and_length(self):
+        x0, x1, want, other = self._rows()
+        assert np.array_equal(distances(x0, x1, False), want)
+        sp = EuclideanRn(3)
+        for k in other:
+            assert dist(sp, x0[k], x1[k]) == want[k]
+            assert geodesic(sp, x0[k], x1[k]).length == want[k]
+
+    def test_metric_derivative(self):
+        from knflow.analysis import metric_derivative
+        from knflow.flows import Curve
+        pts = np.cumsum(self._rows()[0], axis=0)
+        speed = metric_derivative(Curve(np.arange(len(pts), dtype=float), pts))
+        d = pts[2:] - pts[:-2]
+        assert np.array_equal(speed[1:-1], np.sqrt(np.vecdot(d, d)) / 2.0)
+        ends = pts[[1, -1]] - pts[[0, -2]]
+        assert np.array_equal(speed[[0, -1]], np.sqrt(np.vecdot(ends, ends)))
+
+    def test_roundtrip_error(self):
+        from knflow.coefficients import CurvatureParams
+        from knflow.flows import oracle_flow, time_grid
+        from knflow.functionals import library
+        from knflow.reparam import r1, r2, roundtrip_error
+        p = CurvatureParams(1.0, -1.0)
+        fn = library("quadratic", p, c=1.0, dim=3)
+        c = oracle_flow("quadratic", None, np.array([1.0, -0.5, 2.0]),
+                        time_grid(0.0, 1.0, 1000), c=1.0)
+        rt = r2(r1(c, fn, p), fn, p)
+        times = c.times[:rt.n_samples]
+        inside = (times >= max(times[0], rt.times[0])) \
+            & (times <= min(times[-1], rt.times[-1]))
+        d = c.points[:rt.n_samples][inside] - rt.at(times[inside])
+        want = float(np.max(np.sqrt(np.vecdot(d, d)))) \
+            + float(np.max(np.abs(rt.times - times)))
+        assert roundtrip_error(c, fn, p) == want
+
+    def test_no_other_norm_in_the_library(self):
+        import knflow
+        for path in Path(knflow.__file__).parent.glob("*.py"):
+            text = path.read_text()
+            assert "linalg.norm" not in text, path.name
+            if path.name != "spaces.py":
+                assert "vecdot" not in text, path.name
 
 
 class TestGeodesic:
