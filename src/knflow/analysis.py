@@ -410,7 +410,13 @@ def check_evi_local(c: Curve, gn: Functional, lam: float, radius: float,
                     t_samples: int = 50,
                     z_filter: Optional[Callable] = None) -> Report:
     """Localized version: reference points restricted to balls around the
-    curve (optionally filtered further, e.g. to a sublevel set)."""
+    curve (optionally filtered further, e.g. to a sublevel set).
+
+    z_filter(z) gets a block of reference points, of shape (rows, cols)
+    on an interval and (rows, cols, n) on R^n, and returns a boolean mask
+    of shape (rows, cols); a cell is tested where the mask holds and f is
+    finite at its point.
+    """
     if not radius > 0:
         raise ParamOutOfRange("radius must be > 0")
     one_d = isinstance(gn.space, Interval)
@@ -432,8 +438,7 @@ def check_evi_local(c: Curve, gn: Functional, lam: float, radius: float,
     def keep(gz, z, d0, d1):
         out = np.isfinite(gz)
         if z_filter is not None:
-            pts = z.reshape(-1, *z.shape[2:])
-            out &= np.asarray([bool(z_filter(z_k)) for z_k in pts]).reshape(gz.shape)
+            out &= np.asarray(z_filter(z), dtype=bool)
         return out
 
     return _step_check(

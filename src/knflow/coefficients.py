@@ -12,6 +12,9 @@ regime K*theta^2 <= N*pi^2 (only reachable for K < 0).  Below the
 crossover w*theta = 1e-4, s uses a 5-term Taylor series of sin(x)/x or
 sinh(x)/x; the array form evaluates sin or sinh on the whole array and
 overwrites the entries below the crossover, if any, with the series.
+``sigma_values`` has one path: s(theta) on theta's own shape, s(t*theta)
+on the broadcast shape, then t at the flat entries and +inf at the
+singular ones.
 
 Each kernel has an array form (``s_values``, ``c_values``, ``sigma_values``)
 and a scalar form (``s_kn``, ``c_kn``, ``sigma``, ``sigma_rate_limits``) that
@@ -186,47 +189,45 @@ def sigma_values(p: CurvatureParams, t, theta) -> np.ndarray:
     """Vectorized distortion coefficients; +inf in the singular regime.
 
     t and theta broadcast against each other; t in [0,1], theta >= 0.  A
-    NaN t or theta raises NanError.  For K != 0 with no singular entry
-    the kernels run on the broadcast inputs (flat entries set to t
-    afterwards), else on copies of the entries neither flat nor singular.
+    NaN raises NanError, an infinite t or a theta of -inf ParamOutOfRange.
+    The regime masks and s(theta) are computed on theta's own shape, only
+    s(t*theta) on the broadcast one; flat entries (K*theta^2 = 0, all when
+    K = 0) are then set to t and singular ones to +inf.
     """
     t = np.asarray(t, dtype=float)
     theta = np.asarray(theta, dtype=float)
     if not np.isfinite(t).all():
         bad = NanError if np.isnan(t).any() else ParamOutOfRange
         raise bad("t must be finite")
-    t, theta = np.broadcast_arrays(t, theta)
-    with np.errstate(over="ignore", invalid="ignore"):  # 0*inf when K = 0
-        k_theta2 = p.K * theta * theta
-    live = k_theta2 > p.N * math.pi**2  # not singular; a NaN fails too
-    whole = p.K != 0 and live.all()  # K = 0: all flat, nothing to evaluate
-    if not whole and not (theta > -math.inf).all():
+    if not (theta > -math.inf).all():  # a NaN fails too
         bad = NanError if np.isnan(theta).any() else ParamOutOfRange
         raise bad("theta must not be NaN or -inf")
-    sel = ... if whole else live & (k_theta2 != 0.0)  # t[...] is a view
-    ts, th = t[sel], theta[sel]
-    with np.errstate(over="ignore", invalid="ignore"):  # 0*inf, inf/inf and
-        x, tth = th * p.omega, ts * th                  # 0/0: patched below
-        den = th * _ratio(x, math.copysign(1.0, p.K))
-        ratio = _ratio(tth * p.omega, math.copysign(1.0, p.K))
+    if p.K == 0:  # every entry flat: sigma = t
+        return np.broadcast_to(t, np.broadcast_shapes(t.shape, theta.shape)).copy()
+    sign = math.copysign(1.0, p.K)
+    with np.errstate(all="ignore"):  # 0/0, inf/inf, 0*inf: patched below
+        k_theta2 = p.K * theta * theta
+        flat, singular = k_theta2 == 0.0, k_theta2 <= p.N * math.pi**2
+        del k_theta2  # full-size when theta is: not kept to the peak
+        x = theta * p.omega
+        den = theta * _ratio(x, sign)
+        big = np.isinf(den)  # sinh(w theta) overflowed (K > 0 only)
+        tth = t * theta
+        ratio = _ratio(tth * p.omega, sign)
         ratio *= tth
         ratio /= den
-        big = np.isinf(den)  # sinh(w theta) overflowed (K > 0 only)
         if big.any():
-            xb, tb = x[big], ts[big]
-            if (xb < 0).any():  # theta = -inf, or negative past sinh's range
+            big, xb, tb = np.broadcast_arrays(big, x, t)
+            xb, tb = xb[big], tb[big]
+            if (xb < 0).any():  # theta negative past sinh's range
                 raise ParamOutOfRange("theta must be >= 0")
             scaled = (np.exp(-xb * (1.0 - tb)) * np.expm1(-2.0 * tb * xb)
                       / np.expm1(-2.0 * xb))
             # at w theta = +inf the limit is 0 for t < 1 and 1 at t = 1
             ratio[big] = np.where(xb == np.inf, tb == 1.0, scaled)
-    if whole:
-        np.copyto(ratio, t, where=k_theta2 == 0.0)  # flat: sigma = t
-        return ratio
-    out = t.copy()  # covers K*theta^2 == 0, and NaN (K = 0, theta = +inf)
-    out[sel] = ratio
-    out[k_theta2 <= p.N * math.pi**2] = math.inf
-    return out
+    np.copyto(ratio, t, where=flat)
+    np.copyto(ratio, math.inf, where=singular)
+    return ratio
 
 
 def sigma(p: CurvatureParams, t: float, theta: float) -> float:

@@ -98,39 +98,32 @@ def sampling_box(fn: Functional, margin: float = _BOX_MARGIN,
     return (-extent * np.ones(n), extent * np.ones(n))
 
 
-def _draw_points(rng, box, count, dim1: bool):
+def _draw_points(rng, box, count):
     lo, hi = box
-    if dim1:
-        return rng.uniform(float(lo), float(hi), size=count)
-    lo = np.asarray(lo, float)
-    hi = np.asarray(hi, float)
-    return rng.uniform(lo, hi, size=(count, lo.size))
+    return rng.uniform(lo, hi, size=(count, *np.shape(lo)))
 
 
-def _geodesic_values(fn: Functional, x0, x1, ts, dim1: bool):
+def _geodesic_values(fn: Functional, x0, x1, ts):
     """f at gamma_t for every pair and every t; shape (pairs, t)."""
-    if dim1:
-        gamma = (1 - ts)[None, :] * x0[:, None] + ts[None, :] * x1[:, None]
-    else:
-        gamma = ((1 - ts)[None, :, None] * x0[:, None, :]
-                 + ts[None, :, None] * x1[:, None, :]).reshape(-1, fn.space.n)
-    return fn.values(gamma).reshape(len(x0), len(ts))
+    ts = ts.reshape(-1, *[1] * (x0.ndim - 1))
+    gamma = (1 - ts) * x0[:, None] + ts * x1[:, None]
+    return fn.values(gamma.reshape(-1, *x0.shape[1:])).reshape(len(x0), len(ts))
 
 
 def _draw_pairs(fn: Functional, spec: SampleSpec, box, cap: Optional[float]):
     """Seeded pairs from the box, resampling any pair beyond the cap."""
     rng = spec.rng()
     dim1 = isinstance(fn.space, Interval)
-    x0 = _draw_points(rng, box, spec.count, dim1)
-    x1 = _draw_points(rng, box, spec.count, dim1)
+    x0 = _draw_points(rng, box, spec.count)
+    x1 = _draw_points(rng, box, spec.count)
     if cap is not None and math.isfinite(cap):
         for _ in range(1000):
             bad = distances(x0, x1, dim1) >= cap
             if not bad.any():
                 break
             k = int(bad.sum())
-            x0[bad] = _draw_points(rng, box, k, dim1)
-            x1[bad] = _draw_points(rng, box, k, dim1)
+            x0[bad] = _draw_points(rng, box, k)
+            x1[bad] = _draw_points(rng, box, k)
         else:
             raise EmptyDomain("could not sample pairs under the distance cap")
     return x0, x1
@@ -198,7 +191,7 @@ def check_lambda_convex(fn: Functional, lam: float, spec: SampleSpec,
     budget = tol.abs + tol.rel * scale
 
     def block(lo, hi):
-        fg = _geodesic_values(fn, x0[lo:hi], x1[lo:hi], ts, dim1)
+        fg = _geodesic_values(fn, x0[lo:hi], x1[lo:hi], ts)
         chord = ((1 - ts)[None, :] * f0[lo:hi, None]
                  + ts[None, :] * f1[lo:hi, None]
                  - 0.5 * lam * (ts * (1 - ts))[None, :] * (d[lo:hi] ** 2)[:, None])
@@ -234,7 +227,7 @@ def check_kn_convex(fn: Functional, p: CurvatureParams, spec: SampleSpec,
 
     def block(lo, hi):
         with np.errstate(over="ignore"):
-            lhs = np.exp(-_geodesic_values(fn, x0[lo:hi], x1[lo:hi], ts, dim1)
+            lhs = np.exp(-_geodesic_values(fn, x0[lo:hi], x1[lo:hi], ts)
                          / p.N)
         rhs = (_conv_mul(sigma_values(p, (1 - ts)[None, :], d[lo:hi]), fN0[lo:hi])
                + _conv_mul(sigma_values(p, ts[None, :], d[lo:hi]), fN1[lo:hi]))

@@ -317,7 +317,8 @@ def prox(fn: Functional, tau: float, v, tol: Tolerance = DEFAULT_TOL,
     1-d: the first root of psi(w) = (w - v)/tau + f'(w) downhill from v
     (the minimizer for lambda-convex f with 1 + lambda tau > 0), bracketed
     by doubling steps from tau|f'(v)| and solved with ``brentq``.  A search
-    still descending at a finite end of the closure stops there; it raises
+    still descending at a finite end of the closure stops there (a step
+    from that end returns it without a trial step); it raises
     NotBoundedBelow where f = -inf at that end or after 200 doublings.  It
     evaluates f only at such an end.  R^n: damped Newton with an Armijo
     line search on f; the matrix is I/tau + ``fn.hess(x)``, or a central
@@ -358,6 +359,8 @@ def _prox_1d(fn: Functional, tau: float, v: float) -> tuple:
         return v, evals, 0
     down = -1.0 if g > 0 else 1.0
     bound = fn.space.a if g > 0 else fn.space.b
+    if v == bound:  # descending out of the closure at its end; f(v) is checked
+        return v, evals, 0
     last, h = v, max(tau * abs(g), math.ulp(v))  # the first trial must move
     for k in range(_MAX_EXPANSIONS):
         w = v + down * h

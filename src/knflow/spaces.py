@@ -49,10 +49,6 @@ class Interval:
         x = float(x)
         return self.a <= x <= self.b and math.isfinite(x)
 
-    def clamp(self, x: float) -> float:
-        """Nearest point of the metric completion."""
-        return min(max(float(x), self.a), self.b)
-
     def as_point(self, x) -> float:
         return float(x)
 
@@ -78,9 +74,6 @@ class EuclideanRn:
 
     def contains_closure(self, x) -> bool:
         return self.contains(x)
-
-    def clamp(self, x):
-        return np.asarray(x, dtype=float)
 
     def as_point(self, x) -> np.ndarray:
         return np.asarray(x, dtype=float)

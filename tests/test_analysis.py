@@ -317,7 +317,7 @@ class TestEviLocal:
     def test_sublevel_filter(self):
         c = cos_transform_flow()
         rep = check_evi_local(c, COS_FN, -1.0, 0.3, SPEC, TOL,
-                              z_filter=lambda z: LOG_COS.value(z) <= 0.0)
+                              z_filter=lambda z: LOG_COS.values(z) <= 0.0)
         assert rep.passed
 
 

@@ -125,7 +125,7 @@ CASES = {
         t_samples=12),
     "evi-local-filter": lambda: analysis.check_evi_local(
         _cos_transform_curve(), COS_FN, -1.0, 0.3, SampleSpec(26, 30), TOL,
-        t_samples=12, z_filter=lambda z: LOG_COS.value(z) <= 0.01),
+        t_samples=12, z_filter=lambda z: LOG_COS.values(z) <= 0.01),
     "evi-local-planar": lambda: analysis.check_evi_local(
         _planar_curve(), QUAD2, 1.0, 0.4, SampleSpec(27, 20), TOL,
         t_samples=9),

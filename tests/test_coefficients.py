@@ -617,8 +617,8 @@ class TestKernelsBitwise:
         self._check(p, rng.uniform(0.0, 1.0, n), x / p.omega)
 
     def test_whole_array_and_gathering_paths(self):
-        # no singular entry: the whole-array path of sigma_values, with
-        # and without flat entries (theta = 0); some singular: gathering
+        # grids with no singular entry and with some, each with and
+        # without flat entries (theta = 0)
         p = CurvatureParams(-2.6, -0.4)
         rng = np.random.default_rng(21)
         t = rng.uniform(0.0, 1.0, 5000)
@@ -629,8 +629,8 @@ class TestKernelsBitwise:
             self._check(p, t, theta)
 
     def test_k_zero_evaluates_no_kernel(self, monkeypatch):
-        # sigma = t at every entry; the whole-array path would compute
-        # the kernels on the full grid and then discard them
+        # sigma = t at every entry; computing the kernels on the full grid
+        # would only discard them
         sizes = []
         ratio = coefficients._ratio
 
@@ -643,6 +643,26 @@ class TestKernelsBitwise:
         self._check(CurvatureParams(0.0, -1.0), t,
                     np.linspace(0.0, 3.0, 5)[:, None])
         assert sum(sizes) == 0
+
+    @pytest.mark.parametrize("K", [-1.1, 1.1])
+    def test_theta_kernel_on_theta_shape(self, K, monkeypatch):
+        # s(theta) once per theta (5 entries) and s(t*theta) once per cell
+        # (5 x 7); not s(theta) at every cell as well
+        sizes = []
+        ratio = coefficients._ratio
+
+        def counting(x, sign):
+            sizes.append(np.size(x))
+            return ratio(x, sign)
+
+        monkeypatch.setattr(coefficients, "_ratio", counting)
+        p = CurvatureParams(K, -1.1)
+        t = np.linspace(0.0, 1.0, 7)[None, :]
+        theta = np.linspace(0.0, 2.0, 5)[:, None]
+        assert sigma_values(p, t, theta).shape == (5, 7)
+        assert sum(sizes) == 5 + 35
+        monkeypatch.undo()
+        self._check(p, t, theta)
 
 
 class TestNanBan:
@@ -681,8 +701,8 @@ class TestNanBan:
         p = CurvatureParams(K, -1.0)
         with pytest.raises(ParamOutOfRange):
             sigma(p, 0.5, -math.inf)
-        # the whole-array path (K > 0), the gathering path with a singular
-        # entry (K < 0) and the all-flat path (K = 0)
+        # no singular entry (K > 0), a singular entry (K < 0) and every
+        # entry flat (K = 0)
         for t, theta in ((0.5, -math.inf), ([0.0, 1.0], -math.inf),
                          (0.5, [1.0, 4.0, -math.inf])):
             with pytest.raises(ParamOutOfRange):

@@ -240,6 +240,16 @@ class TestProx:
         with pytest.raises(NotBoundedBelow):
             prox(fn, 0.5, 0.05, TOL)
 
+    def test_step_from_the_end_returns_it(self):
+        # f'(0) = +inf points out of the closure at its own minimiser: no
+        # trial step is made, so none is sent to -inf
+        fn = expression_functional("pow(x, 0.5)", Interval(0, math.inf, open_a=False))
+        step = prox(fn, 0.1, 0.0, TOL)
+        assert step.output == 0.0
+        assert step.f_output == 0.0
+        c = minimizing_movement(fn, 0.1, 0.0, 1.0, TOL)
+        assert (c.points == 0.0).all()
+
     def test_rn_prox_quadratic(self):
         fn = library("quadratic", P11, c=1.0, dim=2)
         step = prox(fn, 1.0, np.array([3.0, -1.0]), TOL)
@@ -456,6 +466,24 @@ class TestOneEvaluationPerStep:
             assert calls == [1] * (n_steps + 1)
         np.testing.assert_array_equal(
             c.points, minimizing_movement(fn, tau, y0, horizon, TOL).points)
+
+    def test_steps_after_the_end_evaluate_no_f(self):
+        # linear(1) on [0, inf) reaches 0 at step 100 of 300; the later
+        # steps start at the end and return it with one f' call each
+        fn = library("linear", P01, a=1.0)
+        calls = []
+
+        def fvec(xs):
+            calls.append(len(xs))
+            return fn.fvec(xs)
+
+        c = minimizing_movement(dataclasses.replace(fn, fvec=fvec), 0.01, 1.0,
+                                3.0, TOL)
+        assert calls == [1, 301]
+        assert c.meta["prox_psi_evals"] == 700
+        assert (c.points[100:] == 0.0).all()
+        np.testing.assert_allclose(c.points[:100], 1.0 - 0.01 * np.arange(100),
+                                   rtol=0, atol=1e-12)
 
     def test_expression_on_rn_keeps_the_finite_difference_newton(self):
         fn = expression_functional("x1*x1 + x2*x2", EuclideanRn(2))
