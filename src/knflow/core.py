@@ -19,11 +19,7 @@ from .errors import ConfigInvalid, NanError, ParamOutOfRange, StepUnderflow
 
 def require_not_nan(x: float, where: str = "value") -> float:
     """NaN firewall used at internal boundaries."""
-    if isinstance(x, np.ndarray):
-        if np.isnan(x).any():
-            raise NanError(f"NaN in {where}")
-        return x
-    if math.isnan(x):
+    if np.isnan(x).any() if isinstance(x, np.ndarray) else math.isnan(x):
         raise NanError(f"NaN in {where}")
     return x
 

@@ -12,11 +12,11 @@ is continued constantly at the boundary point and the hitting time is
 recorded in ``stop_time``.
 
 The proximal step :func:`prox` solves (w - v)/tau + f'(w) = 0 on intervals
-and runs damped Newton on R^n; both need ``Functional.grad``, as does the
-ODE route, and raise :class:`NotBoundedBelow` where the proximal objective
-is unbounded below.  On intervals a minimizing movement evaluates f on all
-its iterates in one array call; the first where f is not finite decides
-its error.
+and runs damped Newton with LAPACK ``gesv`` on R^n; both need
+``Functional.grad``, as does the ODE route, and raise NotBoundedBelow where
+the proximal objective is unbounded below.  On intervals a minimizing
+movement evaluates f in one array call at 512, 1024, ... steps and at the
+end; the first iterate where f is not finite stops it and decides its error.
 
 Solver totals go into ``Curve.meta`` (``ode_nfev``/``ode_status``,
 ``prox_psi_evals``/``prox_expansions``) and to the ``knflow`` logger at
@@ -32,6 +32,7 @@ from typing import Optional
 
 import numpy as np
 from scipy.integrate import solve_ivp
+from scipy.linalg.lapack import dgesv
 from scipy.optimize import brentq
 
 from .coefficients import CurvatureParams
@@ -322,9 +323,10 @@ def prox(fn: Functional, tau: float, v, tol: Tolerance = DEFAULT_TOL,
     NotBoundedBelow where f = -inf at that end or after 200 doublings.  It
     evaluates f only at such an end.  R^n: damped Newton with an Armijo
     line search on f; the matrix is I/tau + ``fn.hess(x)``, or a central
-    finite-difference Jacobian (2n more gradient calls per iteration).
-    tol is not read; it keeps its position ahead of fv, where callers pass
-    it, as ``perfbench/jobs.py`` does in :func:`minimizing_movement`.
+    finite-difference Jacobian (2n more gradient calls per iteration),
+    solved by LAPACK ``dgesv`` (a singular one takes the gradient step);
+    scipy's OpenBLAS build matches ``np.linalg.solve`` bitwise for n <= 5.
+    tol is not read; it keeps its place ahead of fv, where callers pass it.
     """
     tau, v, one_d, _ = _prox_args(fn, tau, v)
     if fv is None:
@@ -392,13 +394,14 @@ def _prox_1d(fn: Functional, tau: float, v: float) -> tuple:
 
 
 def _prox_rn(fn: Functional, tau: float, v, fv: float, eye_tau) -> tuple:
-    """(output, objective, f there, grad_phi calls); eye_tau is I/tau."""
+    """(x, objective, f(x), grad_phi calls) of gesv Newton; eye_tau is I/tau."""
     n = v.size
     evals = 0
 
     def phi(w):  # (prox objective, f) at w
         fw = fn.value(w)
-        return 0.5 * float(np.dot(w - v, w - v)) / tau + fw, fw
+        d = w - v
+        return 0.5 * float(np.dot(d, d)) / tau + fw, fw
 
     def grad_phi(w):
         nonlocal evals
@@ -409,7 +412,7 @@ def _prox_rn(fn: Functional, tau: float, v, fv: float, eye_tau) -> tuple:
         return math.sqrt(float(np.dot(w, w)))
 
     x, obj, fx = v.copy(), fv, fv
-    h = 1e-6 * (1.0 + norm(v))
+    h = 1e-6 * (1.0 + norm(v)) if fn.hess is None else None  # difference step
     for _ in range(100):
         g = grad_phi(x)
         gnorm = norm(g)
@@ -424,11 +427,8 @@ def _prox_rn(fn: Functional, tau: float, v, fv: float, eye_tau) -> tuple:
                 e[j] = h
                 H[:, j] = (grad_phi(x + e) - grad_phi(x - e)) / (2 * h)
             H = 0.5 * (H + H.T)
-        try:  # damped Newton
-            step = np.linalg.solve(H, -g)
-            if not np.isfinite(step).all() or float(np.dot(step, g)) >= 0:
-                step = -g
-        except np.linalg.LinAlgError:
+        _, _, step, info = dgesv(H, -g)  # damped Newton
+        if info or not np.isfinite(step).all() or float(np.dot(step, g)) >= 0:
             step = -g
         t = 1.0
         for _ in range(50):
@@ -456,8 +456,9 @@ def minimizing_movement(fn: Functional, tau: float, y0, horizon: float,
 
     The arguments are checked once, then each step runs the search of
     :func:`prox`; its errors are re-raised with the step index.  On
-    intervals f is then evaluated on all iterates in one call (on R^n each
-    step passes it on), and the first iterate u_k where f is not finite
+    intervals f is evaluated in one call at 512 steps, at each doubling of
+    that and at the end (on R^n each step passes it on); a call with f not
+    finite stops the steps, and the first iterate u_k where f is not finite
     fails as in a loop of prox calls, also if a later step raised: -inf
     with :class:`NotBoundedBelow` at step max(k, 1), +inf with
     :class:`BasePointOutsideDomain` at step k + 1 (none after the last),
@@ -466,8 +467,13 @@ def minimizing_movement(fn: Functional, tau: float, y0, horizon: float,
     finite-difference Hessian) and ``prox_expansions`` (1-d doublings).
     tol is not read; ``perfbench/jobs.py`` passes it by position.
     """
-    tau, k, us, fs, err = float(tau), 1, [], [], None
+    tau, k, us, fs, err, one_d = float(tau), 1, [], [], None, False
     psi_evals = expansions = 0
+
+    def finite_f():  # 1-d: f on the iterates past fs in one call; all finite?
+        new = np.asarray(fn.fvec(np.asarray(us[len(fs):], dtype=float)))
+        fs.extend(new.tolist())
+        return np.isfinite(new).all()
     try:
         tau, u, one_d, n_steps = _prox_args(fn, tau, y0, horizon)
         us.append(u)
@@ -482,9 +488,13 @@ def minimizing_movement(fn: Functional, tau: float, y0, horizon: float,
                 fs.append(fu)
             us.append(u)
             psi_evals += evals
+            if one_d and k >= 512 and k & (k - 1) == 0 and not finite_f():
+                break  # a checkpoint (512, 1024, ... steps) found a bad u_j
     except Exception as exc:
         err = exc
-    f = np.append(fn.fvec(np.asarray(us, dtype=float)) if us and one_d else fs, 0.0)
+    if one_d and len(us) > len(fs):
+        finite_f()
+    f = np.append(fs, 0.0)
     j = int(np.isfinite(f).argmin())  # the first f not finite, if any (f ends in 0.0)
     if math.isnan(f[j]):
         raise NanError(f"NaN in {fn.name}({us[j]!r})")

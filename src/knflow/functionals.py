@@ -59,9 +59,10 @@ class Functional:
 
     def value(self, x: Point) -> float:
         """f(x); +-inf allowed, NaN raises.  x must lie in the closure."""
-        if not self.space.contains_closure(x):
+        arr = np.asarray(x, float)
+        if not self.space.contains_closure(arr):
             raise PointOutsideSpace(f"{x!r} outside {self.space}")
-        v = float(self.fvec(np.asarray(x, float)[None])[0])
+        v = float(self.fvec(arr[None])[0])
         if math.isnan(v):  # x is formatted only here: repr of an array is slow
             raise NanError(f"NaN in {self.name}({x!r})")
         return v
@@ -212,7 +213,7 @@ def library(name: str, p: CurvatureParams, *, c: float = 1.0, a: float = 1.0,
         hess.flags.writeable = False
         return Functional(
             space=EuclideanRn(dim),
-            fvec=lambda x: 0.5 * c * np.sum(x * x, axis=-1),
+            fvec=lambda x: 0.5 * c * (x * x).sum(axis=-1),
             grad=lambda x: c * np.asarray(x, dtype=float),
             hess=lambda x: hess,
             name=f"quadratic({c})", params=p,
@@ -245,9 +246,7 @@ def fN_functional(fn: Functional, p: CurvatureParams) -> Functional:
             out = -(1.0 / p.N) * g * np.asarray(fn.grad(x))
             return float(out) if one_d else out
 
-    ub = None
-    if fn.upper_bound is not None:
-        ub = float(_exp_clip(-fn.upper_bound / p.N))
+    ub = None if fn.upper_bound is None else float(_exp_clip(-fn.upper_bound / p.N))
     return Functional(
         space=fn.space, fvec=fvec, name=f"{fn.name}_N", params=p, grad=grad,
         upper_bound=ub, sample_box=fn.sample_box, meta=dict(fn.meta),
@@ -289,11 +288,7 @@ def directional_derivative(fn: Functional, g: Geodesic,
 # log of the base (pow(x, 2) has tangent 2x also at x < 0).
 
 def _tsum(da, db):
-    if da is None:
-        return db
-    if db is None:
-        return da
-    return da + db
+    return db if da is None else da if db is None else da + db
 
 
 def _add(a, da, b, db):
@@ -476,9 +471,8 @@ def functional_from_json(d: dict) -> Functional:
         if not isinstance(d["expr"], str):
             raise ConfigInvalid(f"expr must be a string, got {d['expr']!r}")
         space = space_from_json(d["domain"]) if "domain" in d else Interval()
-        p = None
-        if "K" in d and "N" in d:
-            p = CurvatureParams(_number(d["K"], "K"), _number(d["N"], "N"))
+        p = (CurvatureParams(_number(d["K"], "K"), _number(d["N"], "N"))
+             if "K" in d and "N" in d else None)
         box = (_pair(d["sample_box"], "sample_box") if "sample_box" in d
                else None)
         return expression_functional(d["expr"], space, params=p, sample_box=box)

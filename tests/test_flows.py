@@ -621,6 +621,29 @@ class TestOneArrayOfValues:
         with pytest.raises(ZeroDivisionError):
             minimizing_movement(fn, 0.1, 1.0, 3.0, TOL)
 
+    def test_a_bad_iterate_stops_the_steps_at_the_next_checkpoint(self):
+        # u_599 lies in the +inf band, so step 600 of 2000 fails; f is
+        # evaluated on the iterates at 512 and 1024 steps, so the stepping
+        # ends by step 1024.  The plain x^2/2 has the same f' and so the
+        # same iterates: its 1024-step solve bounds the f' calls.
+        calls = []
+
+        def counted(fn):
+            def grad(x):
+                calls.append(x)
+                return fn.grad(x)
+            return dataclasses.replace(fn, grad=grad)
+
+        tau, y0, horizon = 1e-3, 1.0, 2.0
+        got = _outcome(self._mms_points, counted(_band(math.inf)), tau, y0, horizon)
+        assert got == _outcome(_prox_loop, _band(math.inf), tau, y0, horizon)
+        assert got[0] is BasePointOutsideDomain
+        assert got[1].startswith("prox failed at step 600 ")
+        band_calls = len(calls)
+        calls.clear()
+        self._mms_points(counted(_band(0.0)), tau, y0, 1024 * tau)
+        assert 0 < band_calls <= len(calls)
+
     @settings(max_examples=60, deadline=None)
     @given(st.sampled_from([("log-x", P01, 0.0, 3.0), ("log-cos", PM11, -0.5, 0.5),
                             ("log-sinh", P11, 0.0, 3.0)]),
@@ -647,6 +670,112 @@ class TestOneArrayOfValues:
             assert got == _outcome(_prox_loop, fn, 0.1, y0, 1.0)
         if error is not None:  # y0 = (-1, 0.5) fails at step 1
             assert got[0] is error and got[1].startswith("prox failed at step 1 ")
+
+
+def _solve_prox_rn(fn, tau, v, fv, eye_tau):
+    """The R^n proximal step as it was with ``np.linalg.solve``: the
+    bit-for-bit reference of the LAPACK ``gesv`` step."""
+    n = v.size
+
+    def phi(w):
+        fw = fn.value(w)
+        return 0.5 * float(np.dot(w - v, w - v)) / tau + fw, fw
+
+    def grad_phi(w):
+        return (w - v) / tau + np.asarray(fn.grad(w), dtype=float)
+
+    def norm(w):
+        return math.sqrt(float(np.dot(w, w)))
+
+    x, obj, fx = v.copy(), fv, fv
+    h = 1e-6 * (1.0 + norm(v))
+    for _ in range(100):
+        g = grad_phi(x)
+        gnorm = norm(g)
+        if gnorm <= 1e-12 * (1.0 + 1.0 / tau):
+            break
+        if fn.hess is not None:
+            H = eye_tau + fn.hess(x)
+        else:
+            H = np.empty((n, n))
+            for j in range(n):
+                e = np.zeros(n)
+                e[j] = h
+                H[:, j] = (grad_phi(x + e) - grad_phi(x - e)) / (2 * h)
+            H = 0.5 * (H + H.T)
+        try:
+            step = np.linalg.solve(H, -g)
+            if not np.isfinite(step).all() or float(np.dot(step, g)) >= 0:
+                step = -g
+        except np.linalg.LinAlgError:
+            step = -g
+        t = 1.0
+        for _ in range(50):
+            x_new = x + t * step
+            obj_new, f_new = phi(x_new)
+            if obj_new < obj - 1e-4 * t * min(gnorm ** 2, abs(obj) + 1.0):
+                break
+            t *= 0.5
+        else:
+            x_new = x - min(1.0 / (1.0 + gnorm), tau) * g
+            obj_new, f_new = phi(x_new)
+            if obj_new >= obj:
+                break
+        x, obj, fx = x_new, obj_new, f_new
+        if norm(x) > 1e9 or obj < -1e15:
+            raise NotBoundedBelow(f"prox objective of {fn.name} diverges")
+    return x, fx
+
+
+def _solve_loop(fn, tau, y0, horizon):
+    """A minimizing movement on R^n of ``np.linalg.solve`` steps."""
+    u = np.asarray(y0, dtype=float)
+    us, fu, eye_tau = [u], fn.value(u), np.eye(u.size) / tau
+    for k in range(1, int(math.floor(horizon / tau + 1e-9)) + 1):
+        try:
+            u, fu = _solve_prox_rn(fn, tau, u, fu, eye_tau)
+        except NotBoundedBelow as exc:
+            raise NotBoundedBelow(f"prox failed at step {k} (t={k * tau}): {exc}") from exc
+        us.append(u)
+    return np.asarray(us, dtype=float)
+
+
+class TestLapackNewtonStep:
+    """The R^n proximal step solves its Newton system with LAPACK ``gesv``
+    from scipy; the curves are bitwise those of ``np.linalg.solve`` (n <= 5),
+    including a singular matrix, where both take the gradient step."""
+
+    @staticmethod
+    def _mms_points(fn, tau, y0, horizon):
+        return minimizing_movement(fn, tau, y0, horizon, TOL).points
+
+    # each case but the singular one changes bits when the Newton system
+    # is solved by Cholesky (LAPACK dposv) instead
+    CASES = {
+        **{f"quadratic-r{n}": (library("quadratic", P11, c=2.5, dim=n),
+                               np.linspace(1.3, -0.7, n), 0.03, 1.0)
+           for n in range(2, 6)},
+        # tau and step count of the benchmark's mms-quadratic-r2 job
+        "quadratic-r2-1800-steps": (library("quadratic", P11, c=1.0, dim=2),
+                                    np.array([1.0, -0.5]), 1.0 / 1800, 1.0),
+        "expression-r2-nonconvex": (
+            expression_functional("x1*x1/2 + x2*x2 + cos(3*x1)", EuclideanRn(2)),
+            np.array([1.3, -0.7]), 0.01, 1.0),
+        "expression-r3": (
+            expression_functional("x1*x1 + 2*x2*x2 + x1*x2 + x3*x3 + cos(x3)",
+                                  EuclideanRn(3)),
+            np.array([0.4, -1.1, 1.5]), 0.05, 1.0),
+        # I/tau + hess = 0: gesv reports info != 0, np.linalg.solve raised
+        "singular-newton-matrix": (library("quadratic", P11, c=-10.0, dim=2),
+                                   np.array([1.0, -0.5]), 0.1, 1.0),
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_matches_np_linalg_solve(self, case):
+        fn, y0, tau, horizon = self.CASES[case]
+        got = _outcome(self._mms_points, fn, tau, y0, horizon)
+        assert got == _outcome(_solve_loop, fn, tau, y0, horizon)
+        assert got[0] == ("points" if "singular" not in case else NotBoundedBelow)
 
 
 class TestLogCoshOracleOverflow:
