@@ -11,10 +11,9 @@ When a trajectory reaches the boundary of the finiteness domain the curve
 is continued constantly at the boundary point and the hitting time is
 recorded in ``stop_time``.
 
-The proximal step :func:`prox` solves (w - v)/tau + f'(w) = 0 on intervals
-and runs damped Newton with LAPACK ``gesv`` on R^n; both need
-``Functional.grad``, as does the ODE route, and raise NotBoundedBelow where
-the proximal objective is unbounded below.  On intervals a minimizing
+The proximal step :func:`prox` (a bracketed secant search for the root of
+(w - v)/tau + f'(w) on intervals, damped Newton with LAPACK ``gesv`` on R^n)
+needs ``Functional.grad``, as the ODE route does.  On intervals a minimizing
 movement evaluates f in one array call at 512, 1024, ... steps and at the
 end; the first iterate where f is not finite stops it and decides its error.
 
@@ -33,7 +32,6 @@ from typing import Optional
 import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.linalg.lapack import dgesv
-from scipy.optimize import brentq
 
 from .coefficients import CurvatureParams
 from .core import DEFAULT_TOL, Tolerance, require_not_nan
@@ -276,9 +274,8 @@ def ode_flow(fn: Functional, y0, grid, rtol: float = 1e-9) -> Curve:
 @dataclass(frozen=True)
 class ProxStep:
     """One proximal step.  f_output is f(output), which a step from output
-    can take instead of evaluating f again.  psi_evals counts evaluations
-    of the gradient of the prox objective; expansions counts doublings of
-    the 1-d search."""
+    can take instead of evaluating f again.  psi_evals counts the prox
+    objective's gradient calls, expansions the 1-d search's doublings."""
 
     tau: float
     input: object
@@ -290,6 +287,7 @@ class ProxStep:
 
 
 _MAX_EXPANSIONS = 200
+_EPS4 = 4 * 2.0 ** -52  # four ulps of 1: the relative stops of both searches
 
 
 def _prox_args(fn: Functional, tau, v, horizon=None) -> tuple:
@@ -315,18 +313,20 @@ def prox(fn: Functional, tau: float, v, tol: Tolerance = DEFAULT_TOL,
     fv is f(v) if the caller has it, else it is evaluated here.  v must lie
     in the closure; f(v) = +inf raises :class:`BasePointOutsideDomain`, and
     f(v) = -inf or an objective of -inf at the output :class:`NotBoundedBelow`.
-    1-d: the first root of psi(w) = (w - v)/tau + f'(w) downhill from v
-    (the minimizer for lambda-convex f with 1 + lambda tau > 0), bracketed
-    by doubling steps from tau|f'(v)| and solved with ``brentq``.  A search
-    still descending at a finite end of the closure stops there (a step
-    from that end returns it without a trial step); it raises
-    NotBoundedBelow where f = -inf at that end or after 200 doublings.  It
-    evaluates f only at such an end.  R^n: damped Newton with an Armijo
-    line search on f; the matrix is I/tau + ``fn.hess(x)``, or a central
-    finite-difference Jacobian (2n more gradient calls per iteration),
-    solved by LAPACK ``dgesv`` (a singular one takes the gradient step);
-    scipy's OpenBLAS build matches ``np.linalg.solve`` bitwise for n <= 5.
-    tol is not read; it keeps its place ahead of fv, where callers pass it.
+    1-d: the first root of psi(w) = (w - v)/tau + f'(w) downhill from v (the
+    minimizer for lambda-convex f with 1 + lambda tau > 0): steps from
+    tau|f'(v)| double until psi changes sign, then secant steps (bisecting
+    where one leaves the bracket) stop at psi = 0, at a step and a chord
+    from v both under tol = 1e-16 (1 + |v|) + 4 eps |w|, or at a bracket
+    under tol, whose end past the root is returned (a kink or pole of f').
+    A search still descending at a finite end of the closure stops there; it
+    raises NotBoundedBelow where f = -inf at that end or after 200 doublings,
+    and evaluates f only there.  R^n: damped Newton with an Armijo line
+    search on f, none once the Newton decrement is under 4 eps (|obj| + 1);
+    the matrix, I/tau + ``fn.hess(x)`` or a central finite-difference
+    Jacobian (2n more gradient calls per iteration), goes to LAPACK ``dgesv``
+    (a singular one takes the gradient step; bitwise ``np.linalg.solve`` for
+    n <= 5).  tol is unread; positional callers pass it.
     """
     tau, v, one_d, _ = _prox_args(fn, tau, v)
     if fv is None:
@@ -349,48 +349,51 @@ def prox(fn: Functional, tau: float, v, tol: Tolerance = DEFAULT_TOL,
 
 def _prox_1d(fn: Functional, tau: float, v: float) -> tuple:
     """(output, psi evaluations, expansions) of the 1-d search from v."""
-    evals = 0
-
-    def psi(w):
-        nonlocal evals
-        evals += 1
-        return (w - v) / tau + float(fn.grad(w))
-
-    g = psi(v)  # f'(v): its sign is the uphill direction
-    if g == 0.0:
-        return v, evals, 0
-    down = -1.0 if g > 0 else 1.0
-    bound = fn.space.a if g > 0 else fn.space.b
-    if v == bound:  # descending out of the closure at its end; f(v) is checked
-        return v, evals, 0
-    last, h = v, max(tau * abs(g), math.ulp(v))  # the first trial must move
-    for k in range(_MAX_EXPANSIONS):
-        w = v + down * h
-        if not math.isfinite(w):
-            raise NotBoundedBelow(
-                f"prox objective of {fn.name} decreases without bound")
-        if down * (w - bound) >= 0:
-            f_end = fn.value(bound)
-            if f_end == -math.inf:
+    g = float(fn.grad(v))  # psi(v) = f'(v): its sign is the uphill direction
+    down, bound = (-1.0, fn.space.a) if g > 0 else (1.0, fn.space.b)
+    if g == 0.0 or v == bound:  # at the end, descending out of the closure
+        return v, 1, 0
+    # psi(a) has g's sign, b is at or past the root; x0, x1: the last two trials
+    a, b, x1, s1, evals, k, h = v, None, v, g, 1, 0, max(tau * abs(g), math.ulp(v))
+    for _ in range(3 * _MAX_EXPANSIONS):
+        if b is not None:  # a secant step; one that leaves the bracket bisects it
+            tol = 1e-16 * (1.0 + abs(v)) + _EPS4 * abs(x1)
+            if abs(b - a) < tol:  # no root: psi jumps at a kink or a pole of f'
+                return b, evals, k
+            if abs(s0) < abs(s1):  # step from the point nearer the root
+                x0, s0, x1, s1 = x1, s1, x0, s0
+            w = x1 - s1 * (x1 - x0) / (s1 - s0) if s1 != s0 else math.inf
+            if not min(a, b) <= w <= max(a, b):
+                w = 0.5 * (a + b)
+            elif abs(w - x1) < tol and abs(s1 * (x1 - v)) < tol * abs(g):
+                return w, evals, k  # the chord from v agrees: no jump in psi
+        elif k == _MAX_EXPANSIONS:
+            raise NotBoundedBelow(f"prox objective of {fn.name} keeps "
+                                  f"descending after {k} expansions")
+        else:  # double the step until psi changes sign
+            w = v + down * h
+            if not math.isfinite(w):
                 raise NotBoundedBelow(
-                    f"prox objective of {fn.name} diverges to -inf at the boundary")
-            if f_end == math.inf:
-                raise BasePointOutsideDomain(
-                    f"{fn.name} is +inf at the end {bound} of the prox search")
-            w = bound
-        s = psi(w)
+                    f"prox objective of {fn.name} decreases without bound")
+            if down * (w - bound) >= 0:
+                w, f_end = bound, fn.value(bound)
+                if f_end == -math.inf:
+                    raise NotBoundedBelow(
+                        f"prox objective of {fn.name} diverges to -inf at the boundary")
+                if f_end == math.inf:
+                    raise BasePointOutsideDomain(
+                        f"{fn.name} is +inf at the end {bound} of the prox search")
+        s, evals = (w - v) / tau + float(fn.grad(w)), evals + 1
         if s == 0.0 or (s > 0) != (g > 0):
-            break
-        if w == bound:  # still descending at the end of the closure
+            b = w
+        elif b is not None:
+            a = w
+        elif w == bound:  # still descending at the end of the closure
             return w, evals, k
-        last, h = w, 2.0 * h
-    else:
-        raise NotBoundedBelow(
-            f"prox objective of {fn.name} keeps descending after "
-            f"{_MAX_EXPANSIONS} expansions")
-    if s != 0.0:
-        w = brentq(psi, min(last, w), max(last, w), xtol=1e-16 * (1.0 + abs(v)))
-    return w, evals, k
+        else:
+            a, h, k = w, 2.0 * h, k + 1
+        x0, s0, x1, s1 = x1, s1, w, s
+    return b, evals, k
 
 
 def _prox_rn(fn: Functional, tau: float, v, fv: float, eye_tau) -> tuple:
@@ -422,14 +425,17 @@ def _prox_rn(fn: Functional, tau: float, v, fv: float, eye_tau) -> tuple:
             H = eye_tau + fn.hess(x)
         else:  # finite-difference Jacobian of grad_phi, symmetrized
             H = np.empty((n, n))
-            for j in range(n):
-                e = np.zeros(n)
-                e[j] = h
+            for j, e in enumerate(h * np.eye(n)):
                 H[:, j] = (grad_phi(x + e) - grad_phi(x - e)) / (2 * h)
             H = 0.5 * (H + H.T)
         _, _, step, info = dgesv(H, -g)  # damped Newton
-        if info or not np.isfinite(step).all() or float(np.dot(step, g)) >= 0:
+        dec = -0.5 * float(np.dot(step, g))  # the Newton decrement
+        if info or not np.isfinite(step).all() or dec <= 0:
             step = -g
+        elif dec <= _EPS4 * (abs(obj) + 1.0):
+            x = x + step  # a decrease below the objective's rounding: no search
+            obj, fx = phi(x)
+            break
         t = 1.0
         for _ in range(50):
             x_new = x + t * step
@@ -463,8 +469,8 @@ def minimizing_movement(fn: Functional, tau: float, y0, horizon: float,
     with :class:`NotBoundedBelow` at step max(k, 1), +inf with
     :class:`BasePointOutsideDomain` at step k + 1 (none after the last),
     NaN with :class:`NanError`.  meta has ``prox_psi_evals`` (prox-objective
-    gradient evaluations; 2n more per Newton iteration with a
-    finite-difference Hessian) and ``prox_expansions`` (1-d doublings).
+    gradient calls: f' at each 1-d trial point; 2n more per Newton iteration
+    with a finite-difference Hessian) and ``prox_expansions`` (1-d doublings).
     tol is not read; ``perfbench/jobs.py`` passes it by position.
     """
     tau, k, us, fs, err, one_d = float(tau), 1, [], [], None, False

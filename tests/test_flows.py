@@ -5,7 +5,7 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from knflow.coefficients import CurvatureParams
 from knflow.core import SampleSpec, Tolerance
@@ -480,7 +480,7 @@ class TestOneEvaluationPerStep:
         c = minimizing_movement(dataclasses.replace(fn, fvec=fvec), 0.01, 1.0,
                                 3.0, TOL)
         assert calls == [1, 301]
-        assert c.meta["prox_psi_evals"] == 700
+        assert c.meta["prox_psi_evals"] == 407
         assert (c.points[100:] == 0.0).all()
         np.testing.assert_allclose(c.points[:100], 1.0 - 0.01 * np.arange(100),
                                    rtol=0, atol=1e-12)
@@ -584,7 +584,7 @@ class TestOneArrayOfValues:
         "band-nan": (_band(math.nan), 1.0, 0.1, 20, NanError, None),
         "nan-on-the-way": (_expr("x*x/2 + 0*log(x - 0.3)"), 1.0, 0.1, 30,
                            NanError, None),
-        # u_1 = +inf, then brentq fails at step 2 (a RuntimeError)
+        # u_1 = +inf past the pole at 0.3, then the steps walk round the pole
         "plus-inf-before-a-raise": (_expr("x*x/2 + log(x - 0.3)"), 1.0, 0.1, 30,
                                     BasePointOutsideDomain, 2),
         "u2-plus-inf-before-a-raise": (_expr("x*x/2 + log(x - 0.3)"), 2.0, 0.3, 3,
@@ -673,8 +673,8 @@ class TestOneArrayOfValues:
 
 
 def _solve_prox_rn(fn, tau, v, fv, eye_tau):
-    """The R^n proximal step as it was with ``np.linalg.solve``: the
-    bit-for-bit reference of the LAPACK ``gesv`` step."""
+    """The R^n proximal step with ``np.linalg.solve``: the bit-for-bit
+    reference of the LAPACK ``gesv`` step."""
     n = v.size
 
     def phi(w):
@@ -707,6 +707,11 @@ def _solve_prox_rn(fn, tau, v, fv, eye_tau):
             step = np.linalg.solve(H, -g)
             if not np.isfinite(step).all() or float(np.dot(step, g)) >= 0:
                 step = -g
+            elif (-0.5 * float(np.dot(step, g))
+                  <= 4 * np.finfo(float).eps * (abs(obj) + 1.0)):
+                x = x + step  # the decrement stop of the library's step
+                obj, fx = phi(x)
+                break
         except np.linalg.LinAlgError:
             step = -g
         t = 1.0
@@ -776,6 +781,89 @@ class TestLapackNewtonStep:
         got = _outcome(self._mms_points, fn, tau, y0, horizon)
         assert got == _outcome(_solve_loop, fn, tau, y0, horizon)
         assert got[0] == ("points" if "singular" not in case else NotBoundedBelow)
+
+
+# f' of the library functionals at P01 (log-x), PM11 (log-cos) and P11
+_MP_GRAD = {"log-x": (P01, lambda w: 1 / w), "log-cos": (PM11, lambda w: -mp.tan(w)),
+            "log-cosh": (P11, mp.tanh), "log-sinh": (P11, lambda w: 1 / mp.tanh(w))}
+
+
+class TestSecantSearch:
+    """The 1-d proximal step brackets the root of psi(w) = (w - v)/tau + f'(w)
+    by doubling steps and closes in on it by secant steps."""
+
+    EPS = 2.0 ** -52
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(sorted(_MP_GRAD)), st.floats(0.0, 1.0), st.floats(1e-4, 1e-1))
+    @example("log-cos", 0.504, 0.089217)  # roots near 0, where an absolute
+    @example("log-cosh", 0.504, 0.001103)  # stop of 1e-16 spans many ulps
+    def test_output_is_the_root_within_two_ulps(self, name, frac, tau):
+        p, grad = _MP_GRAD[name]
+        fn = library(name, p)
+        lo, hi = fn.sample_box
+        v = lo + frac * (hi - lo)
+        try:
+            w = prox(fn, tau, v, TOL).output
+        except NotBoundedBelow:  # no root downhill, as for log-x at v^2 < 4 tau
+            assume(False)
+        with mp.workdps(50):
+            r = mp.findroot(lambda x: (x - v) / tau + grad(x), mp.mpf(w))
+            # the rounding of psi's two terms blurs its root by this much;
+            # below an ulp except where 1/tau + f'' nearly vanishes
+            slope = abs(1 / tau + mp.diff(grad, r))
+            blur = self.EPS * (abs(r - v) / tau + abs(grad(r))) / slope
+            assert abs(w - r) <= 2 * math.ulp(float(r)) + blur, (v, tau, w, float(r))
+
+    @settings(max_examples=8, deadline=None)
+    @given(st.floats(1.0, 1.5), st.floats(0.5, 0.9), st.sampled_from([-1.0, 1.0]))
+    def test_psi_calls_per_step(self, y0x, y0c, sign):
+        # the 1000-step log-x and 700-step log-cos solves of perfbench's
+        # pointwise workload, over its ranges of y0 (0.8 of the extinction time)
+        for fn, y0, horizon, steps in (
+                (library("log-x", P01), y0x, 0.4 * y0x * y0x, 1000),
+                (library("log-cos", PM11), sign * y0c, -0.8 * math.log(math.sin(y0c)), 700)):
+            c = minimizing_movement(fn, horizon / steps, y0, horizon, TOL)
+            assert c.n_samples == steps + 1
+            assert c.meta["prox_psi_evals"] <= 6 * steps, (fn.name, y0)
+
+    @pytest.mark.parametrize("y0, tau", [(1.0, 0.005), (0.7, 0.003), (-0.4, 0.01)])
+    def test_lands_on_the_kink(self, y0, tau):
+        # the flow of |x| runs at unit speed into 0 and stays there; psi
+        # jumps across 0 at the kink, where the steps past it must land
+        fn = expression_functional("pow(x*x, 0.5)", Interval())
+        c = minimizing_movement(fn, tau, y0, 2 * abs(y0), TOL)
+        exact = math.copysign(1.0, y0) * np.maximum(abs(y0) - c.times, 0.0)
+        assert np.max(np.abs(c.points - exact)) <= 2e-15
+
+    def test_a_pole_of_f_prime_returns_the_end_past_it(self):
+        # psi jumps from -inf to +inf at x = 0.3; the search returns the
+        # end of its last bracket on the far side, where f = +inf
+        step = prox(_expr("x*x/2 + log(x - 0.3)"), 0.1, 1.0, TOL)
+        assert step.output < 0.3 and step.f_output == math.inf
+        assert step.psi_evals <= 100
+
+
+class TestNewtonDecrementStop:
+    """On R^n a Newton step whose decrement is below the objective's rounding
+    ends the proximal search without a line search."""
+
+    def test_one_line_search_per_step_and_converged_steps(self):
+        fn = expression_functional("x1*x1 + x2*x2 + cos(x1)", EuclideanRn(2))
+        rows = []
+
+        def fvec(xs):
+            rows.append(len(xs))
+            return fn.fvec(xs)
+
+        tau = 0.01
+        c = minimizing_movement(dataclasses.replace(fn, fvec=fvec), tau,
+                                np.array([1.0, -0.5]), 3.0, TOL)
+        steps = c.n_samples - 1
+        assert steps == 300 and sum(rows) <= 2 * steps + 1  # and f(y0)
+        u = c.points
+        res = (u[1:] - u[:-1]) / tau + np.array([fn.grad(x) for x in u[1:]])
+        assert np.sqrt((res * res).sum(axis=-1)).max() <= 1e-12
 
 
 class TestLogCoshOracleOverflow:
