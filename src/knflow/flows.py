@@ -14,8 +14,10 @@ recorded in ``stop_time``.
 The proximal step :func:`prox` (a bracketed secant search for the root of
 (w - v)/tau + f'(w) on intervals, damped Newton with LAPACK ``gesv`` on R^n)
 needs ``Functional.grad``, as the ODE route does.  On intervals a minimizing
-movement evaluates f in one array call at 512, 1024, ... steps and at the
-end; the first iterate where f is not finite stops it and decides its error.
+movement evaluates f in one array call at 512, 1024, ... steps, after a
+step past a jump of f' and at the end; the first iterate where f is not
+finite stops it and decides its error.  On R^n each step hands f and grad f
+at its output to the next.
 
 Solver totals go into ``Curve.meta`` (``ode_nfev``/``ode_status``,
 ``prox_psi_evals``/``prox_expansions``) and to the ``knflow`` logger at
@@ -300,7 +302,7 @@ def _prox_args(fn: Functional, tau, v, horizon=None) -> tuple:
     if fn.grad is None:
         raise ParamOutOfRange(f"prox of {fn.name} needs an analytic gradient")
     one_d = isinstance(fn.space, Interval)
-    v = float(v) if one_d else np.asarray(v, dtype=float)
+    v = float(v) if one_d else np.array(v, dtype=float)
     if not fn.space.contains_closure(v):
         raise PointOutsideSpace(f"{v} outside the closure of {fn.space}")
     return tau, v, one_d, n_steps
@@ -323,10 +325,11 @@ def prox(fn: Functional, tau: float, v, tol: Tolerance = DEFAULT_TOL,
     raises NotBoundedBelow where f = -inf at that end or after 200 doublings,
     and evaluates f only there.  R^n: damped Newton with an Armijo line
     search on f, none once the Newton decrement is under 4 eps (|obj| + 1);
-    the matrix, I/tau + ``fn.hess(x)`` or a central finite-difference
-    Jacobian (2n more gradient calls per iteration), goes to LAPACK ``dgesv``
-    (a singular one takes the gradient step; bitwise ``np.linalg.solve`` for
-    n <= 5).  tol is unread; positional callers pass it.
+    grad f is called at v and after each line search.  The matrix, I/tau +
+    ``fn.hess(x)`` or a central finite-difference Jacobian (2n more gradient
+    calls per iteration), goes to LAPACK ``dgesv`` (a singular one takes the
+    gradient step; bitwise ``np.linalg.solve`` for n <= 5).  tol is unread;
+    positional callers pass it.
     """
     tau, v, one_d, _ = _prox_args(fn, tau, v)
     if fv is None:
@@ -338,9 +341,9 @@ def prox(fn: Functional, tau: float, v, tol: Tolerance = DEFAULT_TOL,
     if fv == -math.inf:
         raise NotBoundedBelow(f"prox objective of {fn.name} is -inf at {v}")
     if not one_d:
-        x, obj, fx, evals = _prox_rn(fn, tau, v, float(fv), np.eye(v.size) / tau)
+        x, obj, fx, _, evals = _prox_rn(fn, tau, v, float(fv), np.eye(v.size) / tau)
         return ProxStep(tau, v.copy(), x, obj, fx, evals)
-    w, evals, k = _prox_1d(fn, tau, v)
+    w, evals, k, _ = _prox_1d(fn, tau, v)
     fw = fn.value(w)
     if fw == -math.inf:
         raise NotBoundedBelow(f"prox objective of {fn.name} is -inf at {w}")
@@ -348,25 +351,26 @@ def prox(fn: Functional, tau: float, v, tol: Tolerance = DEFAULT_TOL,
 
 
 def _prox_1d(fn: Functional, tau: float, v: float) -> tuple:
-    """(output, psi evaluations, expansions) of the 1-d search from v."""
+    """(output, psi evaluations, expansions, whether the output is the end of
+    a collapsed bracket: past a kink or a pole of f') of the search from v."""
     g = float(fn.grad(v))  # psi(v) = f'(v): its sign is the uphill direction
     down, bound = (-1.0, fn.space.a) if g > 0 else (1.0, fn.space.b)
     if g == 0.0 or v == bound:  # at the end, descending out of the closure
-        return v, 1, 0
+        return v, 1, 0, False
     # psi(a) has g's sign, b is at or past the root; x0, x1: the last two trials
     a, b, x1, s1, evals, k, h = v, None, v, g, 1, 0, max(tau * abs(g), math.ulp(v))
     for _ in range(3 * _MAX_EXPANSIONS):
         if b is not None:  # a secant step; one that leaves the bracket bisects it
             tol = 1e-16 * (1.0 + abs(v)) + _EPS4 * abs(x1)
             if abs(b - a) < tol:  # no root: psi jumps at a kink or a pole of f'
-                return b, evals, k
+                return b, evals, k, True
             if abs(s0) < abs(s1):  # step from the point nearer the root
                 x0, s0, x1, s1 = x1, s1, x0, s0
             w = x1 - s1 * (x1 - x0) / (s1 - s0) if s1 != s0 else math.inf
             if not min(a, b) <= w <= max(a, b):
                 w = 0.5 * (a + b)
             elif abs(w - x1) < tol and abs(s1 * (x1 - v)) < tol * abs(g):
-                return w, evals, k  # the chord from v agrees: no jump in psi
+                return w, evals, k, False  # the chord from v agrees: no jump in psi
         elif k == _MAX_EXPANSIONS:
             raise NotBoundedBelow(f"prox objective of {fn.name} keeps "
                                   f"descending after {k} expansions")
@@ -389,70 +393,60 @@ def _prox_1d(fn: Functional, tau: float, v: float) -> tuple:
         elif b is not None:
             a = w
         elif w == bound:  # still descending at the end of the closure
-            return w, evals, k
+            return w, evals, k, False
         else:
             a, h, k = w, 2.0 * h, k + 1
         x0, s0, x1, s1 = x1, s1, w, s
-    return b, evals, k
+    return b, evals, k, False
 
 
-def _prox_rn(fn: Functional, tau: float, v, fv: float, eye_tau) -> tuple:
-    """(x, objective, f(x), grad_phi calls) of gesv Newton; eye_tau is I/tau."""
-    n = v.size
-    evals = 0
-
-    def phi(w):  # (prox objective, f) at w
-        fw = fn.value(w)
-        d = w - v
-        return 0.5 * float(np.dot(d, d)) / tau + fw, fw
-
-    def grad_phi(w):
-        nonlocal evals
-        evals += 1
-        return (w - v) / tau + np.asarray(fn.grad(w), dtype=float)
-
-    def norm(w):  # spaces.distances from 0 of one vector, as a float
-        return math.sqrt(float(np.dot(w, w)))
-
-    x, obj, fx = v.copy(), fv, fv
-    h = 1e-6 * (1.0 + norm(v)) if fn.hess is None else None  # difference step
+def _prox_rn(fn: Functional, tau: float, v, fv: float, eye_tau, gv=None) -> tuple:
+    """(x, objective, f(x), grad f(x) or None, grad f calls) of gesv Newton
+    from v; eye_tau is I/tau, gv is grad f(v) if the caller has it."""
+    evals = int(gv is None)
+    gx = np.asarray(fn.grad(v), dtype=float) if gv is None else gv
+    x, obj, fx, g = v, fv, fv, gx + 0.0  # bitwise psi(v) = (v - v)/tau + gx
+    h = 1e-6 * (1.0 + math.sqrt(v.dot(v))) if fn.hess is None else None
     for _ in range(100):
-        g = grad_phi(x)
-        gnorm = norm(g)
+        gnorm = math.sqrt(g.dot(g))  # spaces.distances from 0, bit for bit
         if gnorm <= 1e-12 * (1.0 + 1.0 / tau):
             break
-        if fn.hess is not None:
+        if h is None:  # the exact Hessian
             H = eye_tau + fn.hess(x)
-        else:  # finite-difference Jacobian of grad_phi, symmetrized
-            H = np.empty((n, n))
-            for j, e in enumerate(h * np.eye(n)):
-                H[:, j] = (grad_phi(x + e) - grad_phi(x - e)) / (2 * h)
-            H = 0.5 * (H + H.T)
+        else:  # central finite-difference Jacobian of psi, symmetrized
+            H = np.empty(eye_tau.shape)
+            for j, e in enumerate(h * np.eye(v.size)):
+                H[:, j] = (((x + e - v) / tau + fn.grad(x + e))
+                           - ((x - e - v) / tau + fn.grad(x - e))) / (2 * h)
+            H, evals = 0.5 * (H + H.T), evals + 2 * v.size
         _, _, step, info = dgesv(H, -g)  # damped Newton
-        dec = -0.5 * float(np.dot(step, g))  # the Newton decrement
-        if info or not np.isfinite(step).all() or dec <= 0:
-            step = -g
-        elif dec <= _EPS4 * (abs(obj) + 1.0):
-            x = x + step  # a decrease below the objective's rounding: no search
-            obj, fx = phi(x)
-            break
-        t = 1.0
+        dec = -0.5 * float(step.dot(g))  # the Newton decrement
+        if info or dec <= 0 or not fn.space.contains(step):  # or not finite
+            step, dec = -g, math.inf
+        # a decrease below the objective's rounding: one step, no search
+        t, stop = 1.0, dec <= _EPS4 * (abs(obj) + 1.0)
         for _ in range(50):
             x_new = x + t * step
-            obj_new, f_new = phi(x_new)
-            if obj_new < obj - 1e-4 * t * min(gnorm ** 2, abs(obj) + 1.0):
+            f_new = fn.value(x_new)
+            obj_new = 0.5 * float((x_new - v).dot(x_new - v)) / tau + f_new
+            if stop or obj_new < obj - 1e-4 * t * min(gnorm ** 2, abs(obj) + 1.0):
                 break
             t *= 0.5
         else:
             # gradient-descent fallback with a conservative step
             x_new = x - min(1.0 / (1.0 + gnorm), tau) * g
-            obj_new, f_new = phi(x_new)
+            f_new = fn.value(x_new)
+            obj_new = 0.5 * float((x_new - v).dot(x_new - v)) / tau + f_new
             if obj_new >= obj:
                 break
         x, obj, fx = x_new, obj_new, f_new
-        if norm(x) > 1e9 or obj < -1e15:
+        if stop:  # the next step evaluates grad f(x) if it needs it
+            return x, float(obj), fx, None, evals
+        if math.sqrt(x.dot(x)) > 1e9 or obj < -1e15:
             raise NotBoundedBelow(f"prox objective of {fn.name} diverges")
-    return x, float(obj), fx, evals
+        gx, evals = np.asarray(fn.grad(x), dtype=float), evals + 1
+        g = (x - v) / tau + gx
+    return x, float(obj), fx, gx, evals
 
 
 def minimizing_movement(fn: Functional, tau: float, y0, horizon: float,
@@ -463,14 +457,16 @@ def minimizing_movement(fn: Functional, tau: float, y0, horizon: float,
     The arguments are checked once, then each step runs the search of
     :func:`prox`; its errors are re-raised with the step index.  On
     intervals f is evaluated in one call at 512 steps, at each doubling of
-    that and at the end (on R^n each step passes it on); a call with f not
-    finite stops the steps, and the first iterate u_k where f is not finite
-    fails as in a loop of prox calls, also if a later step raised: -inf
-    with :class:`NotBoundedBelow` at step max(k, 1), +inf with
+    that, after a step that ends on a collapsed bracket (a kink or a pole of
+    f') and at the end (on R^n each step passes f and grad f on); a call
+    with f not finite stops the steps, and the first iterate u_k where f is
+    not finite fails as in a loop of prox calls, also if a later step
+    raised: -inf with :class:`NotBoundedBelow` at step max(k, 1), +inf with
     :class:`BasePointOutsideDomain` at step k + 1 (none after the last),
-    NaN with :class:`NanError`.  meta has ``prox_psi_evals`` (prox-objective
-    gradient calls: f' at each 1-d trial point; 2n more per Newton iteration
-    with a finite-difference Hessian) and ``prox_expansions`` (1-d doublings).
+    NaN with :class:`NanError`.  meta has ``prox_psi_evals`` (gradient
+    calls: f' at each 1-d trial point; on R^n one at y0 and one per Newton
+    iterate, 2n more per iteration with a finite-difference Hessian) and
+    ``prox_expansions`` (1-d doublings).
     tol is not read; ``perfbench/jobs.py`` passes it by position.
     """
     tau, k, us, fs, err, one_d = float(tau), 1, [], [], None, False
@@ -483,19 +479,19 @@ def minimizing_movement(fn: Functional, tau: float, y0, horizon: float,
     try:
         tau, u, one_d, n_steps = _prox_args(fn, tau, y0, horizon)
         us.append(u)
-        if not one_d:
-            fs, eye_tau = [fn.value(u)], np.eye(u.size) / tau
+        if not one_d:  # each step passes f and grad f at its output on
+            fs, gu, eye_tau = [fn.value(u)], None, np.eye(u.size) / tau
         for k in range(1, n_steps + 1):
             if one_d:
-                u, evals, doublings = _prox_1d(fn, tau, u)
+                u, evals, doublings, jump = _prox_1d(fn, tau, u)
                 expansions += doublings
             else:
-                u, _, fu, evals = _prox_rn(fn, tau, u, fs[-1], eye_tau)
+                u, _, fu, gu, evals = _prox_rn(fn, tau, u, fs[-1], eye_tau, gu)
                 fs.append(fu)
             us.append(u)
             psi_evals += evals
-            if one_d and k >= 512 and k & (k - 1) == 0 and not finite_f():
-                break  # a checkpoint (512, 1024, ... steps) found a bad u_j
+            if one_d and (jump or k >= 512 and k & (k - 1) == 0) and not finite_f():
+                break  # a bad u_j found past a jump of f' or at 512, 1024, ... steps
     except Exception as exc:
         err = exc
     if one_d and len(us) > len(fs):

@@ -69,8 +69,8 @@ class EuclideanRn:
         return self.n
 
     def contains(self, x) -> bool:
-        arr = np.asarray(x, dtype=float)
-        return arr.shape == (self.n,) and bool(np.isfinite(arr).all())
+        arr = np.asarray(x, dtype=float)  # math.isfinite: cheap on short vectors
+        return arr.shape == (self.n,) and all(map(math.isfinite, arr.tolist()))
 
     def contains_closure(self, x) -> bool:
         return self.contains(x)

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import logging
 import math
 
@@ -494,7 +495,7 @@ class TestOneEvaluationPerStep:
         ref = y0[None, :] * (1.0 + 2.0 * tau) ** -np.arange(steps + 1.0)[:, None]
         np.testing.assert_allclose(c.points, ref, rtol=1e-10)
         # a finite-difference Jacobian costs 2n = 4 gradient calls per
-        # Newton iteration; the exact Hessian path takes 2 per step
+        # Newton iteration; the exact Hessian path takes 1 per Newton iterate
         assert c.meta["prox_psi_evals"] >= 6 * steps
 
     def test_quadratic_hessian_is_constant(self):
@@ -584,7 +585,7 @@ class TestOneArrayOfValues:
         "band-nan": (_band(math.nan), 1.0, 0.1, 20, NanError, None),
         "nan-on-the-way": (_expr("x*x/2 + 0*log(x - 0.3)"), 1.0, 0.1, 30,
                            NanError, None),
-        # u_1 = +inf past the pole at 0.3, then the steps walk round the pole
+        # u_1 = +inf past the pole at 0.3, found after that step's collapsed bracket
         "plus-inf-before-a-raise": (_expr("x*x/2 + log(x - 0.3)"), 1.0, 0.1, 30,
                                     BasePointOutsideDomain, 2),
         "u2-plus-inf-before-a-raise": (_expr("x*x/2 + log(x - 0.3)"), 2.0, 0.3, 3,
@@ -843,6 +844,21 @@ class TestSecantSearch:
         assert step.output < 0.3 and step.f_output == math.inf
         assert step.psi_evals <= 100
 
+    def test_a_step_past_a_pole_stops_the_steps(self):
+        # u_1 is the end past the pole, where f = +inf; f is evaluated after
+        # a step that ends on a collapsed bracket, so the 2000-step solve
+        # stops there and does not walk round the pole up to the 512-step
+        # checkpoint
+        fn, calls = _expr("x*x/2 + log(x - 0.3)"), []
+
+        def grad(x):
+            calls.append(x)
+            return fn.grad(x)
+
+        with pytest.raises(BasePointOutsideDomain, match="prox failed at step 2 "):
+            minimizing_movement(dataclasses.replace(fn, grad=grad), 0.1, 1.0, 200.0, TOL)
+        assert len(calls) <= 200
+
 
 class TestNewtonDecrementStop:
     """On R^n a Newton step whose decrement is below the objective's rounding
@@ -864,6 +880,52 @@ class TestNewtonDecrementStop:
         u = c.points
         res = (u[1:] - u[:-1]) / tau + np.array([fn.grad(x) for x in u[1:]])
         assert np.sqrt((res * res).sum(axis=-1)).max() <= 1e-12
+
+
+class TestGradientCarry:
+    """On R^n each step takes grad f(U^{n-1}) from the step before it: one
+    gradient call per Newton iterate plus one at y0, and the points of a
+    loop of prox calls, each of which evaluates grad f at its input."""
+
+    FNS = {
+        "quadratic-r2": library("quadratic", P11, c=1.0, dim=2),
+        "quadratic-r3": library("quadratic", P11, c=2.5, dim=3),
+        # no hess: the finite-difference Newton matrix
+        "expression-r2": expression_functional("x1*x1 + x2*x2 + cos(x1)",
+                                               EuclideanRn(2)),
+    }
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(sorted(FNS)), st.lists(st.floats(-3.0, 3.0), min_size=3,
+                                                  max_size=3),
+           st.floats(1e-3, 0.5), st.integers(1, 30))
+    def test_matches_the_prox_loop(self, name, y0, tau, steps):
+        fn = self.FNS[name]
+        y0 = np.array(y0[:fn.space.n])
+        got = _outcome(TestOneArrayOfValues._mms_points, fn, tau, y0, steps * tau)
+        assert got == _outcome(_prox_loop, fn, tau, y0, steps * tau)
+        assert got[0] == "points"
+
+    def test_quadratic_takes_one_gradient_per_step(self):
+        # the benchmark's mms-quadratic-r2 solve: one Newton iterate per
+        # step, so steps + 1 gradient calls and steps + 1 rows of f
+        fn, grads, rows = self.FNS["quadratic-r2"], [], []
+
+        def grad(x):
+            grads.append(x)
+            return fn.grad(x)
+
+        def fvec(xs):
+            rows.append(len(xs))
+            return fn.fvec(xs)
+
+        c = minimizing_movement(dataclasses.replace(fn, grad=grad, fvec=fvec),
+                                1.0 / 1800, np.array([1.0, -0.5]), 1.0, TOL)
+        steps = c.n_samples - 1
+        assert steps == 1800 and len(grads) == sum(rows) == steps + 1
+        assert c.meta["prox_psi_evals"] == steps + 1
+        assert hashlib.sha256(c.points.tobytes()).hexdigest() == \
+            "f5ee1c7f09b7557c0d2cac8a655eecd97cbf36ade21d26a62c2687995a8c5559"
 
 
 class TestLogCoshOracleOverflow:

@@ -3,7 +3,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from knflow.errors import ConfigInvalid, ParamOutOfRange, PointOutsideSpace
 from knflow.spaces import (
@@ -63,6 +64,32 @@ class TestEuclidean:
         sp = EuclideanRn(2)
         assert not sp.contains(np.array([1.0]))
         assert sp.contains(np.array([1.0, 2.0]))
+
+
+class TestEuclideanContains:
+    """contains is shape (n,) and all entries finite, for any input."""
+
+    ENTRIES = st.one_of(st.floats(), st.sampled_from(
+        [math.nan, math.inf, -math.inf, 1e300, -1e300, -0.0, 0.0]))
+
+    @settings(max_examples=300)
+    @given(st.integers(1, 8), st.data())
+    def test_agrees_with_isfinite(self, n, data):
+        shape = data.draw(st.sampled_from([(), (n,), (n + 1,), (n - 1,), (2, n),
+                                           (n, n), (1, n), (n, 1)]))
+        x = data.draw(hnp.arrays(float, shape, elements=self.ENTRIES))
+        arg = data.draw(st.sampled_from([x, x.tolist()]))  # scalars, lists
+        want = x.shape == (n,) and bool(np.isfinite(x).all())
+        assert EuclideanRn(n).contains(arg) is want
+
+    @pytest.mark.parametrize("x, want", [
+        ([1e300, -0.0, -1e300], True), ([0.0, math.nan, 1.0], False),
+        ([math.inf, 0.0, 0.0], False), ([0.0, 0.0, -math.inf], False),
+        (1.0, False), ([[1.0, 2.0, 3.0]], False), ([1.0, 2.0], False),
+    ])
+    def test_cases(self, x, want):
+        assert EuclideanRn(3).contains(x) is want
+        assert EuclideanRn(3).contains(np.asarray(x)) is want
 
 
 class TestOneNorm:
