@@ -54,11 +54,13 @@ from .errors import (
     TooFewSamples,
 )
 from .flows import Curve
-from .functionals import Functional
+from .functionals import Functional, _exp_clip
 from .spaces import Geodesic, Interval, distances
 
 _BOUNDARY_MARGIN = 1e-3
 _SUP_LEVELS = 12
+_LIP_WINDOW = 3  # intervals on each side in a local Lipschitz bound
+_LIP_STRIDE = 8  # samples on each side in a stride-averaged speed
 _STEP_BIAS_COEFF = 20.0  # C in the step-residual budget
 
 
@@ -110,16 +112,15 @@ class ContractionRate:
 
 def forward_upper_derivative(g: Callable[[float], float], t: float,
                              tol: Tolerance = DEFAULT_TOL,
-                             h0: float = 0.25, tail: int = 3) -> float:
+                             h0: float = 0.25) -> float:
     """limsup of (g(t+h) - g(t))/h as h -> 0+.
 
-    Difference quotients over h = h0 * 2^-k down to tol.h_min; the max of
-    the finest `tail` levels estimates the limsup.
+    Difference quotients over the finest three steps of h = h0 * 2^-k down
+    to tol.h_min; their max estimates the limsup.
     """
-    hs = _halving_steps(h0, tol.h_min, "h0")
+    hs = _halving_steps(h0, tol.h_min, "h0")[-3:]
     g0 = float(g(t))
-    quotients = [(float(g(t + h)) - g0) / h for h in hs]
-    return float(max(quotients[-tail:]))
+    return float(max((float(g(t + h)) - g0) / h for h in hs))
 
 
 def metric_derivative(c: Curve) -> np.ndarray:
@@ -136,14 +137,13 @@ def _interval_speeds(c: Curve) -> np.ndarray:
     return distances(c.points[:-1], c.points[1:], c.is_1d) / np.diff(c.times)
 
 
-def _local_lipschitz(c: Curve, window: int = 3) -> np.ndarray:
+def _local_lipschitz(c: Curve) -> np.ndarray:
     """Per-interval speed bound: max of nearby interval speeds."""
-    v = np.pad(_interval_speeds(c), window, constant_values=-math.inf)
-    return sliding_window_view(v, 2 * window + 1).max(axis=1)
+    v = np.pad(_interval_speeds(c), _LIP_WINDOW, constant_values=-math.inf)
+    return sliding_window_view(v, 2 * _LIP_WINDOW + 1).max(axis=1)
 
 
-def _budget_lipschitz(c: Curve, local: np.ndarray,
-                      stride: int = 8) -> np.ndarray:
+def _budget_lipschitz(c: Curve, local: np.ndarray) -> np.ndarray:
     """Speed estimate feeding the discretization budget.
 
     The smaller of the local per-cell bound and twice a stride-averaged
@@ -154,8 +154,8 @@ def _budget_lipschitz(c: Curve, local: np.ndarray,
     """
     m = c.n_samples
     i = np.arange(len(local))
-    lo = np.maximum(i - stride, 0)
-    hi = np.minimum(i + stride, m - 1)
+    lo = np.maximum(i - _LIP_STRIDE, 0)
+    hi = np.minimum(i + _LIP_STRIDE, m - 1)
     avg = distances(c.points[lo], c.points[hi], c.is_1d) \
         / (c.times[hi] - c.times[lo])
     return np.minimum(local, 2.0 * avg + 1e-12)
@@ -181,12 +181,11 @@ def _stratified_z(fn: Functional, x_t, steps, rng, n: int) -> np.ndarray:
     u, then uniform points for the rest (no boundary stratum), with near
     points x_t[k] + steps[k] u e clipped to the box.
     """
-    box = sampling_box(fn)
+    lo, hi = sampling_box(fn)
     n_near = n // 3
     n_mid = n // 3
     n_bnd = n - n_near - n_mid
     if isinstance(fn.space, Interval):
-        lo, hi = float(box[0]), float(box[1])
         j1, j2 = n_near, n_near + n_mid
         j3 = j2 + n_bnd // 2
         z = rng.random((len(x_t), n))
@@ -196,8 +195,6 @@ def _stratified_z(fn: Functional, x_t, steps, rng, n: int) -> np.ndarray:
         z[:, j2:j3] = np.clip(lo + _BOUNDARY_MARGIN * z[:, j2:j3], lo, hi)
         z[:, j3:] = np.clip(hi - _BOUNDARY_MARGIN * z[:, j3:], lo, hi)
         return z
-    lo = np.asarray(box[0], float)
-    hi = np.asarray(box[1], float)
     rows, dim = len(x_t), lo.size
     dirs = _directions(rng, (rows, n_near), dim)
     near = x_t[:, None, :] + steps[:, None, None] \
@@ -206,12 +203,15 @@ def _stratified_z(fn: Functional, x_t, steps, rng, n: int) -> np.ndarray:
     return np.clip(np.concatenate([near, mid], axis=1), lo, hi)
 
 
-def _time_indices(c: Curve, t_samples: int) -> np.ndarray:
+def _time_indices(c: Curve, t_samples: int, first: int = 0) -> np.ndarray:
+    """At most t_samples indices spread over first, ..., m - 2 + first."""
     m = c.n_samples
     if m < 2:
         raise TooFewSamples("need at least two samples for a forward step")
-    return np.unique(np.linspace(0, m - 2, min(t_samples, m - 1)).round()
-                     .astype(int))
+    if t_samples < 1:
+        raise ParamOutOfRange(f"t_samples must be >= 1, got {t_samples}")
+    return np.unique(np.linspace(first, m - 2 + first, min(t_samples, m - 1))
+                     .round().astype(int))
 
 
 # ---------------------------------------------------------------------------
@@ -337,9 +337,7 @@ def check_evi_kn(c: Curve, fn: Functional, p: CurvatureParams, form: str,
 
     def rhs(d, u, fz, f_k):
         g_k = -f_k / p.N
-        with np.errstate(over="ignore"):
-            ratio = np.exp(-fz / p.N - g_k)
-        return _kn_rhs(form, p, d, u, ratio)
+        return _kn_rhs(form, p, d, u, _exp_clip(-fz / p.N - g_k))
 
     return _step_check(f"evi_kn_{form}", {"K": p.K, "N": p.N}, c, fn, tol,
                        t_samples, _z_rows(c, fn, spec, z_override), keep, rhs,
@@ -369,8 +367,7 @@ def check_evi_integrated(c: Curve, fn: Functional, p: CurvatureParams,
     if p.K == 0:
         raise KZero("the integrated form needs K != 0")
     one_d = isinstance(fn.space, Interval)
-    if c.n_samples < 2:
-        raise TooFewSamples("need at least two samples")
+    idx = _time_indices(c, t_samples, 1)
     rng = spec.rng()
     zs = _stratified_z(fn, c.points[:1], np.array([0.5]), rng, spec.count)[0]
     fz = fn.values(zs)
@@ -379,9 +376,6 @@ def check_evi_integrated(c: Curve, fn: Functional, p: CurvatureParams,
         raise PointOutsideDomain("curve leaves the finiteness domain of f")
     u_start = s_values(p, distances(c.points[:1, None], zs, one_d)
                        / 2.0) ** 2
-    idx = np.unique(np.linspace(1, c.n_samples - 1,
-                                min(t_samples, c.n_samples - 1)).round()
-                    .astype(int))
     # math.exp, as for a scalar window length: np.exp may differ in the
     # last bit
     ekt = np.array([math.exp(p.K * t) for t in c.times[idx] - c.times[0]])[:, None]
@@ -390,8 +384,7 @@ def check_evi_integrated(c: Curve, fn: Functional, p: CurvatureParams,
     def block(lo, hi):
         i, e = idx[lo:hi], ekt[lo:hi]
         u = s_values(p, distances(c.points[i, None], zs, one_d) / 2.0) ** 2
-        with np.errstate(over="ignore"):
-            ratio = np.exp((-fz + f_curve[i, None]) / p.N)
+        ratio = _exp_clip((-fz + f_curve[i, None]) / p.N)
         rhs_gain = p.N * (e - 1.0) / (2.0 * p.K) * (1.0 - ratio)
         with np.errstate(invalid="ignore"):
             residual = e * u - u_start - rhs_gain
@@ -420,20 +413,19 @@ def check_evi_local(c: Curve, gn: Functional, lam: float, radius: float,
     if not radius > 0:
         raise ParamOutOfRange("radius must be > 0")
     one_d = isinstance(gn.space, Interval)
-    box = sampling_box(gn)
+    box_lo, box_hi = sampling_box(gn)
 
     def draw(idx, steps):
         rng = spec.rng()
         x_t = c.points[idx]
         if one_d:  # rng.uniform(lo, hi) row by row, as one batch
-            lo = np.maximum(float(box[0]), x_t - radius)[:, None]
-            hi = np.minimum(float(box[1]), x_t + radius)[:, None]
+            lo = np.maximum(box_lo, x_t - radius)[:, None]
+            hi = np.minimum(box_hi, x_t + radius)[:, None]
             return lo + (hi - lo) * rng.random((len(idx), spec.count))
         shape, dim = (len(idx), spec.count), gn.space.n
         dirs = _directions(rng, shape, dim)
         radii = radius * rng.uniform(0, 1, size=(*shape, 1)) ** (1.0 / dim)
-        return np.clip(x_t[:, None, :] + radii * dirs,
-                       np.asarray(box[0]), np.asarray(box[1]))
+        return np.clip(x_t[:, None, :] + radii * dirs, box_lo, box_hi)
 
     def keep(gz, z, d0, d1):
         out = np.isfinite(gz)
@@ -450,20 +442,13 @@ def check_evi_local(c: Curve, gn: Functional, lam: float, radius: float,
 # slopes
 # ---------------------------------------------------------------------------
 
-def _in_interval(sp: Interval, z: np.ndarray) -> np.ndarray:
-    """Elementwise ``sp.contains``: finite and inside, per the open ends."""
-    return np.isfinite(z) & (z > sp.a if sp.open_a else z >= sp.a) \
-        & (z < sp.b if sp.open_b else z <= sp.b)
-
-
 def _definition_slopes(fn: Functional, ys: np.ndarray, fys: np.ndarray,
-                       r0s: np.ndarray, levels: int,
-                       spec: Optional[SampleSpec]) -> np.ndarray:
+                       r0s: np.ndarray, spec: Optional[SampleSpec]) -> np.ndarray:
     """Definition slopes at the points ys, whose values are fys.
 
     Difference quotients (f(y) - f(y + r u)) / r are taken along
-    directions u at the two finest radii, r0 2^-(levels-2) and
-    r0 2^-(levels-1), of the halving sequence from r0: u = +-1 on
+    directions u at the two finest radii, r0 2^-(L-2) and r0 2^-(L-1)
+    with L = _SUP_LEVELS, of the halving sequence from r0: u = +-1 on
     intervals, dropping probes outside the interval, and on R^n 32 random
     unit vectors drawn once from spec.  The limit along each direction is
     Richardson-extrapolated from the two radii: exact for quotients
@@ -474,11 +459,11 @@ def _definition_slopes(fn: Functional, ys: np.ndarray, fys: np.ndarray,
     one with no probe inside counts as 0.  Negative parts are floored at
     zero.
     """
-    r = r0s[:, None] * np.array([0.5 ** (levels - 2), 0.5 ** (levels - 1)])
+    r = r0s[:, None] * 0.5 ** np.arange(_SUP_LEVELS - 2, _SUP_LEVELS)
     if isinstance(fn.space, Interval):
         probes = ys[:, None, None] + np.array([1.0, -1.0])[None, :, None] \
             * r[:, None, :]
-        inside = _in_interval(fn.space, probes)
+        inside = fn.space.contains(probes)
         vals = np.full(probes.shape, math.nan)
         vals[inside] = fn.values(probes[inside])
     else:
@@ -497,7 +482,7 @@ def _definition_slopes(fn: Functional, ys: np.ndarray, fys: np.ndarray,
 
 def slope(fn: Functional, y, method: str, spec: Optional[SampleSpec] = None,
           p: Optional[CurvatureParams] = None, R: Optional[float] = None,
-          r0: Optional[float] = None, levels: int = _SUP_LEVELS) -> float:
+          r0: Optional[float] = None) -> float:
     """Descending slope at y.
 
     "definition": limsup of the negative part of difference quotients,
@@ -514,7 +499,7 @@ def slope(fn: Functional, y, method: str, spec: Optional[SampleSpec] = None,
         norm = float(distances(0.0, y0, isinstance(fn.space, Interval)))
         r_start = r0 if r0 is not None else 0.0625 * (1.0 + norm)
         return float(_definition_slopes(fn, y0[None], np.array([fy]),
-                                        np.array([r_start]), levels, spec)[0])
+                                        np.array([r_start]), spec)[0])
     if method == "formula":
         if p is None or R is None:
             raise ParamOutOfRange("formula method needs p=(K,N) and R")
@@ -523,20 +508,19 @@ def slope(fn: Functional, y, method: str, spec: Optional[SampleSpec] = None,
         if not isinstance(fn.space, Interval):
             raise ParamOutOfRange("formula slope implemented on intervals")
         y = float(y)
-        radii = R * 0.5 ** np.arange(levels)
+        radii = R * 0.5 ** np.arange(_SUP_LEVELS)
         parts = [y + radii, y - radii]
         if spec is not None:
             parts.append(y + R * spec.rng().uniform(-1, 1, size=spec.count))
         zs = np.concatenate(parts)
-        zs = zs[_in_interval(fn.space, zs) & (zs != y)]
+        zs = zs[fn.space.contains(zs) & (zs != y)]
         if len(zs) == 0:
             return 0.0
         fz = fn.values(zs)
         keep = fz < math.inf
         zs, fz = zs[keep], fz[keep]
         d = distances(y, zs, True)
-        with np.errstate(over="ignore"):
-            ratio = np.exp((-fz + fy) / p.N)
+        ratio = _exp_clip((-fz + fy) / p.N)
         expr = p.N / s_values(p, d) * (1.0 - ratio) \
             - p.K * s_values(p, d / 2.0) / c_values(p, d / 2.0)
         return float(np.max(np.maximum(-expr, 0.0)))
@@ -565,7 +549,7 @@ def energy_audit(c: Curve, fn: Functional, tol: Tolerance = DEFAULT_TOL,
     speed = metric_derivative(c)
     norms = distances(0.0, c.points, c.is_1d)
     slopes = _definition_slopes(fn, c.points, energy, slope_r0 * (1.0 + norms),
-                                _SUP_LEVELS, spec)
+                                spec)
     t = c.times
     dfdt = np.empty(c.n_samples)
     dfdt[1:-1] = (energy[2:] - energy[:-2]) / (t[2:] - t[:-2])
@@ -594,8 +578,7 @@ def energy_audit(c: Curve, fn: Functional, tol: Tolerance = DEFAULT_TOL,
 # bracket against geodesics
 # ---------------------------------------------------------------------------
 
-def bracket(c: Curve, t0: float, g: Geodesic,
-            levels: int = _SUP_LEVELS) -> Bracket:
+def bracket(c: Curve, t0: float, g: Geodesic) -> Bracket:
     """Sup over ray parameters s of the scaled forward quotient of d^2.
 
     Estimates sup_s (1/2s) d+/dt d^2(y_t, z_s) at a grid time t0 with the
@@ -615,7 +598,7 @@ def bracket(c: Curve, t0: float, g: Geodesic,
     if distances(x0, p0, one_d) > 1e-9 * (1.0 + distances(0.0, x0, one_d)):
         raise ParamOutOfRange("geodesic must emanate from the curve point")
     h = c.times[i + 1] - c.times[i]
-    s = 0.5 ** np.arange(max(levels, 1))
+    s = 0.5 ** np.arange(_SUP_LEVELS)
     s = s[s >= min(0.25, 256.0 * h)]  # keeps s = 1
     z = (1.0 - s) * p0 + s * p1 if one_d else \
         (1.0 - s)[:, None] * p0 + s[:, None] * p1

@@ -25,6 +25,7 @@ import numpy as np
 
 from . import __version__
 from .analysis import (
+    EVI_KN_FORMS,
     check_evi_integrated,
     check_evi_kn,
     check_evi_lambda,
@@ -39,6 +40,7 @@ from .errors import ConfigInvalid, IoError, KNFlowError
 from .flows import Curve, minimizing_movement, ode_flow, oracle_flow
 from .functionals import functional_from_json
 from .reparam import r1, r2
+from .spaces import EuclideanRn
 
 logger = logging.getLogger("knflow")
 
@@ -353,8 +355,8 @@ def _run_coeff(cfg, out_dir):
 def _run_flow(cfg, out_dir):
     fn = functional_from_json(cfg["functional"])
     method = cfg["method"]
-    y0 = cfg["y0"]
-    y0 = _points(y0, "y0", 1) if isinstance(y0, list) else _number(y0, "y0")
+    y0 = _points(cfg["y0"], "y0", 1) if isinstance(fn.space, EuclideanRn) \
+        else _number(cfg["y0"], "y0")
     if method == "oracle":
         name = cfg.get("oracle", cfg["functional"].get("library"))
         kwargs = {}
@@ -406,7 +408,7 @@ def _run_check_evi(cfg, out_dir):
     if form == "lambda":
         rep = check_evi_lambda(curve, fn, _number(cfg["lambda"], "lambda"),
                                spec, tol, t_samples=t_samples)
-    elif form in ("raw", "i", "ii"):
+    elif form in EVI_KN_FORMS:
         rep = check_evi_kn(curve, fn, _params(cfg), form, spec, tol,
                            t_samples=t_samples,
                            z_domain=cfg.get("z_domain", "extended"))

@@ -32,7 +32,7 @@ import numpy as np
 from .coefficients import CurvatureParams, sigma_values
 from .core import DEFAULT_TOL, SampleSpec, Tolerance
 from .errors import BadBracket, EmptyDomain, ParamOutOfRange, UnboundedAbove
-from .functionals import Functional, fN_functional
+from .functionals import Functional, _exp_clip, fN_functional
 from .spaces import Interval, distances
 
 T_GRID_SIZE = 33  # t in {k/32}
@@ -78,24 +78,24 @@ class Report:
                 "pass": bool(self.passed)}
 
 
-def sampling_box(fn: Functional, margin: float = _BOX_MARGIN,
-                 extent: float = _BOX_EXTENT):
-    """Compact sub-box of the domain, shrunk by `margin` at open ends."""
-    if fn.sample_box is not None:
-        return fn.sample_box
+def sampling_box(fn: Functional, box=None):
+    """(lo, hi) of box, else of fn.sample_box, else of a compact sub-box of
+    the domain shrunk by _BOX_MARGIN at open ends: floats on an interval,
+    arrays on R^n.  EmptyDomain unless lo < hi in every coordinate."""
+    box = fn.sample_box if box is None else box
     sp = fn.space
-    if isinstance(sp, Interval):
-        lo = sp.a + margin if sp.open_a else sp.a
-        hi = sp.b - margin if sp.open_b else sp.b
-        if not math.isfinite(lo):
-            lo = -extent
-        if not math.isfinite(hi):
-            hi = max(extent, lo + 1.0)
-        if not lo < hi:
-            raise EmptyDomain(f"no room to sample inside {sp}")
-        return (lo, hi)
-    n = sp.n
-    return (-extent * np.ones(n), extent * np.ones(n))
+    if box is None and isinstance(sp, Interval):
+        lo = sp.a + _BOX_MARGIN if sp.open_a else sp.a
+        hi = sp.b - _BOX_MARGIN if sp.open_b else sp.b
+        lo = lo if math.isfinite(lo) else -_BOX_EXTENT
+        box = (lo, hi if math.isfinite(hi) else max(_BOX_EXTENT, lo + 1.0))
+    elif box is None:
+        box = (-_BOX_EXTENT * np.ones(sp.n), _BOX_EXTENT * np.ones(sp.n))
+    lo, hi = (float(v) if isinstance(sp, Interval) else np.asarray(v, float)
+              for v in box)
+    if not np.all(lo < hi):
+        raise EmptyDomain(f"no room to sample in the box {box} of {fn.name}")
+    return lo, hi
 
 
 def _draw_points(rng, box, count):
@@ -178,7 +178,7 @@ def check_lambda_convex(fn: Functional, lam: float, spec: SampleSpec,
     lam = float(lam)
     if math.isnan(lam):
         raise ParamOutOfRange("lambda must be a real number")
-    box = box if box is not None else sampling_box(fn)
+    box = sampling_box(fn, box)
     dim1 = isinstance(fn.space, Interval)
     x0, x1 = _draw_pairs(fn, spec, box, cap=None)
     f0 = fn.values(x0)
@@ -210,7 +210,7 @@ def check_kn_convex(fn: Functional, p: CurvatureParams, spec: SampleSpec,
     the singular distance cap unless enforce_cap=False (singular cells are
     then vacuously satisfied since the right side is +inf).
     """
-    box = box if box is not None else sampling_box(fn)
+    box = sampling_box(fn, box)
     dim1 = isinstance(fn.space, Interval)
     cap = p.theta_singular if (enforce_cap and p.K < 0) else None
     x0, x1 = _draw_pairs(fn, spec, box, cap)
@@ -218,17 +218,14 @@ def check_kn_convex(fn: Functional, p: CurvatureParams, spec: SampleSpec,
     g1 = -fn.values(x1) / p.N
     good = _finite_pair_filter((g0 < math.inf) & (g1 < math.inf))
     x0, x1, g0, g1 = x0[good], x1[good], g0[good], g1[good]
-    with np.errstate(over="ignore"):
-        fN0 = np.exp(g0)[:, None]
-        fN1 = np.exp(g1)[:, None]
+    fN0 = _exp_clip(g0)[:, None]
+    fN1 = _exp_clip(g1)[:, None]
     d = distances(x0, x1, dim1)[:, None]
     ts = np.linspace(0.0, 1.0, T_GRID_SIZE)
     budget = tol.abs + tol.rel * np.maximum(1.0, np.maximum(fN0, fN1))
 
     def block(lo, hi):
-        with np.errstate(over="ignore"):
-            lhs = np.exp(-_geodesic_values(fn, x0[lo:hi], x1[lo:hi], ts)
-                         / p.N)
+        lhs = _exp_clip(-_geodesic_values(fn, x0[lo:hi], x1[lo:hi], ts) / p.N)
         rhs = (_conv_mul(sigma_values(p, (1 - ts)[None, :], d[lo:hi]), fN0[lo:hi])
                + _conv_mul(sigma_values(p, ts[None, :], d[lo:hi]), fN1[lo:hi]))
         with np.errstate(invalid="ignore"):

@@ -46,8 +46,8 @@ from .errors import (
     ParamOutOfRange,
     PointOutsideSpace,
 )
-from .functionals import Functional
-from .spaces import Interval
+from .functionals import Functional, _exp_clip
+from .spaces import Interval, ModelSpace, _require_member
 
 logger = logging.getLogger("knflow")
 
@@ -129,6 +129,14 @@ def time_grid(t0: float, t1: float, n: int) -> np.ndarray:
     return _as_grid(np.linspace(float(t0), float(t1), int(n)))
 
 
+def _start_point(space: ModelSpace, y0):
+    """y0 as a point of the closure of space: a float on an interval (the
+    closed one), a float array on R^n; PointOutsideSpace otherwise."""
+    if isinstance(space, Interval):
+        space = Interval(space.a, space.b, open_a=False, open_b=False)
+    return _require_member(space, y0)
+
+
 # ---------------------------------------------------------------------------
 # closed-form oracles
 # ---------------------------------------------------------------------------
@@ -142,9 +150,7 @@ def oracle_flow(name: str, p: Optional[CurvatureParams], y0, grid,
     if name == "log-x":
         if p is None:
             raise NoOracle("log-x oracle needs curvature parameters")
-        y0 = float(y0)
-        if y0 < 0:
-            raise PointOutsideSpace("log-x flow needs y0 >= 0")
+        y0 = _start_point(Interval(0.0, math.inf), y0)
         stop = -y0 * y0 / (2.0 * p.N)
         ys = np.sqrt(np.maximum(y0 * y0 + 2.0 * p.N * grid, 0.0))
         return Curve(grid, ys, stop_time=stop, meta=meta)
@@ -152,7 +158,7 @@ def oracle_flow(name: str, p: Optional[CurvatureParams], y0, grid,
         if p is None or p.K <= 0:
             raise NoOracle("log-cosh oracle needs K > 0")
         w = math.sqrt(-p.K / p.N)
-        y = w * float(y0)
+        y = w * _start_point(Interval(), y0)
         try:
             ys = np.arcsinh(math.sinh(y) * np.exp(-p.K * grid)) / w
         except OverflowError:
@@ -160,9 +166,8 @@ def oracle_flow(name: str, p: Optional[CurvatureParams], y0, grid,
             # asinh(e^L) = L + log1p(sqrt(1 + e^{-2L}))
             ay = abs(y)
             L = ay + math.log1p(-math.exp(-2.0 * ay)) - math.log(2.0) - p.K * grid
-            with np.errstate(over="ignore"):
-                big = L + np.log1p(np.sqrt(1.0 + np.exp(-2.0 * L)))
-                small = np.arcsinh(np.exp(L))
+            big = L + np.log1p(np.sqrt(1.0 + _exp_clip(-2.0 * L)))
+            small = np.arcsinh(_exp_clip(L))
             ys = math.copysign(1.0, y) * np.where(L > 0, big, small) / w
         return Curve(grid, ys, stop_time=None, meta=meta)
     if name == "log-cos":
@@ -170,27 +175,23 @@ def oracle_flow(name: str, p: Optional[CurvatureParams], y0, grid,
             raise NoOracle("log-cos oracle needs K < 0")
         w = math.sqrt(p.K / p.N)
         half = 0.5 * math.pi / w
-        y0 = float(y0)
-        if not abs(y0) < half:
-            raise PointOutsideSpace(f"y0 must lie in (-{half}, {half})")
+        y0 = _require_member(Interval(-half, half), y0)
         s0 = math.sin(w * y0)
         if s0 == 0.0:
             return Curve(grid, np.zeros_like(grid), stop_time=None, meta=meta)
         sgn = math.copysign(1.0, s0)
         stop = math.log(abs(s0)) / p.K  # positive: K < 0, |s0| < 1
-        m = np.minimum(abs(s0) * np.exp(-p.K * grid), 1.0)
+        m = np.minimum(abs(s0) * _exp_clip(-p.K * grid), 1.0)
         ys = sgn * np.arcsin(m) / w
         return Curve(grid, ys, stop_time=stop, meta=meta)
     if name == "quadratic":
         y0 = np.asarray(y0, dtype=float)
-        decay = np.exp(-float(c) * grid)
+        decay = _exp_clip(-float(c) * grid)
         ys = y0 * decay if y0.ndim == 0 else y0[None, :] * decay[:, None]
         meta["c"] = float(c)
         return Curve(grid, ys, stop_time=None, meta=meta)
     if name == "fN-linear":
-        y0 = float(y0)
-        if y0 < 0:
-            raise PointOutsideSpace("fN-linear flow needs y0 >= 0")
+        y0 = _start_point(Interval(0.0, math.inf), y0)
         a = float(a)
         ys = np.maximum(y0 - a * grid, 0.0)
         stop = y0 / a if a > 0 else None
@@ -203,6 +204,9 @@ def oracle_flow(name: str, p: Optional[CurvatureParams], y0, grid,
 # smooth ODE route
 # ---------------------------------------------------------------------------
 
+_MAX_ODE_NFEV = 100_000  # right-hand-side evaluations of one solve
+
+
 def ode_flow(fn: Functional, y0, grid, rtol: float = 1e-9) -> Curve:
     """Integrate dy/dt = -grad f(y) with an embedded adaptive RK pair.
 
@@ -210,11 +214,13 @@ def ode_flow(fn: Functional, y0, grid, rtol: float = 1e-9) -> Curve:
     finite boundary stops the integration and sets stop_time; the curve is
     continued constantly at the boundary.  meta carries the solver's
     right-hand-side evaluations ``ode_nfev`` and exit ``ode_status`` (0: end
-    of the grid reached, 1: a boundary event stopped it).
+    of the grid reached, 1: a boundary event stopped it).  A solve that needs
+    more than 100000 evaluations raises :class:`BlowUp`.
     """
     if fn.grad is None:
         raise ParamOutOfRange(f"{fn.name} has no analytic gradient")
     grid = _as_grid(grid)
+    y0 = _start_point(fn.space, y0)
     meta = {"method": "ode", "functional": fn.name, "rtol": rtol}
     # rtol is a global target; local per-step tolerances sit well below it
     loc_rtol = max(1e-13, 1e-2 * rtol)
@@ -224,8 +230,8 @@ def ode_flow(fn: Functional, y0, grid, rtol: float = 1e-9) -> Curve:
     events = []
     if one_d:
         a, b = fn.space.a, fn.space.b
-        pad = 1e-13 * (1.0 + abs(float(y0)))
-        y0 = [float(y0)]
+        pad = 1e-13 * (1.0 + abs(y0))
+        y0 = [y0]
 
         def rhs(t, y):
             yy = min(max(y[0], a + pad), b - pad)
@@ -242,12 +248,19 @@ def ode_flow(fn: Functional, y0, grid, rtol: float = 1e-9) -> Curve:
                 hit.direction = -1
                 events.append(hit)
     else:
-        y0 = np.asarray(y0, dtype=float)
-
         def rhs(t, y):
             return -np.asarray(fn.grad(y), dtype=float)
 
-    sol = solve_ivp(rhs, (grid[0], grid[-1]), y0, method="RK45",
+    nfev = 0
+
+    def bounded_rhs(t, y):  # at a kink of f the steps collapse without end
+        nonlocal nfev
+        nfev += 1
+        if nfev > _MAX_ODE_NFEV:
+            raise BlowUp(f"ode_flow {fn.name}: over {_MAX_ODE_NFEV} evaluations at t={t}")
+        return rhs(t, y)
+
+    sol = solve_ivp(bounded_rhs, (grid[0], grid[-1]), y0, method="RK45",
                     rtol=loc_rtol, atol=loc_atol, dense_output=True,
                     events=events or None)
     if sol.status == -1:
@@ -301,11 +314,7 @@ def _prox_args(fn: Functional, tau, v, horizon=None) -> tuple:
         raise ParamOutOfRange("horizon shorter than one step")
     if fn.grad is None:
         raise ParamOutOfRange(f"prox of {fn.name} needs an analytic gradient")
-    one_d = isinstance(fn.space, Interval)
-    v = float(v) if one_d else np.array(v, dtype=float)
-    if not fn.space.contains_closure(v):
-        raise PointOutsideSpace(f"{v} outside the closure of {fn.space}")
-    return tau, v, one_d, n_steps
+    return tau, _start_point(fn.space, v), isinstance(fn.space, Interval), n_steps
 
 
 def prox(fn: Functional, tau: float, v, tol: Tolerance = DEFAULT_TOL,

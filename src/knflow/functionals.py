@@ -82,18 +82,15 @@ def log_fN(fn: Functional, p: CurvatureParams, x: Point) -> float:
     return -fn.value(x) / p.N
 
 
-def log_fN_values(fn: Functional, p: CurvatureParams, xs) -> np.ndarray:
-    return -fn.values(xs) / p.N
-
-
 def _exp_clip(g):
+    """exp(g), saturating to +inf where it overflows."""
     with np.errstate(over="ignore"):
         return np.exp(g)
 
 
 def fN_values(fn: Functional, p: CurvatureParams, xs) -> np.ndarray:
     """Batch f_N = exp(-f/N); overflow saturates to +inf."""
-    return _exp_clip(log_fN_values(fn, p, xs))
+    return _exp_clip(-fn.values(xs) / p.N)
 
 
 def fN_ratio_values(fn: Functional, p: CurvatureParams, zs, y: Point) -> np.ndarray:
@@ -102,7 +99,7 @@ def fN_ratio_values(fn: Functional, p: CurvatureParams, zs, y: Point) -> np.ndar
     gy = log_fN(fn, p, y)
     if not math.isfinite(gy):
         raise BasePointOutsideDomain(f"f({y!r}) is not finite")
-    return _exp_clip(log_fN_values(fn, p, zs) - gy)
+    return _exp_clip(-fn.values(zs) / p.N - gy)
 
 
 # ---------------------------------------------------------------------------
@@ -259,10 +256,10 @@ def fN_functional(fn: Functional, p: CurvatureParams) -> Functional:
 
 def directional_derivative(fn: Functional, g: Geodesic,
                            tol: Tolerance = DEFAULT_TOL,
-                           t0: float = 0.25, tail: int = 4) -> float:
+                           t0: float = 0.25) -> float:
     """liminf of (f(gamma_t) - f(gamma_0))/t as t -> 0+.
 
-    Difference quotients are taken on the finest `tail` levels of the
+    Difference quotients are taken on the finest four levels of the
     geometric sequence t_k = t0 * 2^-k down to tol.h_min; their minimum
     estimates the liminf.  +-inf results are legitimate.  A t0 below
     tol.h_min raises StepUnderflow, one that is not finite ParamOutOfRange.
@@ -271,7 +268,7 @@ def directional_derivative(fn: Functional, g: Geodesic,
     if not math.isfinite(f0):
         raise BasePointOutsideDomain(f"f(gamma(0)) = {f0}")
     quotients = []
-    for t in _halving_steps(t0, tol.h_min, "t0")[-tail:]:
+    for t in _halving_steps(t0, tol.h_min, "t0")[-4:]:
         ft = fn.value(g(t))
         quotients.append((ft - f0) / t if math.isfinite(ft) else ft)
     return float(min(quotients))
@@ -399,51 +396,37 @@ def expression_functional(expr: str, space: Optional[ModelSpace] = None,
     The gradient is evaluated in forward mode alongside the value.
     """
     space = space if space is not None else Interval()
-    if isinstance(space, Interval):
-        var_names = {"x"}
-    else:
-        var_names = {f"x{i + 1}" for i in range(space.n)}
+    one_d = isinstance(space, Interval)
+    names = ["x"] if one_d else [f"x{i + 1}" for i in range(space.n)]
     try:
-        body = _compile_node(ast.parse(expr, mode="eval"), var_names)
+        body = _compile_node(ast.parse(expr, mode="eval"), set(names))
     except (SyntaxError, RecursionError, MemoryError) as exc:
         # deep nesting overflows the parser's or the compiler's stack
         raise ExpressionError(f"cannot parse {expr[:80]!r}: "
                               f"{str(exc) or 'nested too deeply'}") from exc
     name = name or f"expr:{expr}"
     grad_where = f"gradient of {name}"
+    basis = np.eye(len(names))  # the tangents of the variables
 
-    def evaluate(env):
+    def evaluate(xs, tangents):  # the last axis of xs holds the variables
+        env = {key: (xs[..., i], tangents[i]) for i, key in enumerate(names)}
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             try:
                 return body(env)
             except RecursionError as exc:  # a deeper caller's stack
                 raise ExpressionError(f"{name} is nested too deeply") from exc
 
-    if isinstance(space, Interval):
-        def fvec(xs):
-            xs = np.asarray(xs, dtype=float)
-            v, _ = evaluate({"x": (xs, None)})
-            return np.broadcast_to(np.asarray(v, dtype=float), xs.shape).copy()
+    def fvec(xs):
+        arr = np.asarray(xs, dtype=float)
+        arr = arr[..., None] if one_d else arr
+        v, _ = evaluate(arr, [None] * len(names))
+        return np.broadcast_to(np.asarray(v, dtype=float), arr.shape[:-1]).copy()
 
-        def grad(x):
-            _, dv = evaluate({"x": (np.float64(x), np.float64(1.0))})
-            return 0.0 if dv is None else require_not_nan(float(dv), grad_where)
-    else:
-        n = space.n
-        basis = np.eye(n)
-
-        def fvec(xs):
-            arr = np.asarray(xs, dtype=float)
-            v, _ = evaluate({f"x{i + 1}": (arr[..., i], None) for i in range(n)})
-            return np.broadcast_to(np.asarray(v, dtype=float),
-                                   arr.shape[:-1]).copy()
-
-        def grad(x):
-            x = np.asarray(x, dtype=float)
-            _, dv = evaluate({f"x{i + 1}": (x[i], basis[i]) for i in range(n)})
-            if dv is None:
-                return np.zeros(n)
-            return require_not_nan(np.array(dv, dtype=float), grad_where)
+    def grad(x):
+        _, dv = evaluate(np.asarray(x, dtype=float).reshape(len(names)), basis)
+        dv = np.zeros(len(names)) if dv is None \
+            else require_not_nan(np.array(dv, dtype=float), grad_where)
+        return float(dv[0]) if one_d else dv
 
     return Functional(space=space, fvec=fvec, name=name, params=params,
                       grad=grad, sample_box=sample_box, meta={"expr": expr})

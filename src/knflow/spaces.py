@@ -35,22 +35,16 @@ class Interval:
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
 
-    @property
-    def dim(self) -> int:
-        return 1
-
-    def contains(self, x: float) -> bool:
-        x = float(x)
+    def contains(self, x):
+        """Membership, elementwise on arrays."""
+        x = np.asarray(x, dtype=float)
         lo_ok = x > self.a if self.open_a else x >= self.a
         hi_ok = x < self.b if self.open_b else x <= self.b
-        return lo_ok and hi_ok and math.isfinite(x)
+        return lo_ok & hi_ok & np.isfinite(x)
 
     def contains_closure(self, x: float) -> bool:
         x = float(x)
         return self.a <= x <= self.b and math.isfinite(x)
-
-    def as_point(self, x) -> float:
-        return float(x)
 
 
 @dataclass(frozen=True)
@@ -64,10 +58,6 @@ class EuclideanRn:
             raise ParamOutOfRange("n must be >= 1")
         object.__setattr__(self, "n", int(self.n))
 
-    @property
-    def dim(self) -> int:
-        return self.n
-
     def contains(self, x) -> bool:
         arr = np.asarray(x, dtype=float)  # math.isfinite: cheap on short vectors
         return arr.shape == (self.n,) and all(map(math.isfinite, arr.tolist()))
@@ -75,17 +65,16 @@ class EuclideanRn:
     def contains_closure(self, x) -> bool:
         return self.contains(x)
 
-    def as_point(self, x) -> np.ndarray:
-        return np.asarray(x, dtype=float)
-
 
 ModelSpace = Union[Interval, EuclideanRn]
 
 
 def _require_member(space: ModelSpace, x: Point) -> Point:
-    if not space.contains(x):
+    """x as a point of the space: a float on an interval, an array on R^n."""
+    arr = np.asarray(x, dtype=float)
+    if (isinstance(space, Interval) and arr.ndim) or not space.contains(arr):
         raise PointOutsideSpace(f"{x!r} not in {space}")
-    return space.as_point(x)
+    return float(arr) if arr.ndim == 0 else arr
 
 
 def distances(x0, x1, one_d: bool):

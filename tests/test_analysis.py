@@ -92,6 +92,14 @@ class TestForwardUpperDerivative:
         g = lambda t: 3.0 * t if t >= 0 else -t
         assert forward_upper_derivative(g, 0.0, TOL) == pytest.approx(3.0)
 
+    def test_only_the_three_finest_steps(self):
+        ts = []
+        g = lambda t: ts.append(t) or math.sin(t)
+        got = forward_upper_derivative(g, 0.5, TOL)
+        hs = [0.25 * 0.5 ** k for k in (15, 16, 17)]  # the last three >= h_min
+        assert ts == [0.5] + [0.5 + h for h in hs]
+        assert got == max((math.sin(0.5 + h) - math.sin(0.5)) / h for h in hs)
+
 
 class TestMetricDerivative:
     def test_log_x_speed(self):
@@ -319,6 +327,37 @@ class TestEviLocal:
         rep = check_evi_local(c, COS_FN, -1.0, 0.3, SPEC, TOL,
                               z_filter=lambda z: LOG_COS.values(z) <= 0.0)
         assert rep.passed
+
+
+class TestTimeSamples:
+    """Every EVI checker needs one time sample at least: no vacuous pass
+    on an empty time grid."""
+
+    CHECKS = {
+        "kn": lambda c, t: check_evi_kn(c, LOG_COSH, P11, "ii", SPEC, TOL,
+                                        t_samples=t),
+        "lambda": lambda c, t: check_evi_lambda(c, COSH_FN, 0.0, SPEC, TOL,
+                                                t_samples=t),
+        "local": lambda c, t: check_evi_local(c, COSH_FN, 0.0, 0.2, SPEC, TOL,
+                                              t_samples=t),
+        "integrated": lambda c, t: check_evi_integrated(c, LOG_COSH, P11, SPEC,
+                                                        TOL, t_samples=t),
+    }
+
+    def run(self, check, t_samples):
+        c = oracle_flow("log-cosh", P11, 1.0, time_grid(0, 1, 50))
+        return self.CHECKS[check](c, t_samples)
+
+    @pytest.mark.parametrize("check", CHECKS)
+    @pytest.mark.parametrize("t_samples", [0, -1, -100])
+    def test_fewer_than_one_raises(self, check, t_samples):
+        with pytest.raises(ParamOutOfRange, match="t_samples"):
+            self.run(check, t_samples)
+
+    @pytest.mark.parametrize("check", CHECKS)
+    def test_one_is_a_grid(self, check):
+        rep = self.run(check, 1)
+        assert rep.rows == 1 and rep.tested > 0
 
 
 class TestSlope:

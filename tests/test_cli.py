@@ -17,7 +17,7 @@ from knflow.cli import (
     write_curve,
     write_json,
 )
-from knflow.errors import ConfigInvalid, IoError
+from knflow.errors import ConfigInvalid, IoError, ParamOutOfRange
 from knflow.flows import Curve
 
 
@@ -173,6 +173,81 @@ class TestCheckCommands:
         assert rows[0] == "theta,t,sigma"
         # singular theta = pi emits inf
         assert any(row.endswith(",inf") for row in rows[1:])
+
+
+class TestDispatch:
+    """Each branch of the check and reparam handlers runs from a config."""
+
+    COSH = {"library": "log-cosh", "K": 1, "N": -1}
+
+    def cosh_curve(self, tmp_path):
+        run({"command": "flow", "method": "oracle", "functional": self.COSH,
+             "y0": 1.0, "grid": {"t0": 0.0, "t1": 2.0, "n": 400},
+             "out": "cosh.csv"}, str(tmp_path))
+
+    def test_evi_integrated(self, tmp_path):
+        self.cosh_curve(tmp_path)
+        manifest = run({"command": "check-evi", "input": "cosh.csv",
+                        "functional": self.COSH, "form": "integrated",
+                        "K": 1, "N": -1, "z_per_time": 100, "seed": 3,
+                        "out": "int.json"}, str(tmp_path))
+        rep = json.loads((tmp_path / "int.json").read_text())
+        assert manifest.status == "pass" and rep["kind"] == "evi_integrated"
+
+    def test_evi_local(self, tmp_path):
+        self.cosh_curve(tmp_path)
+        manifest = run({"command": "check-evi", "input": "cosh.csv",
+                        "functional": self.COSH, "form": "local", "lambda": -1.0, "radius": 0.2,
+                        "z_per_time": 100, "seed": 3, "out": "loc.json"},
+                       str(tmp_path))
+        rep = json.loads((tmp_path / "loc.json").read_text())
+        assert manifest.status == "pass"
+        assert rep["kind"] == "evi_local" and rep["radius"] == 0.2
+
+    def test_convexity_lambda(self, tmp_path):
+        base = {"command": "check-convexity", "kind": "lambda",
+                "functional": {"library": "quadratic", "c": 2.0},
+                "pairs": 200, "seed": 4}
+        good = run({**base, "lambda": 2.0, "out": "good.json"}, str(tmp_path))
+        bad = run({**base, "lambda": 2.5, "out": "bad.json"}, str(tmp_path))
+        assert (good.status, bad.status) == ("pass", "fail")
+        assert json.loads((tmp_path / "good.json").read_text())["kind"] == "lambda"
+
+    def test_reparam_defaults_to_k0_n_minus_1(self, tmp_path):
+        run(flow_cfg("c.csv"), str(tmp_path))
+        base = {"command": "reparam", "direction": "r1", "input": "c.csv"}
+        run({**base, "functional": {"library": "log-x", "K": 0, "N": -1},
+             "out": "lib.csv"}, str(tmp_path))
+        # log(x) with no K and N: the reparametrization takes (K, N) = (0, -1)
+        run({**base, "functional": {"expr": "log(x)", "domain": {
+            "kind": "interval", "a": 0, "b": "inf"}}, "out": "expr.csv"},
+            str(tmp_path))
+        assert (tmp_path / "expr.csv").read_bytes() == \
+            (tmp_path / "lib.csv").read_bytes()
+
+    def test_zero_time_samples_is_an_error(self, tmp_path):
+        run(flow_cfg(), str(tmp_path))
+        cfg = {**evi_cfg("ii", 0.0, "rep.json"), "time_samples": 0}
+        with pytest.raises(ParamOutOfRange, match="t_samples"):
+            run(cfg, str(tmp_path))
+        assert not (tmp_path / "rep.json").exists()
+
+    @pytest.mark.parametrize("method, extra", [
+        ("oracle", {"grid": {"t0": 0.0, "t1": 0.4, "n": 5}}),
+        ("ode", {"grid": {"t0": 0.0, "t1": 0.4, "n": 5}}),
+        ("mms", {"tau": 0.1, "horizon": 0.4}),
+    ])
+    @pytest.mark.parametrize("functional, y0", [
+        ({"library": "log-x", "K": 0, "N": -1}, [1.0]),
+        ({"library": "log-x", "K": 0, "N": -1}, [1.0, 2.0]),
+        ({"library": "quadratic", "c": 1.0, "dim": 2}, 1.0),
+    ])
+    def test_y0_form_follows_the_space(self, tmp_path, method, extra,
+                                       functional, y0):
+        cfg = {"command": "flow", "method": method, "functional": functional,
+               "y0": y0, "out": "c.csv", **extra}
+        with pytest.raises(ConfigInvalid, match="y0"):
+            run(cfg, str(tmp_path))
 
 
 class TestPipeline:

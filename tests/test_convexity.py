@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from knflow.convexity import (
     sampling_box,
 )
 from knflow.core import SampleSpec, Tolerance
-from knflow.errors import BadBracket, UnboundedAbove
+from knflow.errors import BadBracket, EmptyDomain, UnboundedAbove
 from knflow.functionals import Functional, fN_functional, library
 from knflow.spaces import Interval
 
@@ -287,6 +288,33 @@ class TestSamplingBox:
         fn = Functional(space=Interval(), fvec=lambda x: x, name="id")
         lo, hi = sampling_box(fn)
         assert lo == -3.0 and hi == 3.0
+
+    @pytest.mark.parametrize("box", [(2.0, 1.0), (1.0, 1.0), (math.nan, 1.0)])
+    def test_reversed_or_degenerate_box_is_empty(self, box):
+        fn = library("quadratic", P11, c=1.0)
+        with pytest.raises(EmptyDomain):
+            check_kn_convex(fn, P11, SPEC, TOL, box=box)
+        with pytest.raises(EmptyDomain):
+            check_lambda_convex(fn, 1.0, SPEC, TOL, box=box)
+        with pytest.raises(EmptyDomain):
+            sampling_box(fn, box)
+
+    def test_reversed_sample_box_is_empty(self):
+        from knflow.analysis import check_evi_kn
+        from knflow.flows import oracle_flow, time_grid
+        fn = replace(library("log-x", P01), sample_box=(3.0, 1.0))
+        with pytest.raises(EmptyDomain):
+            check_kn_convex(fn, P01, SPEC, TOL)
+        curve = oracle_flow("log-x", P01, 1.0, time_grid(0.0, 0.2, 21))
+        with pytest.raises(EmptyDomain):
+            check_evi_kn(curve, fn, P01, "ii", SampleSpec(seed=1, count=30), TOL)
+
+    def test_rn_box_needs_every_coordinate_ordered(self):
+        fn = library("quadratic", P11, c=1.0, dim=2)
+        with pytest.raises(EmptyDomain):
+            check_lambda_convex(fn, 1.0, SPEC, TOL, box=([0.0, 1.0], [1.0, 1.0]))
+        lo, hi = sampling_box(fn, ([0, -1], [1, 2]))
+        assert lo.dtype == hi.dtype == float and lo.tolist() == [0.0, -1.0]
 
     def test_determinism(self):
         fn = library("log-x", P01)

@@ -955,3 +955,88 @@ class TestLogCoshOracleOverflow:
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(cfg))
         assert main(["flow", "--config", str(path), "--out", str(tmp_path)]) == 0
+
+
+class TestOracleSaturation:
+    """exp past the double range saturates in the oracles without a warning
+    (RuntimeWarnings are errors in this suite)."""
+
+    def test_log_cos_reaches_the_end(self):
+        c = oracle_flow("log-cos", PM11, 0.5, np.linspace(0.0, 1e3, 11))
+        assert c.points[-1] == 0.5 * math.pi and c.stop_time < 1e3
+
+    def test_growing_quadratic_leaves_the_floats(self):
+        with pytest.raises(ParamOutOfRange, match="finite"):
+            oracle_flow("quadratic", None, 1.0, np.linspace(0.0, 1e3, 11), c=-1.0)
+
+
+class TestStartPoints:
+    """A start point off the closure of the space is PointOutsideSpace on
+    every route."""
+
+    GRID = time_grid(0.0, 0.5, 6)
+
+    @pytest.mark.parametrize("route", [
+        lambda fn, y0, g: minimizing_movement(fn, 0.1, y0, 0.5),
+        lambda fn, y0, g: ode_flow(fn, y0, g),
+        lambda fn, y0, g: prox(fn, 0.1, y0),
+    ], ids=["mms", "ode", "prox"])
+    @pytest.mark.parametrize("name, p, y0", [
+        ("log-x", P01, [1.0]), ("log-x", P01, -1.0), ("log-x", P01, math.nan),
+        ("log-cosh", P11, [1.0, 2.0]), ("log-cos", PM11, 2.0),
+    ])
+    def test_interval_routes(self, route, name, p, y0):
+        with pytest.raises(PointOutsideSpace):
+            route(library(name, p), y0, self.GRID)
+
+    @pytest.mark.parametrize("y0", [[1.0], [1.0, 2.0], math.nan, math.inf])
+    @pytest.mark.parametrize("name, p", [
+        ("log-x", P01), ("log-cosh", P11), ("log-cos", PM11), ("fN-linear", None),
+    ])
+    def test_oracles(self, name, p, y0):
+        with pytest.raises(PointOutsideSpace):
+            oracle_flow(name, p, y0, self.GRID)
+
+    @pytest.mark.parametrize("y0", [np.ones(3), 1.0, [1.0, math.inf]])
+    def test_plane(self, y0):
+        fn = expression_functional("x1*x1 + x2*x2", EuclideanRn(2))
+        for route in (lambda: ode_flow(fn, y0, self.GRID),
+                      lambda: minimizing_movement(fn, 0.1, y0, 0.5)):
+            with pytest.raises(PointOutsideSpace):
+                route()
+
+    def test_closure_points_start(self):
+        assert np.all(ode_flow(library("log-x", P01), 0.0, self.GRID).points == 0.0)
+
+
+class TestOdeEvaluationBound:
+    """The steps of RK45 collapse at a kink of f: the solve stops after
+    flows._MAX_ODE_NFEV right-hand-side evaluations with BlowUp."""
+
+    @staticmethod
+    def _counted(fn):
+        calls = []
+
+        def grad(x):
+            calls.append(x)
+            return fn.grad(x)
+        return dataclasses.replace(fn, grad=grad), calls
+
+    def test_kink_raises_after_the_bound(self, monkeypatch):
+        from knflow import flows
+        from knflow.errors import BlowUp
+        monkeypatch.setattr(flows, "_MAX_ODE_NFEV", 3000)
+        fn, calls = self._counted(expression_functional("pow(x*x, 0.5)"))
+        with pytest.raises(BlowUp, match="3000"):
+            ode_flow(fn, 1.0, time_grid(0.0, 1.01, 11))
+        assert len(calls) == 3000
+
+    def test_before_the_kink_is_untouched(self):
+        from knflow import flows
+        fn, calls = self._counted(expression_functional("pow(x*x, 0.5)"))
+        c = ode_flow(fn, 1.0, time_grid(0.0, 0.9, 10))
+        assert c.meta["ode_nfev"] == len(calls) == 26
+        np.testing.assert_allclose(c.points, 1.0 - c.times, atol=1e-9)
+        # the suite's largest solve, the finite-time blow-up above, takes
+        # 8414 evaluations
+        assert flows._MAX_ODE_NFEV >= 10 * 8414

@@ -1,3 +1,4 @@
+import ast
 import math
 
 import mpmath as mp
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from knflow.coefficients import CurvatureParams
-from knflow.core import Tolerance
+from knflow.core import Tolerance, require_not_nan
 from knflow.errors import (
     BasePointOutsideDomain,
     ExpressionError,
@@ -18,6 +19,7 @@ from knflow.errors import (
 )
 from knflow.functionals import (
     Functional,
+    _compile_node,
     _log_pos,
     directional_derivative,
     expression_functional,
@@ -509,3 +511,91 @@ class TestLogPos:
         new, old = _log_pos(x), _log_pos_three_branch(x)
         assert new.shape == () and new.tobytes() == old.tobytes()
         assert not math.isnan(float(new))
+
+
+def _reference_pair(expr, space):
+    """The interval and the R^n (fvec, grad) closures of the expression,
+    written out separately as they were before one pair served both."""
+    one_d = isinstance(space, Interval)
+    var_names = {"x"} if one_d else {f"x{i + 1}" for i in range(space.n)}
+    body = _compile_node(ast.parse(expr, mode="eval"), var_names)
+    where = f"gradient of expr:{expr}"
+
+    def evaluate(env):
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            return body(env)
+
+    if one_d:
+        def fvec(xs):
+            xs = np.asarray(xs, dtype=float)
+            v, _ = evaluate({"x": (xs, None)})
+            return np.broadcast_to(np.asarray(v, dtype=float), xs.shape).copy()
+
+        def grad(x):
+            _, dv = evaluate({"x": (np.float64(x), np.float64(1.0))})
+            return 0.0 if dv is None else require_not_nan(float(dv), where)
+        return fvec, grad
+    n, basis = space.n, np.eye(space.n)
+
+    def fvec(xs):
+        arr = np.asarray(xs, dtype=float)
+        v, _ = evaluate({f"x{i + 1}": (arr[..., i], None) for i in range(n)})
+        return np.broadcast_to(np.asarray(v, dtype=float), arr.shape[:-1]).copy()
+
+    def grad(x):
+        x = np.asarray(x, dtype=float)
+        _, dv = evaluate({f"x{i + 1}": (x[i], basis[i]) for i in range(n)})
+        if dv is None:
+            return np.zeros(n)
+        return require_not_nan(np.array(dv, dtype=float), where)
+    return fvec, grad
+
+
+_PARITY_1D = ["x", "x*x - 3*x", "pow(x, 2)/2", "pow(x, 0.5)", "pow(x*x, 0.5)",
+              "log(x)", "exp(x)", "sin(x)/x", "cosh(x) - sinh(x)", "1/x",
+              "pow(2, x) * cos(x)", "pi*0 + 2"]
+_PARITY_RN = ["x1*x1 + x2*x2", "x1*x2 - sin(x2)", "log(x1) + exp(x2)",
+              "pow(x1, x2)", "sin(x1)*cos(x2)/x1", "e"]
+_SPECIAL = [0.0, -0.0, 1e300, -1e300, 1e-300, 1.0, -1.0]
+
+
+class TestOneForwardModePair:
+    """The one (fvec, grad) pair of both spaces is bit for bit the two
+    pairs it replaced: values, gradients, NaN errors and constants."""
+
+    @staticmethod
+    def _same(got, want):
+        if isinstance(want, Exception):
+            assert isinstance(got, type(want)) and str(got) == str(want)
+        else:
+            assert type(got) is type(want)
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+    @staticmethod
+    def _call(f, x):
+        try:
+            return f(x)
+        except NanError as exc:
+            return exc
+
+    @pytest.mark.parametrize("expr", _PARITY_1D)
+    def test_interval(self, expr):
+        fn = expression_functional(expr, Interval())
+        fvec, grad = _reference_pair(expr, Interval())
+        xs = np.concatenate([_SPECIAL, np.random.default_rng(3).normal(0, 3, 20)])
+        self._same(fn.fvec(xs), fvec(xs))
+        self._same(fn.fvec(xs.reshape(3, 9)), fvec(xs.reshape(3, 9)))
+        for x in xs:
+            self._same(self._call(fn.grad, x), self._call(grad, x))
+
+    @pytest.mark.parametrize("expr", _PARITY_RN)
+    def test_plane(self, expr):
+        sp = EuclideanRn(2)
+        fn = expression_functional(expr, sp)
+        fvec, grad = _reference_pair(expr, sp)
+        rng = np.random.default_rng(4)
+        xs = np.concatenate([np.array([[u, v] for u in _SPECIAL for v in _SPECIAL[:3]]),
+                             rng.normal(0, 3, (15, 2))])
+        self._same(fn.fvec(xs), fvec(xs))
+        for x in xs:
+            self._same(self._call(fn.grad, x), self._call(grad, x))

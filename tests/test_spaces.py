@@ -3,7 +3,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from knflow.errors import ConfigInvalid, ParamOutOfRange, PointOutsideSpace
@@ -53,6 +53,50 @@ class TestInterval:
         sp = Interval(0.0, 1.0)
         with pytest.raises(PointOutsideSpace):
             dist(sp, -0.5, 0.5)
+
+
+def _scalar_rule(sp, x) -> bool:
+    """Interval membership of one float, spelled out."""
+    x = float(x)
+    lo_ok = x > sp.a if sp.open_a else x >= sp.a
+    hi_ok = x < sp.b if sp.open_b else x <= sp.b
+    return lo_ok and hi_ok and math.isfinite(x)
+
+
+class TestIntervalContainsArrays:
+    """contains answers elementwise on arrays, as the scalar rule does."""
+
+    ENDS = st.one_of(st.floats(-1e6, 1e6), st.sampled_from(
+        [-math.inf, math.inf, 0.0, -0.0, 1.0, -1.0]))
+
+    @settings(max_examples=300)
+    @given(ENDS, ENDS, st.booleans(), st.booleans(), st.data())
+    def test_agrees_with_scalar_rule(self, a, b, open_a, open_b, data):
+        a, b = min(a, b), max(a, b)
+        assume(a < b)
+        sp = Interval(a, b, open_a, open_b)
+        entries = st.one_of(st.floats(), st.sampled_from(
+            [a, b, -0.0, 0.0, math.nan, math.inf, -math.inf]))
+        shape = data.draw(st.sampled_from([(), (5,), (2, 3), (0,)]))
+        x = data.draw(hnp.arrays(float, shape, elements=entries))
+        want = np.array([_scalar_rule(sp, v) for v in x.ravel()],
+                        dtype=bool).reshape(x.shape)
+        got = sp.contains(x)
+        assert got.shape == x.shape and np.array_equal(got, want)
+        assert np.array_equal(sp.contains(x.tolist()), want)
+        if x.ndim == 0:
+            assert bool(got) is _scalar_rule(sp, x)
+
+    @pytest.mark.parametrize("x", [[1.0, 2.0], np.zeros((2, 1)), [[0.5]]])
+    def test_member_points_are_scalars(self, x):
+        with pytest.raises(PointOutsideSpace):
+            dist(Interval(), x, 0.0)
+        with pytest.raises(PointOutsideSpace):
+            geodesic(Interval(), 0.0, x)
+
+    def test_member_point_keeps_negative_zero(self):
+        g = geodesic(Interval(), -0.0, np.float64(1.0))
+        assert math.copysign(1.0, g.p0) == -1.0 and type(g.p1) is float
 
 
 class TestEuclidean:
