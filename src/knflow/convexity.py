@@ -31,9 +31,10 @@ import numpy as np
 
 from .coefficients import CurvatureParams, sigma_values
 from .core import DEFAULT_TOL, SampleSpec, Tolerance
-from .errors import BadBracket, EmptyDomain, ParamOutOfRange, UnboundedAbove
+from .errors import (BadBracket, EmptyDomain, ParamOutOfRange, PointOutsideSpace,
+                     UnboundedAbove)
 from .functionals import Functional, _exp_clip, fN_functional
-from .spaces import Interval, distances
+from .spaces import Interval, closure_point, distances
 
 T_GRID_SIZE = 33  # t in {k/32}
 _BOX_MARGIN = 1e-3
@@ -256,8 +257,10 @@ def check_gluing(fn: Functional, p: CurvatureParams, a: float, b: float,
         raise BadBracket(f"need a<b<c<d, got {(a, b, c, d)}")
     if not isinstance(fn.space, Interval):
         raise ParamOutOfRange("gluing check is for interval functionals")
-    if not (fn.space.contains_closure(a) and fn.space.contains_closure(d)):
-        raise BadBracket("[a,d] must sit inside the interval domain")
+    try:
+        closure_point(fn.space, a), closure_point(fn.space, d)
+    except PointOutsideSpace as exc:
+        raise BadBracket("[a,d] must sit inside the interval domain") from exc
     spec = spec or SampleSpec(seed=20, count=400)
     on_ac = check_kn_convex(fn, p, spec, tol, box=(a, c)).passed
     on_bd = check_kn_convex(fn, p, spec, tol, box=(b, d)).passed

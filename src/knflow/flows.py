@@ -47,7 +47,7 @@ from .errors import (
     PointOutsideSpace,
 )
 from .functionals import Functional, _exp_clip
-from .spaces import Interval, ModelSpace, _require_member
+from .spaces import Interval, closure_point
 
 logger = logging.getLogger("knflow")
 
@@ -129,14 +129,6 @@ def time_grid(t0: float, t1: float, n: int) -> np.ndarray:
     return _as_grid(np.linspace(float(t0), float(t1), int(n)))
 
 
-def _start_point(space: ModelSpace, y0):
-    """y0 as a point of the closure of space: a float on an interval (the
-    closed one), a float array on R^n; PointOutsideSpace otherwise."""
-    if isinstance(space, Interval):
-        space = Interval(space.a, space.b, open_a=False, open_b=False)
-    return _require_member(space, y0)
-
-
 # ---------------------------------------------------------------------------
 # closed-form oracles
 # ---------------------------------------------------------------------------
@@ -150,7 +142,7 @@ def oracle_flow(name: str, p: Optional[CurvatureParams], y0, grid,
     if name == "log-x":
         if p is None:
             raise NoOracle("log-x oracle needs curvature parameters")
-        y0 = _start_point(Interval(0.0, math.inf), y0)
+        y0 = closure_point(Interval(0.0, math.inf), y0)
         stop = -y0 * y0 / (2.0 * p.N)
         ys = np.sqrt(np.maximum(y0 * y0 + 2.0 * p.N * grid, 0.0))
         return Curve(grid, ys, stop_time=stop, meta=meta)
@@ -158,7 +150,7 @@ def oracle_flow(name: str, p: Optional[CurvatureParams], y0, grid,
         if p is None or p.K <= 0:
             raise NoOracle("log-cosh oracle needs K > 0")
         w = math.sqrt(-p.K / p.N)
-        y = w * _start_point(Interval(), y0)
+        y = w * closure_point(Interval(), y0)
         try:
             ys = np.arcsinh(math.sinh(y) * np.exp(-p.K * grid)) / w
         except OverflowError:
@@ -175,12 +167,13 @@ def oracle_flow(name: str, p: Optional[CurvatureParams], y0, grid,
             raise NoOracle("log-cos oracle needs K < 0")
         w = math.sqrt(p.K / p.N)
         half = 0.5 * math.pi / w
-        y0 = _require_member(Interval(-half, half), y0)
+        y0 = closure_point(Interval(-half, half), y0)
         s0 = math.sin(w * y0)
         if s0 == 0.0:
             return Curve(grid, np.zeros_like(grid), stop_time=None, meta=meta)
         sgn = math.copysign(1.0, s0)
-        stop = math.log(abs(s0)) / p.K  # positive: K < 0, |s0| < 1
+        # >= 0 as K < 0 and |s0| <= 1; + 0.0 turns log(1)/K = -0.0 into +0.0
+        stop = math.log(abs(s0)) / p.K + 0.0
         m = np.minimum(abs(s0) * _exp_clip(-p.K * grid), 1.0)
         ys = sgn * np.arcsin(m) / w
         return Curve(grid, ys, stop_time=stop, meta=meta)
@@ -191,7 +184,7 @@ def oracle_flow(name: str, p: Optional[CurvatureParams], y0, grid,
         meta["c"] = float(c)
         return Curve(grid, ys, stop_time=None, meta=meta)
     if name == "fN-linear":
-        y0 = _start_point(Interval(0.0, math.inf), y0)
+        y0 = closure_point(Interval(0.0, math.inf), y0)
         a = float(a)
         ys = np.maximum(y0 - a * grid, 0.0)
         stop = y0 / a if a > 0 else None
@@ -215,13 +208,22 @@ def ode_flow(fn: Functional, y0, grid, rtol: float = 1e-9) -> Curve:
     continued constantly at the boundary.  meta carries the solver's
     right-hand-side evaluations ``ode_nfev`` and exit ``ode_status`` (0: end
     of the grid reached, 1: a boundary event stopped it).  A solve that needs
-    more than 100000 evaluations raises :class:`BlowUp`.
+    more than 100000 evaluations raises :class:`BlowUp`.  y0 may lie in the
+    closure; f(y0) = +inf raises :class:`BasePointOutsideDomain`, and from
+    f(y0) = -inf the flow is extinct: the constant curve, stopped at grid[0].
     """
     if fn.grad is None:
         raise ParamOutOfRange(f"{fn.name} has no analytic gradient")
     grid = _as_grid(grid)
-    y0 = _start_point(fn.space, y0)
+    y0 = closure_point(fn.space, y0)
     meta = {"method": "ode", "functional": fn.name, "rtol": rtol}
+    f0 = fn.value(y0)
+    if f0 == math.inf:
+        raise BasePointOutsideDomain(f"{fn.name} is +inf at the start point {y0}")
+    if f0 == -math.inf:
+        meta.update(ode_nfev=0, ode_status=1)
+        ys = np.full((len(grid),) + np.shape(y0), y0)
+        return Curve(grid, ys, stop_time=float(grid[0]), meta=meta)
     # rtol is a global target; local per-step tolerances sit well below it
     loc_rtol = max(1e-13, 1e-2 * rtol)
     loc_atol = max(1e-15, 1e-4 * rtol)
@@ -314,16 +316,15 @@ def _prox_args(fn: Functional, tau, v, horizon=None) -> tuple:
         raise ParamOutOfRange("horizon shorter than one step")
     if fn.grad is None:
         raise ParamOutOfRange(f"prox of {fn.name} needs an analytic gradient")
-    return tau, _start_point(fn.space, v), isinstance(fn.space, Interval), n_steps
+    return tau, closure_point(fn.space, v), isinstance(fn.space, Interval), n_steps
 
 
-def prox(fn: Functional, tau: float, v, tol: Tolerance = DEFAULT_TOL,
-         fv: Optional[float] = None) -> ProxStep:
+def prox(fn: Functional, tau: float, v) -> ProxStep:
     """One proximal step: minimize d^2(v, .)/(2 tau) + f over the closure.
 
-    fv is f(v) if the caller has it, else it is evaluated here.  v must lie
-    in the closure; f(v) = +inf raises :class:`BasePointOutsideDomain`, and
-    f(v) = -inf or an objective of -inf at the output :class:`NotBoundedBelow`.
+    v must lie in the closure; f(v) = +inf raises
+    :class:`BasePointOutsideDomain`, and f(v) = -inf or an objective of -inf
+    at the output :class:`NotBoundedBelow`.
     1-d: the first root of psi(w) = (w - v)/tau + f'(w) downhill from v (the
     minimizer for lambda-convex f with 1 + lambda tau > 0): steps from
     tau|f'(v)| double until psi changes sign, then secant steps (bisecting
@@ -337,20 +338,16 @@ def prox(fn: Functional, tau: float, v, tol: Tolerance = DEFAULT_TOL,
     grad f is called at v and after each line search.  The matrix, I/tau +
     ``fn.hess(x)`` or a central finite-difference Jacobian (2n more gradient
     calls per iteration), goes to LAPACK ``dgesv`` (a singular one takes the
-    gradient step; bitwise ``np.linalg.solve`` for n <= 5).  tol is unread;
-    positional callers pass it.
+    gradient step; bitwise ``np.linalg.solve`` for n <= 5).
     """
     tau, v, one_d, _ = _prox_args(fn, tau, v)
-    if fv is None:
-        fv = fn.value(v)
-    elif math.isnan(fv):
-        raise NanError(f"NaN passed as {fn.name}({v})")
+    fv = fn.value(v)
     if fv == math.inf:
         raise BasePointOutsideDomain("f(v) = +inf")
     if fv == -math.inf:
         raise NotBoundedBelow(f"prox objective of {fn.name} is -inf at {v}")
     if not one_d:
-        x, obj, fx, _, evals = _prox_rn(fn, tau, v, float(fv), np.eye(v.size) / tau)
+        x, obj, fx, _, evals = _prox_rn(fn, tau, v, fv, np.eye(v.size) / tau)
         return ProxStep(tau, v.copy(), x, obj, fx, evals)
     w, evals, k, _ = _prox_1d(fn, tau, v)
     fw = fn.value(w)

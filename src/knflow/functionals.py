@@ -30,9 +30,9 @@ from .errors import (
     ExpressionError,
     IncompatibleSign,
     NanError,
-    PointOutsideSpace,
 )
-from .spaces import EuclideanRn, Geodesic, Interval, ModelSpace, Point
+from .spaces import (EuclideanRn, Geodesic, Interval, ModelSpace, Point,
+                     closure_point)
 
 
 @dataclass(frozen=True)
@@ -59,10 +59,8 @@ class Functional:
 
     def value(self, x: Point) -> float:
         """f(x); +-inf allowed, NaN raises.  x must lie in the closure."""
-        arr = np.asarray(x, float)
-        if not self.space.contains_closure(arr):
-            raise PointOutsideSpace(f"{x!r} outside {self.space}")
-        v = float(self.fvec(arr[None])[0])
+        pt = np.asarray(closure_point(self.space, x))
+        v = float(self.fvec(pt[None])[0])
         if math.isnan(v):  # x is formatted only here: repr of an array is slow
             raise NanError(f"NaN in {self.name}({x!r})")
         return v
@@ -118,28 +116,16 @@ def _log_pos(v):
 _LOG2 = math.log(2.0)
 
 
-def _log_cosh(y):
-    """log cosh y; where cosh overflows, |y| + log1p(e^{-2|y|}) - log 2."""
+def _log_hyperbolic(y, sign: float):
+    """log cosh y (sign 1) or log sinh y for y >= 0 (sign -1, log sinh 0 =
+    -inf); where cosh or sinh overflows, |y| + log1p(sign e^{-2|y|}) - log 2."""
     y = np.asarray(y, dtype=float)
-    with np.errstate(over="ignore"):
-        out = np.asarray(np.log(np.cosh(y)))
-    big = np.isinf(out) & np.isfinite(y)
-    if big.any():
-        a = np.abs(y[big])
-        out[big] = a + np.log1p(np.exp(-2.0 * a)) - _LOG2
-    return out
-
-
-def _log_sinh(y):
-    """log sinh y for y >= 0 (log sinh 0 = -inf); where sinh overflows,
-    y + log1p(-e^{-2y}) - log 2."""
-    y = np.asarray(y, dtype=float)
-    with np.errstate(over="ignore"):
-        out = _log_pos(np.sinh(y))
+    with np.errstate(over="ignore", divide="ignore"):
+        out = np.asarray(np.log(np.cosh(y) if sign > 0 else np.sinh(y)))
     big = (out == math.inf) & np.isfinite(y)
     if big.any():
-        a = y[big]
-        out[big] = a + np.log1p(-np.exp(-2.0 * a)) - _LOG2
+        a = np.abs(y[big])
+        out[big] = a + np.log1p(sign * np.exp(-2.0 * a)) - _LOG2
     return out
 
 
@@ -159,7 +145,7 @@ def library(name: str, p: CurvatureParams, *, c: float = 1.0, a: float = 1.0,
         w = math.sqrt(-K / N)
         return Functional(
             space=Interval(),
-            fvec=lambda x: -N * _log_cosh(w * x),
+            fvec=lambda x: -N * _log_hyperbolic(w * x, 1.0),
             grad=lambda x: -N * w * math.tanh(w * float(x)),
             name="log-cosh", params=p, sample_box=(-3.0 / w, 3.0 / w),
         )
@@ -169,7 +155,7 @@ def library(name: str, p: CurvatureParams, *, c: float = 1.0, a: float = 1.0,
         w = math.sqrt(-K / N)
         return Functional(
             space=Interval(0.0, math.inf),
-            fvec=lambda x: -N * _log_sinh(w * np.maximum(x, 0.0)),
+            fvec=lambda x: -N * _log_hyperbolic(w * np.maximum(x, 0.0), -1.0),
             grad=lambda x: -N * w / math.tanh(w * float(x)),
             name="log-sinh", params=p, sample_box=(1e-3 / w, 3.0 / w),
         )

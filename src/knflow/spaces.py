@@ -42,10 +42,6 @@ class Interval:
         hi_ok = x < self.b if self.open_b else x <= self.b
         return lo_ok & hi_ok & np.isfinite(x)
 
-    def contains_closure(self, x: float) -> bool:
-        x = float(x)
-        return self.a <= x <= self.b and math.isfinite(x)
-
 
 @dataclass(frozen=True)
 class EuclideanRn:
@@ -62,9 +58,6 @@ class EuclideanRn:
         arr = np.asarray(x, dtype=float)  # math.isfinite: cheap on short vectors
         return arr.shape == (self.n,) and all(map(math.isfinite, arr.tolist()))
 
-    def contains_closure(self, x) -> bool:
-        return self.contains(x)
-
 
 ModelSpace = Union[Interval, EuclideanRn]
 
@@ -75,6 +68,21 @@ def _require_member(space: ModelSpace, x: Point) -> Point:
     if (isinstance(space, Interval) and arr.ndim) or not space.contains(arr):
         raise PointOutsideSpace(f"{x!r} not in {space}")
     return float(arr) if arr.ndim == 0 else arr
+
+
+def closure_point(space: ModelSpace, x: Point) -> Point:
+    """x as a point of the closure of the space: a finite float in [a, b] on
+    an interval, a finite array of shape (n,) on R^n; PointOutsideSpace
+    otherwise.  Values of f, start points of flows and gluing ends use it."""
+    arr = np.asarray(x, dtype=float)
+    if isinstance(space, EuclideanRn):
+        if space.contains(arr):
+            return arr
+    elif arr.ndim == 0:
+        v = float(arr)
+        if space.a <= v <= space.b and math.isfinite(v):
+            return v
+    raise PointOutsideSpace(f"{x!r} outside the closure of {space}")
 
 
 def distances(x0, x1, one_d: bool):
@@ -157,15 +165,3 @@ def space_from_json(d: dict) -> ModelSpace:
         return EuclideanRn(_integer(d.get("n"), "n"))
     raise ConfigInvalid(f"unknown space kind {kind!r}")
 
-
-def space_to_json(space: ModelSpace) -> dict:
-    if isinstance(space, Interval):
-        def enc(v):
-            if v == math.inf:
-                return "inf"
-            if v == -math.inf:
-                return "-inf"
-            return v
-        return {"kind": "interval", "a": enc(space.a), "b": enc(space.b),
-                "open": [space.open_a, space.open_b]}
-    return {"kind": "euclidean", "n": space.n}

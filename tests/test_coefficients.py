@@ -4,7 +4,7 @@ import warnings
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from knflow import coefficients
 from knflow.coefficients import (
@@ -316,8 +316,9 @@ class TestScalarMatchesArray:
 
     math and numpy may round sin, sinh, cosh and pow differently, so the two
     forms agree to a few ulp, not bitwise.  The bound is 4 ulp relative to
-    the array value, 4*eps*|array|: a one-ulp difference in sinh at the
-    bottom of a binade reads as two ulps of a result near the top of one.
+    the array value, 4*max(eps*|array|, 2^-1074): a one-ulp difference in
+    sinh at the bottom of a binade reads as two ulps of a result near the
+    top of one, and a subnormal result's ulp is 2^-1074.
     Past sinh's range (K > 0, w*theta > ~710.5) s and c are +inf on both
     sides and the scalar sigma hands off to sigma_values.
     """
@@ -327,11 +328,12 @@ class TestScalarMatchesArray:
         array = float(array)
         if math.isinf(array):
             return scalar == array
-        return abs(scalar - array) <= 4 * EPS * abs(array)
+        return abs(scalar - array) <= 4 * max(EPS * abs(array), 2.0 ** -1074)
 
     @settings(max_examples=300, deadline=None)
     @given(st.sampled_from([-1.0, 1.0]), st.floats(-8.0, 4.0), st.floats(0.01, 10.0),
            st.floats(-9.0, 0.0), st.floats(0.0, 1.0))
+    @example(1.0, 0.25, 1.0, -5.561273385331148, 2.225073858507203e-309)  # subnormal
     def test_agree_to_four_ulp(self, sign, log_ratio, n_abs, log_x, t):
         # |K/N| = 10**log_ratio up to 1e4; w*theta = x_max * 10**log_x runs
         # across the series crossover at 1e-4 up to 0.999 of the cap (K < 0)

@@ -248,8 +248,10 @@ class TestGluing:
 
     def test_bad_bracket(self):
         fn = library("log-x", P01)
-        with pytest.raises(BadBracket):
-            check_gluing(fn, P01, 0.5, 1.5, 1.0, 2.0)
+        for ends in [(0.5, 1.5, 1.0, 2.0), (-1.0, 1.0, 1.5, 2.0),
+                     (0.5, 1.0, 1.5, math.inf)]:  # unordered, off the closure, infinite
+            with pytest.raises(BadBracket):
+                check_gluing(fn, P01, *ends)
 
 
 class TestLifting:

@@ -209,24 +209,24 @@ class TestOdeFlow:
 class TestProx:
     def test_linear_translation(self):
         fn = library("linear", P01, a=1.0)
-        step = prox(fn, 0.1, 1.0, TOL)
+        step = prox(fn, 0.1, 1.0)
         assert step.output == pytest.approx(0.9, abs=1e-9)
 
     def test_linear_clamped_to_boundary(self):
         fn = library("linear", P01, a=1.0)
-        step = prox(fn, 0.5, 0.3, TOL)
+        step = prox(fn, 0.5, 0.3)
         assert step.output == pytest.approx(0.0, abs=1e-9)
 
     def test_quadratic_resolvent(self):
         fn = library("quadratic", P11, c=1.0)
-        step = prox(fn, 1.0, 3.0, TOL)
+        step = prox(fn, 1.0, 3.0)
         assert step.output == pytest.approx(1.5, abs=1e-10)
 
     def test_log_x_local_branch(self):
         # stationarity w^2 - v w + tau = 0 -> larger root
         fn = library("log-x", P01)
         v, tau = 1.0, 1e-3
-        step = prox(fn, tau, v, TOL)
+        step = prox(fn, tau, v)
         expected = 0.5 * (v + math.sqrt(v * v - 4 * tau))
         assert step.output == pytest.approx(expected, abs=1e-10)
 
@@ -234,18 +234,18 @@ class TestProx:
         # v^2 < 4 tau: no interior critical point, objective -> -inf at 0
         fn = library("log-x", P01)
         with pytest.raises(NotBoundedBelow):
-            prox(fn, 0.1, 0.01, TOL)
+            prox(fn, 0.1, 0.01)
 
     def test_log_sinh_not_bounded_below(self):
         fn = library("log-sinh", P11)
         with pytest.raises(NotBoundedBelow):
-            prox(fn, 0.5, 0.05, TOL)
+            prox(fn, 0.5, 0.05)
 
     def test_step_from_the_end_returns_it(self):
         # f'(0) = +inf points out of the closure at its own minimiser: no
         # trial step is made, so none is sent to -inf
         fn = expression_functional("pow(x, 0.5)", Interval(0, math.inf, open_a=False))
-        step = prox(fn, 0.1, 0.0, TOL)
+        step = prox(fn, 0.1, 0.0)
         assert step.output == 0.0
         assert step.f_output == 0.0
         c = minimizing_movement(fn, 0.1, 0.0, 1.0, TOL)
@@ -253,18 +253,18 @@ class TestProx:
 
     def test_rn_prox_quadratic(self):
         fn = library("quadratic", P11, c=1.0, dim=2)
-        step = prox(fn, 1.0, np.array([3.0, -1.0]), TOL)
+        step = prox(fn, 1.0, np.array([3.0, -1.0]))
         np.testing.assert_allclose(step.output, [1.5, -0.5], atol=1e-8)
 
     def test_outside_closure(self):
         fn = library("log-x", P01)
         with pytest.raises(PointOutsideSpace):
-            prox(fn, 0.1, -1.0, TOL)
+            prox(fn, 0.1, -1.0)
 
     def test_nonpositive_tau_rejected(self):
         fn = library("quadratic", P11, c=1.0)
         with pytest.raises(ParamOutOfRange):
-            prox(fn, 0.0, 1.0, TOL)
+            prox(fn, 0.0, 1.0)
 
     def test_negative_start_rejected(self):
         with pytest.raises(PointOutsideSpace):
@@ -344,7 +344,7 @@ class TestProxRoot:
     @given(st.floats(0.05, 20.0), st.floats(1e-6, 0.99))
     def test_log_x_larger_root(self, v, frac):
         tau = frac * v * v / 4.0  # v^2 > 4 tau
-        step = prox(library("log-x", P01), tau, v, TOL)
+        step = prox(library("log-x", P01), tau, v)
         expected = 0.5 * (v + math.sqrt(v * v - 4.0 * tau))
         assert abs(step.output - expected) <= 1e-12 * expected
 
@@ -353,24 +353,24 @@ class TestProxRoot:
     def test_log_x_past_extinction_not_bounded_below(self, v, ratio):
         tau = ratio * v * v / 4.0  # v^2 < 4 tau
         with pytest.raises(NotBoundedBelow):
-            prox(library("log-x", P01), tau, v, TOL)
+            prox(library("log-x", P01), tau, v)
 
     @settings(max_examples=40, deadline=None)
     @given(st.floats(1e-4, 0.1), st.floats(0.5, 5.0))
     def test_log_sinh_near_zero_not_bounded_below(self, v, tau):
         with pytest.raises(NotBoundedBelow):
-            prox(library("log-sinh", P11), tau, v, TOL)
+            prox(library("log-sinh", P11), tau, v)
 
     @settings(max_examples=60, deadline=None)
     @given(st.floats(-50.0, 50.0), st.floats(0.0, 10.0), st.floats(1e-4, 10.0))
     def test_quadratic_resolvent(self, v, c, tau):
-        step = prox(library("quadratic", P11, c=c), tau, v, TOL)
+        step = prox(library("quadratic", P11, c=c), tau, v)
         assert step.output == pytest.approx(v / (1.0 + c * tau), rel=1e-14, abs=1e-15)
 
     @settings(max_examples=40, deadline=None)
     @given(st.floats(-4.0, 4.0), st.floats(1e-4, 2.0))
     def test_log_cosh_matches_mpmath_root(self, v, tau):
-        step = prox(library("log-cosh", P11), tau, v, TOL)
+        step = prox(library("log-cosh", P11), tau, v)
         with mp.workdps(40):
             ref = mp.findroot(lambda w: (w - v) / tau + mp.tanh(w), mp.mpf(step.output))
         assert step.output == pytest.approx(float(ref), rel=1e-13, abs=1e-15)
@@ -390,7 +390,7 @@ class TestProxRoot:
     @settings(max_examples=40, deadline=None)
     @given(st.floats(0.0, 5.0), st.floats(1e-3, 10.0), st.floats(0.1, 3.0))
     def test_clamped_linear_step_is_the_boundary(self, v, tau, a):
-        step = prox(library("linear", P01, a=a), tau, v, TOL)
+        step = prox(library("linear", P01, a=a), tau, v)
         if v <= a * tau:
             assert step.output == 0.0
         else:
@@ -400,7 +400,7 @@ class TestProxRoot:
         for space, v in ((Interval(), 1.0), (EuclideanRn(2), np.ones(2))):
             fn = _grad_less(space)
             with pytest.raises(ParamOutOfRange, match="gradient"):
-                prox(fn, 0.1, v, TOL)
+                prox(fn, 0.1, v)
             with pytest.raises(ParamOutOfRange):
                 minimizing_movement(fn, 0.1, v, 1.0, TOL)
             with pytest.raises(ParamOutOfRange, match="gradient"):
@@ -505,38 +505,17 @@ class TestOneEvaluationPerStep:
         assert H is fn.hess(np.zeros(3)) and not H.flags.writeable
         assert library("log-x", P01).hess is None
 
-    @pytest.mark.parametrize("fn, v", [
-        (library("log-x", P01), 0.7),
-        (library("quadratic", P11, c=1.0, dim=2), np.array([1.0, -0.5])),
-    ], ids=["log-x", "quadratic-r2"])
-    def test_carried_value_checked_like_a_fresh_one(self, fn, v):
-        fresh = prox(fn, 0.01, v, TOL)
-        carried = prox(fn, 0.01, v, TOL, fn.value(v))
-        np.testing.assert_array_equal(carried.output, fresh.output)
-        assert (carried.objective, carried.f_output, carried.psi_evals) == \
-            (fresh.objective, fresh.f_output, fresh.psi_evals)
-        assert fresh.f_output == fn.value(fresh.output)
-        with pytest.raises(BasePointOutsideDomain):
-            prox(fn, 0.01, v, TOL, math.inf)
-        with pytest.raises(NotBoundedBelow):
-            prox(fn, 0.01, v, TOL, -math.inf)
-        with pytest.raises(NanError):
-            prox(fn, 0.01, v, TOL, math.nan)
-        with pytest.raises(PointOutsideSpace):
-            prox(library("log-x", P01), 0.01, -1.0, TOL, 0.0)
-
 
 def _prox_loop(fn, tau, y0, horizon):
-    """The minimizing movement as a loop of public prox calls, each taking
-    f(U^{n-1}) from the step before it: the step-by-step reference."""
+    """The minimizing movement as a loop of public prox calls: the
+    step-by-step reference."""
     n_steps = int(math.floor(horizon / tau + 1e-9))
-    u, fu, us = y0, None, [y0]
+    u, us = y0, [y0]
     for k in range(1, n_steps + 1):
         try:
-            step = prox(fn, tau, u, TOL, fu)
+            u = prox(fn, tau, u).output
         except (NotBoundedBelow, BasePointOutsideDomain, PointOutsideSpace) as exc:
             raise type(exc)(f"prox failed at step {k} (t={k * tau}): {exc}") from exc
-        u, fu = step.output, step.f_output
         us.append(u)
     return np.asarray(us, dtype=float)
 
@@ -805,7 +784,7 @@ class TestSecantSearch:
         lo, hi = fn.sample_box
         v = lo + frac * (hi - lo)
         try:
-            w = prox(fn, tau, v, TOL).output
+            w = prox(fn, tau, v).output
         except NotBoundedBelow:  # no root downhill, as for log-x at v^2 < 4 tau
             assume(False)
         with mp.workdps(50):
@@ -840,7 +819,7 @@ class TestSecantSearch:
     def test_a_pole_of_f_prime_returns_the_end_past_it(self):
         # psi jumps from -inf to +inf at x = 0.3; the search returns the
         # end of its last bracket on the far side, where f = +inf
-        step = prox(_expr("x*x/2 + log(x - 0.3)"), 0.1, 1.0, TOL)
+        step = prox(_expr("x*x/2 + log(x - 0.3)"), 0.1, 1.0)
         assert step.output < 0.3 and step.f_output == math.inf
         assert step.psi_evals <= 100
 
@@ -1006,7 +985,24 @@ class TestStartPoints:
                 route()
 
     def test_closure_points_start(self):
-        assert np.all(ode_flow(library("log-x", P01), 0.0, self.GRID).points == 0.0)
+        """From an end where f = -inf the flow is extinct at once; from one
+        where f = +inf ode_flow has no flow to follow."""
+        grid = time_grid(0.25, 0.5, 6)
+        for name, p, y0 in [("log-x", P01, 0.0), ("log-cos", PM11, 0.5 * math.pi),
+                            ("log-cos", PM11, -0.5 * math.pi)]:
+            c = ode_flow(library(name, p), y0, grid)
+            assert np.all(c.points == y0) and c.stop_time == grid[0]
+            assert (c.meta["ode_status"], c.meta["ode_nfev"]) == (1, 0)
+        for y0 in (0.5 * math.pi, -0.5 * math.pi):
+            c = oracle_flow("log-cos", PM11, y0, self.GRID)
+            assert np.all(c.points == y0)
+            assert c.stop_time == 0.0 and math.copysign(1.0, c.stop_time) == 1.0
+        with pytest.raises(NotBoundedBelow):
+            prox(library("log-x", P01), 0.1, 0.0)
+        fn = expression_functional("-log(x)", Interval(0.0, math.inf, open_a=False))
+        for route in (lambda: ode_flow(fn, 0.0, self.GRID), lambda: prox(fn, 0.1, 0.0)):
+            with pytest.raises(BasePointOutsideDomain):
+                route()
 
 
 class TestOdeEvaluationBound:

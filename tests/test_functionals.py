@@ -91,6 +91,9 @@ class TestLibrary:
         fn = library("log-x", P01)
         with pytest.raises(PointOutsideSpace):
             fn.value(-1.0)
+        for x in ([1.0], np.array([[1.0]])):  # an interval's points are scalars
+            with pytest.raises(PointOutsideSpace):
+                library("log-cosh", P11).value(x)
 
 
 class TestLogDomain:
