@@ -39,11 +39,14 @@ from .errors import NanError, NegativeTheta, ParamOutOfRange, SingularTheta
 # Below this value of theta*w the kernels switch to a 5-term Taylor series;
 # keeps ratios like theta/s(theta) cancellation-free.
 _SERIES_CROSSOVER = 1e-4
+_PI2 = math.pi**2  # the singular regime is K*theta^2 <= N*_PI2
+_NO_LIMIT = "sin and cos have no limit at theta*w = +inf (theta={})"
 
 
 @dataclass(frozen=True)
 class CurvatureParams:
-    """Curvature K (any real) and dimension parameter N < 0."""
+    """Curvature K (any real) and dimension parameter N < 0; the frequency
+    ``omega`` = sqrt(|K/N|) is set at construction and is not a field."""
 
     K: float
     N: float
@@ -56,11 +59,7 @@ class CurvatureParams:
             raise ParamOutOfRange(f"N must be negative, got {N}")
         object.__setattr__(self, "K", K)
         object.__setattr__(self, "N", N)
-
-    @property
-    def omega(self) -> float:
-        """Frequency sqrt(|K/N|); zero when K = 0."""
-        return math.sqrt(abs(self.K / self.N))
+        object.__setattr__(self, "omega", math.sqrt(abs(K / N)))
 
     @property
     def theta_singular(self) -> float:
@@ -128,30 +127,16 @@ def c_values(p: CurvatureParams, theta) -> np.ndarray:
         return np.cosh(x)
 
 
-def _check_theta(theta: float) -> float:
-    theta = float(theta)
-    if math.isnan(theta) or theta < 0:
-        raise NegativeTheta(f"theta must be >= 0, got {theta}")
-    return theta
-
-
-def _omega_theta(p: CurvatureParams, theta: float) -> float:
-    """w*theta for the scalar kernels; for K < 0 it must be finite."""
-    x = theta * p.omega
-    if x == math.inf and p.K < 0:
-        raise ParamOutOfRange(f"sin and cos have no limit at theta*w = +inf "
-                              f"(theta={theta})")
-    return x
-
-
 def _s_scalar(p: CurvatureParams, theta: float) -> float:
-    """s(theta) on floats with the branches of s_values; +inf past sinh's range."""
+    """s(theta >= 0) on floats with the branches of s_values; +inf past sinh's range."""
     if p.K == 0:
         return theta
-    x = _omega_theta(p, theta)
+    x = theta * p.omega
     if x < _SERIES_CROSSOVER:
         return theta * _series(x * x, math.copysign(1.0, p.K))
     if p.K < 0:
+        if x == math.inf:
+            raise ParamOutOfRange(_NO_LIMIT.format(theta))
         return theta * (math.sin(x) / x)
     if x == math.inf:
         return math.inf
@@ -163,16 +148,23 @@ def _s_scalar(p: CurvatureParams, theta: float) -> float:
 
 def s_kn(p: CurvatureParams, theta: float) -> float:
     """Kernel s(theta) for theta >= 0."""
-    return _s_scalar(p, _check_theta(theta))
+    theta = float(theta)
+    if not theta >= 0:  # NaN too
+        raise NegativeTheta(f"theta must be >= 0, got {theta}")
+    return _s_scalar(p, theta)
 
 
 def c_kn(p: CurvatureParams, theta: float) -> float:
     """Kernel c(theta) for theta >= 0."""
-    theta = _check_theta(theta)
+    theta = float(theta)
+    if not theta >= 0:
+        raise NegativeTheta(f"theta must be >= 0, got {theta}")
     if p.K == 0:
         return 1.0
-    x = _omega_theta(p, theta)
+    x = theta * p.omega
     if p.K < 0:
+        if x == math.inf:
+            raise ParamOutOfRange(_NO_LIMIT.format(theta))
         return math.cos(x)
     try:
         return math.cosh(x)
@@ -181,8 +173,10 @@ def c_kn(p: CurvatureParams, theta: float) -> float:
 
 
 def is_singular(p: CurvatureParams, theta: float) -> bool:
-    """True when K*theta^2 <= N*pi^2 (closed condition)."""
-    return p.K * theta * theta <= p.N * math.pi**2
+    """True when K*theta^2 <= N*pi^2 (closed condition), for theta >= 0."""
+    if not theta >= 0:
+        raise NegativeTheta(f"theta must be >= 0, got {theta}")
+    return p.K * theta * theta <= p.N * _PI2
 
 
 def sigma_values(p: CurvatureParams, t, theta) -> np.ndarray:
@@ -207,7 +201,7 @@ def sigma_values(p: CurvatureParams, t, theta) -> np.ndarray:
     sign = math.copysign(1.0, p.K)
     with np.errstate(all="ignore"):  # 0/0, inf/inf, 0*inf: patched below
         k_theta2 = p.K * theta * theta
-        flat, singular = k_theta2 == 0.0, k_theta2 <= p.N * math.pi**2
+        flat, singular = k_theta2 == 0.0, k_theta2 <= p.N * _PI2
         del k_theta2  # full-size when theta is: not kept to the peak
         x = theta * p.omega
         den = theta * _ratio(x, sign)
@@ -232,16 +226,15 @@ def sigma_values(p: CurvatureParams, t, theta) -> np.ndarray:
 
 def sigma(p: CurvatureParams, t: float, theta: float) -> float:
     """Distortion coefficient sigma^(t)(theta); +inf in the singular regime."""
-    t = float(t)
-    theta = float(theta)
-    if math.isnan(t) or not (0.0 <= t <= 1.0):
+    t, theta = float(t), float(theta)
+    if not 0.0 <= t <= 1.0:  # NaN too
         raise ParamOutOfRange(f"t must lie in [0,1], got {t}")
-    if math.isnan(theta) or theta < 0:
+    if not theta >= 0:
         raise ParamOutOfRange(f"theta must be >= 0, got {theta}")
     k_theta2 = p.K * theta * theta
     if p.K == 0 or k_theta2 == 0.0:
         return t
-    if k_theta2 <= p.N * math.pi**2:
+    if k_theta2 <= p.N * _PI2:
         return math.inf
     den = _s_scalar(p, theta)
     if den == math.inf:
@@ -258,11 +251,11 @@ def sigma_rate_limits(p: CurvatureParams, theta: float) -> tuple[float, float]:
     (x/sin x, -x/tan x) for K < 0 and (x/sinh x, -x/tanh x) for K > 0,
     which stay finite where sinh(x) overflows; (1, -1) for K = 0.
     """
-    theta = _check_theta(theta)
+    theta = float(theta)
+    if is_singular(p, theta):  # NegativeTheta for theta < 0 or NaN
+        raise SingularTheta(f"theta={theta} is in the singular regime")
     if theta == 0:
         raise NegativeTheta("theta must be > 0")
-    if is_singular(p, theta):
-        raise SingularTheta(f"theta={theta} is in the singular regime")
     x = theta * p.omega
     if p.K == 0 or x == 0.0:  # x == 0 also when w*theta underflows
         return 1.0, -1.0

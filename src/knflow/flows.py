@@ -334,11 +334,12 @@ def prox(fn: Functional, tau: float, v) -> ProxStep:
     A search still descending at a finite end of the closure stops there; it
     raises NotBoundedBelow where f = -inf at that end or after 200 doublings,
     and evaluates f only there.  R^n: damped Newton with an Armijo line
-    search on f, none once the Newton decrement is under 4 eps (|obj| + 1);
+    search on f, none once the decrement -step.g/2 is under 4 eps (|obj| + 1);
     grad f is called at v and after each line search.  The matrix, I/tau +
-    ``fn.hess(x)`` or a central finite-difference Jacobian (2n more gradient
-    calls per iteration), goes to LAPACK ``dgesv`` (a singular one takes the
-    gradient step; bitwise ``np.linalg.solve`` for n <= 5).
+    ``fn.hess(x)`` or a central finite-difference Jacobian, goes to ``dgesv``
+    (bitwise ``np.linalg.solve`` for n <= 5); a singular one, a decrement <= 0
+    or a non-finite step (only checked if the decrement is not finite) takes
+    the gradient step.  f skips the closure test where |x - v|^2 is finite.
     """
     tau, v, one_d, _ = _prox_args(fn, tau, v)
     fv = fn.value(v)
@@ -425,24 +426,27 @@ def _prox_rn(fn: Functional, tau: float, v, fv: float, eye_tau, gv=None) -> tupl
                 H[:, j] = (((x + e - v) / tau + fn.grad(x + e))
                            - ((x - e - v) / tau + fn.grad(x - e))) / (2 * h)
             H, evals = 0.5 * (H + H.T), evals + 2 * v.size
-        _, _, step, info = dgesv(H, -g)  # damped Newton
+        _, _, step, info = dgesv(H, -g, overwrite_a=True, overwrite_b=True)
         dec = -0.5 * float(step.dot(g))  # the Newton decrement
-        if info or dec <= 0 or not fn.space.contains(step):  # or not finite
+        # a finite decrement implies a finite step; only dec = inf or NaN scans it
+        if info or dec <= 0 or not (dec < math.inf or np.isfinite(step).all()):
             step, dec = -g, math.inf
         # a decrease below the objective's rounding: one step, no search
         t, stop = 1.0, dec <= _EPS4 * (abs(obj) + 1.0)
         for _ in range(50):
-            x_new = x + t * step
-            f_new = fn.value(x_new)
-            obj_new = 0.5 * float((x_new - v).dot(x_new - v)) / tau + f_new
+            x_new = x + step if t == 1.0 else x + t * step
+            d = x_new - v
+            dd = float(d.dot(d))  # finite: so is x_new; f skips the closure test
+            f_new = fn._value_at(x_new, x_new) if dd < math.inf else fn.value(x_new)
+            obj_new = 0.5 * dd / tau + f_new
             if stop or obj_new < obj - 1e-4 * t * min(gnorm ** 2, abs(obj) + 1.0):
                 break
             t *= 0.5
         else:
             # gradient-descent fallback with a conservative step
             x_new = x - min(1.0 / (1.0 + gnorm), tau) * g
-            f_new = fn.value(x_new)
-            obj_new = 0.5 * float((x_new - v).dot(x_new - v)) / tau + f_new
+            d, f_new = x_new - v, fn.value(x_new)
+            obj_new = 0.5 * float(d.dot(d)) / tau + f_new
             if obj_new >= obj:
                 break
         x, obj, fx = x_new, obj_new, f_new
@@ -451,7 +455,7 @@ def _prox_rn(fn: Functional, tau: float, v, fv: float, eye_tau, gv=None) -> tupl
         if math.sqrt(x.dot(x)) > 1e9 or obj < -1e15:
             raise NotBoundedBelow(f"prox objective of {fn.name} diverges")
         gx, evals = np.asarray(fn.grad(x), dtype=float), evals + 1
-        g = (x - v) / tau + gx
+        g = d / tau + gx
     return x, float(obj), fx, gx, evals
 
 

@@ -59,7 +59,10 @@ class Functional:
 
     def value(self, x: Point) -> float:
         """f(x); +-inf allowed, NaN raises.  x must lie in the closure."""
-        pt = np.asarray(closure_point(self.space, x))
+        return self._value_at(np.asarray(closure_point(self.space, x)), x)
+
+    def _value_at(self, pt: np.ndarray, x: Point) -> float:
+        """f(pt), pt an array in the closure; x as given, for the NaN message."""
         v = float(self.fvec(pt[None])[0])
         if math.isnan(v):  # x is formatted only here: repr of an array is slow
             raise NanError(f"NaN in {self.name}({x!r})")

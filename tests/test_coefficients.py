@@ -1,3 +1,5 @@
+import dataclasses
+import hashlib
 import math
 import warnings
 
@@ -108,6 +110,15 @@ class TestSigma:
         assert v == math.inf
         assert is_singular(p, math.pi)
         assert float(v) == math.inf
+
+    def test_is_singular_rejects_theta_as_the_kernels_do(self):
+        # K*theta^2 <= N*pi^2 holds at theta = -4, but theta < 0 is rejected
+        p = CurvatureParams(-1.0, -1.0)
+        for theta in (-4.0, math.nan, -math.inf):
+            with pytest.raises(NegativeTheta):
+                is_singular(p, theta)
+        assert is_singular(p, 4.0) and not is_singular(p, 3.0)
+        assert not is_singular(p, -0.0)
 
     def test_hyperbolic_ratio(self):
         p = CurvatureParams(1.0, -1.0)
@@ -425,13 +436,17 @@ class TestInfiniteTheta:
         calls = [lambda: s_kn(p, theta), lambda: c_kn(p, theta),
                  lambda: sigma(p, 0.5, theta), lambda: sigma(p, 1.0, theta),
                  lambda: sigma_rate_limits(p, theta),
-                 lambda: sigma(p, math.nan, 1.0), lambda: sigma(p, math.inf, 1.0)]
+                 lambda: sigma(p, math.nan, 1.0), lambda: sigma(p, math.inf, 1.0),
+                 lambda: is_singular(p, theta)]
         for call in calls:
             try:
                 value = call()
             except KNFlowError:
                 continue
             assert not any(map(math.isnan, np.atleast_1d(value)))
+        if not theta >= 0:  # NaN and -inf get no verdict
+            with pytest.raises(NegativeTheta):
+                is_singular(p, theta)
 
 
 def _sin_ratio_reference(x):
@@ -665,6 +680,66 @@ class TestKernelsBitwise:
         assert sum(sizes) == 5 + 35
         monkeypatch.undo()
         self._check(p, t, theta)
+
+
+def _scalar_kernel_record():
+    """Bytes of s_kn, c_kn, sigma_rate_limits and sigma over a seeded grid
+    through every scalar branch: K < 0, = 0, > 0 (with sinh(w theta) past
+    the double range), the series crossover, the singular cap, theta = 0
+    and +inf, t in {0, 1}, and the rejected theta and t; a raised error is
+    recorded by its type."""
+    rng = np.random.default_rng(2024)
+    params = [CurvatureParams(-1.0, -1.0), CurvatureParams(-2.6, -0.4),
+              CurvatureParams(0.0, -1.0), CurvatureParams(1.0, -1.0),
+              CurvatureParams(1.0, -1e-3), CurvatureParams(1e3, -1.0)]
+    params += [CurvatureParams(sign * 10.0 ** rng.uniform(-6.0, 4.0) * n, -n)
+               for sign in (-1.0, 0.0, 1.0) for n in rng.uniform(0.01, 10.0, 2)]
+    out = []
+
+    def put(call, *args):
+        try:
+            value = call(*args)
+        except KNFlowError as exc:
+            out.append(type(exc).__name__.encode())
+            return
+        out.append(np.array(value, dtype=float).tobytes())
+
+    for p in params:
+        hi = 1.2 * p.theta_singular if p.K < 0 else 2000.0 / (p.omega or 1.0)
+        thetas = (_theta_edges(p) + [math.inf, -0.0, -1.0, -math.inf, math.nan]
+                  + rng.uniform(0.0, hi, 6).tolist())
+        ts = [0.0, 1.0, 1e-300, 1.5, math.nan] + rng.uniform(0.0, 1.0, 3).tolist()
+        for theta in thetas:
+            put(s_kn, p, theta)
+            put(c_kn, p, theta)
+            put(sigma_rate_limits, p, theta)
+            for t in ts:
+                put(sigma, p, t, theta)
+    return b"|".join(out)
+
+
+class TestScalarKernelsPinned:
+    """The scalar kernels, bit for bit, and the dataclass behaviour of
+    CurvatureParams with its stored frequency."""
+
+    def test_sha256_of_seeded_grid(self):
+        digest = hashlib.sha256(_scalar_kernel_record()).hexdigest()
+        assert digest == \
+            "dabc4069fa2884b1a69b000cdaa95e2531010f274ee8f11f97bb7e55b8bc1a53"
+
+    def test_params_dataclass_behaviour(self):
+        p = CurvatureParams(-2, -0.5)
+        assert repr(p) == "CurvatureParams(K=-2.0, N=-0.5)"
+        assert p == CurvatureParams(-2.0, -0.5) != CurvatureParams(-2.0, -0.25)
+        assert hash(p) == hash((-2.0, -0.5))
+        assert [f.name for f in dataclasses.fields(p)] == ["K", "N"]
+        assert dataclasses.astuple(p) == (-2.0, -0.5)
+        assert p.omega == 2.0
+        q = dataclasses.replace(p, K=8)
+        assert q == CurvatureParams(8.0, -0.5) and q.omega == 4.0 and p.omega == 2.0
+        assert CurvatureParams(0.0, -3.0).omega == 0.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            p.omega = 1.0
 
 
 class TestNanBan:

@@ -719,16 +719,29 @@ def _solve_loop(fn, tau, y0, horizon):
     for k in range(1, int(math.floor(horizon / tau + 1e-9)) + 1):
         try:
             u, fu = _solve_prox_rn(fn, tau, u, fu, eye_tau)
-        except NotBoundedBelow as exc:
-            raise NotBoundedBelow(f"prox failed at step {k} (t={k * tau}): {exc}") from exc
+        except (NotBoundedBelow, PointOutsideSpace) as exc:
+            raise type(exc)(f"prox failed at step {k} (t={k * tau}): {exc}") from exc
         us.append(u)
     return np.asarray(us, dtype=float)
+
+
+def _linear(a):
+    """a.x on R^2 with its gradient and (zero) Hessian; its values
+    saturate to +-inf where they overflow."""
+    a = np.asarray(a, dtype=float)
+
+    def fvec(xs):
+        with np.errstate(over="ignore"):
+            return xs @ a
+    return Functional(space=EuclideanRn(2), fvec=fvec, name=f"linear{a}",
+                      grad=lambda x: a, hess=lambda x: np.zeros((2, 2)))
 
 
 class TestLapackNewtonStep:
     """The R^n proximal step solves its Newton system with LAPACK ``gesv``
     from scipy; the curves are bitwise those of ``np.linalg.solve`` (n <= 5),
-    including a singular matrix, where both take the gradient step."""
+    including a singular matrix, where both take the gradient step, and the
+    errors are the same where the line search's guards fire."""
 
     @staticmethod
     def _mms_points(fn, tau, y0, horizon):
@@ -753,14 +766,41 @@ class TestLapackNewtonStep:
         # I/tau + hess = 0: gesv reports info != 0, np.linalg.solve raised
         "singular-newton-matrix": (library("quadratic", P11, c=-10.0, dim=2),
                                    np.array([1.0, -0.5]), 0.1, 1.0),
+        # the line search's guards: f is NaN at the trial point of step 2
+        "nan-at-newton-trial": (
+            expression_functional("x1*x1/2 + x2*x2/2 + 0*log(x1 - 0.3)",
+                                  EuclideanRn(2)),
+            np.array([1.0, 0.5]), 1.0, 3.0),
+        # I/tau = 1e-300: the Newton step is -inf, the gradient step is taken
+        "newton-step-not-finite": (_linear([1e10, 0.0]),
+                                   np.array([1.0, 0.5]), 1e300, 1e300),
+        # a finite Newton step (-1e305, 0) whose decrement overflows to +inf
+        # is searched along, not replaced by the gradient step
+        "newton-decrement-overflow": (_linear([1e5, 0.0]),
+                                      np.array([1.0, 0.5]), 1e300, 1e300),
+        # x + step overflows to +inf: f(x + step) raises PointOutsideSpace
+        "newton-trial-overflow": (_linear([-1.0, 0.0]),
+                                  np.array([1.5e308, 0.5]), 1e308, 1e308),
     }
+    # outcomes other than "points": the error and the step it names
+    FAILS = {"singular-newton-matrix": (NotBoundedBelow, 3),
+             "nan-at-newton-trial": (NanError, None),
+             "newton-step-not-finite": (NotBoundedBelow, 1),
+             "newton-trial-overflow": (PointOutsideSpace, 1)}
 
     @pytest.mark.parametrize("case", list(CASES))
     def test_matches_np_linalg_solve(self, case):
         fn, y0, tau, horizon = self.CASES[case]
-        got = _outcome(self._mms_points, fn, tau, y0, horizon)
-        assert got == _outcome(_solve_loop, fn, tau, y0, horizon)
-        assert got[0] == ("points" if "singular" not in case else NotBoundedBelow)
+        # the overflow cases overflow on purpose: no RuntimeWarning for it
+        with np.errstate(over="ignore" if "overflow" in case else "warn"):
+            got = _outcome(self._mms_points, fn, tau, y0, horizon)
+            assert got == _outcome(_solve_loop, fn, tau, y0, horizon)
+        error, step = self.FAILS.get(case, ("points", None))
+        assert got[0] == error
+        if step is not None:
+            assert got[1].startswith(f"prox failed at step {step} ")
+        if error is NanError:  # at u_1 = (0.5, 0.25), the trial point u_1 / 2
+            assert got[1].endswith("(array([0.25 , 0.125]))")
 
 
 # f' of the library functionals at P01 (log-x), PM11 (log-cos) and P11
