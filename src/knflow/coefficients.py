@@ -24,7 +24,10 @@ sin, sinh, cosh and pow differently), and bitwise in the K > 0 branch where
 sinh(w*theta) overflows, which the scalar ``sigma`` hands to
 ``sigma_values``.  At theta = +inf: s = c = +inf for K > 0, sigma is 0 for
 t < 1 and 1 at t = 1; for K < 0 sin and cos have no limit and both forms
-of s and c raise ``ParamOutOfRange``.  NaN raises in both forms.
+of s and c raise ``ParamOutOfRange``.  Both forms reject the same inputs:
+theta < 0 (-0.0 passes) raises ``NegativeTheta`` in s and c and
+``ParamOutOfRange`` in sigma, as does t outside [0, 1]; NaN raises in both
+forms, ``NanError`` in the array ones.
 """
 
 from __future__ import annotations
@@ -91,21 +94,20 @@ def _ratio(x, sign):
 
 
 def _omega_theta_values(p: CurvatureParams, theta: np.ndarray) -> np.ndarray:
-    """w*theta for the array kernels; NaN, -inf and (for K < 0) +inf raise."""
+    """w*theta for the array kernels; raises NanError on a NaN, NegativeTheta
+    on theta < 0 (-0.0 passes) and, for K < 0, ParamOutOfRange at +inf."""
+    if not theta.min(initial=0.0) >= 0:  # min carries a NaN, which fails
+        bad = NanError if np.isnan(theta).any() else NegativeTheta
+        raise bad("theta must be >= 0 and not NaN")
     with np.errstate(over="ignore", invalid="ignore"):  # 0*inf when K = 0
         x = theta * p.omega
-    if not np.isfinite(x).all():
-        if np.isnan(theta).any():
-            raise NanError("theta must not be NaN")
-        if (theta == -math.inf).any() or (x == -math.inf).any():
-            raise NegativeTheta("theta must be >= 0")
-        if p.K < 0:
-            raise ParamOutOfRange("sin and cos have no limit at theta*w = +inf")
+    if p.K < 0 and not x.max(initial=0.0) < math.inf:
+        raise ParamOutOfRange("sin and cos have no limit at theta*w = +inf")
     return x
 
 
 def s_values(p: CurvatureParams, theta) -> np.ndarray:
-    """Vectorized kernel s(theta); theta array-like, >= 0 assumed."""
+    """Vectorized kernel s(theta); theta array-like, NegativeTheta if < 0."""
     theta = np.asarray(theta, dtype=float)
     x = _omega_theta_values(p, theta)
     if p.K == 0:
@@ -116,7 +118,7 @@ def s_values(p: CurvatureParams, theta) -> np.ndarray:
 
 
 def c_values(p: CurvatureParams, theta) -> np.ndarray:
-    """Vectorized kernel c(theta)."""
+    """Vectorized kernel c(theta); theta array-like, NegativeTheta if < 0."""
     theta = np.asarray(theta, dtype=float)
     x = _omega_theta_values(p, theta)
     if p.K == 0:
@@ -182,20 +184,19 @@ def is_singular(p: CurvatureParams, theta: float) -> bool:
 def sigma_values(p: CurvatureParams, t, theta) -> np.ndarray:
     """Vectorized distortion coefficients; +inf in the singular regime.
 
-    t and theta broadcast against each other; t in [0,1], theta >= 0.  A
-    NaN raises NanError, an infinite t or a theta of -inf ParamOutOfRange.
+    t and theta broadcast against each other.  A NaN raises NanError, a t
+    outside [0,1] or a theta < 0 (-0.0 passes) ParamOutOfRange.
     The regime masks and s(theta) are computed on theta's own shape, only
     s(t*theta) on the broadcast one; flat entries (K*theta^2 = 0, all when
     K = 0) are then set to t and singular ones to +inf.
     """
     t = np.asarray(t, dtype=float)
     theta = np.asarray(theta, dtype=float)
-    if not np.isfinite(t).all():
-        bad = NanError if np.isnan(t).any() else ParamOutOfRange
-        raise bad("t must be finite")
-    if not (theta > -math.inf).all():  # a NaN fails too
-        bad = NanError if np.isnan(theta).any() else ParamOutOfRange
-        raise bad("theta must not be NaN or -inf")
+    # one reduction per bound: min and max carry a NaN, which fails the test
+    if not (t.min(initial=0.0) >= 0 and t.max(initial=1.0) <= 1
+            and theta.min(initial=0.0) >= 0):
+        bad = NanError if np.isnan(t).any() or np.isnan(theta).any() else ParamOutOfRange
+        raise bad("t must lie in [0,1] and theta be >= 0, neither NaN")
     if p.K == 0:  # every entry flat: sigma = t
         return np.broadcast_to(t, np.broadcast_shapes(t.shape, theta.shape)).copy()
     sign = math.copysign(1.0, p.K)
@@ -213,8 +214,6 @@ def sigma_values(p: CurvatureParams, t, theta) -> np.ndarray:
         if big.any():
             big, xb, tb = np.broadcast_arrays(big, x, t)
             xb, tb = xb[big], tb[big]
-            if (xb < 0).any():  # theta negative past sinh's range
-                raise ParamOutOfRange("theta must be >= 0")
             scaled = (np.exp(-xb * (1.0 - tb)) * np.expm1(-2.0 * tb * xb)
                       / np.expm1(-2.0 * xb))
             # at w theta = +inf the limit is 0 for t < 1 and 1 at t = 1
@@ -227,10 +226,8 @@ def sigma_values(p: CurvatureParams, t, theta) -> np.ndarray:
 def sigma(p: CurvatureParams, t: float, theta: float) -> float:
     """Distortion coefficient sigma^(t)(theta); +inf in the singular regime."""
     t, theta = float(t), float(theta)
-    if not 0.0 <= t <= 1.0:  # NaN too
-        raise ParamOutOfRange(f"t must lie in [0,1], got {t}")
-    if not theta >= 0:
-        raise ParamOutOfRange(f"theta must be >= 0, got {theta}")
+    if not (0.0 <= t <= 1.0 and theta >= 0):  # NaN too
+        raise ParamOutOfRange(f"t must lie in [0,1] and theta be >= 0, got {t}, {theta}")
     k_theta2 = p.K * theta * theta
     if p.K == 0 or k_theta2 == 0.0:
         return t

@@ -21,7 +21,9 @@ at its output to the next.
 
 Solver totals go into ``Curve.meta`` (``ode_nfev``/``ode_status``,
 ``prox_psi_evals``/``prox_expansions``) and to the ``knflow`` logger at
-DEBUG level.
+DEBUG level.  SciPy loads where a run first needs it: ``ode_flow`` imports
+``scipy.integrate``, an R^n ``prox`` or ``minimizing_movement`` takes
+``dgesv`` from ``scipy.linalg.lapack`` once per call; nothing else does.
 """
 
 from __future__ import annotations
@@ -32,8 +34,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.linalg.lapack import dgesv
 
 from .coefficients import CurvatureParams
 from .core import DEFAULT_TOL, Tolerance, require_not_nan
@@ -262,6 +262,7 @@ def ode_flow(fn: Functional, y0, grid, rtol: float = 1e-9) -> Curve:
             raise BlowUp(f"ode_flow {fn.name}: over {_MAX_ODE_NFEV} evaluations at t={t}")
         return rhs(t, y)
 
+    from scipy.integrate import solve_ivp
     sol = solve_ivp(bounded_rhs, (grid[0], grid[-1]), y0, method="RK45",
                     rtol=loc_rtol, atol=loc_atol, dense_output=True,
                     events=events or None)
@@ -348,7 +349,8 @@ def prox(fn: Functional, tau: float, v) -> ProxStep:
     if fv == -math.inf:
         raise NotBoundedBelow(f"prox objective of {fn.name} is -inf at {v}")
     if not one_d:
-        x, obj, fx, _, evals = _prox_rn(fn, tau, v, fv, np.eye(v.size) / tau)
+        from scipy.linalg.lapack import dgesv
+        x, obj, fx, _, evals = _prox_rn(fn, tau, v, fv, np.eye(v.size) / tau, dgesv)
         return ProxStep(tau, v.copy(), x, obj, fx, evals)
     w, evals, k, _ = _prox_1d(fn, tau, v)
     fw = fn.value(w)
@@ -407,9 +409,9 @@ def _prox_1d(fn: Functional, tau: float, v: float) -> tuple:
     return b, evals, k, False
 
 
-def _prox_rn(fn: Functional, tau: float, v, fv: float, eye_tau, gv=None) -> tuple:
-    """(x, objective, f(x), grad f(x) or None, grad f calls) of gesv Newton
-    from v; eye_tau is I/tau, gv is grad f(v) if the caller has it."""
+def _prox_rn(fn: Functional, tau: float, v, fv: float, eye_tau, gesv, gv=None) -> tuple:
+    """(x, objective, f(x), grad f(x) or None, grad f calls) of Newton from
+    v, gesv LAPACK's dgesv; eye_tau is I/tau, gv grad f(v) if known."""
     evals = int(gv is None)
     gx = np.asarray(fn.grad(v), dtype=float) if gv is None else gv
     x, obj, fx, g = v, fv, fv, gx + 0.0  # bitwise psi(v) = (v - v)/tau + gx
@@ -426,7 +428,7 @@ def _prox_rn(fn: Functional, tau: float, v, fv: float, eye_tau, gv=None) -> tupl
                 H[:, j] = (((x + e - v) / tau + fn.grad(x + e))
                            - ((x - e - v) / tau + fn.grad(x - e))) / (2 * h)
             H, evals = 0.5 * (H + H.T), evals + 2 * v.size
-        _, _, step, info = dgesv(H, -g, overwrite_a=True, overwrite_b=True)
+        _, _, step, info = gesv(H, -g, overwrite_a=True, overwrite_b=True)
         dec = -0.5 * float(step.dot(g))  # the Newton decrement
         # a finite decrement implies a finite step; only dec = inf or NaN scans it
         if info or dec <= 0 or not (dec < math.inf or np.isfinite(step).all()):
@@ -490,13 +492,14 @@ def minimizing_movement(fn: Functional, tau: float, y0, horizon: float,
         tau, u, one_d, n_steps = _prox_args(fn, tau, y0, horizon)
         us.append(u)
         if not one_d:  # each step passes f and grad f at its output on
+            from scipy.linalg.lapack import dgesv
             fs, gu, eye_tau = [fn.value(u)], None, np.eye(u.size) / tau
         for k in range(1, n_steps + 1):
             if one_d:
                 u, evals, doublings, jump = _prox_1d(fn, tau, u)
                 expansions += doublings
             else:
-                u, _, fu, gu, evals = _prox_rn(fn, tau, u, fs[-1], eye_tau, gu)
+                u, _, fu, gu, evals = _prox_rn(fn, tau, u, fs[-1], eye_tau, dgesv, gu)
                 fs.append(fu)
             us.append(u)
             psi_evals += evals

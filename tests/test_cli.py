@@ -500,3 +500,24 @@ class TestBadAxis:
         assert err.startswith("error: ") and "Traceback" not in err
         with pytest.raises(ConfigInvalid):
             run(cfg, str(tmp_path))
+
+
+class TestCoeffOutsideKernelDomain:
+    """A coeff axis outside the kernels' domain ends the CLI with exit code
+    1, as the scalar sigma would reject the same theta or t."""
+
+    @pytest.mark.parametrize("axes", [
+        {"thetas": [-1.0, 0.5], "ts": [0.5]},
+        {"thetas": [0.5], "ts": [0.5, 1.5]},
+    ], ids=["negative-theta", "t-past-one"])
+    def test_exit_one_without_traceback(self, tmp_path, capsys, axes):
+        cfg = {"command": "coeff", "K": -1, "N": -1, "out": "s.csv", **axes}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        code = main(["coeff", "--config", str(cfg_path), "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert not (tmp_path / "s.csv").exists()
+        with pytest.raises(ParamOutOfRange):
+            run(cfg, str(tmp_path))

@@ -784,3 +784,54 @@ class TestNanBan:
                          (0.5, [1.0, 4.0, -math.inf])):
             with pytest.raises(ParamOutOfRange):
                 sigma_values(p, t, theta)
+
+
+def _error_type(call):
+    """The type of the library error call() raises, None if it returns."""
+    try:
+        call()
+    except KNFlowError as exc:
+        return type(exc)
+    return None
+
+
+class TestArrayScalarDomainParity:
+    """The array kernels reject the theta and t that their scalar forms
+    reject, with the same error type, except that a NaN raises NanError in
+    the array forms (TestNanBan) where the scalar forms raise their own
+    range error (pinned in TestScalarKernelsPinned).  -0.0 passes in both."""
+
+    @pytest.mark.parametrize("K", [-1.0, 0.0, 1.0])
+    @pytest.mark.parametrize("theta", [-1.0, -1e-300, -math.inf, math.nan])
+    def test_bad_theta(self, K, theta):
+        p = CurvatureParams(K, -1.0)
+        pairs = [(lambda: s_values(p, [1.0, theta]), lambda: s_kn(p, theta)),
+                 (lambda: s_values(p, theta), lambda: s_kn(p, theta)),
+                 (lambda: c_values(p, [theta, 1.0]), lambda: c_kn(p, theta)),
+                 (lambda: sigma_values(p, 0.5, [1.0, theta]),
+                  lambda: sigma(p, 0.5, theta)),
+                 # a flat, a singular (K < 0) and an overflowing (K > 0) entry
+                 (lambda: sigma_values(p, [0.0, 1.0], [[0.0], [4.0], [1e6], [theta]]),
+                  lambda: sigma(p, 1.0, theta))]
+        for array_call, scalar_call in pairs:
+            scalar = _error_type(scalar_call)
+            assert scalar in (NegativeTheta, ParamOutOfRange)
+            assert _error_type(array_call) is (NanError if math.isnan(theta) else scalar)
+
+    @pytest.mark.parametrize("K", [-1.0, 0.0, 1.0])
+    @pytest.mark.parametrize("t", [-0.1, 1.5, math.inf, -math.inf, math.nan])
+    def test_bad_t(self, K, t):
+        p = CurvatureParams(K, -1.0)
+        expected = NanError if math.isnan(t) else ParamOutOfRange
+        for theta in (0.0, 1.0, 4.0, 1e6):  # flat, safe, singular or overflowing
+            assert _error_type(lambda: sigma(p, t, theta)) is ParamOutOfRange
+            assert _error_type(lambda: sigma_values(p, [0.5, t], theta)) is expected
+            assert _error_type(lambda: sigma_values(p, t, [theta, 1.0])) is expected
+
+    @pytest.mark.parametrize("K", [-1.0, 0.0, 1.0])
+    def test_negative_zero_passes(self, K):
+        p = CurvatureParams(K, -1.0)
+        assert s_values(p, [-0.0, 1.0])[0] == s_kn(p, -0.0) == 0.0
+        assert c_values(p, -0.0) == c_kn(p, -0.0) == 1.0
+        assert sigma_values(p, 0.5, [-0.0])[0] == sigma(p, 0.5, -0.0) == 0.5
+        assert sigma_values(p, [-0.0, 1.0], 1.0)[0] == sigma(p, -0.0, 1.0) == 0.0
