@@ -10,6 +10,7 @@ byte.  Exit codes: 0 success, 2 a check ran and failed, 1 hard error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import contextvars
 import hashlib
 import json
@@ -84,42 +85,57 @@ class RunManifest:
 # Curves written in the running pipeline, by real path: (table, meta JSON
 # text, stat identity of the CSV and its sidecar).  None outside a pipeline.
 _CURVES = contextvars.ContextVar("knflow_curves", default=None)
+# Text of the columns the running pipeline wrote, by their bytes; else None.
+_COLUMNS = contextvars.ContextVar("knflow_columns", default=None)
 
 
 def _atomic_write(path: str, data: str):
     d = os.path.dirname(os.path.abspath(path)) or "."
+    tmp = None
     try:
         os.makedirs(d, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-knflow-")
         with os.fdopen(fd, "w") as f:
             f.write(data)
         os.replace(tmp, path)
+        tmp = None
     except OSError as exc:
         raise IoError(f"cannot write {path}: {exc}") from exc
+    finally:
+        if tmp is not None:  # the write or the rename failed
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
     curves = _CURVES.get()
     if curves:
         curves.pop(os.path.realpath(path), None)
 
 
-def _csv_text(header: str, arr) -> str:
-    """CSV text: the header, then one line per row of arr.
-
-    Every value is written as repr() of the float, the shortest decimal
-    that round-trips it (``inf`` and ``-inf`` spelled out); NaN is refused.
-    """
-    arr = np.asarray(arr, dtype=float)
-    if np.isnan(arr).any():
+def _texts(col) -> list:
+    """repr() of each value of a float column, the shortest decimal that
+    round-trips it (``inf`` and ``-inf`` spelled out); NaN is refused.  A
+    column that the running pipeline already wrote is not formatted again."""
+    col = np.asarray(col, dtype=float)
+    if np.isnan(col).any():
         raise IoError("NaN cannot be serialized")
-    cols = [map(repr, col) for col in arr.T.tolist()]
-    return "\n".join([header, *map(",".join, zip(*cols))]) + "\n"
+    memo = _COLUMNS.get()
+    if memo is None or not col.size:
+        return list(map(repr, col.tolist()))
+    key = col.tobytes()  # exact bits: -0.0 and 0.0 differ
+    if key not in memo:
+        memo[key] = "\n".join(map(repr, col.tolist()))
+    return memo[key].split("\n")
+
+
+def _csv_text(header: str, *cols) -> str:
+    """CSV text: the header, then one line per row of the columns of texts."""
+    return "\n".join([header, *map(",".join, zip(*cols)), ""])
 
 
 def write_curve_csv(path: str, curve: Curve) -> np.ndarray:
     """Write the curve's (t, x...) table; returns the table."""
-    n_cols = 1 if curve.is_1d else curve.points.shape[1]
-    header = "t," + ",".join(f"x{j}" for j in range(n_cols))
     table = np.column_stack((curve.times, curve.points))
-    _atomic_write(path, _csv_text(header, table))
+    header = ",".join(["t", *(f"x{j}" for j in range(table.shape[1] - 1))])
+    _atomic_write(path, _csv_text(header, *map(_texts, table.T)))
     return table
 
 
@@ -181,8 +197,7 @@ def read_curve_csv(path: str) -> Curve:
     if not body.strip():
         raise ConfigInvalid(f"{path} holds no samples")
     try:
-        arr = np.loadtxt(body.splitlines(), delimiter=",", comments=None,
-                         ndmin=2)
+        arr = np.loadtxt(body.splitlines(), delimiter=",", comments=None, ndmin=2)
     except ValueError as exc:
         raise ConfigInvalid(f"{path}: malformed curve CSV: {exc}") from exc
     if arr.shape[1] != len(names):
@@ -211,13 +226,11 @@ def write_json(path: str, payload: dict) -> str:
 
 def write_curve(path: str, curve: Curve):
     table = write_curve_csv(path, curve)
-    meta = dict(curve.meta)
-    meta["stop_time"] = curve.stop_time
+    meta = {**curve.meta, "stop_time": curve.stop_time}
     meta_text = write_json(path + ".meta.json", _jsonable(meta))
     curves = _CURVES.get()
     if curves is not None:
-        curves[os.path.realpath(path)] = (table, meta_text,
-                                          _file_identity(path))
+        curves[os.path.realpath(path)] = (table, meta_text, _file_identity(path))
     return [path, path + ".meta.json"]
 
 
@@ -327,9 +340,7 @@ def _params(cfg: dict, K=None, N=None) -> CurvatureParams:
 def _out_path(cfg_value: str, out_dir: str) -> str:
     if not isinstance(cfg_value, str):
         raise ConfigInvalid(f"a file name must be a string, got {cfg_value!r}")
-    if os.path.isabs(cfg_value):
-        return cfg_value
-    return os.path.join(out_dir, cfg_value)
+    return os.path.join(out_dir, cfg_value)  # an absolute cfg_value stays as it is
 
 
 # ---------------------------------------------------------------------------
@@ -338,17 +349,14 @@ def _out_path(cfg_value: str, out_dir: str) -> str:
 
 def _run_coeff(cfg, out_dir):
     p = _params(cfg)
-    thetas = _axis_from(cfg.get("thetas", cfg.get("theta",
-                                                  {"min": 0.0, "max": 2.0})),
+    thetas = _axis_from(cfg.get("thetas", cfg.get("theta", {"min": 0.0, "max": 2.0})),
                         "theta axis")
-    ts = _axis_from(cfg.get("ts", cfg.get("t", {"min": 0.0, "max": 1.0})),
-                    "t axis")
-    table = np.empty((len(thetas), len(ts), 3))
-    table[:, :, 0] = thetas[:, None]
-    table[:, :, 1] = ts
-    table[:, :, 2] = sigma_values(p, ts, thetas[:, None])
+    ts = _axis_from(cfg.get("ts", cfg.get("t", {"min": 0.0, "max": 1.0})), "t axis")
+    sig = _texts(sigma_values(p, ts, thetas[:, None]).ravel())
+    t_col = _texts(ts)  # each axis value is formatted once, not once per row
+    th_col = [th for th in _texts(thetas) for _ in t_col]
     path = _out_path(cfg["out"], out_dir)
-    _atomic_write(path, _csv_text("theta,t,sigma", table.reshape(-1, 3)))
+    _atomic_write(path, _csv_text("theta,t,sigma", th_col, t_col * len(thetas), sig))
     return [path], "ok"
 
 
@@ -359,10 +367,7 @@ def _run_flow(cfg, out_dir):
         else _number(cfg["y0"], "y0")
     if method == "oracle":
         name = cfg.get("oracle", cfg["functional"].get("library"))
-        kwargs = {}
-        for key in ("c", "a"):
-            if key in cfg:
-                kwargs[key] = _number(cfg[key], key)
+        kwargs = {key: _number(cfg[key], key) for key in ("c", "a") if key in cfg}
         curve = oracle_flow(name, fn.params, y0, _grid_from(cfg), **kwargs)
     elif method == "ode":
         curve = ode_flow(fn, y0, _grid_from(cfg),
@@ -433,13 +438,10 @@ def _run_reparam(cfg, out_dir):
     if p is None or "K" in cfg:
         p = _params(cfg, 0.0, -1.0)
     tol = _tolerance_from(cfg)
-    if cfg["direction"] == "r1":
-        out = r1(curve, fn, p, tol)
-    elif cfg["direction"] == "r2":
-        out = r2(curve, fn, p, tol)
-    else:
+    change = {"r1": r1, "r2": r2}.get(cfg["direction"])
+    if change is None:
         raise ConfigInvalid("direction must be r1 or r2")
-    return write_curve(_out_path(cfg["out"], out_dir), out), "ok"
+    return write_curve(_out_path(cfg["out"], out_dir), change(curve, fn, p, tol)), "ok"
 
 
 def _run_contract(cfg, out_dir):
@@ -461,13 +463,10 @@ def _run_audit_energy(cfg, out_dir):
         curve = curve.segment(_number(lo, "window"), _number(hi, "window"))
     fn = functional_from_json(cfg["functional"])
     audit = energy_audit(curve, fn, _tolerance_from(cfg),
-                         slope_r0=_number(cfg.get("slope_r0", 1e-3),
-                                          "slope_r0"))
+                         slope_r0=_number(cfg.get("slope_r0", 1e-3), "slope_r0"))
     csv_path = _out_path(cfg["out_csv"], out_dir)
-    _atomic_write(csv_path, _csv_text(
-        "t,speed,slope,energy,residual",
-        np.column_stack((audit.times, audit.speed, audit.slope, audit.energy,
-                         audit.residual))))
+    _atomic_write(csv_path, _csv_text("t,speed,slope,energy,residual", *map(_texts, (
+        audit.times, audit.speed, audit.slope, audit.energy, audit.residual))))
     json_path = _out_path(cfg["out_json"], out_dir)
     write_json(json_path, {
         "ede_residual": audit.ede_residual,
@@ -514,8 +513,9 @@ def pipeline(configs, out_dir: str = ".") -> RunManifest:
 
     A hard error stops the pipeline; a check failure is recorded in the
     manifest and the remaining stages still run.  A stage that reads a
-    curve written earlier in this pipeline gets it from memory; outputs
-    are byte-identical to reading it back from disk.
+    curve written earlier in this pipeline gets it from memory, and a
+    column that the pipeline already wrote is not formatted again; outputs
+    are byte-identical to standalone runs that read and write the disk.
     """
     if isinstance(configs, dict):
         configs = configs.get("stages", [])
@@ -524,7 +524,7 @@ def pipeline(configs, out_dir: str = ".") -> RunManifest:
     started = time.time()
     outputs, stages = [], []
     status = "ok"
-    token = _CURVES.set({})
+    tokens = _CURVES.set({}), _COLUMNS.set({})
     try:
         for k, stage_cfg in enumerate(configs):
             t0 = time.perf_counter()
@@ -537,7 +537,8 @@ def pipeline(configs, out_dir: str = ".") -> RunManifest:
             if manifest.status == "fail":
                 status = "fail"
     finally:
-        _CURVES.reset(token)
+        _COLUMNS.reset(tokens[1])
+        _CURVES.reset(tokens[0])
     return RunManifest(version=__version__, command="pipeline",
                        config_sha256=_config_hash({"stages": configs}),
                        outputs=outputs, status=status, started=started,
@@ -566,8 +567,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     write_json(os.path.join(args.out, "manifest.json"), manifest.to_json())
-    print(json.dumps({"status": manifest.status,
-                      "outputs": manifest.outputs}))
+    print(json.dumps({"status": manifest.status, "outputs": manifest.outputs}))
     return manifest.exit_code
 
 

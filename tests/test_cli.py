@@ -4,11 +4,13 @@ import os
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from knflow.cli import (
+    _atomic_write,
     _csv_text,
     _jsonable,
+    _texts,
     main,
     pipeline,
     read_curve_csv,
@@ -17,6 +19,7 @@ from knflow.cli import (
     write_curve,
     write_json,
 )
+from knflow.coefficients import CurvatureParams, sigma_values
 from knflow.errors import ConfigInvalid, IoError, ParamOutOfRange
 from knflow.flows import Curve
 
@@ -366,7 +369,7 @@ class TestCsvFormat:
     def test_text_matches_per_value_repr(self, rows):
         k = len(rows[0]) if rows else 2
         arr = np.array(rows, dtype=float).reshape(len(rows), k)
-        assert _csv_text("h", arr) == _reference_csv("h", rows)
+        assert _csv_text("h", *map(_texts, arr.T)) == _reference_csv("h", rows)
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.one_of(st.sampled_from(EDGE_FLOATS), st.floats(0.0)),
@@ -389,7 +392,7 @@ class TestCsvFormat:
     def test_nan_refused(self):
         arr = np.array([[0.0, 1.0], [0.5, math.nan]])
         with pytest.raises(IoError):
-            _csv_text("t,x0", arr)
+            _csv_text("t,x0", *map(_texts, arr.T))
 
     def test_read_tolerates_blank_lines_and_spaces(self, tmp_path):
         path = tmp_path / "c.csv"
@@ -397,6 +400,59 @@ class TestCsvFormat:
         back = read_curve_csv(str(path))
         assert back.times.tolist() == [0.0, 0.5]
         assert back.points.tolist() == [1.0, 0.75]
+
+
+class TestAtomicWrite:
+    def test_failed_rename_leaves_no_temp_file(self, tmp_path, capsys):
+        target = tmp_path / "s.csv"
+        target.mkdir()  # os.replace cannot put a file over a directory
+        with pytest.raises(IoError):
+            _atomic_write(str(target), "t,x0\n0.0,1.0\n")
+        assert [p.name for p in tmp_path.iterdir()] == ["s.csv"]
+        cfg_path = tmp_path / "s.csv" / "cfg.json"
+        cfg_path.write_text(json.dumps({"command": "coeff", "K": 1, "N": -1,
+                                        "out": str(target)}))
+        assert main(["coeff", "--config", str(cfg_path), "--out",
+                     str(tmp_path)]) == 1
+        assert "cannot write" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["s.csv"]
+        assert [p.name for p in target.iterdir()] == ["cfg.json"]
+
+    def test_failed_write_leaves_no_temp_file(self, tmp_path):
+        with pytest.raises(TypeError):
+            _atomic_write(str(tmp_path / "a.json"), None)
+        assert list(tmp_path.iterdir()) == []
+
+
+class TestCoeffTableText:
+    """The coeff table, theta-major, with every value written as its repr;
+    an axis value is formatted once, however many rows repeat it."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.one_of(st.sampled_from([0.0, -0.0, 1e-5, 1.0, math.pi, 4.0]),
+                              st.floats(0.0, 40.0)), min_size=1, max_size=6),
+           st.lists(st.one_of(st.sampled_from([0.0, -0.0, 1e-4, 0.5, 1.0]),
+                              st.floats(0.0, 1.0)), min_size=1, max_size=6),
+           st.sampled_from([-1.0, 0.0, 1.0]), st.booleans())
+    @example([-0.0], [0.25], -1.0, False)
+    @example([2.0], [-0.0], 0.0, False)
+    @example([1.0, 1.0, math.pi], [0.0, -0.0, 1.0], 1.0, True)
+    def test_text_matches_per_value_repr(self, tmp_path_factory, thetas, ts,
+                                         K, repeat):
+        if repeat:  # repeated axis values
+            thetas, ts = thetas + thetas[:1], ts[-1:] + ts
+        cfg = {"command": "coeff", "K": K, "N": -1.0, "thetas": thetas,
+               "ts": ts, "out": "a.csv"}
+        out = tmp_path_factory.mktemp("coeff")
+        run(cfg, str(out))  # standalone, then twice in one pipeline
+        pipeline([dict(cfg, out="b.csv"), dict(cfg, out="c.csv")], str(out))
+        sig = sigma_values(CurvatureParams(K, -1.0), np.array(ts),
+                           np.array(thetas)[:, None]).tolist()
+        want = "theta,t,sigma\n" + "".join(
+            f"{th!r},{t!r},{s!r}\n"
+            for th, row in zip(thetas, sig) for t, s in zip(ts, row))
+        for name in ("a.csv", "b.csv", "c.csv"):
+            assert (out / name).read_text() == want
 
 
 class TestMalformedCurve:

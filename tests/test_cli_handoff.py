@@ -1,14 +1,19 @@
-"""Curves handed from stage to stage in memory within one pipeline.
+"""Curves and column texts handed from stage to stage within one pipeline.
 
 A stage that reads a curve written earlier in the same pipeline gets it
 from memory.  It must get exactly what reading the files would give:
 bitwise-equal arrays with the reader's memory layout, and the meta of
 the `.meta.json` round trip.  A stage that overwrites the files, or any
 change to them from outside the pipeline, sends the next read to disk.
+
+A column that the pipeline already wrote (a time grid shared by two
+flows, the points that r1 and r2 keep) takes its text from memory; the
+bytes written are those of a standalone run.
 """
 
 import json
 import logging
+import math
 import os
 import threading
 from dataclasses import dataclass
@@ -19,10 +24,10 @@ from hypothesis import given, settings, strategies as st
 
 from knflow import cli
 from knflow.cli import pipeline, run
-from knflow.errors import ConfigInvalid
+from knflow.errors import ConfigInvalid, IoError
 from knflow.flows import Curve
 
-from test_cli_pins import LOG_COSH, LOG_X, PIN_STAGES, PLANE
+from test_cli_pins import GRID, LOG_COSH, LOG_X, PIN_STAGES, PLANE
 
 READ_CURVE = cli.read_curve_csv
 
@@ -108,6 +113,18 @@ R2_STAGES = PIN_STAGES + [
 ]
 
 
+# two flows on one grid, then r1 and r2 of the first: ode.csv writes the
+# times of c.csv again, c_r1.csv and c_rt.csv its points
+SAME_GRID_STAGES = [
+    _oracle(1.0, "c.csv"),
+    {"command": "flow", "method": "ode", "functional": LOG_X, "y0": 1.0,
+     "grid": GRID, "out": "ode.csv"},
+    _r1("c.csv", "c_r1.csv"),
+    {"command": "reparam", "direction": "r2", "input": "c_r1.csv",
+     "functional": LOG_X, "out": "c_rt.csv"},
+]
+
+
 class TestSameAsDisk:
     def test_every_handed_curve_equals_the_disk_read(self, tmp_path, reads):
         manifest = pipeline(R2_STAGES, str(tmp_path))
@@ -119,11 +136,12 @@ class TestSameAsDisk:
         assert {r.curve.is_1d for r in reads} == {True, False}
 
     def test_outputs_equal_standalone_runs(self, tmp_path):
-        piped, alone = tmp_path / "piped", tmp_path / "alone"
-        pipeline(R2_STAGES, str(piped))
-        for stage in R2_STAGES:
-            run(stage, str(alone))
-        assert _outputs(piped) == _outputs(alone)
+        for name, stages in (("r2", R2_STAGES), ("same-grid", SAME_GRID_STAGES)):
+            piped, alone = tmp_path / name / "piped", tmp_path / name / "alone"
+            pipeline(stages, str(piped))
+            for stage in stages:
+                run(stage, str(alone))
+            assert _outputs(piped) == _outputs(alone), name
 
     @settings(max_examples=100, deadline=None)
     @given(st.lists(st.floats(0.0, 1e300), min_size=1, max_size=12,
@@ -281,3 +299,125 @@ class TestScope:
         pipeline([_oracle(1.0, "c.csv"), _r1("c.csv", "r.csv")],
                  str(tmp_path))
         assert seen == [None]
+
+
+class TestColumnMemo:
+    """The column texts are bytes-exact under the memo."""
+
+    @pytest.fixture
+    def memo(self):
+        token = cli._COLUMNS.set({})
+        yield cli._COLUMNS.get()
+        cli._COLUMNS.reset(token)
+
+    def test_minus_zero_after_zero(self, memo):
+        zeros = np.array([0.0, 1.0, 0.0])
+        assert cli._texts(zeros) == ["0.0", "1.0", "0.0"]
+        assert cli._texts(-zeros) == ["-0.0", "-1.0", "-0.0"]
+        assert cli._texts(np.array([-0.0, 1.0, 0.0])) == ["-0.0", "1.0", "0.0"]
+        assert cli._texts(zeros) == ["0.0", "1.0", "0.0"]
+        assert len(memo) == 3
+
+    def test_infinities_unchanged(self, memo):
+        col = np.array([math.inf, -math.inf, 0.5, -0.0, 5e-324])
+        want = ["inf", "-inf", "0.5", "-0.0", "5e-324"]
+        assert cli._texts(col) == want
+        assert cli._texts(col.copy()) == want  # from the memo
+        assert cli._csv_text("a,b", cli._texts(col), cli._texts(col[::-1])) == \
+            "a,b\ninf,5e-324\n-inf,-0.0\n0.5,0.5\n-0.0,-inf\n5e-324,inf\n"
+
+    def test_nan_refused_when_the_column_hits(self, memo):
+        col = np.linspace(0.0, 1.0, 7)
+        cli._texts(col)
+        keys = set(memo)
+        bad = col.copy()
+        bad[3] = math.nan
+        with pytest.raises(IoError):
+            cli._texts(bad)
+        # a table whose first column hits the memo and whose second holds NaN
+        with pytest.raises(IoError):
+            cli._csv_text("t,x0", *map(cli._texts, np.column_stack((col, bad)).T))
+        assert set(memo) == keys
+
+    def test_empty_column(self, memo):
+        assert cli._texts(np.array([])) == []
+        assert cli._csv_text("t,x0", [], []) == "t,x0\n"
+        assert not memo
+
+
+@pytest.fixture
+def memos(monkeypatch):
+    """The memo active at each `_texts` call."""
+    log = []
+    texts = cli._texts
+
+    def spy(col):
+        log.append(cli._COLUMNS.get())
+        return texts(col)
+
+    monkeypatch.setattr(cli, "_texts", spy)
+    return log
+
+
+class TestColumnScope:
+    def test_no_memo_outside_a_pipeline(self, tmp_path, memos):
+        assert cli._COLUMNS.get() is None
+        run(_oracle(1.0, "c.csv"), str(tmp_path))
+        run(_r1("c.csv", "r.csv"), str(tmp_path))
+        assert len(memos) == 4 and all(m is None for m in memos)
+        pipeline([_oracle(1.0, "c.csv"), _r1("c.csv", "r.csv")],
+                 str(tmp_path))
+        assert memos[4] is not None and all(m is memos[4] for m in memos[4:])
+        assert cli._COLUMNS.get() is None
+
+    def test_no_memo_after_a_pipeline_that_raises(self, tmp_path):
+        bad = dict(_oracle(1.0, "d.csv"), method="bogus")
+        with pytest.raises(ConfigInvalid):
+            pipeline([_oracle(1.0, "c.csv"), bad], str(tmp_path))
+        assert cli._COLUMNS.get() is None
+
+    def test_nested_pipeline_has_its_own_memo(self, tmp_path, memos):
+        pipeline([_oracle(1.0, "c.csv"),
+                  {"command": "pipeline", "stages": [_oracle(1.0, "b.csv")]},
+                  _oracle(1.0, "d.csv")], str(tmp_path))
+        outer, inner = memos[:2] + memos[4:], memos[2:4]
+        assert len(memos) == 6
+        assert all(m is outer[0] for m in outer)
+        assert inner[0] is inner[1] and inner[0] is not outer[0]
+        assert cli._COLUMNS.get() is None
+        names = ("c.csv", "b.csv", "d.csv")
+        assert len({(tmp_path / n).read_bytes() for n in names}) == 1
+
+    def test_threads_see_no_memo(self, tmp_path, monkeypatch):
+        seen = []
+        texts = cli._texts
+
+        def texts_and_look(col):
+            t = threading.Thread(target=lambda: seen.append(cli._COLUMNS.get()))
+            t.start()
+            t.join(timeout=10)
+            assert not t.is_alive()
+            return texts(col)
+
+        monkeypatch.setattr(cli, "_texts", texts_and_look)
+        pipeline([_oracle(1.0, "c.csv")], str(tmp_path))
+        assert seen == [None, None]
+
+    def test_repeated_column_formatted_once_per_pipeline(self, tmp_path,
+                                                         monkeypatch):
+        formatted = []
+
+        def spy_repr(x):
+            formatted.append(x)
+            return repr(x)
+
+        monkeypatch.setattr(cli, "repr", spy_repr, raising=False)
+        n = GRID["n"]
+        twice = [_oracle(1.0, "c.csv"), _oracle(1.0, "c2.csv")]
+        for k in (1, 2):  # each pipeline formats the columns again
+            pipeline(twice, str(tmp_path / str(k)))
+            assert len(formatted) == 2 * n * k
+        run(twice[1], str(tmp_path / "alone"))
+        assert len(formatted) == 6 * n
+        assert (tmp_path / "1" / "c2.csv").read_bytes() == \
+            (tmp_path / "alone" / "c2.csv").read_bytes()

@@ -743,8 +743,9 @@ class TestScalarKernelsPinned:
 
 
 class TestNanBan:
-    """A NaN t or theta raises NanError in the array kernels, as in the
-    scalar ones."""
+    """A NaN t or theta raises NanError in the array kernels.  The scalar
+    kernels raise their own range error instead: NegativeTheta from s_kn
+    and c_kn, ParamOutOfRange from sigma (TestArrayScalarDomainParity)."""
 
     @pytest.mark.parametrize("K", [-1.0, 0.0, 1.0])
     def test_nan_raises(self, K):
