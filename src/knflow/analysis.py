@@ -110,6 +110,13 @@ class ContractionRate:
 # elementary estimators
 # ---------------------------------------------------------------------------
 
+def _positive(value: float, what: str) -> float:
+    """value if 0 < value < inf; ParamOutOfRange otherwise, NaN included."""
+    if not 0 < value < math.inf:
+        raise ParamOutOfRange(f"{what} must be > 0 and finite, got {value}")
+    return value
+
+
 def forward_upper_derivative(g: Callable[[float], float], t: float,
                              tol: Tolerance = DEFAULT_TOL,
                              h0: float = 0.25) -> float:
@@ -285,6 +292,8 @@ def check_evi_lambda(c: Curve, gn: Functional, lam: float, spec: SampleSpec,
                      tol: Tolerance = DEFAULT_TOL, t_samples: int = 50,
                      z_override=None) -> Report:
     """Step-integrated check of the modulus-lambda variational inequality."""
+    if math.isnan(lam):
+        raise ParamOutOfRange("lambda must be a real number")
     return _step_check(
         "evi_lambda", {"lambda": lam}, c, gn, tol, t_samples,
         _z_rows(c, gn, spec, z_override),
@@ -410,6 +419,8 @@ def check_evi_local(c: Curve, gn: Functional, lam: float, radius: float,
     of shape (rows, cols); a cell is tested where the mask holds and f is
     finite at its point.
     """
+    if math.isnan(lam):
+        raise ParamOutOfRange("lambda must be a real number")
     if not radius > 0:
         raise ParamOutOfRange("radius must be > 0")
     one_d = isinstance(gn.space, Interval)
@@ -497,12 +508,13 @@ def slope(fn: Functional, y, method: str, spec: Optional[SampleSpec] = None,
     if method == "definition":
         y0 = np.asarray(y, float)
         norm = float(distances(0.0, y0, isinstance(fn.space, Interval)))
-        r_start = r0 if r0 is not None else 0.0625 * (1.0 + norm)
+        r_start = _positive(r0, "r0") if r0 is not None else 0.0625 * (1.0 + norm)
         return float(_definition_slopes(fn, y0[None], np.array([fy]),
                                         np.array([r_start]), spec)[0])
     if method == "formula":
         if p is None or R is None:
             raise ParamOutOfRange("formula method needs p=(K,N) and R")
+        _positive(R, "R")
         if p.K < 0 and R >= p.theta_singular:
             raise ParamOutOfRange("R must be below the singular distance cap")
         if not isinstance(fn.space, Interval):
@@ -541,6 +553,7 @@ def energy_audit(c: Curve, fn: Functional, tol: Tolerance = DEFAULT_TOL,
     sample covers the quadratic bias of the central differences plus the
     slope estimator's resolution floor.
     """
+    _positive(slope_r0, "slope_r0")
     if c.n_samples < 3:
         raise TooFewSamples("energy audit needs >= 3 samples")
     energy = fn.values(c.points)
@@ -587,7 +600,7 @@ def bracket(c: Curve, t0: float, g: Geodesic) -> Bracket:
     resolution-limited.
     """
     i = int(np.argmin(np.abs(c.times - t0)))
-    if abs(c.times[i] - t0) > 1e-9 * (1.0 + abs(t0)):
+    if not abs(c.times[i] - t0) <= 1e-9 * (1.0 + abs(t0)):  # NaN too
         raise ParamOutOfRange(f"t0={t0} is not a grid time")
     if i >= c.n_samples - 1:
         raise ParamOutOfRange("t0 must have a forward neighbor")
@@ -627,6 +640,8 @@ def contraction_rate(c1: Curve, c2: Curve, r: float,
     s_grid = np.asarray(s_grid, dtype=float)
     if len(s_grid) < 2:
         raise DisjointWindows("common window holds fewer than two samples")
+    if not (np.all(np.diff(s_grid) > 0) and lo <= s_grid[0] and s_grid[-1] <= hi):
+        raise ParamOutOfRange(f"s_grid must increase strictly within [{lo}, {hi}]")
     if not (lo - 1e-12 <= r <= hi):
         raise ParamOutOfRange(f"r={r} outside the common window [{lo}, {hi}]")
     d = np.maximum(distances(c2.at(s_grid), c1.at(s_grid), c1.is_1d), 1e-300)

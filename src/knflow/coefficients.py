@@ -8,26 +8,22 @@ For curvature K and negative dimension N the two kernels are
 
 and the distortion coefficient sigma^(t)(theta) is the ratio
 s(t*theta)/s(theta), equal to t when K*theta^2 = 0 and +inf in the singular
-regime K*theta^2 <= N*pi^2 (only reachable for K < 0).  Below the
-crossover w*theta = 1e-4, s uses a 5-term Taylor series of sin(x)/x or
-sinh(x)/x; the array form evaluates sin or sinh on the whole array and
-overwrites the entries below the crossover, if any, with the series.
-``sigma_values`` has one path: s(theta) on theta's own shape, s(t*theta)
-on the broadcast shape, then t at the flat entries and +inf at the
-singular ones.
+regime K*theta^2 <= N*pi^2 (only reachable for K < 0).
 
-Each kernel has an array form (``s_values``, ``c_values``, ``sigma_values``)
-and a scalar form (``s_kn``, ``c_kn``, ``sigma``, ``sigma_rate_limits``) that
-works on Python floats with ``math`` and returns plain floats.  Both take
-the same branches; they agree to a few ulp (``math`` and numpy may round
-sin, sinh, cosh and pow differently), and bitwise in the K > 0 branch where
-sinh(w*theta) overflows, which the scalar ``sigma`` hands to
-``sigma_values``.  At theta = +inf: s = c = +inf for K > 0, sigma is 0 for
-t < 1 and 1 at t = 1; for K < 0 sin and cos have no limit and both forms
-of s and c raise ``ParamOutOfRange``.  Both forms reject the same inputs:
-theta < 0 (-0.0 passes) raises ``NegativeTheta`` in s and c and
-``ParamOutOfRange`` in sigma, as does t outside [0, 1]; NaN raises in both
-forms, ``NanError`` in the array ones.
+The array forms ``s_values``, ``c_values`` and ``sigma_values`` hold every
+edge rule; below the crossover w*theta = 1e-4, s is a 5-term Taylor series
+of sin(x)/x or sinh(x)/x.  The scalar forms ``s_kn``, ``c_kn`` and
+``sigma`` return floats from ``math`` on the regular range alone: K != 0,
+1e-4 <= w*theta < inf (0 < w*theta for c) with no overflow and, for
+sigma, t in [0, 1], w*t*theta >= 1e-4, theta neither flat nor singular and
+s(theta) finite.  There the two forms agree to a few ulp (``math`` and
+numpy may round sin, sinh and cosh differently); elsewhere a scalar form
+returns its array form's 0-d value.  At theta = +inf: s = c = +inf for
+K > 0, sigma is 0 for t < 1 and 1 at t = 1; for K < 0 sin and cos have
+no limit and s and c raise ``ParamOutOfRange``.  A NaN raises
+``NanError`` everywhere, ``is_singular`` and ``sigma_rate_limits``
+included; theta < 0 (-0.0 passes) raises ``NegativeTheta``, except in
+sigma, which raises ``ParamOutOfRange`` for it and for t outside [0, 1].
 """
 
 from __future__ import annotations
@@ -39,11 +35,8 @@ import numpy as np
 
 from .errors import NanError, NegativeTheta, ParamOutOfRange, SingularTheta
 
-# Below this value of theta*w the kernels switch to a 5-term Taylor series;
-# keeps ratios like theta/s(theta) cancellation-free.
-_SERIES_CROSSOVER = 1e-4
+_SERIES_CROSSOVER = 1e-4  # w*theta below which s(theta)/theta is a series
 _PI2 = math.pi**2  # the singular regime is K*theta^2 <= N*_PI2
-_NO_LIMIT = "sin and cos have no limit at theta*w = +inf (theta={})"
 
 
 @dataclass(frozen=True)
@@ -129,55 +122,35 @@ def c_values(p: CurvatureParams, theta) -> np.ndarray:
         return np.cosh(x)
 
 
-def _s_scalar(p: CurvatureParams, theta: float) -> float:
-    """s(theta >= 0) on floats with the branches of s_values; +inf past sinh's range."""
-    if p.K == 0:
-        return theta
-    x = theta * p.omega
-    if x < _SERIES_CROSSOVER:
-        return theta * _series(x * x, math.copysign(1.0, p.K))
-    if p.K < 0:
-        if x == math.inf:
-            raise ParamOutOfRange(_NO_LIMIT.format(theta))
-        return theta * (math.sin(x) / x)
-    if x == math.inf:
-        return math.inf
-    try:
-        return theta * (math.sinh(x) / x)
-    except OverflowError:
-        return math.inf
-
-
 def s_kn(p: CurvatureParams, theta: float) -> float:
     """Kernel s(theta) for theta >= 0."""
     theta = float(theta)
-    if not theta >= 0:  # NaN too
-        raise NegativeTheta(f"theta must be >= 0, got {theta}")
-    return _s_scalar(p, theta)
+    x = theta * p.omega
+    if _SERIES_CROSSOVER <= x < math.inf:  # K != 0 and theta > 0
+        try:
+            return theta * ((math.sinh if p.K > 0 else math.sin)(x) / x)
+        except OverflowError:
+            pass
+    return float(s_values(p, theta))
 
 
 def c_kn(p: CurvatureParams, theta: float) -> float:
     """Kernel c(theta) for theta >= 0."""
     theta = float(theta)
-    if not theta >= 0:
-        raise NegativeTheta(f"theta must be >= 0, got {theta}")
-    if p.K == 0:
-        return 1.0
     x = theta * p.omega
-    if p.K < 0:
-        if x == math.inf:
-            raise ParamOutOfRange(_NO_LIMIT.format(theta))
-        return math.cos(x)
-    try:
-        return math.cosh(x)
-    except OverflowError:
-        return math.inf
+    if 0.0 < x < math.inf:  # c has no series branch
+        try:
+            return (math.cosh if p.K > 0 else math.cos)(x)
+        except OverflowError:
+            pass
+    return float(c_values(p, theta))
 
 
 def is_singular(p: CurvatureParams, theta: float) -> bool:
     """True when K*theta^2 <= N*pi^2 (closed condition), for theta >= 0."""
     if not theta >= 0:
-        raise NegativeTheta(f"theta must be >= 0, got {theta}")
+        bad = NanError if math.isnan(theta) else NegativeTheta
+        raise bad(f"theta must be >= 0 and not NaN, got {theta}")
     return p.K * theta * theta <= p.N * _PI2
 
 
@@ -226,18 +199,18 @@ def sigma_values(p: CurvatureParams, t, theta) -> np.ndarray:
 def sigma(p: CurvatureParams, t: float, theta: float) -> float:
     """Distortion coefficient sigma^(t)(theta); +inf in the singular regime."""
     t, theta = float(t), float(theta)
-    if not (0.0 <= t <= 1.0 and theta >= 0):  # NaN too
-        raise ParamOutOfRange(f"t must lie in [0,1] and theta be >= 0, got {t}, {theta}")
-    k_theta2 = p.K * theta * theta
-    if p.K == 0 or k_theta2 == 0.0:
-        return t
-    if k_theta2 <= p.N * _PI2:
-        return math.inf
-    den = _s_scalar(p, theta)
-    if den == math.inf:
-        # sinh(w theta) overflowed: sigma_values' scaled form, bit for bit
-        return float(sigma_values(p, t, theta))
-    return _s_scalar(p, t * theta) / den
+    x, tx, k_theta2 = theta * p.omega, t * theta * p.omega, p.K * theta * theta
+    # neither flat nor singular, w*t*theta past the series crossover
+    if (0.0 <= t <= 1.0 and _SERIES_CROSSOVER <= tx and x < math.inf
+            and k_theta2 != 0.0 and k_theta2 > p.N * _PI2):
+        kernel = math.sinh if p.K > 0 else math.sin
+        try:
+            den = theta * (kernel(x) / x)
+            if den < math.inf:
+                return t * theta * (kernel(tx) / tx) / den
+        except OverflowError:
+            pass
+    return float(sigma_values(p, t, theta))
 
 
 def sigma_rate_limits(p: CurvatureParams, theta: float) -> tuple[float, float]:
@@ -249,7 +222,7 @@ def sigma_rate_limits(p: CurvatureParams, theta: float) -> tuple[float, float]:
     which stay finite where sinh(x) overflows; (1, -1) for K = 0.
     """
     theta = float(theta)
-    if is_singular(p, theta):  # NegativeTheta for theta < 0 or NaN
+    if is_singular(p, theta):  # NegativeTheta for theta < 0, NanError
         raise SingularTheta(f"theta={theta} is in the singular regime")
     if theta == 0:
         raise NegativeTheta("theta must be > 0")

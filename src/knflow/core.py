@@ -25,8 +25,10 @@ def require_not_nan(x: float, where: str = "value") -> float:
 
 
 def _number(value, what: str) -> float:
-    """A JSON config number as a float; anything else is ConfigInvalid."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+    """A JSON config number as a float; anything else, NaN included, is
+    ConfigInvalid."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) \
+            or value != value:
         raise ConfigInvalid(f"{what} must be a number, got {value!r}")
     try:
         return float(value)
@@ -49,7 +51,7 @@ def _pair(value, what: str) -> tuple:
 
 
 def _points(values, what: str, least: int) -> np.ndarray:
-    """A JSON list of at least `least` numbers as a float array."""
+    """A JSON list of at least `least` numbers, none NaN, as a float array."""
     arr = None
     if isinstance(values, (list, tuple)):
         try:
@@ -57,7 +59,7 @@ def _points(values, what: str, least: int) -> np.ndarray:
         except ValueError:  # ragged nesting
             pass
     if arr is None or arr.ndim != 1 or arr.dtype.kind not in "iuf" \
-            or len(arr) < least:
+            or len(arr) < least or np.isnan(arr).any():
         raise ConfigInvalid(f"{what} must be a list of at least {least} numbers")
     return arr.astype(float)
 

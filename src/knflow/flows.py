@@ -340,7 +340,8 @@ def prox(fn: Functional, tau: float, v) -> ProxStep:
     ``fn.hess(x)`` or a central finite-difference Jacobian, goes to ``dgesv``
     (bitwise ``np.linalg.solve`` for n <= 5); a singular one, a decrement <= 0
     or a non-finite step (only checked if the decrement is not finite) takes
-    the gradient step.  f skips the closure test where |x - v|^2 is finite.
+    the gradient step, and a failed line search where |g|^2 overflows raises
+    NotBoundedBelow.  f skips the closure test where |x - v|^2 is finite.
     """
     tau, v, one_d, _ = _prox_args(fn, tau, v)
     fv = fn.value(v)
@@ -350,7 +351,8 @@ def prox(fn: Functional, tau: float, v) -> ProxStep:
         raise NotBoundedBelow(f"prox objective of {fn.name} is -inf at {v}")
     if not one_d:
         from scipy.linalg.lapack import dgesv
-        x, obj, fx, _, evals = _prox_rn(fn, tau, v, fv, np.eye(v.size) / tau, dgesv)
+        with np.errstate(over="ignore"):  # see _prox_rn
+            x, obj, fx, _, evals = _prox_rn(fn, tau, v, fv, np.eye(v.size) / tau, dgesv)
         return ProxStep(tau, v.copy(), x, obj, fx, evals)
     w, evals, k, _ = _prox_1d(fn, tau, v)
     fw = fn.value(w)
@@ -411,7 +413,8 @@ def _prox_1d(fn: Functional, tau: float, v: float) -> tuple:
 
 def _prox_rn(fn: Functional, tau: float, v, fv: float, eye_tau, gesv, gv=None) -> tuple:
     """(x, objective, f(x), grad f(x) or None, grad f calls) of Newton from
-    v, gesv LAPACK's dgesv; eye_tau is I/tau, gv grad f(v) if known."""
+    v, gesv LAPACK's dgesv; eye_tau is I/tau, gv grad f(v) if known.  Run
+    under errstate(over="ignore"): |g|^2 and the decrement may overflow."""
     evals = int(gv is None)
     gx = np.asarray(fn.grad(v), dtype=float) if gv is None else gv
     x, obj, fx, g = v, fv, fv, gx + 0.0  # bitwise psi(v) = (v - v)/tau + gx
@@ -445,6 +448,9 @@ def _prox_rn(fn: Functional, tau: float, v, fv: float, eye_tau, gesv, gv=None) -
                 break
             t *= 0.5
         else:
+            if gnorm == math.inf:  # a fallback step of 0 would return x
+                raise NotBoundedBelow(
+                    f"prox objective of {fn.name} leaves the double range")
             # gradient-descent fallback with a conservative step
             x_new = x - min(1.0 / (1.0 + gnorm), tau) * g
             d, f_new = x_new - v, fn.value(x_new)
@@ -494,17 +500,18 @@ def minimizing_movement(fn: Functional, tau: float, y0, horizon: float,
         if not one_d:  # each step passes f and grad f at its output on
             from scipy.linalg.lapack import dgesv
             fs, gu, eye_tau = [fn.value(u)], None, np.eye(u.size) / tau
-        for k in range(1, n_steps + 1):
-            if one_d:
-                u, evals, doublings, jump = _prox_1d(fn, tau, u)
-                expansions += doublings
-            else:
-                u, _, fu, gu, evals = _prox_rn(fn, tau, u, fs[-1], eye_tau, dgesv, gu)
-                fs.append(fu)
-            us.append(u)
-            psi_evals += evals
-            if one_d and (jump or k >= 512 and k & (k - 1) == 0) and not finite_f():
-                break  # a bad u_j found past a jump of f' or at 512, 1024, ... steps
+        with np.errstate(over=None if one_d else "ignore"):  # see _prox_rn
+            for k in range(1, n_steps + 1):
+                if one_d:
+                    u, evals, doublings, jump = _prox_1d(fn, tau, u)
+                    expansions += doublings
+                else:
+                    u, _, fu, gu, evals = _prox_rn(fn, tau, u, fs[-1], eye_tau, dgesv, gu)
+                    fs.append(fu)
+                us.append(u)
+                psi_evals += evals
+                if one_d and (jump or k >= 512 and k & (k - 1) == 0) and not finite_f():
+                    break  # a bad u_j found past a jump of f' or at 512, 1024, ... steps
     except Exception as exc:
         err = exc
     if one_d and len(us) > len(fs):

@@ -498,6 +498,47 @@ class TestContraction:
             contraction_rate(c1, c2, 0.5)
 
 
+class TestRejectsBadNumbers:
+    """The estimators raise ParamOutOfRange on a NaN, non-positive or
+    out-of-window argument instead of reading it as some other value."""
+
+    GRID = time_grid(0, 0.9, 400)
+    C1 = oracle_flow("fN-linear", None, 1.0, GRID)
+    C2 = oracle_flow("fN-linear", None, 1.5, GRID)
+
+    @pytest.mark.parametrize("s_grid", [
+        [0.1, math.nan, 0.3], [0.3, 0.1, 0.2, 0.35], [0.1, 0.2, 0.2, 0.3],
+        [0.1, 0.5, 0.95], [-0.05, 0.1, 0.5]],
+        ids=["nan", "unsorted", "repeated", "past-window", "before-window"])
+    def test_contraction_rate_s_grid(self, s_grid):
+        with pytest.raises(ParamOutOfRange, match="s_grid"):
+            contraction_rate(self.C1, self.C2, 0.1, s_grid)
+        assert contraction_rate(self.C1, self.C2, 0.1, [0.1, 0.5, 0.9]).times.size == 3
+
+    def test_bracket_nan_time(self):
+        g = geodesic(LOG_X.space, float(self.C1.points[0]), 2.0)
+        with pytest.raises(ParamOutOfRange, match="grid time"):
+            bracket(self.C1, math.nan, g)
+
+    @pytest.mark.parametrize("R", [math.nan, 0.0, -0.5, math.inf])
+    def test_formula_slope_radius(self, R):
+        with pytest.raises(ParamOutOfRange, match="R must be > 0"):
+            slope(LOG_COSH, 0.5, "formula", p=P11, R=R)
+
+    @pytest.mark.parametrize("r0", [math.nan, 0.0, -1e-3])
+    def test_start_radius(self, r0):
+        with pytest.raises(ParamOutOfRange, match="r0 must be > 0"):
+            slope(LOG_X, 0.5, "definition", r0=r0)
+        with pytest.raises(ParamOutOfRange, match="slope_r0 must be > 0"):
+            energy_audit(self.C1, LINEAR, TOL, slope_r0=r0)
+
+    def test_evi_nan_lambda(self):
+        with pytest.raises(ParamOutOfRange, match="lambda"):
+            check_evi_lambda(self.C1, LINEAR, math.nan, SPEC, TOL)
+        with pytest.raises(ParamOutOfRange, match="lambda"):
+            check_evi_local(self.C1, LINEAR, math.nan, 0.1, SPEC, TOL)
+
+
 class TestIdentification:
     def test_three_routes_agree_for_log_cosh(self):
         grid = time_grid(0.0, 1.0, 201)

@@ -558,6 +558,40 @@ class TestBadAxis:
             run(cfg, str(tmp_path))
 
 
+class TestNanInConfig:
+    """JSON's NaN token in a config number or list is a config error (exit
+    1): no check runs on it and no report is written."""
+
+    LOG_X = {"library": "log-x", "K": 0, "N": -1}
+
+    @pytest.mark.parametrize("cfg", [
+        {"command": "check-evi", "input": "curve.csv", "functional": LOG_X,
+         "form": "lambda", "lambda": math.nan, "z_per_time": 20,
+         "time_samples": 5, "out": "rep.json"},
+        {"command": "check-evi", "input": "curve.csv", "functional": LOG_X,
+         "form": "local", "lambda": 0.0, "radius": math.nan, "z_per_time": 20,
+         "time_samples": 5, "out": "rep.json"},
+        {"command": "audit-energy", "input": "curve.csv", "functional": LOG_X,
+         "slope_r0": math.nan, "out_csv": "rep.csv", "out_json": "rep.json"},
+        {"command": "contract", "input1": "curve.csv", "input2": "curve.csv",
+         "r": 0.1, "s_grid": [0.1, math.nan, 0.3], "out": "rep.json"},
+        {"command": "coeff", "K": math.nan, "N": -1, "out": "rep.csv"},
+    ], ids=["evi-lambda", "evi-local-radius", "audit-slope-r0", "contract-s-grid",
+            "coeff-K"])
+    def test_exit_one_without_report(self, tmp_path, capsys, cfg):
+        run(flow_cfg(), str(tmp_path))
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert "NaN" in cfg_path.read_text()
+        code = main([cfg["command"], "--config", str(cfg_path), "--out",
+                     str(tmp_path)])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not any(p.name.startswith("rep.") for p in tmp_path.iterdir())
+        with pytest.raises(ConfigInvalid):
+            run(cfg, str(tmp_path))
+
+
 class TestCoeffOutsideKernelDomain:
     """A coeff axis outside the kernels' domain ends the CLI with exit code
     1, as the scalar sigma would reject the same theta or t."""

@@ -1,3 +1,5 @@
+import collections
+import contextlib
 import dataclasses
 import hashlib
 import math
@@ -114,9 +116,11 @@ class TestSigma:
     def test_is_singular_rejects_theta_as_the_kernels_do(self):
         # K*theta^2 <= N*pi^2 holds at theta = -4, but theta < 0 is rejected
         p = CurvatureParams(-1.0, -1.0)
-        for theta in (-4.0, math.nan, -math.inf):
+        for theta in (-4.0, -math.inf):
             with pytest.raises(NegativeTheta):
                 is_singular(p, theta)
+        with pytest.raises(NanError):
+            is_singular(p, math.nan)
         assert is_singular(p, 4.0) and not is_singular(p, 3.0)
         assert not is_singular(p, -0.0)
 
@@ -325,13 +329,13 @@ EPS = np.finfo(float).eps
 class TestScalarMatchesArray:
     """The math-on-floats scalar kernels against the array kernels.
 
-    math and numpy may round sin, sinh, cosh and pow differently, so the two
-    forms agree to a few ulp, not bitwise.  The bound is 4 ulp relative to
-    the array value, 4*max(eps*|array|, 2^-1074): a one-ulp difference in
-    sinh at the bottom of a binade reads as two ulps of a result near the
-    top of one, and a subnormal result's ulp is 2^-1074.
-    Past sinh's range (K > 0, w*theta > ~710.5) s and c are +inf on both
-    sides and the scalar sigma hands off to sigma_values.
+    math and numpy may round sin, sinh and cosh differently, so on the
+    math range the two forms agree to a few ulp, not bitwise.  The bound is
+    4 ulp relative to the array value, 4*max(eps*|array|, 2^-1074): a
+    one-ulp difference in sinh at the bottom of a binade reads as two ulps
+    of a result near the top of one, and a subnormal result's ulp is
+    2^-1074.  Off the math range (below the series crossover, past sinh's
+    range) the scalar forms return the array value (TestScalarArrayParity).
     """
 
     @staticmethod
@@ -355,6 +359,109 @@ class TestScalarMatchesArray:
         assert self._close(s_kn(p, theta), s_values(p, theta))
         assert self._close(c_kn(p, theta), c_values(p, theta))
         assert self._close(sigma(p, t, theta), sigma_values(p, t, theta))
+
+
+@contextlib.contextmanager
+def _array_calls():
+    """Counts of the s_values, c_values and sigma_values calls made in the
+    block, by name."""
+    calls = collections.Counter()
+    with pytest.MonkeyPatch.context() as patch:
+        for name in ("s_values", "c_values", "sigma_values"):
+            def spy(*args, _kernel=getattr(coefficients, name), _name=name):
+                calls[_name] += 1
+                return _kernel(*args)
+            patch.setattr(coefficients, name, spy)
+        yield calls
+
+
+def _value_or_error(call):
+    """The float call() returns, or the type of the library error it raises."""
+    try:
+        return float(call())
+    except KNFlowError as exc:
+        return type(exc)
+
+
+@st.composite
+def scalar_inputs(draw):
+    """(p, t, theta) for any (K, N), theta and t: the branch points of
+    _theta_edges, rejected and NaN values, uniform draws up to 1.2 times
+    the cap (K < 0) or w*theta = 2000, and any float."""
+    sign = draw(st.sampled_from([-1.0, 0.0, 1.0]))
+    n_abs = draw(st.floats(1e-3, 1e3))
+    p = CurvatureParams(sign * 10.0 ** draw(st.floats(-300.0, 300.0)) * n_abs, -n_abs)
+    hi = 1.2 * p.theta_singular if p.K < 0 else 2000.0 / (p.omega or 1.0)
+    theta = draw(st.one_of(
+        st.sampled_from(_theta_edges(p) + [-0.0, -1.0, -math.inf, math.nan]),
+        st.floats(0.0, hi), st.floats()))
+    t = draw(st.one_of(
+        st.sampled_from([0.0, 1.0, 5e-324, 1e-300, -0.1, 1.5, math.inf, math.nan]),
+        st.floats(0.0, 1.0), st.floats()))
+    return p, t, theta
+
+
+class TestScalarArrayParity:
+    """Each scalar kernel returns its array kernel's 0-d value or raises the
+    same error type, for any (K, N), theta and t: bitwise where it hands the
+    input to the array kernel, within TestScalarMatchesArray's 4 ulp where
+    it uses math.  Inputs off the math range (K = 0, w*theta below the
+    series crossover (0 for c) or not finite, theta < 0, NaN; for sigma
+    also t outside [0, 1], w*t*theta below the crossover, flat or singular)
+    are always handed over; past sinh's range they may be."""
+
+    @staticmethod
+    def _off_math_range(p, t, theta):
+        x = theta * p.omega
+        k_theta2 = p.K * theta * theta
+        off_s = not _SERIES_CROSSOVER <= x < math.inf
+        return {"s_values": off_s, "c_values": not 0.0 < x < math.inf,
+                "sigma_values": off_s or not 0.0 <= t <= 1.0
+                or not t * theta * p.omega >= _SERIES_CROSSOVER
+                or k_theta2 == 0.0 or k_theta2 <= p.N * math.pi ** 2}
+
+    @settings(max_examples=600, deadline=None)
+    @given(scalar_inputs())
+    # sinh(w theta)/w theta finite, theta times it past the double range
+    @example((CurvatureParams(0.01, -1.0), 0.0, 7090.0))
+    def test_value_or_error_of_the_array_kernel(self, args):
+        p, t, theta = args
+        off = self._off_math_range(p, t, theta)
+        for scalar, array, kernel_args in ((s_kn, s_values, (theta,)),
+                                           (c_kn, c_values, (theta,)),
+                                           (sigma, sigma_values, (t, theta))):
+            with _array_calls() as calls:
+                got = _value_or_error(lambda: scalar(p, *kernel_args))
+            want = _value_or_error(lambda: array(p, *kernel_args))
+            name = array.__name__
+            if calls[name]:
+                assert calls == {name: 1}
+                assert (np.float64(got).tobytes() == np.float64(want).tobytes()
+                        if isinstance(want, float) else got is want)
+            else:
+                assert not off[name], (name, p, t, theta)
+                assert isinstance(want, float)
+                assert TestScalarMatchesArray._close(got, want)
+
+
+class TestMathRangeSkipsArrayKernels:
+    """For K != 0, 1e-4 <= w*theta below sinh's overflow and w*t*theta in
+    the same range, no scalar kernel calls an array kernel."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from([-1.0, 1.0]), st.floats(-8.0, 4.0), st.floats(0.01, 10.0),
+           st.floats(0.0, 1.0), st.floats(0.0, 1.0))
+    def test_no_array_call(self, sign, log_ratio, n_abs, u, v):
+        # w*theta from 2e-4 up to 0.999 of the cap (K < 0) or 600 (K > 0),
+        # w*t*theta from 2e-4 up to w*theta
+        p = CurvatureParams(sign * 10.0**log_ratio * n_abs, -n_abs)
+        x_max = 0.999 * math.pi if sign < 0 else 600.0
+        x = 2e-4 * (x_max / 2e-4) ** u
+        theta, t = x / p.omega, (2e-4 / x) ** v
+        with _array_calls() as calls:
+            s_kn(p, theta), c_kn(p, theta), sigma(p, t, theta)
+            sigma_rate_limits(p, theta), is_singular(p, theta)
+        assert not calls
 
 
 class TestInfiniteTheta:
@@ -445,7 +552,7 @@ class TestInfiniteTheta:
                 continue
             assert not any(map(math.isnan, np.atleast_1d(value)))
         if not theta >= 0:  # NaN and -inf get no verdict
-            with pytest.raises(NegativeTheta):
+            with pytest.raises(NanError if math.isnan(theta) else NegativeTheta):
                 is_singular(p, theta)
 
 
@@ -684,7 +791,7 @@ class TestKernelsBitwise:
 
 def _scalar_kernel_record():
     """Bytes of s_kn, c_kn, sigma_rate_limits and sigma over a seeded grid
-    through every scalar branch: K < 0, = 0, > 0 (with sinh(w theta) past
+    on and off the math range: K < 0, = 0, > 0 (with sinh(w theta) past
     the double range), the series crossover, the singular cap, theta = 0
     and +inf, t in {0, 1}, and the rejected theta and t; a raised error is
     recorded by its type."""
@@ -725,7 +832,7 @@ class TestScalarKernelsPinned:
     def test_sha256_of_seeded_grid(self):
         digest = hashlib.sha256(_scalar_kernel_record()).hexdigest()
         assert digest == \
-            "dabc4069fa2884b1a69b000cdaa95e2531010f274ee8f11f97bb7e55b8bc1a53"
+            "ae39c1298ad74646e36f2e56ca31bb5f8cdae2d9fafe3d59cb9c37cca5daa2d2"
 
     def test_params_dataclass_behaviour(self):
         p = CurvatureParams(-2, -0.5)
@@ -743,9 +850,9 @@ class TestScalarKernelsPinned:
 
 
 class TestNanBan:
-    """A NaN t or theta raises NanError in the array kernels.  The scalar
-    kernels raise their own range error instead: NegativeTheta from s_kn
-    and c_kn, ParamOutOfRange from sigma (TestArrayScalarDomainParity)."""
+    """A NaN t or theta raises NanError in every kernel, scalar and array,
+    and in is_singular and sigma_rate_limits, whatever the other argument
+    (a flat, singular or regular entry)."""
 
     @pytest.mark.parametrize("K", [-1.0, 0.0, 1.0])
     def test_nan_raises(self, K):
@@ -755,7 +862,12 @@ class TestNanBan:
                  lambda: sigma_values(p, 0.5, [1.0, nan]),
                  lambda: sigma_values(p, [0.5, nan], 1.0),
                  lambda: sigma_values(p, nan, 0.0),  # a flat entry
-                 lambda: sigma_values(p, [0.5, nan], [4.0, 4.0])]  # singular for K < 0
+                 lambda: sigma_values(p, [0.5, nan], [4.0, 4.0]),  # singular for K < 0
+                 lambda: s_kn(p, nan), lambda: c_kn(p, nan),
+                 lambda: sigma(p, 0.5, nan), lambda: sigma(p, 1.5, nan),
+                 lambda: sigma(p, nan, 0.0), lambda: sigma(p, nan, 1.0),
+                 lambda: sigma(p, nan, 4.0), lambda: sigma(p, nan, -1.0),
+                 lambda: is_singular(p, nan), lambda: sigma_rate_limits(p, nan)]
         for call in calls:
             with pytest.raises(NanError):
                 call()
@@ -798,26 +910,29 @@ def _error_type(call):
 
 class TestArrayScalarDomainParity:
     """The array kernels reject the theta and t that their scalar forms
-    reject, with the same error type, except that a NaN raises NanError in
-    the array forms (TestNanBan) where the scalar forms raise their own
-    range error (pinned in TestScalarKernelsPinned).  -0.0 passes in both."""
+    reject, with one error type per input: NanError for a NaN,
+    NegativeTheta for theta < 0 in s and c, ParamOutOfRange for theta < 0
+    or t outside [0, 1] in sigma.  -0.0 passes in both."""
 
     @pytest.mark.parametrize("K", [-1.0, 0.0, 1.0])
     @pytest.mark.parametrize("theta", [-1.0, -1e-300, -math.inf, math.nan])
     def test_bad_theta(self, K, theta):
         p = CurvatureParams(K, -1.0)
-        pairs = [(lambda: s_values(p, [1.0, theta]), lambda: s_kn(p, theta)),
-                 (lambda: s_values(p, theta), lambda: s_kn(p, theta)),
-                 (lambda: c_values(p, [theta, 1.0]), lambda: c_kn(p, theta)),
+        nan = math.isnan(theta)
+        pairs = [(lambda: s_values(p, [1.0, theta]), lambda: s_kn(p, theta),
+                  NegativeTheta),
+                 (lambda: s_values(p, theta), lambda: s_kn(p, theta), NegativeTheta),
+                 (lambda: c_values(p, [theta, 1.0]), lambda: c_kn(p, theta),
+                  NegativeTheta),
                  (lambda: sigma_values(p, 0.5, [1.0, theta]),
-                  lambda: sigma(p, 0.5, theta)),
+                  lambda: sigma(p, 0.5, theta), ParamOutOfRange),
                  # a flat, a singular (K < 0) and an overflowing (K > 0) entry
                  (lambda: sigma_values(p, [0.0, 1.0], [[0.0], [4.0], [1e6], [theta]]),
-                  lambda: sigma(p, 1.0, theta))]
-        for array_call, scalar_call in pairs:
-            scalar = _error_type(scalar_call)
-            assert scalar in (NegativeTheta, ParamOutOfRange)
-            assert _error_type(array_call) is (NanError if math.isnan(theta) else scalar)
+                  lambda: sigma(p, 1.0, theta), ParamOutOfRange)]
+        for array_call, scalar_call, expected in pairs:
+            expected = NanError if nan else expected
+            assert _error_type(scalar_call) is expected
+            assert _error_type(array_call) is expected
 
     @pytest.mark.parametrize("K", [-1.0, 0.0, 1.0])
     @pytest.mark.parametrize("t", [-0.1, 1.5, math.inf, -math.inf, math.nan])
@@ -825,7 +940,7 @@ class TestArrayScalarDomainParity:
         p = CurvatureParams(K, -1.0)
         expected = NanError if math.isnan(t) else ParamOutOfRange
         for theta in (0.0, 1.0, 4.0, 1e6):  # flat, safe, singular or overflowing
-            assert _error_type(lambda: sigma(p, t, theta)) is ParamOutOfRange
+            assert _error_type(lambda: sigma(p, t, theta)) is expected
             assert _error_type(lambda: sigma_values(p, [0.5, t], theta)) is expected
             assert _error_type(lambda: sigma_values(p, t, [theta, 1.0])) is expected
 

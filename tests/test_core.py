@@ -1,6 +1,6 @@
 import pytest
 
-from knflow.core import SampleSpec, Tolerance, _integer
+from knflow.core import SampleSpec, Tolerance, _integer, _number, _points
 from knflow.errors import ConfigInvalid, ParamOutOfRange
 
 
@@ -41,3 +41,18 @@ class TestConfigIntegers:
     def test_rejects_non_integers(self, value):
         with pytest.raises(ConfigInvalid):
             _integer(value, "seed")
+
+
+class TestConfigNaN:
+    """Python's json reads the token NaN as a float; a config number or
+    list holding it is ConfigInvalid."""
+
+    def test_number(self):
+        with pytest.raises(ConfigInvalid, match="lambda"):
+            _number(float("nan"), "lambda")
+        assert _number(float("inf"), "x") == float("inf") and _number(2, "x") == 2.0
+
+    @pytest.mark.parametrize("values", [[float("nan")], [0.1, float("nan"), 0.3]])
+    def test_points(self, values):
+        with pytest.raises(ConfigInvalid, match="s_grid"):
+            _points(values, "s_grid", 1)

@@ -702,6 +702,9 @@ def _solve_prox_rn(fn, tau, v, fv, eye_tau):
                 break
             t *= 0.5
         else:
+            if gnorm == math.inf:
+                raise NotBoundedBelow(
+                    f"prox objective of {fn.name} leaves the double range")
             x_new = x - min(1.0 / (1.0 + gnorm), tau) * g
             obj_new, f_new = phi(x_new)
             if obj_new >= obj:
@@ -781,19 +784,25 @@ class TestLapackNewtonStep:
         # x + step overflows to +inf: f(x + step) raises PointOutsideSpace
         "newton-trial-overflow": (_linear([-1.0, 0.0]),
                                   np.array([1.5e308, 0.5]), 1e308, 1e308),
+        # |g|^2 overflows; the minimizer (-1e299, 0.5), where the objective
+        # is about -5e598, is past the double range: no step ends at y0
+        "gradient-norm-overflow": (_linear([1e300, 0.0]),
+                                   np.array([1.0, 0.5]), 0.1, 0.3),
     }
     # outcomes other than "points": the error and the step it names
     FAILS = {"singular-newton-matrix": (NotBoundedBelow, 3),
              "nan-at-newton-trial": (NanError, None),
              "newton-step-not-finite": (NotBoundedBelow, 1),
-             "newton-trial-overflow": (PointOutsideSpace, 1)}
+             "newton-trial-overflow": (PointOutsideSpace, 1),
+             "gradient-norm-overflow": (NotBoundedBelow, 1)}
 
     @pytest.mark.parametrize("case", list(CASES))
     def test_matches_np_linalg_solve(self, case):
         fn, y0, tau, horizon = self.CASES[case]
-        # the overflow cases overflow on purpose: no RuntimeWarning for it
+        got = _outcome(self._mms_points, fn, tau, y0, horizon)
+        # the overflow cases overflow on purpose: the reference's warnings
+        # are silenced there, the library silences its own
         with np.errstate(over="ignore" if "overflow" in case else "warn"):
-            got = _outcome(self._mms_points, fn, tau, y0, horizon)
             assert got == _outcome(_solve_loop, fn, tau, y0, horizon)
         error, step = self.FAILS.get(case, ("points", None))
         assert got[0] == error
@@ -801,6 +810,12 @@ class TestLapackNewtonStep:
             assert got[1].startswith(f"prox failed at step {step} ")
         if error is NanError:  # at u_1 = (0.5, 0.25), the trial point u_1 / 2
             assert got[1].endswith("(array([0.25 , 0.125]))")
+
+    def test_prox_fails_past_the_double_range(self):
+        # the one step of the gradient-norm-overflow case, not y0 as output
+        fn, y0, tau, _ = self.CASES["gradient-norm-overflow"]
+        with pytest.raises(NotBoundedBelow, match="leaves the double range"):
+            prox(fn, tau, y0)
 
 
 # f' of the library functionals at P01 (log-x), PM11 (log-cos) and P11
