@@ -53,6 +53,8 @@ class CurvatureParams:
             raise ParamOutOfRange("K and N must be finite")
         if N >= 0:
             raise ParamOutOfRange(f"N must be negative, got {N}")
+        if abs(K / N) == math.inf:  # omega = +inf: s(0) and c(0) would be NaN
+            raise ParamOutOfRange(f"|K/N| overflows at K = {K}, N = {N}")
         object.__setattr__(self, "K", K)
         object.__setattr__(self, "N", N)
         object.__setattr__(self, "omega", math.sqrt(abs(K / N)))

@@ -74,7 +74,7 @@ class NoOracle(KNFlowError):
 
 
 class BlowUp(KNFlowError):
-    """ODE step size underflowed before boundary detection."""
+    """A flow solver gave up: an ODE solve or an R^n proximal step at its limit."""
 
 
 class NotBoundedBelow(KNFlowError):

@@ -11,19 +11,21 @@ When a trajectory reaches the boundary of the finiteness domain the curve
 is continued constantly at the boundary point and the hitting time is
 recorded in ``stop_time``.
 
-The proximal step :func:`prox` (a bracketed secant search for the root of
-(w - v)/tau + f'(w) on intervals, damped Newton with LAPACK ``gesv`` on R^n)
-needs ``Functional.grad``, as the ODE route does.  On intervals a minimizing
-movement evaluates f in one array call at 512, 1024, ... steps, after a
-step past a jump of f' and at the end; the first iterate where f is not
-finite stops it and decides its error.  On R^n each step hands f and grad f
-at its output to the next.
+The proximal step :func:`prox` (a bracketed search for the root of
+(w - v)/tau + f'(w) on intervals, by Newton steps where ``Functional.hess``
+gives f'' and secant steps elsewhere; damped Newton with LAPACK ``gesv`` on
+R^n) needs ``Functional.grad``, as the ODE route does.  On intervals a
+minimizing movement evaluates f in one array call at 512, 1024, ... steps,
+after a step past a jump of f' and at the end; the first iterate where f
+is not finite stops it and decides its error.  On R^n each step hands f
+and grad f at its output to the next.
 
 Solver totals go into ``Curve.meta`` (``ode_nfev``/``ode_status``,
-``prox_psi_evals``/``prox_expansions``) and to the ``knflow`` logger at
-DEBUG level.  SciPy loads where a run first needs it: ``ode_flow`` imports
-``scipy.integrate``, an R^n ``prox`` or ``minimizing_movement`` takes
-``dgesv`` from ``scipy.linalg.lapack`` once per call; nothing else does.
+``prox_psi_evals``/``prox_hess_evals``/``prox_expansions``) and to the
+``knflow`` logger at DEBUG level.  SciPy loads where a run first needs it:
+``ode_flow`` imports ``scipy.integrate``, an R^n ``prox`` or
+``minimizing_movement`` takes ``dgesv`` from ``scipy.linalg.lapack`` once
+per call; nothing else does.
 """
 
 from __future__ import annotations
@@ -293,7 +295,8 @@ def ode_flow(fn: Functional, y0, grid, rtol: float = 1e-9) -> Curve:
 class ProxStep:
     """One proximal step.  f_output is f(output), which a step from output
     can take instead of evaluating f again.  psi_evals counts the prox
-    objective's gradient calls, expansions the 1-d search's doublings."""
+    objective's gradient calls, expansions the 1-d search's doublings and
+    hess_evals the calls of ``fn.hess`` (f'' or the exact Hessian)."""
 
     tau: float
     input: object
@@ -302,6 +305,7 @@ class ProxStep:
     f_output: float
     psi_evals: int = 0
     expansions: int = 0
+    hess_evals: int = 0
 
 
 _MAX_EXPANSIONS = 200
@@ -328,10 +332,12 @@ def prox(fn: Functional, tau: float, v) -> ProxStep:
     at the output :class:`NotBoundedBelow`.
     1-d: the first root of psi(w) = (w - v)/tau + f'(w) downhill from v (the
     minimizer for lambda-convex f with 1 + lambda tau > 0): steps from
-    tau|f'(v)| double until psi changes sign, then secant steps (bisecting
-    where one leaves the bracket) stop at psi = 0, at a step and a chord
-    from v both under tol = 1e-16 (1 + |v|) + 4 eps |w|, or at a bracket
-    under tol, whose end past the root is returned (a kink or pole of f').
+    tau|f'(v)| double until psi changes sign, each after the Newton trials
+    short of it; then Newton or secant steps (bisecting where one leaves the
+    bracket) stop at psi = 0, at a step and a chord from v both under tol =
+    1e-16 (1 + |v|) + 4 eps |w|, or at a bracket under tol, whose end past
+    the root is returned (a kink or pole of f').  A Newton step's slope is
+    psi' = 1/tau + ``fn.hess`` where finite and > 0, else the secant's.
     A search still descending at a finite end of the closure stops there; it
     raises NotBoundedBelow where f = -inf at that end or after 200 doublings,
     and evaluates f only there.  R^n: damped Newton with an Armijo line
@@ -340,8 +346,10 @@ def prox(fn: Functional, tau: float, v) -> ProxStep:
     ``fn.hess(x)`` or a central finite-difference Jacobian, goes to ``dgesv``
     (bitwise ``np.linalg.solve`` for n <= 5); a singular one, a decrement <= 0
     or a non-finite step (only checked if the decrement is not finite) takes
-    the gradient step, and a failed line search where |g|^2 overflows raises
-    NotBoundedBelow.  f skips the closure test where |x - v|^2 is finite.
+    the gradient step; a failed line search where |g|^2 overflows raises
+    NotBoundedBelow, as do 100 iterations without a stop where the last
+    decrement is +inf (else BlowUp).  f skips the closure test where
+    |x - v|^2 is finite.
     """
     tau, v, one_d, _ = _prox_args(fn, tau, v)
     fv = fn.value(v)
@@ -352,70 +360,86 @@ def prox(fn: Functional, tau: float, v) -> ProxStep:
     if not one_d:
         from scipy.linalg.lapack import dgesv
         with np.errstate(over="ignore"):  # see _prox_rn
-            x, obj, fx, _, evals = _prox_rn(fn, tau, v, fv, np.eye(v.size) / tau, dgesv)
-        return ProxStep(tau, v.copy(), x, obj, fx, evals)
+            x, obj, fx, _, evals, n_hess = _prox_rn(fn, tau, v, fv, np.eye(v.size) / tau,
+                                                    dgesv)
+        return ProxStep(tau, v.copy(), x, obj, fx, evals, hess_evals=n_hess)
     w, evals, k, _ = _prox_1d(fn, tau, v)
     fw = fn.value(w)
     if fw == -math.inf:
         raise NotBoundedBelow(f"prox objective of {fn.name} is -inf at {w}")
-    return ProxStep(tau, v, w, 0.5 * (w - v) ** 2 / tau + fw, fw, evals, k)
+    return ProxStep(tau, v, w, 0.5 * (w - v) ** 2 / tau + fw, fw, evals, k,
+                    hess_evals=(evals - 1) * (fn.hess is not None))
 
 
 def _prox_1d(fn: Functional, tau: float, v: float) -> tuple:
     """(output, psi evaluations, expansions, whether the output is the end of
-    a collapsed bracket: past a kink or a pole of f') of the search from v."""
+    a collapsed bracket: past a kink or a pole of f') of the search from v;
+    f'' is called with f' at each trial point where fn has hess."""
     g = float(fn.grad(v))  # psi(v) = f'(v): its sign is the uphill direction
     down, bound = (-1.0, fn.space.a) if g > 0 else (1.0, fn.space.b)
     if g == 0.0 or v == bound:  # at the end, descending out of the closure
         return v, 1, 0, False
-    # psi(a) has g's sign, b is at or past the root; x0, x1: the last two trials
-    a, b, x1, s1, evals, k, h = v, None, v, g, 1, 0, max(tau * abs(g), math.ulp(v))
+    # psi(a) has g's sign, b is at or past the root; x0, x1: the last two
+    # trials, d0, d1: psi' = 1/tau + f'' there (NaN at v and without hess)
+    a, b, x1, s1, d1, evals, k = v, None, v, g, math.nan, 1, 0
+    grad, hess, ag, h = fn.grad, fn.hess, abs(g), max(tau * abs(g), math.ulp(v))
     for _ in range(3 * _MAX_EXPANSIONS):
-        if b is not None:  # a secant step; one that leaves the bracket bisects it
-            tol = 1e-16 * (1.0 + abs(v)) + _EPS4 * abs(x1)
+        tol = 1e-16 * (1.0 + abs(v)) + _EPS4 * abs(x1)
+        if b is not None:  # a Newton or secant step; one leaving the bracket bisects it
             if abs(b - a) < tol:  # no root: psi jumps at a kink or a pole of f'
                 return b, evals, k, True
             if abs(s0) < abs(s1):  # step from the point nearer the root
-                x0, s0, x1, s1 = x1, s1, x0, s0
-            w = x1 - s1 * (x1 - x0) / (s1 - s0) if s1 != s0 else math.inf
+                x0, s0, d0, x1, s1, d1 = x1, s1, d1, x0, s0, d0
+            w = (x1 - s1 / d1 if 0.0 < d1 < math.inf else  # else the secant's slope
+                 x1 - s1 * (x1 - x0) / (s1 - s0) if s1 != s0 else math.inf)
             if not min(a, b) <= w <= max(a, b):
                 w = 0.5 * (a + b)
-            elif abs(w - x1) < tol and abs(s1 * (x1 - v)) < tol * abs(g):
+            elif abs(w - x1) < tol and abs(s1 * (x1 - v)) < tol * ag:
                 return w, evals, k, False  # the chord from v agrees: no jump in psi
         elif k == _MAX_EXPANSIONS:
-            raise NotBoundedBelow(f"prox objective of {fn.name} keeps "
-                                  f"descending after {k} expansions")
-        else:  # double the step until psi changes sign
-            w = v + down * h
+            break
+        else:  # double the step until psi changes sign, after Newton trials short of it
+            c = w = v + down * h
             if not math.isfinite(w):
                 raise NotBoundedBelow(
                     f"prox objective of {fn.name} decreases without bound")
             if down * (w - bound) >= 0:
-                w, f_end = bound, fn.value(bound)
+                c = w = bound
+            t = x1 - s1 / d1 if 0.0 < d1 < math.inf else math.nan
+            if abs(t - x1) < tol and abs(s1 * (x1 - v)) < tol * ag:
+                return t, evals, k, False
+            if (t - x1) * (c - t) > 0.0:
+                w = t
+            elif w == bound:
+                f_end = fn.value(bound)
                 if f_end == -math.inf:
                     raise NotBoundedBelow(
                         f"prox objective of {fn.name} diverges to -inf at the boundary")
                 if f_end == math.inf:
                     raise BasePointOutsideDomain(
                         f"{fn.name} is +inf at the end {bound} of the prox search")
-        s, evals = (w - v) / tau + float(fn.grad(w)), evals + 1
+        s, evals = (w - v) / tau + float(grad(w)), evals + 1
+        d = math.nan if hess is None else 1.0 / tau + float(hess(w))
         if s == 0.0 or (s > 0) != (g > 0):
             b = w
-        elif b is not None:
+        elif b is not None or w != c:  # in the bracket, or a Newton trial
             a = w
         elif w == bound:  # still descending at the end of the closure
             return w, evals, k, False
         else:
             a, h, k = w, 2.0 * h, k + 1
-        x0, s0, x1, s1 = x1, s1, w, s
+        x0, s0, d0, x1, s1, d1 = x1, s1, d1, w, s, d
+    if b is None:  # after 200 doublings, or 600 passes without a bracket
+        raise NotBoundedBelow(f"prox objective of {fn.name} keeps "
+                              f"descending after {k} expansions")
     return b, evals, k, False
 
 
 def _prox_rn(fn: Functional, tau: float, v, fv: float, eye_tau, gesv, gv=None) -> tuple:
-    """(x, objective, f(x), grad f(x) or None, grad f calls) of Newton from
-    v, gesv LAPACK's dgesv; eye_tau is I/tau, gv grad f(v) if known.  Run
-    under errstate(over="ignore"): |g|^2 and the decrement may overflow."""
-    evals = int(gv is None)
+    """(x, objective, f(x), grad f(x) or None, grad f calls, hess calls) of
+    Newton from v, gesv LAPACK's dgesv; eye_tau is I/tau, gv grad f(v) if
+    known.  Run under errstate(over="ignore"): |g|^2 and dec may overflow."""
+    evals, n_hess = int(gv is None), 0
     gx = np.asarray(fn.grad(v), dtype=float) if gv is None else gv
     x, obj, fx, g = v, fv, fv, gx + 0.0  # bitwise psi(v) = (v - v)/tau + gx
     h = 1e-6 * (1.0 + math.sqrt(v.dot(v))) if fn.hess is None else None
@@ -424,7 +448,7 @@ def _prox_rn(fn: Functional, tau: float, v, fv: float, eye_tau, gesv, gv=None) -
         if gnorm <= 1e-12 * (1.0 + 1.0 / tau):
             break
         if h is None:  # the exact Hessian
-            H = eye_tau + fn.hess(x)
+            H, n_hess = eye_tau + fn.hess(x), n_hess + 1
         else:  # central finite-difference Jacobian of psi, symmetrized
             H = np.empty(eye_tau.shape)
             for j, e in enumerate(h * np.eye(v.size)):
@@ -435,7 +459,7 @@ def _prox_rn(fn: Functional, tau: float, v, fv: float, eye_tau, gesv, gv=None) -
         dec = -0.5 * float(step.dot(g))  # the Newton decrement
         # a finite decrement implies a finite step; only dec = inf or NaN scans it
         if info or dec <= 0 or not (dec < math.inf or np.isfinite(step).all()):
-            step, dec = -g, math.inf
+            step, dec = -g, math.nan
         # a decrease below the objective's rounding: one step, no search
         t, stop = 1.0, dec <= _EPS4 * (abs(obj) + 1.0)
         for _ in range(50):
@@ -459,12 +483,16 @@ def _prox_rn(fn: Functional, tau: float, v, fv: float, eye_tau, gesv, gv=None) -
                 break
         x, obj, fx = x_new, obj_new, f_new
         if stop:  # the next step evaluates grad f(x) if it needs it
-            return x, float(obj), fx, None, evals
+            return x, float(obj), fx, None, evals, n_hess
         if math.sqrt(x.dot(x)) > 1e9 or obj < -1e15:
             raise NotBoundedBelow(f"prox objective of {fn.name} diverges")
         gx, evals = np.asarray(fn.grad(x), dtype=float), evals + 1
         g = d / tau + gx
-    return x, float(obj), fx, gx, evals
+    else:
+        if dec == math.inf:  # the Newton model's minimum is past the double range
+            raise NotBoundedBelow(f"prox objective of {fn.name} leaves the double range")
+        raise BlowUp(f"prox of {fn.name} made 100 Newton iterations without a stop")
+    return x, float(obj), fx, gx, evals, n_hess
 
 
 def minimizing_movement(fn: Functional, tau: float, y0, horizon: float,
@@ -483,12 +511,13 @@ def minimizing_movement(fn: Functional, tau: float, y0, horizon: float,
     :class:`BasePointOutsideDomain` at step k + 1 (none after the last),
     NaN with :class:`NanError`.  meta has ``prox_psi_evals`` (gradient
     calls: f' at each 1-d trial point; on R^n one at y0 and one per Newton
-    iterate, 2n more per iteration with a finite-difference Hessian) and
-    ``prox_expansions`` (1-d doublings).
+    iterate, 2n more per iteration with a finite-difference Hessian),
+    ``prox_hess_evals`` (``fn.hess`` calls: f'' with each f' but the steps'
+    first, or one per Newton iteration) and ``prox_expansions`` (doublings).
     tol is not read; ``perfbench/jobs.py`` passes it by position.
     """
     tau, k, us, fs, err, one_d = float(tau), 1, [], [], None, False
-    psi_evals = expansions = 0
+    psi_evals = expansions = hess_evals = 0
 
     def finite_f():  # 1-d: f on the iterates past fs in one call; all finite?
         new = np.asarray(fn.fvec(np.asarray(us[len(fs):], dtype=float)))
@@ -506,8 +535,10 @@ def minimizing_movement(fn: Functional, tau: float, y0, horizon: float,
                     u, evals, doublings, jump = _prox_1d(fn, tau, u)
                     expansions += doublings
                 else:
-                    u, _, fu, gu, evals = _prox_rn(fn, tau, u, fs[-1], eye_tau, dgesv, gu)
+                    u, _, fu, gu, evals, n_hess = _prox_rn(fn, tau, u, fs[-1], eye_tau,
+                                                           dgesv, gu)
                     fs.append(fu)
+                    hess_evals += n_hess
                 us.append(u)
                 psi_evals += evals
                 if one_d and (jump or k >= 512 and k & (k - 1) == 0) and not finite_f():
@@ -525,12 +556,16 @@ def minimizing_movement(fn: Functional, tau: float, y0, horizon: float,
             f"prox objective of {fn.name} is -inf at {us[j]}")
     elif f[j] == math.inf and j < n_steps:
         k, err = j + 1, BasePointOutsideDomain("f(v) = +inf")
-    if isinstance(err, (NotBoundedBelow, BasePointOutsideDomain, PointOutsideSpace)):
+    if isinstance(err, (NotBoundedBelow, BasePointOutsideDomain, PointOutsideSpace,
+                        BlowUp)):
         raise type(err)(f"prox failed at step {k} (t={k * tau}): {err}") from err
     if err is not None:
         raise err
-    logger.debug("minimizing_movement %s: %d steps, prox_psi_evals=%d "
-                 "prox_expansions=%d", fn.name, n_steps, psi_evals, expansions)
+    if one_d and fn.hess is not None:  # f'' with f' at each trial but the first
+        hess_evals = psi_evals - n_steps
+    logger.debug("minimizing_movement %s: %d steps, prox_psi_evals=%d prox_hess_evals=%d "
+                 "prox_expansions=%d", fn.name, n_steps, psi_evals, hess_evals,
+                 expansions)
     pts = np.asarray(us, dtype=float)
     stop = None
     if one_d:  # the first step ending within 1e-12 of a finite end
@@ -538,4 +573,5 @@ def minimizing_movement(fn: Functional, tau: float, y0, horizon: float,
         stop = (int(edge.argmax()) + 1) * tau if edge.any() else None
     return Curve(tau * np.arange(n_steps + 1), pts, stop_time=stop,
                  meta={"method": "mms", "tau": tau, "functional": fn.name,
-                       "prox_psi_evals": psi_evals, "prox_expansions": expansions})
+                       "prox_psi_evals": psi_evals, "prox_hess_evals": hess_evals,
+                       "prox_expansions": expansions})

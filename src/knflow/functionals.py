@@ -43,8 +43,8 @@ class Functional:
     R^n) and may return +-inf entries; NaN is rejected at the scalar
     boundary.  grad, if present, is the analytic gradient at interior
     smooth points (scalar on intervals, vector on R^n).  hess, if present,
-    is the analytic Hessian on R^n (an (n, n) array); the R^n proximal
-    step uses it in place of a finite-difference Jacobian of grad.
+    is the analytic f'' (a float) on intervals and Hessian ((n, n) array)
+    on R^n, from which the proximal steps take their Newton slopes.
     """
 
     space: ModelSpace
@@ -132,14 +132,22 @@ def _log_hyperbolic(y, sign: float):
     return out
 
 
+def _sech2_csch2(y: float, sign: float) -> float:
+    """sech^2 y (sign 1) or csch^2 y for y > 0 (sign -1) as 4e / (1 + sign
+    e)^2, e = exp(-2|y|), which is 0 where cosh or sinh overflows."""
+    e = math.exp(-2.0 * abs(y))
+    d = 1.0 + e if sign > 0 else -math.expm1(-2.0 * y)
+    return 4.0 * e / d / d
+
+
 def library(name: str, p: CurvatureParams, *, c: float = 1.0, a: float = 1.0,
             dim: int = 1) -> Functional:
     """Closed-form example functionals with their natural domains.
 
     log-cosh (K>0) on R, log-sinh (K>0) on (0,inf), log-x (K=0) on (0,inf),
     log-cos (K<0) on a symmetric bounded interval, plus quadratic c*x^2/2
-    and linear a*x plumbing examples.  Sign mismatches raise
-    :class:`IncompatibleSign`.
+    and linear a*x plumbing examples, each with grad and hess in closed
+    form.  Sign mismatches raise :class:`IncompatibleSign`.
     """
     K, N = p.K, p.N
     if name == "log-cosh":
@@ -150,6 +158,7 @@ def library(name: str, p: CurvatureParams, *, c: float = 1.0, a: float = 1.0,
             space=Interval(),
             fvec=lambda x: -N * _log_hyperbolic(w * x, 1.0),
             grad=lambda x: -N * w * math.tanh(w * float(x)),
+            hess=lambda x: K * _sech2_csch2(w * float(x), 1.0),  # -N w^2 = K
             name="log-cosh", params=p, sample_box=(-3.0 / w, 3.0 / w),
         )
     if name == "log-sinh":
@@ -160,6 +169,7 @@ def library(name: str, p: CurvatureParams, *, c: float = 1.0, a: float = 1.0,
             space=Interval(0.0, math.inf),
             fvec=lambda x: -N * _log_hyperbolic(w * np.maximum(x, 0.0), -1.0),
             grad=lambda x: -N * w / math.tanh(w * float(x)),
+            hess=lambda x: -K * _sech2_csch2(w * float(x), -1.0),
             name="log-sinh", params=p, sample_box=(1e-3 / w, 3.0 / w),
         )
     if name == "log-x":
@@ -169,6 +179,7 @@ def library(name: str, p: CurvatureParams, *, c: float = 1.0, a: float = 1.0,
             space=Interval(0.0, math.inf),
             fvec=lambda x: -N * _log_pos(x),
             grad=lambda x: -N / float(x),
+            hess=lambda x: N / float(x) / float(x),  # x*x underflows first
             name="log-x", params=p, sample_box=(1e-3, 4.0),
         )
     if name == "log-cos":
@@ -182,6 +193,7 @@ def library(name: str, p: CurvatureParams, *, c: float = 1.0, a: float = 1.0,
             fvec=lambda x: -N * _log_pos(
                 np.where(np.abs(x) < half, np.cos(w * np.minimum(np.abs(x), half)), 0.0)),
             grad=lambda x: N * w * math.tan(w * float(x)),
+            hess=lambda x: K / math.cos(w * float(x)) ** 2,
             name="log-cos", params=p, upper_bound=0.0,
             sample_box=(-half + 1e-3, half - 1e-3),
         )
@@ -192,6 +204,7 @@ def library(name: str, p: CurvatureParams, *, c: float = 1.0, a: float = 1.0,
                 space=Interval(),
                 fvec=lambda x: 0.5 * c * x * x,
                 grad=lambda x: c * float(x),
+                hess=lambda x: c,
                 name=f"quadratic({c})", params=p, sample_box=(-3.0, 3.0),
                 meta={"c": c},
             )
@@ -212,6 +225,7 @@ def library(name: str, p: CurvatureParams, *, c: float = 1.0, a: float = 1.0,
             space=Interval(0.0, math.inf, open_a=False),
             fvec=lambda x: a * x,
             grad=lambda x: a,
+            hess=lambda x: 0.0,
             name=f"linear({a})", params=p, sample_box=(0.0, 4.0),
             meta={"a": a},
         )
@@ -223,7 +237,7 @@ def fN_functional(fn: Functional, p: CurvatureParams) -> Functional:
     def fvec(xs):
         return _exp_clip(-fn.fvec(xs) / p.N)
 
-    grad = None
+    grad = hess = None
     if fn.grad is not None:
         one_d = isinstance(fn.space, Interval)
 
@@ -232,9 +246,15 @@ def fN_functional(fn: Functional, p: CurvatureParams) -> Functional:
             out = -(1.0 / p.N) * g * np.asarray(fn.grad(x))
             return float(out) if one_d else out
 
+        if fn.hess is not None:
+            def hess(x):  # g'' = -(g/N) (f'' - f' f'^T / N)
+                g, df = _exp_clip(-fn.value(x) / p.N), np.asarray(fn.grad(x), dtype=float)
+                out = -(g / p.N) * (fn.hess(x) - np.multiply.outer(df, df) / p.N)
+                return float(out) if one_d else out
+
     ub = None if fn.upper_bound is None else float(_exp_clip(-fn.upper_bound / p.N))
     return Functional(
-        space=fn.space, fvec=fvec, name=f"{fn.name}_N", params=p, grad=grad,
+        space=fn.space, fvec=fvec, name=f"{fn.name}_N", params=p, grad=grad, hess=hess,
         upper_bound=ub, sample_box=fn.sample_box, meta=dict(fn.meta),
     )
 

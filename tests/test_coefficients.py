@@ -99,6 +99,21 @@ class TestKernels:
         with pytest.raises(ParamOutOfRange):
             CurvatureParams(1.0, 2.0)
 
+    @pytest.mark.parametrize("K, N", [(1e300, -1e-10), (-1e300, -1e-10),
+                                      (1.7976931348623157e308, -0.5)])
+    def test_frequency_overflow_rejected(self, K, N):
+        # finite K and N with |K/N| = +inf: omega would be +inf and s(0), c(0) NaN
+        with pytest.raises(ParamOutOfRange, match="overflows"):
+            CurvatureParams(K, N)
+
+    def test_largest_frequency_kept(self):
+        # |K/N| = 1.8e308 is finite: omega = 1.34e154, s(0) = 0 and c(0) = 1
+        p = CurvatureParams(1.7976931348623157e308, -1.0)
+        assert p.omega == math.sqrt(1.7976931348623157e308)
+        np.testing.assert_array_equal(s_values(p, [0.0]), [0.0])
+        np.testing.assert_array_equal(c_values(p, [0.0]), [1.0])
+        assert s_kn(p, 0.0) == 0.0 and c_kn(p, 0.0) == 1.0
+
 
 class TestSigma:
     def test_flat_branch(self):

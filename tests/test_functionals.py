@@ -185,6 +185,134 @@ class TestFnFunctional:
         assert g.grad(1.7) == pytest.approx(1.0)
 
 
+_EPS = 2.0 ** -52
+PW = CurvatureParams(6.25, -1.0)  # w = 2.5, exact as a double
+PMW = CurvatureParams(-6.25, -1.0)
+
+
+def _mp_f(name, p):
+    """(f, f') of a library functional in mpmath, with its w."""
+    N, w = mp.mpf(p.N), mp.sqrt(abs(mp.mpf(p.K) / p.N))
+    inner = {"log-x": (lambda x: x, lambda x: 1 / x),
+             "log-cosh": (lambda x: mp.cosh(w * x), lambda x: w * mp.tanh(w * x)),
+             "log-sinh": (lambda x: mp.sinh(w * x), lambda x: w / mp.tanh(w * x)),
+             "log-cos": (lambda x: mp.cos(w * x), lambda x: -w * mp.tan(w * x))}[name]
+    return (lambda x: -N * mp.log(inner[0](x))), (lambda x: -N * inner[1](x))
+
+
+def _check_second(got, grad, x, gap, dps=60):
+    """got against f''(x), the mp.diff of the mpmath f' with a step far
+    inside gap, the distance to the nearest pole of f': a few ulps of f'',
+    plus the rounding of the argument w*x, which moves f'' by eps |x f'''|.
+    Where tanh or coth is 1 - O(e^-2y), dps must exceed y digits."""
+    with mp.workdps(dps):
+        h = mp.mpf(gap) * mp.mpf("1e-25")
+        ref = mp.diff(grad, mp.mpf(x), h=h)
+        third = mp.diff(grad, mp.mpf(x), 2, h=h)
+        if not math.isfinite(float(ref)):  # f'' itself overflows
+            assert got == float(ref), (x, got)
+            return
+        bound = 8 * _EPS * abs(ref) + 4 * _EPS * abs(x * third) + 1e-300
+        assert math.isfinite(got) and abs(got - ref) <= bound, (x, got, float(ref))
+
+
+class TestSecondDerivative:
+    """hess is the second derivative as a float on intervals and the Hessian
+    on R^n; checked against the mpmath derivative of the gradient, near the
+    poles of the gradient and where cosh and sinh overflow (w|x| > 710)."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.sampled_from([P11, PW]), st.floats(-400.0, 400.0))
+    def test_log_cosh(self, p, x):
+        _check_second(library("log-cosh", p).hess(x), _mp_f("log-cosh", p)[1], x, 1.0,
+                      60 + int(p.omega * abs(x)))
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.sampled_from([P11, PW]), st.floats(-150.0, 2.65))
+    def test_log_sinh_near_zero_and_past_overflow(self, p, u):
+        x = 10.0 ** u  # w x from 1e-150 to 1100
+        _check_second(library("log-sinh", p).hess(x), _mp_f("log-sinh", p)[1], x, x,
+                      60 + int(p.omega * x))
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.sampled_from([P01, CurvatureParams(0.0, -2.5)]), st.floats(-150.0, 150.0))
+    def test_log_x_near_zero(self, p, u):
+        x = 10.0 ** u
+        _check_second(library("log-x", p).hess(x), _mp_f("log-x", p)[1], x, x)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.sampled_from([PM11, PMW]), st.floats(-15.0, 0.0), st.sampled_from([-1, 1]))
+    def test_log_cos_near_the_ends(self, p, u, sign):
+        fn = library("log-cos", p)
+        x = sign * max(fn.space.b - 10.0 ** u * fn.space.b, 0.0)
+        gap = float(mp.pi / (2 * mp.sqrt(mp.mpf(p.K) / p.N)) - abs(mp.mpf(x)))
+        _check_second(fn.hess(x), _mp_f("log-cos", p)[1], x, gap)
+
+    def test_overflow_ends(self):
+        # f'' of log-x overflows to -inf at 1e-200 (no ZeroDivisionError);
+        # sech^2 and csch^2 underflow to 0 where cosh and sinh overflow
+        assert library("log-x", P01).hess(1e-200) == -math.inf
+        assert library("log-cosh", P11).hess(800.0) == 0.0
+        assert library("log-sinh", P11).hess(800.0) == 0.0
+        assert library("log-sinh", P11).hess(1e-200) == -math.inf
+
+    def test_plumbing_examples(self):
+        assert library("quadratic", P11, c=2.5).hess(-7.0) == 2.5
+        assert library("linear", P01, a=3.0).hess(1.0) == 0.0
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from([("log-x", P01, 0.05, 20.0), ("log-cosh", PW, -3.0, 3.0),
+                            ("log-sinh", PW, 0.05, 3.0), ("log-cos", PMW, -0.6, 0.6)]),
+           st.floats(0.0, 1.0))
+    def test_fN_chain_rule(self, case, frac):
+        # g = f_N = exp(-f/N) and g'' = -(g/N) (f'' - f'^2/N), whose
+        # difference rounds at eps (|f''| + f'^2/|N|) times |g/N|
+        name, p, lo, hi = case
+        x = lo + frac * (hi - lo)
+        f, df = _mp_f(name, p)
+        N = mp.mpf(p.N)
+        got = fN_functional(library(name, p), p).hess(x)
+        assert isinstance(got, float)
+        with mp.workdps(60):
+            mx, h = mp.mpf(x), mp.mpf("1e-25")
+
+            def dg(t):
+                return -mp.exp(-f(t) / N) / N * df(t)
+
+            ref = mp.diff(dg, mx, h=h)
+            scale = abs(mp.exp(-f(mx) / N) / N) * (abs(mp.diff(df, mx, h=h))
+                                                  + df(mx) ** 2 / abs(N))
+            bound = 8 * _EPS * scale + 4 * _EPS * abs(mx * mp.diff(dg, mx, 2, h=h))
+            assert abs(got - ref) <= bound, (name, x, got, float(ref))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.floats(-2.0, 2.0), min_size=2, max_size=2), st.floats(0.2, 3.0))
+    def test_fN_hessian_on_the_plane(self, xy, c):
+        p = CurvatureParams(1.0, -2.5)
+        x = np.array(xy)
+        got = fN_functional(library("quadratic", p, c=c, dim=2), p).hess(x)
+        assert got.shape == (2, 2)
+        with mp.workdps(60):
+            N, r2 = mp.mpf(p.N), float(x @ x)
+
+            def dg(i, pt):  # d/dx_i of exp(-c |x|^2 / (2N))
+                return -mp.exp(-c * (pt[0] ** 2 + pt[1] ** 2) / (2 * N)) / N * c * pt[i]
+
+            scale = abs(mp.exp(-c * r2 / (2 * N)) / N) * (c + c * c * r2 / abs(N))
+            for i in range(2):
+                for j in range(2):
+                    e = [0, 0]
+                    e[j] = 1
+                    ref = mp.diff(lambda t: dg(i, [mp.mpf(x[0]) + e[0] * t,
+                                                   mp.mpf(x[1]) + e[1] * t]),
+                                  0, h=mp.mpf("1e-25"))
+                    assert abs(got[i, j] - ref) <= 16 * _EPS * scale, (i, j)
+
+    def test_fN_without_base_hess_has_none(self):
+        fn = expression_functional("x*x", Interval())
+        assert fN_functional(fn, P11).hess is None
+
+
 class TestDirectionalDerivative:
     def test_quadratic_toward_origin(self):
         fn = library("quadratic", P11, c=1.0)
