@@ -13,8 +13,8 @@ recorded in ``stop_time``.
 
 The proximal step :func:`prox` (a bracketed search for the root of
 (w - v)/tau + f'(w) on intervals, by Newton steps where ``Functional.hess``
-gives f'' and secant steps elsewhere; damped Newton with LAPACK ``gesv`` on
-R^n) needs ``Functional.grad``, as the ODE route does.  On intervals a
+gives f'' and secant steps elsewhere; damped Newton with numpy's LAPACK
+``gesv`` on R^n) needs ``Functional.grad``, as the ODE route does.  On intervals a
 minimizing movement evaluates f in one array call at 512, 1024, ... steps,
 after a step past a jump of f' and at the end; the first iterate where f
 is not finite stops it and decides its error.  On R^n each step hands f
@@ -22,10 +22,8 @@ and grad f at its output to the next.
 
 Solver totals go into ``Curve.meta`` (``ode_nfev``/``ode_status``,
 ``prox_psi_evals``/``prox_hess_evals``/``prox_expansions``) and to the
-``knflow`` logger at DEBUG level.  SciPy loads where a run first needs it:
-``ode_flow`` imports ``scipy.integrate``, an R^n ``prox`` or
-``minimizing_movement`` takes ``dgesv`` from ``scipy.linalg.lapack`` once
-per call; nothing else does.
+``knflow`` logger at DEBUG level.  Only ``ode_flow`` loads SciPy: it
+imports ``scipy.integrate`` at its first call.
 """
 
 from __future__ import annotations
@@ -36,6 +34,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
+from numpy.linalg._umath_linalg import solve1  # np.linalg.solve's gesv for a 1-d b
 
 from .coefficients import CurvatureParams
 from .core import DEFAULT_TOL, Tolerance, require_not_nan
@@ -343,13 +342,13 @@ def prox(fn: Functional, tau: float, v) -> ProxStep:
     and evaluates f only there.  R^n: damped Newton with an Armijo line
     search on f, none once the decrement -step.g/2 is under 4 eps (|obj| + 1);
     grad f is called at v and after each line search.  The matrix, I/tau +
-    ``fn.hess(x)`` or a central finite-difference Jacobian, goes to ``dgesv``
-    (bitwise ``np.linalg.solve`` for n <= 5); a singular one, a decrement <= 0
-    or a non-finite step (only checked if the decrement is not finite) takes
-    the gradient step; a failed line search where |g|^2 overflows raises
-    NotBoundedBelow, as do 100 iterations without a stop where the last
-    decrement is +inf (else BlowUp).  f skips the closure test where
-    |x - v|^2 is finite.
+    ``fn.hess(x)`` or a central finite-difference Jacobian, goes to numpy's
+    ``gesv`` (bitwise ``np.linalg.solve``); a singular one (a NaN step), a
+    decrement <= 0 or a non-finite step (only checked if the decrement is
+    not finite) takes the gradient step; a failed line search where |g|^2
+    overflows raises NotBoundedBelow, as do 100 iterations without a stop
+    where the last decrement is +inf (else BlowUp).  f skips the closure
+    test where |x - v|^2 is finite.
     """
     tau, v, one_d, _ = _prox_args(fn, tau, v)
     fv = fn.value(v)
@@ -358,10 +357,8 @@ def prox(fn: Functional, tau: float, v) -> ProxStep:
     if fv == -math.inf:
         raise NotBoundedBelow(f"prox objective of {fn.name} is -inf at {v}")
     if not one_d:
-        from scipy.linalg.lapack import dgesv
-        with np.errstate(over="ignore"):  # see _prox_rn
-            x, obj, fx, _, evals, n_hess = _prox_rn(fn, tau, v, fv, np.eye(v.size) / tau,
-                                                    dgesv)
+        with np.errstate(over="ignore", invalid="ignore"):  # see _prox_rn
+            x, obj, fx, _, evals, n_hess = _prox_rn(fn, tau, v, fv, np.eye(v.size) / tau)
         return ProxStep(tau, v.copy(), x, obj, fx, evals, hess_evals=n_hess)
     w, evals, k, _ = _prox_1d(fn, tau, v)
     fw = fn.value(w)
@@ -435,10 +432,11 @@ def _prox_1d(fn: Functional, tau: float, v: float) -> tuple:
     return b, evals, k, False
 
 
-def _prox_rn(fn: Functional, tau: float, v, fv: float, eye_tau, gesv, gv=None) -> tuple:
+def _prox_rn(fn: Functional, tau: float, v, fv: float, eye_tau, gv=None) -> tuple:
     """(x, objective, f(x), grad f(x) or None, grad f calls, hess calls) of
-    Newton from v, gesv LAPACK's dgesv; eye_tau is I/tau, gv grad f(v) if
-    known.  Run under errstate(over="ignore"): |g|^2 and dec may overflow."""
+    Newton from v; eye_tau is I/tau, gv grad f(v) if known.  Run under
+    errstate(over="ignore", invalid="ignore"): |g|^2 and dec may overflow,
+    and ``solve1`` flags a singular matrix invalid as it returns NaN."""
     evals, n_hess = int(gv is None), 0
     gx = np.asarray(fn.grad(v), dtype=float) if gv is None else gv
     x, obj, fx, g = v, fv, fv, gx + 0.0  # bitwise psi(v) = (v - v)/tau + gx
@@ -455,10 +453,10 @@ def _prox_rn(fn: Functional, tau: float, v, fv: float, eye_tau, gesv, gv=None) -
                 H[:, j] = (((x + e - v) / tau + fn.grad(x + e))
                            - ((x - e - v) / tau + fn.grad(x - e))) / (2 * h)
             H, evals = 0.5 * (H + H.T), evals + 2 * v.size
-        _, _, step, info = gesv(H, -g, overwrite_a=True, overwrite_b=True)
+        step = solve1(H, -g)  # NaN where H is singular
         dec = -0.5 * float(step.dot(g))  # the Newton decrement
         # a finite decrement implies a finite step; only dec = inf or NaN scans it
-        if info or dec <= 0 or not (dec < math.inf or np.isfinite(step).all()):
+        if dec <= 0 or not (dec < math.inf or np.isfinite(step).all()):
             step, dec = -g, math.nan
         # a decrease below the objective's rounding: one step, no search
         t, stop = 1.0, dec <= _EPS4 * (abs(obj) + 1.0)
@@ -526,17 +524,16 @@ def minimizing_movement(fn: Functional, tau: float, y0, horizon: float,
     try:
         tau, u, one_d, n_steps = _prox_args(fn, tau, y0, horizon)
         us.append(u)
-        if not one_d:  # each step passes f and grad f at its output on
-            from scipy.linalg.lapack import dgesv
-            fs, gu, eye_tau = [fn.value(u)], None, np.eye(u.size) / tau
-        with np.errstate(over=None if one_d else "ignore"):  # see _prox_rn
-            for k in range(1, n_steps + 1):
+        rn = None
+        if not one_d:  # each step passes f and grad f on; none runs from a bad f(y0)
+            fs, gu, eye_tau, rn = [fn.value(u)], None, np.eye(u.size) / tau, "ignore"
+        with np.errstate(over=rn, invalid=rn):  # see _prox_rn
+            for k in range(1, n_steps + 1 if one_d or math.isfinite(fs[0]) else 1):
                 if one_d:
                     u, evals, doublings, jump = _prox_1d(fn, tau, u)
                     expansions += doublings
                 else:
-                    u, _, fu, gu, evals, n_hess = _prox_rn(fn, tau, u, fs[-1], eye_tau,
-                                                           dgesv, gu)
+                    u, _, fu, gu, evals, n_hess = _prox_rn(fn, tau, u, fs[-1], eye_tau, gu)
                     fs.append(fu)
                     hess_evals += n_hess
                 us.append(u)

@@ -7,6 +7,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from knflow.coefficients import CurvatureParams
 from knflow.core import SampleSpec, Tolerance
@@ -19,6 +20,7 @@ from knflow.errors import (
     ParamOutOfRange,
     PointOutsideSpace,
 )
+from knflow import flows
 from knflow.flows import (
     Curve,
     minimizing_movement,
@@ -767,7 +769,8 @@ def _linear(a):
 
 class TestLapackNewtonStep:
     """The R^n proximal step solves its Newton system with LAPACK ``gesv``
-    from scipy; the curves are bitwise those of ``np.linalg.solve`` (n <= 5),
+    through numpy's ``solve1`` gufunc, the one behind ``np.linalg.solve``;
+    the curves are bitwise those of ``np.linalg.solve`` at every n,
     including a singular matrix, where both take the gradient step, and the
     errors are the same where the line search's guards fire."""
 
@@ -775,12 +778,12 @@ class TestLapackNewtonStep:
     def _mms_points(fn, tau, y0, horizon):
         return minimizing_movement(fn, tau, y0, horizon, TOL).points
 
-    # each case but the singular one changes bits when the Newton system
-    # is solved by Cholesky (LAPACK dposv) instead
+    # the quadratic cases and expression-r6 change bits when the Newton
+    # system is solved by Cholesky (LAPACK dpotrf/dpotrs) instead
     CASES = {
         **{f"quadratic-r{n}": (library("quadratic", P11, c=2.5, dim=n),
                                np.linspace(1.3, -0.7, n), 0.03, 1.0)
-           for n in range(2, 6)},
+           for n in range(2, 9)},
         # tau and step count of the benchmark's mms-quadratic-r2 job
         "quadratic-r2-1800-steps": (library("quadratic", P11, c=1.0, dim=2),
                                     np.array([1.0, -0.5]), 1.0 / 1800, 1.0),
@@ -791,7 +794,13 @@ class TestLapackNewtonStep:
             expression_functional("x1*x1 + 2*x2*x2 + x1*x2 + x3*x3 + cos(x3)",
                                   EuclideanRn(3)),
             np.array([0.4, -1.1, 1.5]), 0.05, 1.0),
-        # I/tau + hess = 0: gesv reports info != 0, np.linalg.solve raised;
+        # the finite-difference Newton matrix at n = 6, where scipy's dgesv
+        # gave other last bits than np.linalg.solve on this curve
+        "expression-r6": (
+            expression_functional("x1*x1 + x2*x2 + x3*x3 + x4*x4 + x5*x5 + x6*x6"
+                                  " + 3*cos(x1 + x2 + x3 + x4 + x5 + x6)", EuclideanRn(6)),
+            np.array([0.3, -0.3, 1.5, 1.4, 0.6, 0.5]), 0.2, 2.0),
+        # I/tau + hess = 0: gesv gives a NaN step, np.linalg.solve raises;
         # the gradient steps on the linear objective meet no stop
         "singular-newton-matrix": (library("quadratic", P11, c=-10.0, dim=2),
                                    np.array([1.0, -0.5]), 0.1, 1.0),
@@ -838,6 +847,47 @@ class TestLapackNewtonStep:
             assert got[1].startswith(f"prox failed at step {step} ")
         if error is NanError:  # at u_1 = (0.5, 0.25), the trial point u_1 / 2
             assert got[1].endswith("(array([0.25 , 0.125]))")
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(2, 10), st.data())
+    def test_solve_is_np_linalg_solve(self, n, data):
+        # the private gufunc the step calls: bitwise np.linalg.solve, and a
+        # NaN step without a warning where np.linalg.solve finds H singular
+        a = data.draw(hnp.arrays(float, (n, n), elements=st.floats(-10, 10)))
+        b = data.draw(hnp.arrays(float, n, elements=st.floats(-10, 10)))
+        H = a + a.T  # symmetric, as I/tau + hess(x) is
+        with np.errstate(over="ignore", invalid="ignore"):  # as prox holds it
+            got = flows.solve1(H, b)
+        try:
+            want = np.linalg.solve(H, b)
+        except np.linalg.LinAlgError:
+            assert not np.isfinite(got).any()
+        else:
+            assert got.tobytes() == want.tobytes()
+
+    def test_singular_matrix_takes_the_gradient_step_without_a_warning(self):
+        u = np.arange(1.0, 6.0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert np.isnan(flows.solve1(np.outer(u, u), -u)).all()
+        # I/tau + hess = 0 on every Newton iteration of one prox call
+        with pytest.raises(BlowUp, match="100 Newton iterations"):
+            prox(library("quadratic", P11, c=-10.0, dim=2), 0.1, np.array([1.0, -0.5]))
+
+    @pytest.mark.parametrize("expr, y0, error, msg", [
+        ("log(x1) + x2*x2", [-1.0, 0.5], BasePointOutsideDomain, "f(v) = +inf"),
+        ("log(x1*x1) + x2*x2", [0.0, 0.5], NotBoundedBelow,
+         "prox objective of expr:log(x1*x1) + x2*x2 is -inf at [0.  0.5]")],
+        ids=["plus-inf", "minus-inf"])
+    def test_no_step_from_a_start_where_f_is_not_finite(self, expr, y0, error, msg):
+        # fails as prox does at y0, with no gradient call and no step
+        fn, calls = expression_functional(expr, EuclideanRn(2)), []
+        fn = dataclasses.replace(fn, grad=lambda x, grad=fn.grad: calls.append(x) or grad(x))
+        with pytest.raises(error) as exc:
+            minimizing_movement(fn, 0.01, np.array(y0), 2.0, TOL)
+        assert str(exc.value) == f"prox failed at step 1 (t=0.01): {msg}"
+        with pytest.raises(error):
+            prox(fn, 0.01, np.array(y0))
+        assert calls == []
 
     def test_prox_fails_past_the_double_range(self):
         # the one step of the gradient-norm-overflow case, not y0 as output;
