@@ -55,7 +55,7 @@ from .errors import (
 )
 from .flows import Curve
 from .functionals import Functional, _exp_clip
-from .spaces import Geodesic, Interval, distances
+from .spaces import Geodesic, Interval
 
 _BOUNDARY_MARGIN = 1e-3
 _SUP_LEVELS = 12
@@ -134,19 +134,20 @@ def metric_derivative(c: Curve) -> np.ndarray:
     """Central-difference metric speed, one-sided at the ends."""
     if c.n_samples < 3:
         raise TooFewSamples("metric derivative needs >= 3 samples")
-    t, x = c.times, c.points
-    seg = _interval_speeds(c)
-    central = distances(x[:-2], x[2:], c.is_1d) / (t[2:] - t[:-2])
-    return np.concatenate((seg[:1], central, seg[-1:]))
+    return _central_rates(c.space.distances, c.points, c.times)
 
 
-def _interval_speeds(c: Curve) -> np.ndarray:
-    return distances(c.points[:-1], c.points[1:], c.is_1d) / np.diff(c.times)
+def _central_rates(gap, x, t) -> np.ndarray:
+    """gap(x[j], x[i]) / (t[j] - t[i]) with j = i + 2, and j = i + 1 at the
+    two ends: central differences of a sequence, one-sided at the ends."""
+    seg = gap(x[1:], x[:-1]) / np.diff(t)
+    return np.concatenate((seg[:1], gap(x[2:], x[:-2]) / (t[2:] - t[:-2]), seg[-1:]))
 
 
 def _local_lipschitz(c: Curve) -> np.ndarray:
     """Per-interval speed bound: max of nearby interval speeds."""
-    v = np.pad(_interval_speeds(c), _LIP_WINDOW, constant_values=-math.inf)
+    v = c.space.distances(c.points[:-1], c.points[1:]) / np.diff(c.times)
+    v = np.pad(v, _LIP_WINDOW, constant_values=-math.inf)
     return sliding_window_view(v, 2 * _LIP_WINDOW + 1).max(axis=1)
 
 
@@ -159,12 +160,10 @@ def _budget_lipschitz(c: Curve, local: np.ndarray) -> np.ndarray:
     stride average stays at the noise/(stride*h) scale, so violations
     introduced by the noise remain visible.
     """
-    m = c.n_samples
     i = np.arange(len(local))
     lo = np.maximum(i - _LIP_STRIDE, 0)
-    hi = np.minimum(i + _LIP_STRIDE, m - 1)
-    avg = distances(c.points[lo], c.points[hi], c.is_1d) \
-        / (c.times[hi] - c.times[lo])
+    hi = np.minimum(i + _LIP_STRIDE, c.n_samples - 1)
+    avg = c.space.distances(c.points[lo], c.points[hi]) / (c.times[hi] - c.times[lo])
     return np.minimum(local, 2.0 * avg + 1e-12)
 
 
@@ -172,10 +171,10 @@ def _budget_lipschitz(c: Curve, local: np.ndarray) -> np.ndarray:
 # reference-point sampling
 # ---------------------------------------------------------------------------
 
-def _directions(rng, shape, dim: int) -> np.ndarray:
-    """Unit vectors of R^dim, uniform on the sphere, of shape shape + (dim,)."""
-    u = rng.normal(size=(*shape, dim))
-    return u / np.maximum(distances(0.0, u, False), 1e-300)[..., None]
+def _directions(rng, shape, space) -> np.ndarray:
+    """Unit vectors of R^n, uniform on the sphere, of shape shape + (n,)."""
+    u = rng.normal(size=(*shape, space.n))
+    return u / np.maximum(space.distances(0.0, u), 1e-300)[..., None]
 
 
 def _stratified_z(fn: Functional, x_t, steps, rng, n: int) -> np.ndarray:
@@ -189,12 +188,10 @@ def _stratified_z(fn: Functional, x_t, steps, rng, n: int) -> np.ndarray:
     points x_t[k] + steps[k] u e clipped to the box.
     """
     lo, hi = sampling_box(fn)
-    n_near = n // 3
-    n_mid = n // 3
-    n_bnd = n - n_near - n_mid
+    n_near = n // 3  # and as many mid-range points
     if isinstance(fn.space, Interval):
-        j1, j2 = n_near, n_near + n_mid
-        j3 = j2 + n_bnd // 2
+        j1, j2 = n_near, 2 * n_near
+        j3 = j2 + (n - j2) // 2
         z = rng.random((len(x_t), n))
         z[:, :j1] = np.clip(x_t[:, None] + steps[:, None] * (-1.0 + 2.0 * z[:, :j1]),
                             lo, hi)
@@ -203,7 +200,7 @@ def _stratified_z(fn: Functional, x_t, steps, rng, n: int) -> np.ndarray:
         z[:, j3:] = np.clip(hi - _BOUNDARY_MARGIN * z[:, j3:], lo, hi)
         return z
     rows, dim = len(x_t), lo.size
-    dirs = _directions(rng, (rows, n_near), dim)
+    dirs = _directions(rng, (rows, n_near), fn.space)
     near = x_t[:, None, :] + steps[:, None, None] \
         * rng.uniform(0, 1, size=(rows, n_near, 1)) * dirs
     mid = rng.uniform(lo, hi, size=(rows, n - n_near, dim))
@@ -229,7 +226,7 @@ def _z_rows(c: Curve, fn: Functional, spec: SampleSpec, z_override):
     """Row drawer for the stratified (or overridden) reference points."""
     def draw(idx, steps):
         if z_override is not None:
-            z = np.asarray(z_override, dtype=float)
+            z = fn.space.require_points(np.asarray(z_override, dtype=float))
             return np.broadcast_to(z, (len(idx),) + z.shape)
         return _stratified_z(fn, c.points[idx], steps, spec.rng(), spec.count)
     return draw
@@ -249,14 +246,12 @@ def _step_check(form, params, c: Curve, fn: Functional, tol: Tolerance,
     the curvature parameters, of the squared half-angle kernel
     u = s(d/2)^2, which rhs then gets (None otherwise).
     """
-    one_d = isinstance(fn.space, Interval)
     idx = _time_indices(c, t_samples)
     local = _local_lipschitz(c)
     # float_power: the same libm pow as a scalar L ** 4
     L4 = np.float_power(_budget_lipschitz(c, local)[idx], 4)[:, None]
-    f_curve = fn.values(c.points)
-    if not np.isfinite(f_curve[idx]).all() or \
-            not np.isfinite(f_curve[idx + 1]).all():
+    f_curve = fn.values(fn.space.require_points(c.points))
+    if not (np.isfinite(f_curve[idx]).all() and np.isfinite(f_curve[idx + 1]).all()):
         raise PointOutsideDomain(f"curve leaves the finiteness domain of {fn.name}")
     h = (c.times[idx + 1] - c.times[idx])[:, None]
     zs = draw(idx, np.maximum(local[idx] * h[:, 0], 1e-3))
@@ -264,8 +259,8 @@ def _step_check(form, params, c: Curve, fn: Functional, tol: Tolerance,
     def block(lo, hi):
         i, z, hb = idx[lo:hi], zs[lo:hi], h[lo:hi]
         fz = fn.values(z.reshape(-1, *z.shape[2:])).reshape(z.shape[:2])
-        d0 = distances(c.points[i, None], z, one_d)
-        d1 = distances(c.points[i + 1, None], z, one_d)
+        d0 = fn.space.distances(c.points[i, None], z)
+        d1 = fn.space.distances(c.points[i + 1, None], z)
         if raw is None:
             u0 = u1 = None
             q = (d1 ** 2 - d0 ** 2) / (2.0 * hb)
@@ -353,12 +348,12 @@ def check_evi_kn(c: Curve, fn: Functional, p: CurvatureParams, form: str,
                        raw=p if form == "raw" else None)
 
 
-def _first_exits(points, zs, cap: float, one_d: bool) -> np.ndarray:
+def _first_exits(space, points, zs, cap: float) -> np.ndarray:
     """Per reference point, the first curve index at distance >= cap
     (len(points) if the curve stays closer)."""
     out = np.full(len(zs), len(points))
     for lo, hi in _row_blocks(len(points), len(zs)):
-        far = distances(points[lo:hi, None], zs, one_d) >= cap
+        far = space.distances(points[lo:hi, None], zs) >= cap
         new = far.any(axis=0) & (out == len(points))
         out[new] = lo + far[:, new].argmax(axis=0)
     return out
@@ -375,24 +370,22 @@ def check_evi_integrated(c: Curve, fn: Functional, p: CurvatureParams,
     """
     if p.K == 0:
         raise KZero("the integrated form needs K != 0")
-    one_d = isinstance(fn.space, Interval)
+    fn.space.require_points(c.points)
     idx = _time_indices(c, t_samples, 1)
-    rng = spec.rng()
-    zs = _stratified_z(fn, c.points[:1], np.array([0.5]), rng, spec.count)[0]
+    zs = _stratified_z(fn, c.points[:1], np.array([0.5]), spec.rng(), spec.count)[0]
     fz = fn.values(zs)
     f_curve = fn.values(c.points)
     if not np.isfinite(f_curve).all():
         raise PointOutsideDomain("curve leaves the finiteness domain of f")
-    u_start = s_values(p, distances(c.points[:1, None], zs, one_d)
-                       / 2.0) ** 2
+    u_start = s_values(p, fn.space.distances(c.points[:1, None], zs) / 2.0) ** 2
     # math.exp, as for a scalar window length: np.exp may differ in the
     # last bit
     ekt = np.array([math.exp(p.K * t) for t in c.times[idx] - c.times[0]])[:, None]
-    exits = _first_exits(c.points, zs, p.theta_singular, one_d)
+    exits = _first_exits(fn.space, c.points, zs, p.theta_singular)
 
     def block(lo, hi):
         i, e = idx[lo:hi], ekt[lo:hi]
-        u = s_values(p, distances(c.points[i, None], zs, one_d) / 2.0) ** 2
+        u = s_values(p, fn.space.distances(c.points[i, None], zs) / 2.0) ** 2
         ratio = _exp_clip((-fz + f_curve[i, None]) / p.N)
         rhs_gain = p.N * (e - 1.0) / (2.0 * p.K) * (1.0 - ratio)
         with np.errstate(invalid="ignore"):
@@ -423,18 +416,17 @@ def check_evi_local(c: Curve, gn: Functional, lam: float, radius: float,
         raise ParamOutOfRange("lambda must be a real number")
     if not radius > 0:
         raise ParamOutOfRange("radius must be > 0")
-    one_d = isinstance(gn.space, Interval)
     box_lo, box_hi = sampling_box(gn)
 
     def draw(idx, steps):
         rng = spec.rng()
         x_t = c.points[idx]
-        if one_d:  # rng.uniform(lo, hi) row by row, as one batch
+        if isinstance(gn.space, Interval):  # rng.uniform(lo, hi) per row, in one batch
             lo = np.maximum(box_lo, x_t - radius)[:, None]
             hi = np.minimum(box_hi, x_t + radius)[:, None]
             return lo + (hi - lo) * rng.random((len(idx), spec.count))
         shape, dim = (len(idx), spec.count), gn.space.n
-        dirs = _directions(rng, shape, dim)
+        dirs = _directions(rng, shape, gn.space)
         radii = radius * rng.uniform(0, 1, size=(*shape, 1)) ** (1.0 / dim)
         return np.clip(x_t[:, None, :] + radii * dirs, box_lo, box_hi)
 
@@ -480,7 +472,7 @@ def _definition_slopes(fn: Functional, ys: np.ndarray, fys: np.ndarray,
     else:
         dim = fn.space.n
         dirs = _directions((spec or SampleSpec(seed=0, count=32)).rng(), (32,),
-                           dim)
+                           fn.space)
         probes = ys[:, None, None, :] + r[:, None, :, None] \
             * dirs[None, :, None, :]
         vals = fn.values(probes.reshape(-1, dim)).reshape(probes.shape[:3])
@@ -507,7 +499,7 @@ def slope(fn: Functional, y, method: str, spec: Optional[SampleSpec] = None,
         raise PointOutsideDomain(f"f({y!r}) = {fy}")
     if method == "definition":
         y0 = np.asarray(y, float)
-        norm = float(distances(0.0, y0, isinstance(fn.space, Interval)))
+        norm = float(fn.space.distances(0.0, y0))
         r_start = _positive(r0, "r0") if r0 is not None else 0.0625 * (1.0 + norm)
         return float(_definition_slopes(fn, y0[None], np.array([fy]),
                                         np.array([r_start]), spec)[0])
@@ -526,16 +518,14 @@ def slope(fn: Functional, y, method: str, spec: Optional[SampleSpec] = None,
             parts.append(y + R * spec.rng().uniform(-1, 1, size=spec.count))
         zs = np.concatenate(parts)
         zs = zs[fn.space.contains(zs) & (zs != y)]
-        if len(zs) == 0:
-            return 0.0
         fz = fn.values(zs)
         keep = fz < math.inf
         zs, fz = zs[keep], fz[keep]
-        d = distances(y, zs, True)
+        d = fn.space.distances(y, zs)
         ratio = _exp_clip((-fz + fy) / p.N)
         expr = p.N / s_values(p, d) * (1.0 - ratio) \
             - p.K * s_values(p, d / 2.0) / c_values(p, d / 2.0)
-        return float(np.max(np.maximum(-expr, 0.0)))
+        return float(np.max(np.maximum(-expr, 0.0), initial=0.0))
     raise ParamOutOfRange("method must be 'definition' or 'formula'")
 
 
@@ -556,23 +546,17 @@ def energy_audit(c: Curve, fn: Functional, tol: Tolerance = DEFAULT_TOL,
     _positive(slope_r0, "slope_r0")
     if c.n_samples < 3:
         raise TooFewSamples("energy audit needs >= 3 samples")
-    energy = fn.values(c.points)
+    energy = fn.values(fn.space.require_points(c.points))
     if not np.isfinite(energy).all():
         raise PointOutsideDomain("curve leaves the finiteness domain")
     speed = metric_derivative(c)
-    norms = distances(0.0, c.points, c.is_1d)
+    norms = fn.space.distances(0.0, c.points)
     slopes = _definition_slopes(fn, c.points, energy, slope_r0 * (1.0 + norms),
                                 spec)
-    t = c.times
-    dfdt = np.empty(c.n_samples)
-    dfdt[1:-1] = (energy[2:] - energy[:-2]) / (t[2:] - t[:-2])
-    dfdt[0] = (energy[1] - energy[0]) / (t[1] - t[0])
-    dfdt[-1] = (energy[-1] - energy[-2]) / (t[-1] - t[-2])
+    t, dt = c.times, np.diff(c.times)
+    dfdt = _central_rates(np.subtract, energy, t)
     residual = -dfdt - 0.5 * speed ** 2 - 0.5 * slopes ** 2
-    h = np.empty(c.n_samples)
-    h[1:-1] = 0.5 * (t[2:] - t[:-2])
-    h[0] = t[1] - t[0]
-    h[-1] = t[-1] - t[-2]
+    h = np.concatenate((dt[:1], 0.5 * (t[2:] - t[:-2]), dt[-1:]))
     r_fin = slope_r0 * 0.5 ** (_SUP_LEVELS - 1)
     budget = (tol.abs + 4.0 * h ** 2 * (1.0 + speed ** 6)
               + 1e-4 * r_fin * (1.0 + np.abs(slopes) ** 3)
@@ -597,26 +581,24 @@ def bracket(c: Curve, t0: float, g: Geodesic) -> Bracket:
     Estimates sup_s (1/2s) d+/dt d^2(y_t, z_s) at a grid time t0 with the
     time derivative at the curve's grid resolution; ray parameters are
     kept well above the grid step, where the scaled quotient is
-    resolution-limited.
+    resolution-limited.  The curve must lie in the geodesic's space.
     """
+    sp = g.space
+    sp.require_points(c.points)
     i = int(np.argmin(np.abs(c.times - t0)))
     if not abs(c.times[i] - t0) <= 1e-9 * (1.0 + abs(t0)):  # NaN too
         raise ParamOutOfRange(f"t0={t0} is not a grid time")
     if i >= c.n_samples - 1:
         raise ParamOutOfRange("t0 must have a forward neighbor")
-    one_d = c.is_1d
     x0, x1 = c.points[i], c.points[i + 1]
-    p0, p1 = np.asarray(g.p0, float), np.asarray(g.p1, float)
     # |x0| as the distance from the origin
-    if distances(x0, p0, one_d) > 1e-9 * (1.0 + distances(0.0, x0, one_d)):
+    if sp.distances(x0, g.p0) > 1e-9 * (1.0 + sp.distances(0.0, x0)):
         raise ParamOutOfRange("geodesic must emanate from the curve point")
     h = c.times[i + 1] - c.times[i]
     s = 0.5 ** np.arange(_SUP_LEVELS)
     s = s[s >= min(0.25, 256.0 * h)]  # keeps s = 1
-    z = (1.0 - s) * p0 + s * p1 if one_d else \
-        (1.0 - s)[:, None] * p0 + s[:, None] * p1
-    q = (distances(x1, z, one_d) ** 2 - distances(x0, z, one_d) ** 2) \
-        / h / (2.0 * s)
+    z = sp.segment(g.p0, g.p1, s)
+    q = (sp.distances(x1, z) ** 2 - sp.distances(x0, z) ** 2) / h / (2.0 * s)
     return Bracket(value=float(np.max(q)))
 
 
@@ -629,8 +611,10 @@ def contraction_rate(c1: Curve, c2: Curve, r: float,
     """Measured upper bound for the exponential rate between two curves.
 
     Reports the max over grid times s > r of (log d(s) - log d(r))/(s - r)
-    plus a least-squares fitted rate of log d(s) over [r, end].
+    plus a least-squares fitted rate of log d(s) over [r, end].  Both
+    curves lie in one flat space, that of c1's points.
     """
+    c1.space.require_points(c2.points)
     lo = max(c1.times[0], c2.times[0])
     hi = min(c1.times[-1], c2.times[-1])
     if not lo < hi:
@@ -644,7 +628,7 @@ def contraction_rate(c1: Curve, c2: Curve, r: float,
         raise ParamOutOfRange(f"s_grid must increase strictly within [{lo}, {hi}]")
     if not (lo - 1e-12 <= r <= hi):
         raise ParamOutOfRange(f"r={r} outside the common window [{lo}, {hi}]")
-    d = np.maximum(distances(c2.at(s_grid), c1.at(s_grid), c1.is_1d), 1e-300)
+    d = np.maximum(c1.space.distances(c2.at(s_grid), c1.at(s_grid)), 1e-300)
     log_d = np.log(d)
     dr = float(np.interp(r, s_grid, log_d))
     after = s_grid > r + 1e-12

@@ -41,7 +41,6 @@ from .errors import ConfigInvalid, IoError, KNFlowError
 from .flows import Curve, minimizing_movement, ode_flow, oracle_flow
 from .functionals import functional_from_json
 from .reparam import r1, r2
-from .spaces import EuclideanRn
 
 logger = logging.getLogger("knflow")
 
@@ -137,6 +136,15 @@ def write_curve_csv(path: str, curve: Curve) -> np.ndarray:
     header = ",".join(["t", *(f"x{j}" for j in range(table.shape[1] - 1))])
     _atomic_write(path, _csv_text(header, *map(_texts, table.T)))
     return table
+
+
+def _read_curve(path: str, space) -> Curve:
+    """The curve CSV at path in the space: one x column is a curve on R^1 too."""
+    curve = read_curve_csv(path)
+    shape = (curve.n_samples, *space.shape)
+    if curve.points.size == math.prod(shape):
+        curve.points = curve.points.reshape(shape)
+    return curve
 
 
 def _curve_from_table(arr: np.ndarray, meta: dict) -> Curve:
@@ -363,8 +371,7 @@ def _run_coeff(cfg, out_dir):
 def _run_flow(cfg, out_dir):
     fn = functional_from_json(cfg["functional"])
     method = cfg["method"]
-    y0 = _points(cfg["y0"], "y0", 1) if isinstance(fn.space, EuclideanRn) \
-        else _number(cfg["y0"], "y0")
+    y0 = _points(cfg["y0"], "y0", 1) if fn.space.shape else _number(cfg["y0"], "y0")
     if method == "oracle":
         name = cfg.get("oracle", cfg["functional"].get("library"))
         kwargs = {key: _number(cfg[key], key) for key in ("c", "a") if key in cfg}
@@ -397,14 +404,17 @@ def _run_check_convexity(cfg, out_dir):
         rep = check_lifting(fn, _params(cfg), M, spec, tol, box=box)
     else:
         raise ConfigInvalid(f"unknown convexity kind {cfg['kind']!r}")
-    path = _out_path(cfg["out"], out_dir)
+    return _write_report(rep, _out_path(cfg["out"], out_dir))
+
+
+def _write_report(rep, path: str):
     write_json(path, _jsonable(rep.to_json()))
     return [path], ("pass" if rep.passed else "fail")
 
 
 def _run_check_evi(cfg, out_dir):
-    curve = read_curve_csv(_out_path(cfg["input"], out_dir))
     fn = functional_from_json(cfg["functional"])
+    curve = _read_curve(_out_path(cfg["input"], out_dir), fn.space)
     spec = SampleSpec(seed=_integer(cfg.get("seed", 0), "seed"),
                       count=_integer(cfg.get("z_per_time", 500), "z_per_time"))
     tol = _tolerance_from(cfg)
@@ -426,14 +436,12 @@ def _run_check_evi(cfg, out_dir):
                               t_samples=t_samples)
     else:
         raise ConfigInvalid(f"unknown evi form {form!r}")
-    path = _out_path(cfg["out"], out_dir)
-    write_json(path, _jsonable(rep.to_json()))
-    return [path], ("pass" if rep.passed else "fail")
+    return _write_report(rep, _out_path(cfg["out"], out_dir))
 
 
 def _run_reparam(cfg, out_dir):
-    curve = read_curve_csv(_out_path(cfg["input"], out_dir))
     fn = functional_from_json(cfg["functional"])
+    curve = _read_curve(_out_path(cfg["input"], out_dir), fn.space)
     p = fn.params
     if p is None or "K" in cfg:
         p = _params(cfg, 0.0, -1.0)
@@ -457,11 +465,11 @@ def _run_contract(cfg, out_dir):
 
 
 def _run_audit_energy(cfg, out_dir):
-    curve = read_curve_csv(_out_path(cfg["input"], out_dir))
+    fn = functional_from_json(cfg["functional"])
+    curve = _read_curve(_out_path(cfg["input"], out_dir), fn.space)
     if "window" in cfg:
         lo, hi = _pair(cfg["window"], "window")
         curve = curve.segment(_number(lo, "window"), _number(hi, "window"))
-    fn = functional_from_json(cfg["functional"])
     audit = energy_audit(curve, fn, _tolerance_from(cfg),
                          slope_r0=_number(cfg.get("slope_r0", 1e-3), "slope_r0"))
     csv_path = _out_path(cfg["out_csv"], out_dir)

@@ -34,11 +34,9 @@ from .core import DEFAULT_TOL, SampleSpec, Tolerance
 from .errors import (BadBracket, EmptyDomain, ParamOutOfRange, PointOutsideSpace,
                      UnboundedAbove)
 from .functionals import Functional, _exp_clip, fN_functional
-from .spaces import Interval, closure_point, distances
+from .spaces import Interval
 
 T_GRID_SIZE = 33  # t in {k/32}
-_BOX_MARGIN = 1e-3
-_BOX_EXTENT = 3.0
 _BLOCK_CELLS = 1 << 16  # residual-grid cells evaluated at once
 
 
@@ -80,61 +78,43 @@ class Report:
 
 
 def sampling_box(fn: Functional, box=None):
-    """(lo, hi) of box, else of fn.sample_box, else of a compact sub-box of
-    the domain shrunk by _BOX_MARGIN at open ends: floats on an interval,
-    arrays on R^n.  EmptyDomain unless lo < hi in every coordinate."""
-    box = fn.sample_box if box is None else box
-    sp = fn.space
-    if box is None and isinstance(sp, Interval):
-        lo = sp.a + _BOX_MARGIN if sp.open_a else sp.a
-        hi = sp.b - _BOX_MARGIN if sp.open_b else sp.b
-        lo = lo if math.isfinite(lo) else -_BOX_EXTENT
-        box = (lo, hi if math.isfinite(hi) else max(_BOX_EXTENT, lo + 1.0))
-    elif box is None:
-        box = (-_BOX_EXTENT * np.ones(sp.n), _BOX_EXTENT * np.ones(sp.n))
-    lo, hi = (float(v) if isinstance(sp, Interval) else np.asarray(v, float)
-              for v in box)
-    if not np.all(lo < hi):
-        raise EmptyDomain(f"no room to sample in the box {box} of {fn.name}")
-    return lo, hi
-
-
-def _draw_points(rng, box, count):
-    lo, hi = box
-    return rng.uniform(lo, hi, size=(count, *np.shape(lo)))
+    """fn.space.sampling_box of box, else of fn.sample_box: (lo, hi),
+    floats on an interval and arrays on R^n.  Without either, a compact
+    sub-box of the domain."""
+    return fn.space.sampling_box(fn.sample_box if box is None else box)
 
 
 def _geodesic_values(fn: Functional, x0, x1, ts):
     """f at gamma_t for every pair and every t; shape (pairs, t)."""
-    ts = ts.reshape(-1, *[1] * (x0.ndim - 1))
-    gamma = (1 - ts) * x0[:, None] + ts * x1[:, None]
+    gamma = fn.space.segment(x0[:, None], x1[:, None], ts)
     return fn.values(gamma.reshape(-1, *x0.shape[1:])).reshape(len(x0), len(ts))
 
 
-def _draw_pairs(fn: Functional, spec: SampleSpec, box, cap: Optional[float]):
-    """Seeded pairs from the box, resampling any pair beyond the cap."""
-    rng = spec.rng()
-    dim1 = isinstance(fn.space, Interval)
-    x0 = _draw_points(rng, box, spec.count)
-    x1 = _draw_points(rng, box, spec.count)
+def _chord_pairs(fn: Functional, spec: SampleSpec, box, cap: Optional[float],
+                 value, keep):
+    """Seeded pairs from the sampling box, each pair at distance >= cap
+    redrawn, with v = value(f) at both ends and the pair's distance, for
+    the pairs where keep(v) holds at both ends; EmptyDomain if none."""
+    rng, (lo, hi) = spec.rng(), sampling_box(fn, box)
+
+    def draw(count):
+        return rng.uniform(lo, hi, size=(count, *fn.space.shape))
+    x0, x1 = draw(spec.count), draw(spec.count)
     if cap is not None and math.isfinite(cap):
         for _ in range(1000):
-            bad = distances(x0, x1, dim1) >= cap
+            bad = fn.space.distances(x0, x1) >= cap
             if not bad.any():
                 break
             k = int(bad.sum())
-            x0[bad] = _draw_points(rng, box, k)
-            x1[bad] = _draw_points(rng, box, k)
+            x0[bad], x1[bad] = draw(k), draw(k)
         else:
             raise EmptyDomain("could not sample pairs under the distance cap")
-    return x0, x1
-
-
-def _finite_pair_filter(good):
-    """The mask of pairs to test; EmptyDomain if it keeps none."""
+    v0, v1 = value(fn.values(x0)), value(fn.values(x1))
+    good = keep(v0) & keep(v1)
     if not good.any():
         raise EmptyDomain("no sampled pair has finite values")
-    return good
+    x0, x1 = x0[good], x1[good]
+    return x0, x1, v0[good], v1[good], fn.space.distances(x0, x1)
 
 
 def _row_blocks(n_rows: int, n_cols: int):
@@ -179,14 +159,7 @@ def check_lambda_convex(fn: Functional, lam: float, spec: SampleSpec,
     lam = float(lam)
     if math.isnan(lam):
         raise ParamOutOfRange("lambda must be a real number")
-    box = sampling_box(fn, box)
-    dim1 = isinstance(fn.space, Interval)
-    x0, x1 = _draw_pairs(fn, spec, box, cap=None)
-    f0 = fn.values(x0)
-    f1 = fn.values(x1)
-    good = _finite_pair_filter(np.isfinite(f0) & np.isfinite(f1))
-    x0, x1, f0, f1 = x0[good], x1[good], f0[good], f1[good]
-    d = distances(x0, x1, dim1)
+    x0, x1, f0, f1, d = _chord_pairs(fn, spec, box, None, lambda f: f, np.isfinite)
     ts = np.linspace(0.0, 1.0, T_GRID_SIZE)
     scale = np.maximum(1.0, np.maximum(np.abs(f0), np.abs(f1)))[:, None]
     budget = tol.abs + tol.rel * scale
@@ -211,17 +184,10 @@ def check_kn_convex(fn: Functional, p: CurvatureParams, spec: SampleSpec,
     the singular distance cap unless enforce_cap=False (singular cells are
     then vacuously satisfied since the right side is +inf).
     """
-    box = sampling_box(fn, box)
-    dim1 = isinstance(fn.space, Interval)
     cap = p.theta_singular if (enforce_cap and p.K < 0) else None
-    x0, x1 = _draw_pairs(fn, spec, box, cap)
-    g0 = -fn.values(x0) / p.N
-    g1 = -fn.values(x1) / p.N
-    good = _finite_pair_filter((g0 < math.inf) & (g1 < math.inf))
-    x0, x1, g0, g1 = x0[good], x1[good], g0[good], g1[good]
-    fN0 = _exp_clip(g0)[:, None]
-    fN1 = _exp_clip(g1)[:, None]
-    d = distances(x0, x1, dim1)[:, None]
+    x0, x1, g0, g1, d = _chord_pairs(fn, spec, box, cap, lambda f: -f / p.N,
+                                     lambda g: g < math.inf)
+    fN0, fN1, d = _exp_clip(g0)[:, None], _exp_clip(g1)[:, None], d[:, None]
     ts = np.linspace(0.0, 1.0, T_GRID_SIZE)
     budget = tol.abs + tol.rel * np.maximum(1.0, np.maximum(fN0, fN1))
 
@@ -258,7 +224,7 @@ def check_gluing(fn: Functional, p: CurvatureParams, a: float, b: float,
     if not isinstance(fn.space, Interval):
         raise ParamOutOfRange("gluing check is for interval functionals")
     try:
-        closure_point(fn.space, a), closure_point(fn.space, d)
+        fn.space.closure_point(a), fn.space.closure_point(d)
     except PointOutsideSpace as exc:
         raise BadBracket("[a,d] must sit inside the interval domain") from exc
     spec = spec or SampleSpec(seed=20, count=400)

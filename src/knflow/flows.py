@@ -48,7 +48,7 @@ from .errors import (
     PointOutsideSpace,
 )
 from .functionals import Functional, _exp_clip
-from .spaces import Interval, closure_point
+from .spaces import EuclideanRn, Interval
 
 logger = logging.getLogger("knflow")
 
@@ -72,8 +72,8 @@ class Curve:
         x = np.asarray(self.points, dtype=float)
         if t.ndim != 1 or len(t) < 1:
             raise ParamOutOfRange("times must be a nonempty 1-d grid")
-        if len(t) != len(x):
-            raise ParamOutOfRange("times and points must have equal length")
+        if x.ndim not in (1, 2) or len(t) != len(x):
+            raise ParamOutOfRange("points must have shape (m,) or (m, n), m times")
         if t[0] < 0:
             raise ParamOutOfRange("time grid must start at t >= 0")
         if len(t) > 1 and not (np.diff(t) > 0).all():
@@ -90,8 +90,9 @@ class Curve:
         return len(self.times)
 
     @property
-    def is_1d(self) -> bool:
-        return self.points.ndim == 1
+    def space(self):
+        """The flat space of the points: Interval() or EuclideanRn(k)."""
+        return Interval() if self.points.ndim == 1 else EuclideanRn(self.points.shape[1])
 
     @property
     def window(self) -> tuple:
@@ -100,11 +101,9 @@ class Curve:
     def at(self, t):
         """Piecewise-linear interpolation (clamped outside the window)."""
         t = np.asarray(t, dtype=float)
-        if self.is_1d:
-            return np.interp(t, self.times, self.points)
-        cols = [np.interp(t, self.times, self.points[:, j])
-                for j in range(self.points.shape[1])]
-        return np.stack(cols, axis=-1)
+        cols = self.points.reshape(len(self.times), -1).T
+        out = np.stack([np.interp(t, self.times, col) for col in cols], axis=-1)
+        return out.reshape(t.shape + self.points.shape[1:])[()]  # 0-d: a scalar
 
     def segment(self, t_lo: float, t_hi: float) -> "Curve":
         """Sub-curve of the grid points with t_lo <= t <= t_hi."""
@@ -143,7 +142,7 @@ def oracle_flow(name: str, p: Optional[CurvatureParams], y0, grid,
     if name == "log-x":
         if p is None:
             raise NoOracle("log-x oracle needs curvature parameters")
-        y0 = closure_point(Interval(0.0, math.inf), y0)
+        y0 = Interval(0.0, math.inf).closure_point(y0)
         stop = -y0 * y0 / (2.0 * p.N)
         ys = np.sqrt(np.maximum(y0 * y0 + 2.0 * p.N * grid, 0.0))
         return Curve(grid, ys, stop_time=stop, meta=meta)
@@ -151,7 +150,7 @@ def oracle_flow(name: str, p: Optional[CurvatureParams], y0, grid,
         if p is None or p.K <= 0:
             raise NoOracle("log-cosh oracle needs K > 0")
         w = math.sqrt(-p.K / p.N)
-        y = w * closure_point(Interval(), y0)
+        y = w * Interval().closure_point(y0)
         try:
             ys = np.arcsinh(math.sinh(y) * np.exp(-p.K * grid)) / w
         except OverflowError:
@@ -168,7 +167,7 @@ def oracle_flow(name: str, p: Optional[CurvatureParams], y0, grid,
             raise NoOracle("log-cos oracle needs K < 0")
         w = math.sqrt(p.K / p.N)
         half = 0.5 * math.pi / w
-        y0 = closure_point(Interval(-half, half), y0)
+        y0 = Interval(-half, half).closure_point(y0)
         s0 = math.sin(w * y0)
         if s0 == 0.0:
             return Curve(grid, np.zeros_like(grid), stop_time=None, meta=meta)
@@ -181,11 +180,11 @@ def oracle_flow(name: str, p: Optional[CurvatureParams], y0, grid,
     if name == "quadratic":
         y0 = np.asarray(y0, dtype=float)
         decay = _exp_clip(-float(c) * grid)
-        ys = y0 * decay if y0.ndim == 0 else y0[None, :] * decay[:, None]
+        ys = np.multiply.outer(decay, y0)
         meta["c"] = float(c)
         return Curve(grid, ys, stop_time=None, meta=meta)
     if name == "fN-linear":
-        y0 = closure_point(Interval(0.0, math.inf), y0)
+        y0 = Interval(0.0, math.inf).closure_point(y0)
         a = float(a)
         ys = np.maximum(y0 - a * grid, 0.0)
         stop = y0 / a if a > 0 else None
@@ -216,7 +215,7 @@ def ode_flow(fn: Functional, y0, grid, rtol: float = 1e-9) -> Curve:
     if fn.grad is None:
         raise ParamOutOfRange(f"{fn.name} has no analytic gradient")
     grid = _as_grid(grid)
-    y0 = closure_point(fn.space, y0)
+    y0 = fn.space.closure_point(y0)
     meta = {"method": "ode", "functional": fn.name, "rtol": rtol}
     f0 = fn.value(y0)
     if f0 == math.inf:
@@ -320,7 +319,7 @@ def _prox_args(fn: Functional, tau, v, horizon=None) -> tuple:
         raise ParamOutOfRange("horizon shorter than one step")
     if fn.grad is None:
         raise ParamOutOfRange(f"prox of {fn.name} needs an analytic gradient")
-    return tau, closure_point(fn.space, v), isinstance(fn.space, Interval), n_steps
+    return tau, fn.space.closure_point(v), isinstance(fn.space, Interval), n_steps
 
 
 def prox(fn: Functional, tau: float, v) -> ProxStep:

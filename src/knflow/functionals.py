@@ -31,8 +31,7 @@ from .errors import (
     IncompatibleSign,
     NanError,
 )
-from .spaces import (EuclideanRn, Geodesic, Interval, ModelSpace, Point,
-                     closure_point)
+from .spaces import EuclideanRn, Geodesic, Interval, ModelSpace, Point
 
 
 @dataclass(frozen=True)
@@ -59,7 +58,7 @@ class Functional:
 
     def value(self, x: Point) -> float:
         """f(x); +-inf allowed, NaN raises.  x must lie in the closure."""
-        return self._value_at(np.asarray(closure_point(self.space, x)), x)
+        return self._value_at(np.asarray(self.space.closure_point(x)), x)
 
     def _value_at(self, pt: np.ndarray, x: Point) -> float:
         """f(pt), pt an array in the closure; x as given, for the NaN message."""
@@ -239,18 +238,16 @@ def fN_functional(fn: Functional, p: CurvatureParams) -> Functional:
 
     grad = hess = None
     if fn.grad is not None:
-        one_d = isinstance(fn.space, Interval)
+        point = fn.space.point  # a float on an interval
 
         def grad(x):  # chain rule through the log domain
             g = _exp_clip(-fn.value(x) / p.N)
-            out = -(1.0 / p.N) * g * np.asarray(fn.grad(x))
-            return float(out) if one_d else out
+            return point(-(1.0 / p.N) * g * np.asarray(fn.grad(x)))
 
         if fn.hess is not None:
             def hess(x):  # g'' = -(g/N) (f'' - f' f'^T / N)
                 g, df = _exp_clip(-fn.value(x) / p.N), np.asarray(fn.grad(x), dtype=float)
-                out = -(g / p.N) * (fn.hess(x) - np.multiply.outer(df, df) / p.N)
-                return float(out) if one_d else out
+                return point(-(g / p.N) * (fn.hess(x) - np.multiply.outer(df, df) / p.N))
 
     ub = None if fn.upper_bound is None else float(_exp_clip(-fn.upper_bound / p.N))
     return Functional(
@@ -405,8 +402,7 @@ def expression_functional(expr: str, space: Optional[ModelSpace] = None,
     The gradient is evaluated in forward mode alongside the value.
     """
     space = space if space is not None else Interval()
-    one_d = isinstance(space, Interval)
-    names = ["x"] if one_d else [f"x{i + 1}" for i in range(space.n)]
+    names = [f"x{i + 1}" for i in range(space.n)] if space.shape else ["x"]
     try:
         body = _compile_node(ast.parse(expr, mode="eval"), set(names))
     except (SyntaxError, RecursionError, MemoryError) as exc:
@@ -425,9 +421,9 @@ def expression_functional(expr: str, space: Optional[ModelSpace] = None,
             except RecursionError as exc:  # a deeper caller's stack
                 raise ExpressionError(f"{name} is nested too deeply") from exc
 
-    def fvec(xs):
+    def fvec(xs):  # the point axes as one axis of the variables
         arr = np.asarray(xs, dtype=float)
-        arr = arr[..., None] if one_d else arr
+        arr = arr.reshape(*arr.shape[:arr.ndim - len(space.shape)], len(names))
         v, _ = evaluate(arr, [None] * len(names))
         return np.broadcast_to(np.asarray(v, dtype=float), arr.shape[:-1]).copy()
 
@@ -435,7 +431,7 @@ def expression_functional(expr: str, space: Optional[ModelSpace] = None,
         _, dv = evaluate(np.asarray(x, dtype=float).reshape(len(names)), basis)
         dv = np.zeros(len(names)) if dv is None \
             else require_not_nan(np.array(dv, dtype=float), grad_where)
-        return float(dv[0]) if one_d else dv
+        return space.point(dv.reshape(space.shape))
 
     return Functional(space=space, fvec=fvec, name=name, params=params,
                       grad=grad, sample_box=sample_box, meta={"expr": expr})

@@ -32,7 +32,6 @@ from .errors import (
 )
 from .flows import Curve
 from .functionals import Functional, _exp_clip, fN_values
-from .spaces import distances
 
 _FN_FLOOR = 1e-12
 
@@ -47,7 +46,7 @@ class Membership:
 def class_membership(c: Curve, fn: Functional, p: CurvatureParams,
                      tol: Tolerance = DEFAULT_TOL) -> Membership:
     """Report-style membership test for C, C' and C''_N."""
-    fs = fn.values(c.points)
+    fs = fn.values(fn.space.require_points(c.points))
     in_cprime = _in_cprime(fs, tol)
     return Membership(in_cprime or bool(np.isfinite(fs).all()), in_cprime,
                       in_cprime and _in_csecond(c, fn, p, tol, fs))
@@ -99,7 +98,7 @@ def r1(c: Curve, fn: Functional, p: CurvatureParams,
     alpha integrates -N/f_N by trapezoid on the curve's grid; an initial
     rectangle accounts for (0, t_0) when the grid starts after 0.
     """
-    fs = fn.values(c.points)  # f once per curve: for f_N and for C'
+    fs = fn.values(fn.space.require_points(c.points))  # once: for f_N and C'
     c, fN = _truncate_before_extinction(c, _exp_clip(-fs / p.N))
     if not _in_cprime(fs[:c.n_samples], tol):
         raise NotInCPrime(f"energy not non-increasing along {c.meta}")
@@ -109,7 +108,7 @@ def r1(c: Curve, fn: Functional, p: CurvatureParams,
 def r2(c: Curve, fn: Functional, p: CurvatureParams,
        tol: Tolerance = DEFAULT_TOL) -> Curve:
     """Backward time change: new grid t = beta(s), same points."""
-    fs = fn.values(c.points)
+    fs = fn.values(fn.space.require_points(c.points))
     if not (_in_cprime(fs, tol) and _in_csecond(c, fn, p, tol, fs)):
         raise NotInCsecondN(f"integral of f_N not finite/stable along {c.meta}")
     return _time_change(c, _exp_clip(-fs / p.N) / (-p.N), "r2")
@@ -132,7 +131,7 @@ def roundtrip_error(c: Curve, fn: Functional, p: CurvatureParams,
     (order="auto" prefers the former).  The result is the sup over grid
     points of the spatial mismatch plus the sup time-grid discrepancy.
     """
-    in_cprime = _in_cprime(fn.values(c.points), tol)
+    in_cprime = _in_cprime(fn.values(fn.space.require_points(c.points)), tol)
     if order == "auto":
         order = "r2r1" if in_cprime else "r1r2"
     if order == "r2r1":
@@ -149,5 +148,5 @@ def roundtrip_error(c: Curve, fn: Functional, p: CurvatureParams,
     lo = max(times[0], rt.times[0])
     hi = min(times[-1], rt.times[-1])
     inside = (times >= lo) & (times <= hi)
-    gaps = distances(rt.at(times[inside]), c.points[:m][inside], c.is_1d)
+    gaps = fn.space.distances(rt.at(times[inside]), c.points[:m][inside])
     return float(np.max(gaps, initial=0.0)) + time_gap

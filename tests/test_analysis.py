@@ -22,12 +22,13 @@ from knflow.errors import (
     KZero,
     ParamOutOfRange,
     PointOutsideDomain,
+    PointOutsideSpace,
     TooFewSamples,
 )
 from knflow.flows import Curve, minimizing_movement, ode_flow, oracle_flow, time_grid
-from knflow.functionals import directional_derivative, fN_functional, library
-from knflow.reparam import r1, r2
-from knflow.spaces import geodesic
+from knflow.functionals import Functional, directional_derivative, fN_functional, library
+from knflow.reparam import class_membership, r1, r2, roundtrip_error
+from knflow.spaces import EuclideanRn, Interval, geodesic
 
 P01 = CurvatureParams(0.0, -1.0)
 P11 = CurvatureParams(1.0, -1.0)
@@ -244,7 +245,6 @@ class TestRnSamplers:
 
     def test_stratified_rows_lie_in_the_box_and_near_the_curve(self):
         from knflow.analysis import _stratified_z
-        from knflow.spaces import distances
         # curve points on and near the edges of the box [-3, 3]^2, so the
         # clip acts on the near-curve stratum too
         x_t = np.array([[0.0, 0.0], [2.95, -1.0], [-3.0, 3.0], [1.0, 2.99]])
@@ -253,12 +253,11 @@ class TestRnSamplers:
         z = _stratified_z(self.QUAD2, x_t, steps, np.random.default_rng(4), n)
         assert z.shape == (len(x_t), n, 2)
         assert ((z >= -3.0) & (z <= 3.0)).all()
-        near = distances(x_t[:, None, :], z[:, :n // 3], False)
+        near = EuclideanRn(2).distances(x_t[:, None, :], z[:, :n // 3])
         assert (near <= steps[:, None] * (1.0 + 1e-12)).all()
 
     def test_local_points_lie_in_the_box_and_the_ball(self, monkeypatch):
         from knflow import analysis
-        from knflow.spaces import distances
         real = analysis._step_check
         seen = {}
 
@@ -278,7 +277,7 @@ class TestRnSamplers:
         z, x_t = seen["z"], c.points[seen["idx"]]
         assert z.shape == (len(x_t), 25, 2)
         assert ((z >= -3.0) & (z <= 3.0)).all()
-        assert (distances(x_t[:, None, :], z, False)
+        assert (EuclideanRn(2).distances(x_t[:, None, :], z)
                 <= radius * (1.0 + 1e-12)).all()
 
 
@@ -388,6 +387,15 @@ class TestSlope:
     def test_formula_radius_cap(self):
         with pytest.raises(ParamOutOfRange):
             slope(LOG_COS, 0.3, "formula", p=PM11, R=4.0)
+
+    @pytest.mark.parametrize("space", [Interval(), Interval(0.5 - 1e-6, 0.5 + 1e-6)],
+                             ids=["f-infinite-off-y", "no-probe-inside"])
+    def test_formula_without_finite_probe_is_zero(self, space):
+        # f is +inf at every probe (or no probe lies in the interval): the
+        # supremum runs over no point, so the slope is 0
+        fn = Functional(space=space, name="spike",
+                        fvec=lambda x: np.where(x == 0.5, 0.0, math.inf))
+        assert slope(fn, 0.5, "formula", p=P01, R=0.1) == 0.0
 
     def test_outside_domain(self):
         with pytest.raises(PointOutsideDomain):
@@ -559,3 +567,69 @@ class TestIdentification:
         for c, fn in curves:
             fs = fn.values(c.points)
             assert (np.diff(fs) <= TOL.abs).all()
+
+
+class TestCurveInTheSpace:
+    """Every entry point that takes a curve and a functional (or a geodesic,
+    or a second curve) raises PointOutsideSpace when the curve's point shape
+    is not the space's, instead of a numpy error."""
+
+    QUAD2 = library("quadratic", P11, c=1.0, dim=2)
+    LINE = oracle_flow("log-x", P01, 1.0, time_grid(0.0, 0.4, 40))
+    PLANE = oracle_flow("quadratic", None, np.array([1.0, -0.5]),
+                        time_grid(0.0, 0.4, 40), c=1.0)
+    R1 = Curve(PLANE.times, PLANE.points[:, :1])
+
+    ENTRY_POINTS = {
+        "evi-lambda": lambda c, fn: check_evi_lambda(c, fn, 1.0, SPEC, TOL),
+        "evi-kn": lambda c, fn: check_evi_kn(c, fn, P11, "ii", SPEC, TOL),
+        "evi-integrated": lambda c, fn: check_evi_integrated(c, fn, P11, SPEC, TOL),
+        "evi-local": lambda c, fn: check_evi_local(c, fn, 1.0, 0.5, SPEC, TOL),
+        "energy-audit": lambda c, fn: energy_audit(c, fn, TOL),
+        "r1": lambda c, fn: r1(c, fn, P11, TOL),
+        "r2": lambda c, fn: r2(c, fn, P11, TOL),
+        "roundtrip": lambda c, fn: roundtrip_error(c, fn, P11, TOL),
+        "membership": lambda c, fn: class_membership(c, fn, P11, TOL),
+        "bracket": lambda c, fn: bracket(
+            c, 0.1, geodesic(fn.space, *fn.sample_box)),
+    }
+
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    @pytest.mark.parametrize("curve, fn", [
+        (LINE, QUAD2), (PLANE, LOG_X), (R1, LOG_X), (R1, QUAD2),
+    ], ids=["line-in-r2", "plane-on-interval", "r1-on-interval", "r1-in-r2"])
+    def test_curve_of_another_shape_is_rejected(self, entry, curve, fn):
+        with pytest.raises(PointOutsideSpace, match="not in"):
+            self.ENTRY_POINTS[entry](curve, fn)
+
+    @pytest.mark.parametrize("c1, c2", [(LINE, PLANE), (PLANE, LINE),
+                                        (R1, PLANE), (LINE, R1)],
+                             ids=["line-plane", "plane-line", "r1-plane", "line-r1"])
+    def test_contraction_needs_one_space(self, c1, c2):
+        with pytest.raises(PointOutsideSpace, match="not in"):
+            contraction_rate(c1, c2, 0.1)
+
+    @pytest.mark.parametrize("curve, fn, z", [
+        (PLANE, QUAD2, [0.1, 0.2, 0.3]), (PLANE, QUAD2, 0.5),
+        (PLANE, QUAD2, [[0.1], [0.2]]), (PLANE, QUAD2, [[0.1, 0.2, 0.3]]),
+        (LINE, LOG_X, [[0.5, 0.6]]), (LINE, LOG_X, 0.5),
+    ], ids=["r3-point", "scalar-in-r2", "r1-points", "r3-points", "r2-points",
+            "scalar-on-interval"])
+    @pytest.mark.parametrize("form", ["lambda", "kn"])
+    def test_reference_points_of_another_shape_are_rejected(self, curve, fn, z,
+                                                            form):
+        with pytest.raises(PointOutsideSpace, match="not in"):
+            if form == "lambda":
+                check_evi_lambda(curve, fn, 1.0, SPEC, TOL, z_override=z)
+            else:
+                check_evi_kn(curve, fn, P11, "ii", SPEC, TOL, z_override=z)
+
+    def test_r1_curve_in_r1(self):
+        from knflow.functionals import expression_functional
+        fn = expression_functional("x1*x1", EuclideanRn(1))
+        c = ode_flow(fn, np.array([1.0]), time_grid(0.0, 1.0, 50))
+        assert check_evi_lambda(c, fn, 2.0, SPEC, TOL).passed
+        assert not check_evi_lambda(c, fn, 2.5, SPEC, TOL).passed
+        assert energy_audit(c, fn, TOL).passes_pointwise_balance
+        line = Curve(c.times, c.points[:, 0])
+        np.testing.assert_array_equal(metric_derivative(line), metric_derivative(c))

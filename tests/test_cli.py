@@ -611,3 +611,106 @@ class TestCoeffOutsideKernelDomain:
         assert not (tmp_path / "s.csv").exists()
         with pytest.raises(ParamOutOfRange):
             run(cfg, str(tmp_path))
+
+
+class TestBoxShape:
+    """A check-convexity box must be a pair of points of the functional's
+    space; any other shape ends the CLI with exit code 1, not a verdict or
+    a traceback.  x1^2 + x2^2 is exactly 2-convex on R^2."""
+
+    PLANE = {"expr": "x1*x1 + x2*x2", "domain": {"kind": "euclidean", "n": 2}}
+    LOG_COSH = {"library": "log-cosh", "K": 1, "N": -1}
+
+    @pytest.mark.parametrize("functional, box", [
+        (PLANE, [[0, 0, 0], [1, 1, 1]]),
+        (PLANE, [0, 1]),
+        (PLANE, [[0], [1]]),
+        (LOG_COSH, [[0, 0], [1, 1]]),
+    ], ids=["r3-box-on-r2", "scalar-box-on-r2", "r1-box-on-r2",
+            "r2-box-on-interval"])
+    def test_exit_one_without_report(self, tmp_path, capsys, functional, box):
+        cfg = {"command": "check-convexity", "kind": "lambda", "lambda": 2.0,
+               "functional": functional, "box": box, "pairs": 200,
+               "out": "r.json"}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        code = main(["check-convexity", "--config", str(cfg_path), "--out",
+                     str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ") and "pair of points" in err
+        assert not (tmp_path / "r.json").exists()
+        with pytest.raises(ParamOutOfRange):
+            run(cfg, str(tmp_path))
+
+    def test_box_of_the_space_shape_passes(self, tmp_path):
+        cfg = {"command": "check-convexity", "kind": "lambda", "lambda": 2.0,
+               "functional": self.PLANE, "box": [[0, 0], [1, 1]], "pairs": 200,
+               "out": "r.json"}
+        assert run(cfg, str(tmp_path)).status == "pass"
+
+
+class TestCurveInTheFunctionalSpace:
+    """Curves are read in the functional's space, and a curve of another
+    point shape is PointOutsideSpace (exit code 1)."""
+
+    R1 = {"expr": "x1*x1", "domain": {"kind": "euclidean", "n": 1}}
+    FLOW = {"command": "flow", "method": "ode", "functional": R1, "y0": [1.0],
+            "grid": {"t0": 0.0, "t1": 1.0, "n": 50}, "out": "r1.csv"}
+
+    def _evi(self, lam, out):
+        return {"command": "check-evi", "input": "r1.csv", "functional": self.R1,
+                "form": "lambda", "lambda": lam, "z_per_time": 50,
+                "time_samples": 20, "seed": 3, "out": out}
+
+    def _in_memory(self, lam):
+        from knflow.analysis import check_evi_lambda
+        from knflow.core import SampleSpec
+        from knflow.flows import ode_flow, time_grid
+        from knflow.functionals import expression_functional
+        from knflow.spaces import EuclideanRn
+        fn = expression_functional("x1*x1", EuclideanRn(1))
+        c = ode_flow(fn, np.array([1.0]), time_grid(0.0, 1.0, 50))
+        rep = check_evi_lambda(c, fn, lam, SampleSpec(seed=3, count=50),
+                               t_samples=20)
+        return json.loads(json.dumps(_jsonable(rep.to_json())))
+
+    @pytest.mark.parametrize("piped", [False, True], ids=["standalone", "pipeline"])
+    def test_r1_curve_round_trips(self, tmp_path, piped):
+        stages = [self.FLOW, self._evi(2.0, "pass.json"),
+                  self._evi(2.5, "fail.json"),
+                  {"command": "audit-energy", "input": "r1.csv",
+                   "functional": self.R1, "out_csv": "a.csv", "out_json": "a.json"},
+                  {"command": "reparam", "direction": "r1", "input": "r1.csv",
+                   "functional": self.R1, "K": 0, "N": -1, "out": "r1_r1.csv"}]
+        if piped:
+            assert [s["status"] for s in pipeline(stages, str(tmp_path)).stages] \
+                == ["ok", "pass", "fail", "pass", "ok"]
+        else:
+            assert [run(s, str(tmp_path)).status for s in stages] \
+                == ["ok", "pass", "fail", "pass", "ok"]
+        for lam, name in ((2.0, "pass.json"), (2.5, "fail.json")):
+            assert json.loads((tmp_path / name).read_text()) == self._in_memory(lam)
+        assert read_curve_csv(str(tmp_path / "r1_r1.csv")).n_samples == 50
+
+    @pytest.mark.parametrize("inputs", [("line.csv", "plane.csv"),
+                                        ("plane.csv", "line.csv")],
+                             ids=["2-column-first", "3-column-first"])
+    def test_contract_of_a_2_and_a_3_column_curve(self, tmp_path, capsys, inputs):
+        grid = {"t0": 0.0, "t1": 0.4, "n": 50}
+        pipeline([{"command": "flow", "method": "oracle", "grid": grid,
+                   "functional": {"library": "log-x", "K": 0, "N": -1},
+                   "y0": 1.0, "out": "line.csv"},
+                  {"command": "flow", "method": "oracle", "grid": grid,
+                   "functional": {"library": "quadratic", "K": 1, "N": -1,
+                                  "c": 1.0, "dim": 2},
+                   "y0": [1.0, 1.0], "out": "plane.csv"}], str(tmp_path))
+        cfg = {"command": "contract", "input1": inputs[0], "input2": inputs[1],
+               "r": 0.1, "out": "c.json"}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        code = main(["contract", "--config", str(cfg_path), "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ") and "not in" in err
+        assert not (tmp_path / "c.json").exists()

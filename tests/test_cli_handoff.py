@@ -133,7 +133,7 @@ class TestSameAsDisk:
             "c.csv", "c_r1.csv", "c.csv", "cosh.csv", "plane.csv",
             "plane.csv", "plane_mms.csv"]
         assert all(r.handed_over for r in reads)
-        assert {r.curve.is_1d for r in reads} == {True, False}
+        assert {r.curve.points.ndim for r in reads} == {1, 2}
 
     def test_outputs_equal_standalone_runs(self, tmp_path):
         for name, stages in (("r2", R2_STAGES), ("same-grid", SAME_GRID_STAGES)):

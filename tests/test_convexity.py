@@ -16,9 +16,10 @@ from knflow.convexity import (
     sampling_box,
 )
 from knflow.core import SampleSpec, Tolerance
-from knflow.errors import BadBracket, EmptyDomain, UnboundedAbove
-from knflow.functionals import Functional, fN_functional, library
-from knflow.spaces import Interval
+from knflow.errors import BadBracket, EmptyDomain, ParamOutOfRange, UnboundedAbove
+from knflow.functionals import (Functional, expression_functional, fN_functional,
+                                library)
+from knflow.spaces import EuclideanRn, Interval
 
 P01 = CurvatureParams(0.0, -1.0)
 P11 = CurvatureParams(1.0, -1.0)
@@ -317,6 +318,38 @@ class TestSamplingBox:
             check_lambda_convex(fn, 1.0, SPEC, TOL, box=([0.0, 1.0], [1.0, 1.0]))
         lo, hi = sampling_box(fn, ([0, -1], [1, 2]))
         assert lo.dtype == hi.dtype == float and lo.tolist() == [0.0, -1.0]
+
+    @pytest.mark.parametrize("space, expr, want", [
+        (Interval(-math.inf, -5.0), "(x+5)*(x+5)", (-6.001, -5.001)),
+        (Interval(5.0, math.inf), "(x-5)*(x-5)", (5.001, 6.001)),
+        (Interval(-math.inf, 10.0, open_b=False), "x*x", (-3.0, 10.0)),
+        (Interval(-math.inf, -10.0, open_b=False), "x*x", (-11.0, -10.0)),
+    ], ids=["left-unbounded", "right-unbounded", "left-unbounded-wide",
+            "left-unbounded-far"])
+    def test_default_box_on_half_lines_mirrors(self, space, expr, want):
+        fn = expression_functional(expr, space)
+        assert sampling_box(fn) == pytest.approx(want, abs=1e-12)
+        assert check_lambda_convex(fn, 2.0, SPEC, TOL).passed
+        assert not check_lambda_convex(fn, 2.5, SPEC, TOL).passed
+
+    @pytest.mark.parametrize("space, box", [
+        (EuclideanRn(2), ([0, 0, 0], [1, 1, 1])),
+        (EuclideanRn(2), (0.0, 1.0)),
+        (EuclideanRn(2), ([0.0], [1.0])),
+        (EuclideanRn(2), ([0.0, 0.0], [1.0])),
+        (EuclideanRn(2), ([0, 0], [1, 1], [2, 2])),
+        (Interval(), ([0, 0], [1, 1])),
+        (Interval(), (0.0, 1.0, 2.0)),
+        (Interval(), ("a", "b")),
+    ], ids=["r3-box-on-r2", "scalar-box-on-r2", "r1-box-on-r2", "ragged-box",
+            "three-corners", "r2-box-on-interval", "three-ends", "strings"])
+    def test_box_of_another_shape_is_rejected(self, space, box):
+        expr = "x*x" if isinstance(space, Interval) else "x1*x1 + x2*x2"
+        fn = expression_functional(expr, space)
+        with pytest.raises(ParamOutOfRange, match="pair of points"):
+            check_lambda_convex(fn, 2.0, SPEC, TOL, box=box)
+        with pytest.raises(ParamOutOfRange, match="pair of points"):
+            check_kn_convex(replace(fn, sample_box=box), P11, SPEC, TOL)
 
     def test_determinism(self):
         fn = library("log-x", P01)

@@ -59,6 +59,21 @@ class TestCurve:
         with pytest.raises(ParamOutOfRange):
             Curve(np.array([-1.0, 0.0]), np.array([1.0, 1.0]))
 
+    @pytest.mark.parametrize("points", [5.0, np.zeros((3, 2, 2)), np.zeros(2)],
+                             ids=["scalar", "rank-3", "short"])
+    def test_points_are_a_curve_in_a_flat_space(self, points):
+        with pytest.raises(ParamOutOfRange, match="shape"):
+            Curve(np.arange(3.0), points)
+
+    def test_space_and_interpolation_follow_the_point_shape(self):
+        t = np.array([0.0, 1.0])
+        line, plane = Curve(t, [0.0, 2.0]), Curve(t, [[0.0, 1.0], [2.0, -1.0]])
+        assert line.space == Interval() and plane.space == EuclideanRn(2)
+        assert isinstance(line.at(0.25), float) and line.at([0.25]).tolist() == [0.5]
+        assert line.at(0.25) == 0.5
+        assert plane.at(0.25).tolist() == [0.5, 0.5]
+        assert plane.at([[0.25, 0.5]]).shape == (1, 2, 2)
+
     def test_interpolation(self):
         c = Curve(np.array([0.0, 1.0]), np.array([0.0, 2.0]))
         assert c.at(0.25) == pytest.approx(0.5)

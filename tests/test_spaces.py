@@ -1,4 +1,7 @@
+import ast
 import math
+import re
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -10,9 +13,7 @@ from knflow.errors import ConfigInvalid, ParamOutOfRange, PointOutsideSpace
 from knflow.spaces import (
     EuclideanRn,
     Interval,
-    closure_point,
     dist,
-    distances,
     geodesic,
     geodesic_eval,
     space_from_json,
@@ -23,7 +24,7 @@ class TestInterval:
     def test_membership_open_ends(self):
         sp = Interval(0.0, math.inf)
         assert sp.contains(0.5) and not sp.contains(0.0)
-        assert closure_point(sp, 0.0) == 0.0
+        assert sp.closure_point(0.0) == 0.0
         assert not sp.contains(-1.0)
 
     def test_membership_closed_end(self):
@@ -42,8 +43,8 @@ class TestInterval:
         for x in (math.nan, math.inf, -math.inf, np.float64(math.nan)):
             assert not sp.contains(x)
             with pytest.raises(PointOutsideSpace):
-                closure_point(sp, x)
-        assert closure_point(sp, 0.0) == 0.0
+                sp.closure_point(x)
+        assert sp.closure_point(0.0) == 0.0
 
     def test_dist(self):
         sp = Interval(0.0, math.inf)
@@ -158,7 +159,7 @@ class TestOneNorm:
 
     def test_distances_dist_and_length(self):
         x0, x1, want, other = self._rows()
-        assert np.array_equal(distances(x0, x1, False), want)
+        assert np.array_equal(EuclideanRn(3).distances(x0, x1), want)
         sp = EuclideanRn(3)
         for k in other:
             assert dist(sp, x0[k], x1[k]) == want[k]
@@ -272,3 +273,51 @@ class TestJson:
     def test_minus_inf_endpoint(self):
         sp = space_from_json({"kind": "interval", "a": "-inf", "b": 0})
         assert sp.a == -math.inf and sp.b == 0.0
+
+
+class TestGeometryStaysInTheSpaces:
+    """A source scan: outside spaces.py, code asks the space for its geometry
+    (distances, segment, closure_point, sampling_box, shape) instead of
+    branching on its type.  The branches left are the 1-d and R^n solvers of
+    flows, the samplers whose random streams differ by space, and the two
+    checks that take intervals only.  A new branch must join this list."""
+
+    BRANCH = re.compile(r"one_d|dim1|is_1d|isinstance\([^)]*(Interval|EuclideanRn)")
+    SURVIVORS = Counter({
+        ("analysis.py", "_stratified_z"): 1,  # per-space random stream
+        ("analysis.py", "check_evi_local"): 1,  # per-space random stream
+        ("analysis.py", "_definition_slopes"): 1,  # per-space probes
+        ("analysis.py", "slope"): 1,  # the formula slope takes intervals only
+        ("convexity.py", "check_gluing"): 1,  # takes intervals only
+        ("flows.py", "ode_flow"): 3,  # boundary events on intervals
+        ("flows.py", "_prox_args"): 1,  # the solver choice
+        ("flows.py", "prox"): 2,
+        ("flows.py", "minimizing_movement"): 9,
+    })
+
+    @staticmethod
+    def _owners(tree):
+        """(first line, last line, name) of each module-level function and
+        each method, as "Class.method"."""
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef):
+                yield node.lineno, node.end_lineno, node.name
+            elif isinstance(node, ast.ClassDef):
+                for sub in node.body:
+                    if isinstance(sub, ast.FunctionDef):
+                        yield sub.lineno, sub.end_lineno, f"{node.name}.{sub.name}"
+
+    def test_no_new_branch_on_the_space_type(self):
+        import knflow
+        found = Counter()
+        for path in sorted(Path(knflow.__file__).parent.glob("*.py")):
+            if path.name == "spaces.py":
+                continue
+            text = path.read_text()
+            owners = list(self._owners(ast.parse(text)))
+            for k, line in enumerate(text.splitlines(), 1):
+                if self.BRANCH.search(line):
+                    owner = next((name for lo, hi, name in owners if lo <= k <= hi),
+                                 None)
+                    found[(path.name, owner)] += 1
+        assert found - self.SURVIVORS == Counter()
