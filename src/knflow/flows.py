@@ -330,12 +330,13 @@ def prox(fn: Functional, tau: float, v) -> ProxStep:
     at the output :class:`NotBoundedBelow`.
     1-d: the first root of psi(w) = (w - v)/tau + f'(w) downhill from v (the
     minimizer for lambda-convex f with 1 + lambda tau > 0): steps from
-    tau|f'(v)| double until psi changes sign, each after the Newton trials
-    short of it; then Newton or secant steps (bisecting where one leaves the
-    bracket) stop at psi = 0, at a step and a chord from v both under tol =
-    1e-16 (1 + |v|) + 4 eps |w|, or at a bracket under tol, whose end past
-    the root is returned (a kink or pole of f').  A Newton step's slope is
-    psi' = 1/tau + ``fn.hess`` where finite and > 0, else the secant's.
+    tau|f'(v)| double until psi changes sign, each after the Newton or
+    secant trials short of it; then Newton or secant steps (bisecting where
+    one leaves the bracket) stop at psi = 0, at a step and a chord from v
+    both under tol = 1e-16 (1 + |v|) + 4 eps |w|, or at a bracket under tol,
+    whose end past the root is returned (a kink or pole of f').  A Newton
+    step's slope is psi' = 1/tau + ``fn.hess`` where finite and > 0, else
+    the secant's.
     A search still descending at a finite end of the closure stops there; it
     raises NotBoundedBelow where f = -inf at that end or after 200 doublings,
     and evaluates f only there.  R^n: damped Newton with an Armijo line
@@ -367,6 +368,14 @@ def prox(fn: Functional, tau: float, v) -> ProxStep:
                     hess_evals=(evals - 1) * (fn.hess is not None))
 
 
+def _step(x0: float, s0: float, x1: float, s1: float, d1: float) -> float:
+    """The root estimate from x1: Newton's with the slope d1 where finite and
+    > 0, else the secant's through (x0, s0); inf where both slopes fail."""
+    if 0.0 < d1 < math.inf:
+        return x1 - s1 / d1
+    return x1 - s1 * (x1 - x0) / (s1 - s0) if s1 != s0 else math.inf
+
+
 def _prox_1d(fn: Functional, tau: float, v: float) -> tuple:
     """(output, psi evaluations, expansions, whether the output is the end of
     a collapsed bracket: past a kink or a pole of f') of the search from v;
@@ -377,7 +386,8 @@ def _prox_1d(fn: Functional, tau: float, v: float) -> tuple:
         return v, 1, 0, False
     # psi(a) has g's sign, b is at or past the root; x0, x1: the last two
     # trials, d0, d1: psi' = 1/tau + f'' there (NaN at v and without hess)
-    a, b, x1, s1, d1, evals, k = v, None, v, g, math.nan, 1, 0
+    a, b, x0, s0, x1, s1, d1 = v, None, math.nan, math.nan, v, g, math.nan
+    evals, k = 1, 0
     grad, hess, ag, h = fn.grad, fn.hess, abs(g), max(tau * abs(g), math.ulp(v))
     for _ in range(3 * _MAX_EXPANSIONS):
         tol = 1e-16 * (1.0 + abs(v)) + _EPS4 * abs(x1)
@@ -386,22 +396,21 @@ def _prox_1d(fn: Functional, tau: float, v: float) -> tuple:
                 return b, evals, k, True
             if abs(s0) < abs(s1):  # step from the point nearer the root
                 x0, s0, d0, x1, s1, d1 = x1, s1, d1, x0, s0, d0
-            w = (x1 - s1 / d1 if 0.0 < d1 < math.inf else  # else the secant's slope
-                 x1 - s1 * (x1 - x0) / (s1 - s0) if s1 != s0 else math.inf)
+            w = _step(x0, s0, x1, s1, d1)
             if not min(a, b) <= w <= max(a, b):
                 w = 0.5 * (a + b)
             elif abs(w - x1) < tol and abs(s1 * (x1 - v)) < tol * ag:
                 return w, evals, k, False  # the chord from v agrees: no jump in psi
         elif k == _MAX_EXPANSIONS:
             break
-        else:  # double the step until psi changes sign, after Newton trials short of it
+        else:  # double the step until psi changes sign, after trials short of it
             c = w = v + down * h
             if not math.isfinite(w):
                 raise NotBoundedBelow(
                     f"prox objective of {fn.name} decreases without bound")
             if down * (w - bound) >= 0:
                 c = w = bound
-            t = x1 - s1 / d1 if 0.0 < d1 < math.inf else math.nan
+            t = _step(x0, s0, x1, s1, d1)  # NaN at the first pass: x0 is NaN
             if abs(t - x1) < tol and abs(s1 * (x1 - v)) < tol * ag:
                 return t, evals, k, False
             if (t - x1) * (c - t) > 0.0:
@@ -418,7 +427,7 @@ def _prox_1d(fn: Functional, tau: float, v: float) -> tuple:
         d = math.nan if hess is None else 1.0 / tau + float(hess(w))
         if s == 0.0 or (s > 0) != (g > 0):
             b = w
-        elif b is not None or w != c:  # in the bracket, or a Newton trial
+        elif b is not None or w != c:  # in the bracket, or a Newton or secant trial
             a = w
         elif w == bound:  # still descending at the end of the closure
             return w, evals, k, False

@@ -502,7 +502,7 @@ class TestOneEvaluationPerStep:
     def test_steps_after_the_end_evaluate_no_f(self):
         # linear(1) on [0, inf) reaches 0 at step 100 of 300; the later
         # steps start at the end and return it with one f' call each
-        for slope, psi_evals in (("newton", 400), ("secant", 407)):
+        for slope, psi_evals in (("newton", 400), ("secant", 400)):
             fn = _slope_source(library("linear", P01, a=1.0), slope)
             calls = []
 
@@ -599,7 +599,7 @@ class TestOneArrayOfValues:
         "nan-on-the-way": (_expr("x*x/2 + 0*log(x - 0.3)"), 1.0, 0.1, 30,
                            NanError, None),
         # u_1 = +inf past the pole at 0.3, found after that step's collapsed bracket
-        "plus-inf-before-a-raise": (_expr("x*x/2 + log(x - 0.3)"), 1.0, 0.1, 30,
+        "plus-inf-before-a-raise": (_expr("x*x/2 + log(x - 0.3)"), 1.0, 0.15, 30,
                                     BasePointOutsideDomain, 2),
         "u2-plus-inf-before-a-raise": (_expr("x*x/2 + log(x - 0.3)"), 2.0, 0.3, 3,
                                        BasePointOutsideDomain, 3),
@@ -955,6 +955,8 @@ class TestSecantSearch:
     @given(st.sampled_from(sorted(_MP_GRAD)), st.floats(0.0, 1.0), st.floats(1e-4, 1e-1))
     @example("log-cos", 0.504, 0.089217)  # roots near 0, where an absolute
     @example("log-cosh", 0.504, 0.001103)  # stop of 1e-16 spans many ulps
+    @example("log-cos", 0.19808743547023205, 0.09999999999999999)  # a root the
+    # doubling skips: psi dips through 0 twice between v and its first trials
     def test_output_is_the_root_within_two_ulps(self, name, frac, tau):
         p, grad = _MP_GRAD[name]
         fn = library(name, p)
@@ -984,7 +986,7 @@ class TestSecantSearch:
         # the 1000-step log-x and 700-step log-cos solves of perfbench's
         # pointwise workload, over its ranges of y0 (0.8 of the extinction
         # time); measured 3.236-3.249 and 3.371-3.603 f' calls per step with
-        # f'', 5.0 without.  f'' is called with f' at each trial but the first.
+        # f'', 4.0 without.  f'' is called with f' at each trial but the first.
         for fn, y0, horizon, steps, per_step in (
                 (library("log-x", P01), y0x, 0.4 * y0x * y0x, 1000, 3.26),
                 (library("log-cos", PM11), sign * y0c, -0.8 * math.log(math.sin(y0c)),
@@ -996,7 +998,7 @@ class TestSecantSearch:
             assert c.meta["prox_hess_evals"] == psi - steps
             c = minimizing_movement(_slope_source(fn, "secant"), horizon / steps, y0,
                                     horizon, TOL)
-            assert c.meta["prox_psi_evals"] <= 5 * steps, (fn.name, y0)
+            assert c.meta["prox_psi_evals"] <= 4.05 * steps, (fn.name, y0)
             assert c.meta["prox_hess_evals"] == 0
 
     @pytest.mark.parametrize("y0, tau", [(1.0, 0.005), (0.7, 0.003), (-0.4, 0.01)])
@@ -1011,7 +1013,7 @@ class TestSecantSearch:
             assert np.max(np.abs(c.points - exact)) <= 2e-15
 
     # (slope source, tau) from v = 1: psi has no root in (0.3, 1)
-    POLE_CASES = (("secant", 0.1), ("secant", 0.5), ("newton", 0.5))
+    POLE_CASES = (("secant", 0.15), ("secant", 0.5), ("newton", 0.15), ("newton", 0.5))
 
     def test_a_pole_of_f_prime_returns_the_end_past_it(self):
         # psi jumps from -inf to +inf at x = 0.3; the search returns the
@@ -1031,6 +1033,15 @@ class TestSecantSearch:
             r = mp.findroot(lambda x: (x - 1) / mp.mpf(0.1) + x + 1 / (x - mp.mpf(0.3)),
                             mp.mpf(0.65))
         assert abs(w - r) <= 2 * math.ulp(0.65) and 0.64 < w < 0.65
+
+    def test_secant_trials_find_the_root_the_doubling_skips(self):
+        # without f'' the trials short of the next doubling take the secant
+        # of the last two psi values, and land on the same root as Newton's
+        fn = dataclasses.replace(_expr("x*x/2 + log(x - 0.3)"), hess=_pole_hess)
+        newton = prox(fn, 0.1, 1.0)
+        secant = prox(_slope_source(fn, "secant"), 0.1, 1.0)
+        assert abs(secant.output - newton.output) <= 2 * math.ulp(0.65)
+        assert 0.64 < secant.output < 0.65 and secant.psi_evals <= 12
 
     def test_a_step_past_a_pole_stops_the_steps(self):
         # u_1 is the end past the pole, where f = +inf; f is evaluated after
