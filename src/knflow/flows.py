@@ -12,13 +12,12 @@ is continued constantly at the boundary point and the hitting time is
 recorded in ``stop_time``.
 
 The proximal step :func:`prox` (a bracketed search for the root of
-(w - v)/tau + f'(w) on intervals, by Newton steps where ``Functional.hess``
-gives f'' and secant steps elsewhere; damped Newton with numpy's LAPACK
-``gesv`` on R^n) needs ``Functional.grad``, as the ODE route does.  On intervals a
-minimizing movement evaluates f in one array call at 512, 1024, ... steps,
-after a step past a jump of f' and at the end; the first iterate where f
-is not finite stops it and decides its error.  On R^n each step hands f
-and grad f at its output to the next.
+(w - v)/tau + f'(w) by Newton steps on intervals; damped Newton with numpy's
+LAPACK ``gesv`` on R^n) needs ``Functional.grad`` and ``Functional.hess``,
+the ODE route ``grad`` only.  On intervals a minimizing movement evaluates
+f in one array call at 512, 1024, ... steps, after a step past a jump of f'
+and at the end; the first iterate where f is not finite stops it and decides
+its error.  On R^n each step hands f and grad f at its output to the next.
 
 Solver totals go into ``Curve.meta`` (``ode_nfev``/``ode_status``,
 ``prox_psi_evals``/``prox_hess_evals``/``prox_expansions``) and to the
@@ -317,38 +316,37 @@ def _prox_args(fn: Functional, tau, v, horizon=None) -> tuple:
     n_steps = 1 if horizon is None else int(math.floor(float(horizon) / tau + 1e-9))
     if n_steps < 1:
         raise ParamOutOfRange("horizon shorter than one step")
-    if fn.grad is None:
-        raise ParamOutOfRange(f"prox of {fn.name} needs an analytic gradient")
+    if fn.grad is None or fn.hess is None:
+        raise ParamOutOfRange(f"prox of {fn.name} needs an analytic gradient and Hessian")
     return tau, fn.space.closure_point(v), isinstance(fn.space, Interval), n_steps
 
 
 def prox(fn: Functional, tau: float, v) -> ProxStep:
     """One proximal step: minimize d^2(v, .)/(2 tau) + f over the closure.
 
-    v must lie in the closure; f(v) = +inf raises
-    :class:`BasePointOutsideDomain`, and f(v) = -inf or an objective of -inf
-    at the output :class:`NotBoundedBelow`.
+    fn needs grad and hess (else :class:`ParamOutOfRange`).  v must lie in
+    the closure; f(v) = +inf raises :class:`BasePointOutsideDomain`, and
+    f(v) = -inf or an objective of -inf at the output :class:`NotBoundedBelow`.
     1-d: the first root of psi(w) = (w - v)/tau + f'(w) downhill from v (the
     minimizer for lambda-convex f with 1 + lambda tau > 0): steps from
-    tau|f'(v)| double until psi changes sign, each after the Newton or
-    secant trials short of it; then Newton or secant steps (bisecting where
-    one leaves the bracket) stop at psi = 0, at a step and a chord from v
-    both under tol = 1e-16 (1 + |v|) + 4 eps |w|, or at a bracket under tol,
-    whose end past the root is returned (a kink or pole of f').  A Newton
-    step's slope is psi' = 1/tau + ``fn.hess`` where finite and > 0, else
-    the secant's.
-    A search still descending at a finite end of the closure stops there; it
-    raises NotBoundedBelow where f = -inf at that end or after 200 doublings,
-    and evaluates f only there.  R^n: damped Newton with an Armijo line
-    search on f, none once the decrement -step.g/2 is under 4 eps (|obj| + 1);
-    grad f is called at v and after each line search.  The matrix, I/tau +
-    ``fn.hess(x)`` or a central finite-difference Jacobian, goes to numpy's
-    ``gesv`` (bitwise ``np.linalg.solve``); a singular one (a NaN step), a
-    decrement <= 0 or a non-finite step (only checked if the decrement is
-    not finite) takes the gradient step; a failed line search where |g|^2
-    overflows raises NotBoundedBelow, as do 100 iterations without a stop
-    where the last decrement is +inf (else BlowUp).  f skips the closure
-    test where |x - v|^2 is finite.
+    tau|f'(v)| double until psi changes sign, each after the Newton trials
+    short of it; then Newton steps (bisecting where one leaves the bracket)
+    stop at psi = 0, at a step and a chord from v both under tol = 1e-16
+    (1 + |v|) + 4 eps |w|, or at a bracket under tol, whose end past the
+    root is returned (a kink or pole of f').  Where the slope psi' = 1/tau +
+    f'' is not finite and > 0 there is no Newton trial: the search bisects
+    the bracket, or doubles before it.  A search still descending at a
+    finite end of the closure stops there; it raises NotBoundedBelow where
+    f = -inf at that end or after 200 doublings, and evaluates f only there.
+    R^n: damped Newton with an Armijo line search on f, none once the
+    decrement -step.g/2 is under 4 eps (|obj| + 1); grad f is called at v
+    and after each line search.  The matrix I/tau + ``fn.hess(x)`` goes to
+    numpy's ``gesv`` (bitwise ``np.linalg.solve``); a singular one (a NaN
+    step), a decrement <= 0 or a non-finite step (only checked if the
+    decrement is not finite) takes the gradient step; a failed line search
+    where |g|^2 overflows raises NotBoundedBelow, as do 100 iterations
+    without a stop where the last decrement is +inf (else BlowUp).  f skips
+    the closure test where |x - v|^2 is finite.
     """
     tau, v, one_d, _ = _prox_args(fn, tau, v)
     fv = fn.value(v)
@@ -365,38 +363,36 @@ def prox(fn: Functional, tau: float, v) -> ProxStep:
     if fw == -math.inf:
         raise NotBoundedBelow(f"prox objective of {fn.name} is -inf at {w}")
     return ProxStep(tau, v, w, 0.5 * (w - v) ** 2 / tau + fw, fw, evals, k,
-                    hess_evals=(evals - 1) * (fn.hess is not None))
+                    hess_evals=evals - 1)
 
 
-def _step(x0: float, s0: float, x1: float, s1: float, d1: float) -> float:
-    """The root estimate from x1: Newton's with the slope d1 where finite and
-    > 0, else the secant's through (x0, s0); inf where both slopes fail."""
-    if 0.0 < d1 < math.inf:
-        return x1 - s1 / d1
-    return x1 - s1 * (x1 - x0) / (s1 - s0) if s1 != s0 else math.inf
+def _step(x: float, s: float, d: float) -> float:
+    """Newton's root estimate from x, where psi = s and psi' = d; NaN where
+    d is not finite and > 0."""
+    return x - s / d if 0.0 < d < math.inf else math.nan
 
 
 def _prox_1d(fn: Functional, tau: float, v: float) -> tuple:
     """(output, psi evaluations, expansions, whether the output is the end of
     a collapsed bracket: past a kink or a pole of f') of the search from v;
-    f'' is called with f' at each trial point where fn has hess."""
+    f'' is called with f' at each trial point."""
     g = float(fn.grad(v))  # psi(v) = f'(v): its sign is the uphill direction
     down, bound = (-1.0, fn.space.a) if g > 0 else (1.0, fn.space.b)
     if g == 0.0 or v == bound:  # at the end, descending out of the closure
         return v, 1, 0, False
     # psi(a) has g's sign, b is at or past the root; x0, x1: the last two
-    # trials, d0, d1: psi' = 1/tau + f'' there (NaN at v and without hess)
+    # trials, d0, d1: psi' = 1/tau + f'' there (NaN at v)
     a, b, x0, s0, x1, s1, d1 = v, None, math.nan, math.nan, v, g, math.nan
     evals, k = 1, 0
     grad, hess, ag, h = fn.grad, fn.hess, abs(g), max(tau * abs(g), math.ulp(v))
     for _ in range(3 * _MAX_EXPANSIONS):
         tol = 1e-16 * (1.0 + abs(v)) + _EPS4 * abs(x1)
-        if b is not None:  # a Newton or secant step; one leaving the bracket bisects it
+        if b is not None:  # a Newton step; one leaving the bracket bisects it
             if abs(b - a) < tol:  # no root: psi jumps at a kink or a pole of f'
                 return b, evals, k, True
             if abs(s0) < abs(s1):  # step from the point nearer the root
                 x0, s0, d0, x1, s1, d1 = x1, s1, d1, x0, s0, d0
-            w = _step(x0, s0, x1, s1, d1)
+            w = _step(x1, s1, d1)
             if not min(a, b) <= w <= max(a, b):
                 w = 0.5 * (a + b)
             elif abs(w - x1) < tol and abs(s1 * (x1 - v)) < tol * ag:
@@ -410,7 +406,7 @@ def _prox_1d(fn: Functional, tau: float, v: float) -> tuple:
                     f"prox objective of {fn.name} decreases without bound")
             if down * (w - bound) >= 0:
                 c = w = bound
-            t = _step(x0, s0, x1, s1, d1)  # NaN at the first pass: x0 is NaN
+            t = _step(x1, s1, d1)  # NaN at the first pass: d1 is NaN
             if abs(t - x1) < tol and abs(s1 * (x1 - v)) < tol * ag:
                 return t, evals, k, False
             if (t - x1) * (c - t) > 0.0:
@@ -424,10 +420,10 @@ def _prox_1d(fn: Functional, tau: float, v: float) -> tuple:
                     raise BasePointOutsideDomain(
                         f"{fn.name} is +inf at the end {bound} of the prox search")
         s, evals = (w - v) / tau + float(grad(w)), evals + 1
-        d = math.nan if hess is None else 1.0 / tau + float(hess(w))
+        d = 1.0 / tau + float(hess(w))
         if s == 0.0 or (s > 0) != (g > 0):
             b = w
-        elif b is not None or w != c:  # in the bracket, or a Newton or secant trial
+        elif b is not None or w != c:  # in the bracket, or a Newton trial
             a = w
         elif w == bound:  # still descending at the end of the closure
             return w, evals, k, False
@@ -448,19 +444,11 @@ def _prox_rn(fn: Functional, tau: float, v, fv: float, eye_tau, gv=None) -> tupl
     evals, n_hess = int(gv is None), 0
     gx = np.asarray(fn.grad(v), dtype=float) if gv is None else gv
     x, obj, fx, g = v, fv, fv, gx + 0.0  # bitwise psi(v) = (v - v)/tau + gx
-    h = 1e-6 * (1.0 + math.sqrt(v.dot(v))) if fn.hess is None else None
     for _ in range(100):
         gnorm = math.sqrt(g.dot(g))  # spaces.distances from 0, bit for bit
         if gnorm <= 1e-12 * (1.0 + 1.0 / tau):
             break
-        if h is None:  # the exact Hessian
-            H, n_hess = eye_tau + fn.hess(x), n_hess + 1
-        else:  # central finite-difference Jacobian of psi, symmetrized
-            H = np.empty(eye_tau.shape)
-            for j, e in enumerate(h * np.eye(v.size)):
-                H[:, j] = (((x + e - v) / tau + fn.grad(x + e))
-                           - ((x - e - v) / tau + fn.grad(x - e))) / (2 * h)
-            H, evals = 0.5 * (H + H.T), evals + 2 * v.size
+        H, n_hess = eye_tau + fn.hess(x), n_hess + 1
         step = solve1(H, -g)  # NaN where H is singular
         dec = -0.5 * float(step.dot(g))  # the Newton decrement
         # a finite decrement implies a finite step; only dec = inf or NaN scans it
@@ -506,21 +494,21 @@ def minimizing_movement(fn: Functional, tau: float, y0, horizon: float,
     """Implicit Euler scheme: prox steps up to the horizon, sampled at the
     step boundaries n*tau (including t = 0).
 
-    The arguments are checked once, then each step runs the search of
-    :func:`prox`; its errors are re-raised with the step index.  On
-    intervals f is evaluated in one call at 512 steps, at each doubling of
-    that, after a step that ends on a collapsed bracket (a kink or a pole of
-    f') and at the end (on R^n each step passes f and grad f on); a call
-    with f not finite stops the steps, and the first iterate u_k where f is
-    not finite fails as in a loop of prox calls, also if a later step
-    raised: -inf with :class:`NotBoundedBelow` at step max(k, 1), +inf with
-    :class:`BasePointOutsideDomain` at step k + 1 (none after the last),
-    NaN with :class:`NanError`.  meta has ``prox_psi_evals`` (gradient
-    calls: f' at each 1-d trial point; on R^n one at y0 and one per Newton
-    iterate, 2n more per iteration with a finite-difference Hessian),
-    ``prox_hess_evals`` (``fn.hess`` calls: f'' with each f' but the steps'
-    first, or one per Newton iteration) and ``prox_expansions`` (doublings).
-    tol is not read; ``perfbench/jobs.py`` passes it by position.
+    The arguments are checked once (fn needs grad and hess), then each step
+    runs the search of :func:`prox`; its errors are re-raised with the step
+    index.  On intervals f is evaluated in one call at 512 steps, at each
+    doubling of that, after a step that ends on a collapsed bracket (a kink
+    or a pole of f') and at the end (on R^n each step passes f and grad f
+    on); a call with f not finite stops the steps, and the first iterate u_k
+    where f is not finite fails as in a loop of prox calls, also if a later
+    step raised: -inf with :class:`NotBoundedBelow` at step max(k, 1), +inf
+    with :class:`BasePointOutsideDomain` at step k + 1 (none after the
+    last), NaN with :class:`NanError`.  meta has ``prox_psi_evals``
+    (gradient calls: f' at each 1-d trial point; on R^n one at y0 and one
+    per Newton iterate), ``prox_hess_evals`` (``fn.hess`` calls: f'' with
+    each f' but the steps' first, or one per Newton iteration) and
+    ``prox_expansions`` (doublings).  tol is not read; ``perfbench/jobs.py``
+    passes it by position.
     """
     tau, k, us, fs, err, one_d = float(tau), 1, [], [], None, False
     psi_evals = expansions = hess_evals = 0
@@ -539,7 +527,7 @@ def minimizing_movement(fn: Functional, tau: float, y0, horizon: float,
             for k in range(1, n_steps + 1 if one_d or math.isfinite(fs[0]) else 1):
                 if one_d:
                     u, evals, doublings, jump = _prox_1d(fn, tau, u)
-                    expansions += doublings
+                    expansions, hess_evals = expansions + doublings, hess_evals + evals - 1
                 else:
                     u, _, fu, gu, evals, n_hess = _prox_rn(fn, tau, u, fs[-1], eye_tau, gu)
                     fs.append(fu)
@@ -566,8 +554,6 @@ def minimizing_movement(fn: Functional, tau: float, y0, horizon: float,
         raise type(err)(f"prox failed at step {k} (t={k * tau}): {err}") from err
     if err is not None:
         raise err
-    if one_d and fn.hess is not None:  # f'' with f' at each trial but the first
-        hess_evals = psi_evals - n_steps
     logger.debug("minimizing_movement %s: %d steps, prox_psi_evals=%d prox_hess_evals=%d "
                  "prox_expansions=%d", fn.name, n_steps, psi_evals, hess_evals,
                  expansions)

@@ -40,10 +40,10 @@ class Functional:
 
     fvec evaluates a batch of points (shape (m,) on intervals, (m, n) on
     R^n) and may return +-inf entries; NaN is rejected at the scalar
-    boundary.  grad, if present, is the analytic gradient at interior
-    smooth points (scalar on intervals, vector on R^n).  hess, if present,
-    is the analytic f'' (a float) on intervals and Hessian ((n, n) array)
-    on R^n, from which the proximal steps take their Newton slopes.
+    boundary.  grad and hess are the analytic gradient (a float on
+    intervals, a vector on R^n) and f'' (a float) or Hessian ((n, n) array)
+    at interior smooth points; every library and expression functional has
+    both.  ode_flow needs grad, the proximal steps grad and hess.
     """
 
     space: ModelSpace
@@ -284,51 +284,79 @@ def directional_derivative(fn: Functional, g: Geodesic,
 # expression grammar
 # ---------------------------------------------------------------------------
 
-# Forward mode (dual numbers): a compiled node maps an environment of
-# (value, tangent) pairs to the (value, tangent) pair of its subexpression.
-# A tangent of None is an exact zero, so plain evaluation does no
+# Forward mode to second order: a compiled node maps an environment of
+# (value, tangent, Hessian) triples to the triple of its subexpression.
+# A tangent or Hessian of None is an exact zero, so plain evaluation does no
 # derivative work and a constant exponent never differentiates through
-# log of the base (pow(x, 2) has tangent 2x also at x < 0).
+# log of the base (pow(x, 2) has tangent 2x also at x < 0).  Constants are
+# Python floats: every rule divides and raises to a power through numpy.
 
-def _tsum(da, db):
-    return db if da is None else da if db is None else da + db
-
-
-def _add(a, da, b, db):
-    return np.add(a, b), _tsum(da, db)
+def _tsum(*terms):  # the sum from the left of the terms that are not None
+    terms = [t for t in terms if t is not None]
+    return sum(terms[1:], terms[0]) if terms else None
 
 
-def _sub(a, da, b, db):
-    return np.subtract(a, b), _tsum(da, None if db is None else -db)
+def _scale(c, t):
+    return None if t is None else c * t
 
 
-def _mul(a, da, b, db):
-    return np.multiply(a, b), _tsum(None if da is None else b * da,
-                                    None if db is None else a * db)
+def _outer(da, db):
+    return None if da is None or db is None else np.multiply.outer(da, db)
 
 
-def _div(a, da, b, db):
+def _sym(da, db):  # da db^T + db da^T, exactly symmetric
+    s = _outer(da, db)
+    return None if s is None else s + s.T
+
+
+def _add(a, da, ha, b, db, hb):
+    return np.add(a, b), _tsum(da, db), _tsum(ha, hb)
+
+
+def _sub(a, da, ha, b, db, hb):
+    return np.subtract(a, b), _tsum(da, _scale(-1.0, db)), _tsum(ha, _scale(-1.0, hb))
+
+
+def _mul(a, da, ha, b, db, hb):
+    return np.multiply(a, b), _tsum(_scale(b, da), _scale(a, db)), \
+        _tsum(_scale(b, ha), _scale(a, hb), _sym(da, db))
+
+
+def _div(a, da, ha, b, db, hb):
+    # b q = a: q' = (a' - q b') / b and q'' = (a'' - q b'' - q'b'^T - b'q'^T) / b
     q = np.true_divide(a, b)
-    return q, _tsum(None if da is None else da / b,
-                    None if db is None else -q / b * db)
+    dq = _tsum(None if da is None else da / b, None if db is None else -q / b * db)
+    hq = _tsum(ha, _scale(-q, hb), _scale(-1.0, _sym(dq, db)))
+    return q, dq, None if hq is None else np.true_divide(hq, b)
 
 
-def _pow(a, da, b, db):
+def _pow(a, da, ha, b, db, hb):
     # a negative base with a fractional exponent is off the domain: +inf,
     # as for log of a negative number
     p = np.where((a < 0) & (np.mod(b, 1.0) > 0), math.inf, np.power(a, b))
-    return p, _tsum(None if da is None else b * np.power(a, b - 1.0) * da,
-                    None if db is None else p * np.log(a) * db)
+    pa = paa = pb = pbb = pab = None  # the partials of p
+    if da is not None:
+        a1 = np.power(a, b - 1.0)
+        pa, paa = b * a1, b * (b - 1.0) * np.power(a, b - 2.0)
+    if db is not None:
+        log_a = np.log(a)
+        pb, pbb = p * log_a, p * log_a * log_a
+        pab = None if da is None else a1 * (1.0 + b * log_a)
+    return p, _tsum(_scale(pa, da), _scale(pb, db)), _tsum(
+        _scale(paa, _outer(da, da)), _scale(pab, _sym(da, db)),
+        _scale(pbb, _outer(db, db)), _scale(pa, ha), _scale(pb, hb))
 
 
 _BINOPS = {ast.Add: _add, ast.Sub: _sub, ast.Mult: _mul, ast.Div: _div,
            ast.Pow: _pow}
 
-# name -> (function, derivative)
+# name -> (f, f', f'' from (f, f'))
 _FUNCS = {
-    "log": (_log_pos, lambda a: 1.0 / a), "exp": (_exp_clip, _exp_clip),
-    "sin": (np.sin, np.cos), "cos": (np.cos, lambda a: -np.sin(a)),
-    "sinh": (np.sinh, np.cosh), "cosh": (np.cosh, np.sinh),
+    "log": (_log_pos, lambda a: 1.0 / a, lambda f, d: -d * d),
+    "exp": (_exp_clip, _exp_clip, lambda f, d: d),
+    "sin": (np.sin, np.cos, lambda f, d: -f),
+    "cos": (np.cos, lambda a: -np.sin(a), lambda f, d: -f),
+    "sinh": (np.sinh, np.cosh, lambda f, d: f), "cosh": (np.cosh, np.sinh, lambda f, d: f),
 }
 
 _CONSTS = {"pi": math.pi, "e": math.e}
@@ -344,14 +372,14 @@ def _compile_node(node, var_names):
             v = float(node.value)
         except OverflowError as exc:
             raise ExpressionError("integer constant too large for a float") from exc
-        return lambda env: (v, None)
+        return lambda env: (v, None, None)
     if isinstance(node, ast.Name):
         if node.id in var_names:
             key = node.id
             return lambda env: env[key]
         if node.id in _CONSTS:
             v = _CONSTS[node.id]
-            return lambda env: (v, None)
+            return lambda env: (v, None, None)
         raise ExpressionError(f"unknown name {node.id!r}")
     if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.USub, ast.UAdd)):
         sub = _compile_node(node.operand, var_names)
@@ -359,8 +387,8 @@ def _compile_node(node, var_names):
             return sub
 
         def neg(env):
-            a, da = sub(env)
-            return np.negative(a), None if da is None else -da
+            a, da, ha = sub(env)
+            return np.negative(a), _scale(-1.0, da), _scale(-1.0, ha)
         return neg
     if isinstance(node, ast.BinOp) and type(node.op) in _BINOPS:
         rule = _BINOPS[type(node.op)]
@@ -381,12 +409,15 @@ def _compile_node(node, var_names):
         if fname == "pow":
             base, expo = args
             return lambda env: _pow(*base(env), *expo(env))
-        f, df = _FUNCS[fname]
+        f, df, d2f = _FUNCS[fname]
         (arg,) = args
 
-        def call(env):
-            a, da = arg(env)
-            return f(a), None if da is None else df(a) * da
+        def call(env):  # (f o a)'' = f''(a) a'a'^T + f'(a) a''
+            a, da, ha = arg(env)
+            if da is None:
+                return f(a), None, None
+            fa, d1 = f(a), df(a)
+            return fa, d1 * da, _tsum(_scale(d2f(fa, d1), _outer(da, da)), _scale(d1, ha))
         return call
     raise ExpressionError(f"expression node {type(node).__name__} not allowed")
 
@@ -399,7 +430,7 @@ def expression_functional(expr: str, space: Optional[ModelSpace] = None,
 
     Grammar: + - * / and the calls log, exp, sin, cos, sinh, cosh, pow;
     constants (incl. pi, e); variable x on intervals, x1..xn on R^n.
-    The gradient is evaluated in forward mode alongside the value.
+    grad and hess come from forward mode to second order.
     """
     space = space if space is not None else Interval()
     names = [f"x{i + 1}" for i in range(space.n)] if space.shape else ["x"]
@@ -410,11 +441,10 @@ def expression_functional(expr: str, space: Optional[ModelSpace] = None,
         raise ExpressionError(f"cannot parse {expr[:80]!r}: "
                               f"{str(exc) or 'nested too deeply'}") from exc
     name = name or f"expr:{expr}"
-    grad_where = f"gradient of {name}"
-    basis = np.eye(len(names))  # the tangents of the variables
+    n, basis = len(names), np.eye(len(names))  # the tangents of the variables
 
     def evaluate(xs, tangents):  # the last axis of xs holds the variables
-        env = {key: (xs[..., i], tangents[i]) for i, key in enumerate(names)}
+        env = {key: (xs[..., i], tangents[i], None) for i, key in enumerate(names)}
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             try:
                 return body(env)
@@ -423,18 +453,21 @@ def expression_functional(expr: str, space: Optional[ModelSpace] = None,
 
     def fvec(xs):  # the point axes as one axis of the variables
         arr = np.asarray(xs, dtype=float)
-        arr = arr.reshape(*arr.shape[:arr.ndim - len(space.shape)], len(names))
-        v, _ = evaluate(arr, [None] * len(names))
+        arr = arr.reshape(*arr.shape[:arr.ndim - len(space.shape)], n)
+        v = evaluate(arr, [None] * n)[0]
         return np.broadcast_to(np.asarray(v, dtype=float), arr.shape[:-1]).copy()
 
-    def grad(x):
-        _, dv = evaluate(np.asarray(x, dtype=float).reshape(len(names)), basis)
-        dv = np.zeros(len(names)) if dv is None \
-            else require_not_nan(np.array(dv, dtype=float), grad_where)
-        return space.point(dv.reshape(space.shape))
+    def derivative(order, what):  # the gradient (order 1) or the Hessian (2)
+        def d(x):
+            out = evaluate(np.asarray(x, dtype=float).reshape(n), basis)[order]
+            out = np.zeros((n,) * order) if out is None \
+                else require_not_nan(np.array(out, dtype=float), f"{what} of {name}")
+            return space.point(out.reshape(space.shape * order))
+        return d
 
     return Functional(space=space, fvec=fvec, name=name, params=params,
-                      grad=grad, sample_box=sample_box, meta={"expr": expr})
+                      grad=derivative(1, "gradient"), hess=derivative(2, "Hessian"),
+                      sample_box=sample_box, meta={"expr": expr})
 
 
 def functional_from_json(d: dict) -> Functional:

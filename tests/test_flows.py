@@ -1,7 +1,9 @@
+import ast
 import dataclasses
 import hashlib
 import logging
 import math
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
@@ -43,13 +45,6 @@ P01 = CurvatureParams(0.0, -1.0)
 P11 = CurvatureParams(1.0, -1.0)
 PM11 = CurvatureParams(-1.0, -1.0)
 TOL = Tolerance()
-
-
-def _slope_source(fn, slope):
-    """fn as it is, whose 1-d search takes Newton slopes from fn.hess, or
-    without hess, where it takes secant slopes."""
-    assert fn.hess is not None
-    return fn if slope == "newton" else dataclasses.replace(fn, hess=None)
 
 
 class TestCurve:
@@ -271,14 +266,11 @@ class TestProx:
         # f'(0) = +inf points out of the closure at its own minimiser: no
         # trial step is made, so none is sent to -inf
         fn = expression_functional("pow(x, 0.5)", Interval(0, math.inf, open_a=False))
-        fn = dataclasses.replace(fn, hess=lambda x: -0.25 * x ** -1.5)
-        for slope in ("newton", "secant"):
-            fs = _slope_source(fn, slope)
-            step = prox(fs, 0.1, 0.0)
-            assert step.output == 0.0
-            assert step.f_output == 0.0 and step.hess_evals == 0
-            c = minimizing_movement(fs, 0.1, 0.0, 1.0, TOL)
-            assert (c.points == 0.0).all()
+        step = prox(fn, 0.1, 0.0)
+        assert step.output == 0.0
+        assert step.f_output == 0.0 and step.hess_evals == 0
+        c = minimizing_movement(fn, 0.1, 0.0, 1.0, TOL)
+        assert (c.points == 0.0).all()
 
     def test_rn_prox_quadratic(self):
         fn = library("quadratic", P11, c=1.0, dim=2)
@@ -381,9 +373,8 @@ class TestProxRoot:
     @given(st.floats(0.05, 20.0), st.floats(1.0001, 100.0))
     def test_log_x_past_extinction_not_bounded_below(self, v, ratio):
         tau = ratio * v * v / 4.0  # v^2 < 4 tau
-        for slope in ("newton", "secant"):
-            with pytest.raises(NotBoundedBelow):
-                prox(_slope_source(library("log-x", P01), slope), tau, v)
+        with pytest.raises(NotBoundedBelow):
+            prox(library("log-x", P01), tau, v)
 
     @settings(max_examples=40, deadline=None)
     @given(st.floats(1e-4, 0.1), st.floats(0.5, 5.0))
@@ -420,12 +411,11 @@ class TestProxRoot:
     @settings(max_examples=40, deadline=None)
     @given(st.floats(0.0, 5.0), st.floats(1e-3, 10.0), st.floats(0.1, 3.0))
     def test_clamped_linear_step_is_the_boundary(self, v, tau, a):
-        for slope in ("newton", "secant"):
-            step = prox(_slope_source(library("linear", P01, a=a), slope), tau, v)
-            if v <= a * tau:
-                assert step.output == 0.0
-            else:
-                assert step.output == pytest.approx(v - a * tau, rel=1e-14, abs=1e-15)
+        step = prox(library("linear", P01, a=a), tau, v)
+        if v <= a * tau:
+            assert step.output == 0.0
+        else:
+            assert step.output == pytest.approx(v - a * tau, rel=1e-14, abs=1e-15)
 
     def test_grad_less_functional_rejected(self):
         for space, v in ((Interval(), 1.0), (EuclideanRn(2), np.ones(2))):
@@ -436,6 +426,19 @@ class TestProxRoot:
                 minimizing_movement(fn, 0.1, v, 1.0, TOL)
             with pytest.raises(ParamOutOfRange, match="gradient"):
                 ode_flow(fn, v, time_grid(0, 1, 5))
+
+    def test_hess_less_functional_rejected_by_the_proximal_steps_only(self):
+        # a user-built functional with grad but no hess: the proximal steps
+        # take their Newton slopes from hess, the ODE route needs grad only
+        for dim, v in ((1, 1.0), (2, np.array([1.0, -0.5]))):
+            fn = dataclasses.replace(library("quadratic", P11, c=2.0, dim=dim), hess=None)
+            with pytest.raises(ParamOutOfRange, match="Hessian"):
+                prox(fn, 0.1, v)
+            with pytest.raises(ParamOutOfRange, match="Hessian"):
+                minimizing_movement(fn, 0.1, v, 1.0, TOL)
+            c = ode_flow(fn, v, time_grid(0, 1, 5))
+            np.testing.assert_allclose(c.points, np.multiply.outer(np.exp(-2.0 * c.times), v),
+                                       rtol=1e-8)
 
     def test_expression_functional_flows(self):
         from knflow.functionals import expression_functional
@@ -502,33 +505,36 @@ class TestOneEvaluationPerStep:
     def test_steps_after_the_end_evaluate_no_f(self):
         # linear(1) on [0, inf) reaches 0 at step 100 of 300; the later
         # steps start at the end and return it with one f' call each
-        for slope, psi_evals in (("newton", 400), ("secant", 400)):
-            fn = _slope_source(library("linear", P01, a=1.0), slope)
-            calls = []
+        fn, calls = library("linear", P01, a=1.0), []
 
-            def fvec(xs):
-                calls.append(len(xs))
-                return fn.fvec(xs)
+        def fvec(xs):
+            calls.append(len(xs))
+            return fn.fvec(xs)
 
-            c = minimizing_movement(dataclasses.replace(fn, fvec=fvec), 0.01, 1.0,
-                                    3.0, TOL)
-            assert calls == [1, 301]
-            assert c.meta["prox_psi_evals"] == psi_evals
-            assert (c.points[100:] == 0.0).all()
-            np.testing.assert_allclose(c.points[:100], 1.0 - 0.01 * np.arange(100),
-                                       rtol=0, atol=1e-12)
+        c = minimizing_movement(dataclasses.replace(fn, fvec=fvec), 0.01, 1.0, 3.0, TOL)
+        assert calls == [1, 301]
+        assert c.meta["prox_psi_evals"] == 400
+        assert (c.points[100:] == 0.0).all()
+        np.testing.assert_allclose(c.points[:100], 1.0 - 0.01 * np.arange(100),
+                                   rtol=0, atol=1e-12)
 
-    def test_expression_on_rn_keeps_the_finite_difference_newton(self):
-        fn = expression_functional("x1*x1 + x2*x2", EuclideanRn(2))
-        assert fn.hess is None
+    def test_expression_on_rn_takes_the_exact_hessian(self):
+        fn, iterates = expression_functional("x1*x1 + x2*x2", EuclideanRn(2)), []
+
+        def hess(x):  # one call per Newton iterate
+            iterates.append(x)
+            return fn.hess(x)
+
         tau, steps = 0.05, 20
         y0 = np.array([1.0, -0.5])
-        c = minimizing_movement(fn, tau, y0, steps * tau, TOL)
+        c = minimizing_movement(dataclasses.replace(fn, hess=hess), tau, y0,
+                                steps * tau, TOL)
         ref = y0[None, :] * (1.0 + 2.0 * tau) ** -np.arange(steps + 1.0)[:, None]
         np.testing.assert_allclose(c.points, ref, rtol=1e-10)
-        # a finite-difference Jacobian costs 2n = 4 gradient calls per
-        # Newton iteration; the exact Hessian path takes 1 per Newton iterate
-        assert c.meta["prox_psi_evals"] >= 6 * steps
+        # the exact Hessian 2 I: one gradient call per Newton iterate and one at y0
+        np.testing.assert_array_equal(fn.hess(y0), 2.0 * np.eye(2))
+        assert c.meta["prox_psi_evals"] == len(iterates) + 1
+        assert c.meta["prox_hess_evals"] == len(iterates) >= steps
 
     def test_quadratic_hessian_is_constant(self):
         fn = library("quadratic", P11, c=2.5, dim=3)
@@ -562,9 +568,10 @@ def _outcome(run, *args):
 
 
 def _band(value):
-    """x^2/2 on R, except value on the band |x - 0.5| < 0.05; f' = x."""
+    """x^2/2 on R, except value on the band |x - 0.5| < 0.05; f' = x, f'' = 1."""
     return Functional(
         space=Interval(), name=f"band({value})", grad=lambda x: float(x),
+        hess=lambda x: 1.0,
         fvec=lambda x: np.where(np.abs(x - 0.5) < 0.05, value, 0.5 * x * x))
 
 
@@ -669,10 +676,8 @@ class TestOneArrayOfValues:
             lo, hi = fn.space.a, fn.space.b
         y0 = lo + frac * (hi - lo)
         horizon = steps * tau
-        for slope in ("newton", "secant"):
-            fs = _slope_source(fn, slope)
-            assert _outcome(self._mms_points, fs, tau, y0, horizon) == \
-                _outcome(_prox_loop, fs, tau, y0, horizon)
+        assert _outcome(self._mms_points, fn, tau, y0, horizon) == \
+            _outcome(_prox_loop, fn, tau, y0, horizon)
 
     @pytest.mark.parametrize("expr, error", [
         ("x1*x1 + x2*x2", None),
@@ -691,7 +696,6 @@ class TestOneArrayOfValues:
 def _solve_prox_rn(fn, tau, v, fv, eye_tau):
     """The R^n proximal step with ``np.linalg.solve``: the bit-for-bit
     reference of the LAPACK ``gesv`` step."""
-    n = v.size
 
     def phi(w):
         fw = fn.value(w)
@@ -704,21 +708,12 @@ def _solve_prox_rn(fn, tau, v, fv, eye_tau):
         return math.sqrt(float(np.dot(w, w)))
 
     x, obj, fx = v.copy(), fv, fv
-    h = 1e-6 * (1.0 + norm(v))
     for _ in range(100):
         g = grad_phi(x)
         gnorm = norm(g)
         if gnorm <= 1e-12 * (1.0 + 1.0 / tau):
             break
-        if fn.hess is not None:
-            H = eye_tau + fn.hess(x)
-        else:
-            H = np.empty((n, n))
-            for j in range(n):
-                e = np.zeros(n)
-                e[j] = h
-                H[:, j] = (grad_phi(x + e) - grad_phi(x - e)) / (2 * h)
-            H = 0.5 * (H + H.T)
+        H = eye_tau + fn.hess(x)
         dec = math.nan  # the Newton decrement; NaN where the gradient step is taken
         try:
             step = np.linalg.solve(H, -g)
@@ -809,8 +804,8 @@ class TestLapackNewtonStep:
             expression_functional("x1*x1 + 2*x2*x2 + x1*x2 + x3*x3 + cos(x3)",
                                   EuclideanRn(3)),
             np.array([0.4, -1.1, 1.5]), 0.05, 1.0),
-        # the finite-difference Newton matrix at n = 6, where scipy's dgesv
-        # gave other last bits than np.linalg.solve on this curve
+        # n = 6, where scipy's dgesv gave other last bits than
+        # np.linalg.solve on this curve
         "expression-r6": (
             expression_functional("x1*x1 + x2*x2 + x3*x3 + x4*x4 + x5*x5 + x6*x6"
                                   " + 3*cos(x1 + x2 + x3 + x4 + x5 + x6)", EuclideanRn(6)),
@@ -927,9 +922,9 @@ class TestLapackNewtonStep:
         assert step.hess_evals == step.psi_evals - 1 == 1  # grad at v and at x
         c = minimizing_movement(fn, 0.1, np.array([1.0, -0.5]), 1.0, TOL)
         assert c.meta["prox_hess_evals"] == 10 and c.meta["prox_psi_evals"] == 11
-        fd = expression_functional("x1*x1 + x2*x2", EuclideanRn(2))
-        assert minimizing_movement(fd, 0.1, np.array([1.0, -0.5]), 1.0,
-                                   TOL).meta["prox_hess_evals"] == 0
+        ex = expression_functional("x1*x1 + x2*x2 + cos(x1)", EuclideanRn(2))
+        c = minimizing_movement(ex, 0.1, np.array([1.0, -0.5]), 1.0, TOL)
+        assert c.meta["prox_hess_evals"] > 0
 
 
 # f' of the library functionals at P01 (log-x), PM11 (log-cos) and P11
@@ -937,17 +932,11 @@ _MP_GRAD = {"log-x": (P01, lambda w: 1 / w), "log-cos": (PM11, lambda w: -mp.tan
             "log-cosh": (P11, mp.tanh), "log-sinh": (P11, lambda w: 1 / mp.tanh(w))}
 
 
-def _pole_hess(x):
-    """f'' of x*x/2 + log(x - 0.3); -inf at the pole."""
-    d = x - 0.3
-    return 1.0 - 1.0 / d / d if d else -math.inf
-
-
 class TestSecantSearch:
     """The 1-d proximal step brackets the root of psi(w) = (w - v)/tau + f'(w)
     by doubling steps and closes in on it by Newton steps, with psi' =
-    1/tau + f'' from ``fn.hess``, or by secant steps without it.  Each
-    semantic test runs with both slope sources."""
+    1/tau + f'' from ``fn.hess``; where that slope is not finite and > 0 it
+    bisects the bracket, or doubles before it."""
 
     EPS = 2.0 ** -52
 
@@ -962,31 +951,25 @@ class TestSecantSearch:
         fn = library(name, p)
         lo, hi = fn.sample_box
         v = lo + frac * (hi - lo)
-        outputs = []
-        for slope in ("newton", "secant"):
-            try:
-                outputs.append(prox(_slope_source(fn, slope), tau, v).output)
-            except NotBoundedBelow:
-                outputs.append(None)
-        if outputs == [None, None]:  # no root downhill, as for log-x at v^2 < 4 tau
+        try:
+            w = prox(fn, tau, v).output
+        except NotBoundedBelow:  # no root downhill, as for log-x at v^2 < 4 tau
             assume(False)
-        assert None not in outputs, outputs  # both slope sources or neither
-        for w in outputs:
-            with mp.workdps(50):
-                r = mp.findroot(lambda x: (x - v) / tau + grad(x), mp.mpf(w))
-                # the rounding of psi's two terms blurs its root by this much;
-                # below an ulp except where 1/tau + f'' nearly vanishes
-                slope = abs(1 / tau + mp.diff(grad, r))
-                blur = self.EPS * (abs(r - v) / tau + abs(grad(r))) / slope
-                assert abs(w - r) <= 2 * math.ulp(float(r)) + blur, (v, tau, w, float(r))
+        with mp.workdps(50):
+            r = mp.findroot(lambda x: (x - v) / tau + grad(x), mp.mpf(w))
+            # the rounding of psi's two terms blurs its root by this much;
+            # below an ulp except where 1/tau + f'' nearly vanishes
+            slope = abs(1 / tau + mp.diff(grad, r))
+            blur = self.EPS * (abs(r - v) / tau + abs(grad(r))) / slope
+            assert abs(w - r) <= 2 * math.ulp(float(r)) + blur, (v, tau, w, float(r))
 
     @settings(max_examples=8, deadline=None)
     @given(st.floats(1.0, 1.5), st.floats(0.5, 0.9), st.sampled_from([-1.0, 1.0]))
     def test_psi_calls_per_step(self, y0x, y0c, sign):
         # the 1000-step log-x and 700-step log-cos solves of perfbench's
         # pointwise workload, over its ranges of y0 (0.8 of the extinction
-        # time); measured 3.236-3.249 and 3.371-3.603 f' calls per step with
-        # f'', 4.0 without.  f'' is called with f' at each trial but the first.
+        # time); measured 3.236-3.249 and 3.371-3.603 f' calls per step.
+        # f'' is called with f' at each trial but the first.
         for fn, y0, horizon, steps, per_step in (
                 (library("log-x", P01), y0x, 0.4 * y0x * y0x, 1000, 3.26),
                 (library("log-cos", PM11), sign * y0c, -0.8 * math.log(math.sin(y0c)),
@@ -996,70 +979,80 @@ class TestSecantSearch:
             psi = c.meta["prox_psi_evals"]
             assert psi <= per_step * steps, (fn.name, y0, psi / steps)
             assert c.meta["prox_hess_evals"] == psi - steps
-            c = minimizing_movement(_slope_source(fn, "secant"), horizon / steps, y0,
-                                    horizon, TOL)
-            assert c.meta["prox_psi_evals"] <= 4.05 * steps, (fn.name, y0)
-            assert c.meta["prox_hess_evals"] == 0
 
     @pytest.mark.parametrize("y0, tau", [(1.0, 0.005), (0.7, 0.003), (-0.4, 0.01)])
     def test_lands_on_the_kink(self, y0, tau):
         # the flow of |x| runs at unit speed into 0 and stays there; psi
-        # jumps across 0 at the kink, where the steps past it must land
+        # jumps across 0 at the kink, where the steps past it must land; the
+        # expression's own f'' is 0 away from the kink
         fn = expression_functional("pow(x*x, 0.5)", Interval())
-        for slope in ("newton", "secant"):
-            fs = _slope_source(dataclasses.replace(fn, hess=lambda x: 0.0), slope)
-            c = minimizing_movement(fs, tau, y0, 2 * abs(y0), TOL)
-            exact = math.copysign(1.0, y0) * np.maximum(abs(y0) - c.times, 0.0)
-            assert np.max(np.abs(c.points - exact)) <= 2e-15
+        c = minimizing_movement(fn, tau, y0, 2 * abs(y0), TOL)
+        exact = math.copysign(1.0, y0) * np.maximum(abs(y0) - c.times, 0.0)
+        assert np.max(np.abs(c.points - exact)) <= 2e-15
 
-    # (slope source, tau) from v = 1: psi has no root in (0.3, 1)
-    POLE_CASES = (("secant", 0.15), ("secant", 0.5), ("newton", 0.15), ("newton", 0.5))
+    # tau from v = 1: psi has no root in (0.3, 1)
+    POLE_TAUS = (0.15, 0.5)
 
     def test_a_pole_of_f_prime_returns_the_end_past_it(self):
         # psi jumps from -inf to +inf at x = 0.3; the search returns the
         # end of its last bracket on the far side, where f = +inf
-        fn = dataclasses.replace(_expr("x*x/2 + log(x - 0.3)"), hess=_pole_hess)
-        for slope, tau in self.POLE_CASES:
-            step = prox(_slope_source(fn, slope), tau, 1.0)
+        # with the expression's own f'' = 1 - 1/(x - 0.3)^2
+        fn = _expr("x*x/2 + log(x - 0.3)")
+        for tau in self.POLE_TAUS:
+            step = prox(fn, tau, 1.0)
             assert step.output < 0.3 and step.f_output == math.inf
             assert step.psi_evals <= 100
 
     def test_newton_finds_the_root_the_doubling_skips(self):
         # at tau = 0.1 psi has roots near 0.575 and 0.647 before the pole;
         # the first doubling trials jump past both, the Newton trials do not
-        fn = dataclasses.replace(_expr("x*x/2 + log(x - 0.3)"), hess=_pole_hess)
-        w = prox(fn, 0.1, 1.0).output
+        w = prox(_expr("x*x/2 + log(x - 0.3)"), 0.1, 1.0).output
         with mp.workdps(50):
             r = mp.findroot(lambda x: (x - 1) / mp.mpf(0.1) + x + 1 / (x - mp.mpf(0.3)),
                             mp.mpf(0.65))
         assert abs(w - r) <= 2 * math.ulp(0.65) and 0.64 < w < 0.65
-
-    def test_secant_trials_find_the_root_the_doubling_skips(self):
-        # without f'' the trials short of the next doubling take the secant
-        # of the last two psi values, and land on the same root as Newton's
-        fn = dataclasses.replace(_expr("x*x/2 + log(x - 0.3)"), hess=_pole_hess)
-        newton = prox(fn, 0.1, 1.0)
-        secant = prox(_slope_source(fn, "secant"), 0.1, 1.0)
-        assert abs(secant.output - newton.output) <= 2 * math.ulp(0.65)
-        assert 0.64 < secant.output < 0.65 and secant.psi_evals <= 12
 
     def test_a_step_past_a_pole_stops_the_steps(self):
         # u_1 is the end past the pole, where f = +inf; f is evaluated after
         # a step that ends on a collapsed bracket, so the 2000-step solve
         # stops there and does not walk round the pole up to the 512-step
         # checkpoint
-        fn = dataclasses.replace(_expr("x*x/2 + log(x - 0.3)"), hess=_pole_hess)
-        for slope, tau in self.POLE_CASES:
-            fs, calls = _slope_source(fn, slope), []
+        fn = _expr("x*x/2 + log(x - 0.3)")
+        for tau in self.POLE_TAUS:
+            calls = []
 
-            def grad(x, fs=fs, calls=calls):
+            def grad(x, calls=calls):
                 calls.append(x)
-                return fs.grad(x)
+                return fn.grad(x)
 
             with pytest.raises(BasePointOutsideDomain, match="prox failed at step 2 "):
-                minimizing_movement(dataclasses.replace(fs, grad=grad), tau, 1.0,
+                minimizing_movement(dataclasses.replace(fn, grad=grad), tau, 1.0,
                                     2000 * tau, TOL)
             assert len(calls) <= 200
+
+
+def test_one_slope_source_in_the_proximal_steps():
+    # a source scan of flows.py: only _prox_args compares hess with None
+    # (every functional reaching a solver has it), and _step is the Newton
+    # step from one point, with no second point for a secant
+    tree = ast.parse(Path(flows.__file__).read_text())
+    scope = {}
+    for func in ast.walk(tree):  # breadth first: outer functions come first
+        if isinstance(func, ast.FunctionDef):
+            for node in ast.walk(func):
+                scope.setdefault(node, func.name)
+
+    def is_hess(node):
+        return getattr(node, "attr", getattr(node, "id", None)) == "hess"
+
+    found = [scope.get(node) for node in ast.walk(tree) if isinstance(node, ast.Compare)
+             and any(map(is_hess, [node.left, *node.comparators]))
+             and any(isinstance(o, ast.Constant) and o.value is None
+                     for o in [node.left, *node.comparators])]
+    assert found == ["_prox_args"]
+    (step,) = [f for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)
+               and f.name == "_step"]
+    assert [a.arg for a in step.args.args] == ["x", "s", "d"]
 
 
 class TestNewtonDecrementStop:
@@ -1092,7 +1085,7 @@ class TestGradientCarry:
     FNS = {
         "quadratic-r2": library("quadratic", P11, c=1.0, dim=2),
         "quadratic-r3": library("quadratic", P11, c=2.5, dim=3),
-        # no hess: the finite-difference Newton matrix
+        # the forward-mode Hessian of the expression
         "expression-r2": expression_functional("x1*x1 + x2*x2 + cos(x1)",
                                                EuclideanRn(2)),
     }

@@ -4,7 +4,7 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from knflow.coefficients import CurvatureParams
 from knflow.core import Tolerance, require_not_nan
@@ -309,8 +309,21 @@ class TestSecondDerivative:
                     assert abs(got[i, j] - ref) <= 16 * _EPS * scale, (i, j)
 
     def test_fN_without_base_hess_has_none(self):
-        fn = expression_functional("x*x", Interval())
+        fn = Functional(space=Interval(), fvec=lambda x: x * x, name="square",
+                        grad=lambda x: 2.0 * x)
+        assert fN_functional(fn, P11).grad is not None
         assert fN_functional(fn, P11).hess is None
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.floats(-3.0, 3.0))
+    def test_fN_of_an_expression(self, x):
+        # log(cosh(x)) is the log-cosh library functional at (K, N) = (1, -1);
+        # f_N = cosh x, whose f'' goes through the chain rule either way.  The
+        # expression's f'' = 1 - tanh^2 x cancels, but f'' + f'^2 is about 1:
+        # 5 ulps at most over 1e5 uniform draws
+        got = fN_functional(expression_functional("log(cosh(x))"), P11).hess(x)
+        want = fN_functional(library("log-cosh", P11), P11).hess(x)
+        assert isinstance(got, float) and abs(got - want) <= 8 * math.ulp(want), (x, got, want)
 
 
 class TestDirectionalDerivative:
@@ -506,6 +519,11 @@ class TestGrammarFuzz:
 
     @settings(max_examples=400, deadline=None)
     @given(st.recursive(_LEAVES, _nodes, max_leaves=12), _POINTS)
+    # constants are Python floats, which raise ZeroDivisionError where numpy
+    # returns inf: no rule may divide one, or raise it to a power, eagerly
+    @example("(x) / (0)", [0.0, 1.0, -2.5])
+    @example("-(-(pow(0, x)))", [0.0, 1.0, -2.5])
+    @example("(2) / ((x) * (0))", [0.0, 1.0])
     def test_only_knflow_errors_and_no_nan(self, expr, xs):
         fn = _outcome(lambda: expression_functional(expr, Interval()))
         if fn is None:
@@ -520,6 +538,8 @@ class TestGrammarFuzz:
                 assert not math.isnan(v) and v == one[0], (expr, x)
             d = _outcome(lambda: fn.grad(x))
             assert d is None or not math.isnan(d), (expr, x)
+            h = _outcome(lambda: fn.hess(x))
+            assert h is None or isinstance(h, float) and not math.isnan(h), (expr, x)
 
 
 # (expression, mpmath twin, domain of x) for each grammar rule
@@ -578,6 +598,50 @@ class TestForwardMode:
         fn = expression_functional("pow(x, x)", Interval())
         with pytest.raises(NanError):
             fn.grad(-0.5)
+
+    @pytest.mark.parametrize("expr, twin, box", _GRAMMAR, ids=[c[0] for c in _GRAMMAR])
+    @settings(max_examples=20, deadline=None)
+    @given(u=st.floats(0.0, 1.0))
+    def test_hessian_matches_mpmath_diff(self, expr, twin, box, u):
+        x = box[0] + (box[1] - box[0]) * u
+        got = expression_functional(expr, Interval()).hess(x)
+        with mp.workdps(30):
+            ref = float(mp.diff(twin, mp.mpf(x), 2))
+        assert isinstance(got, float)
+        assert got == pytest.approx(ref, rel=1e-12, abs=1e-11)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.floats(0.2, 3.0), st.floats(-2.0, 2.0), st.floats(-2.0, 2.0))
+    def test_rn_hessian_matches_mpmath_partials(self, x1, x2, x3):
+        expr = "pow(x1, x2) + sin(x1*x3) / (x2*x2 + 1) - x3*x3*x2"
+
+        def twin(a, b, c):
+            return a ** b + mp.sin(a * c) / (b * b + 1) - c * c * b
+
+        x = np.array([x1, x2, x3])
+        H = expression_functional(expr, EuclideanRn(3)).hess(x)
+        assert H.shape == (3, 3) and (H == H.T).all()  # exactly symmetric
+        with mp.workdps(30):
+            for i in range(3):
+                for j in range(3):
+                    order = [0, 0, 0]
+                    order[i] += 1
+                    order[j] += 1
+                    ref = float(mp.diff(twin, tuple(map(mp.mpf, x)), tuple(order)))
+                    assert H[i, j] == pytest.approx(ref, rel=1e-12, abs=1e-12), (i, j)
+
+    def test_constant_expression_has_zero_hessian(self):
+        got = expression_functional("pi*0 + 2", Interval()).hess(1.0)
+        assert isinstance(got, float) and got == 0.0
+        H = expression_functional("e", EuclideanRn(3)).hess(np.ones(3))
+        assert H.shape == (3, 3) and (H == 0.0).all()
+
+    def test_hessian_nan_raises_and_inf_passes(self):
+        # NaN raises as the gradient's does; +-inf goes to the solvers
+        with pytest.raises(NanError, match="Hessian of expr:pow"):
+            expression_functional("pow(x, x)", Interval()).hess(-0.5)
+        assert expression_functional("log(x)", Interval()).hess(1e-200) == -math.inf
+        assert expression_functional("x*x/2 + log(x - 0.3)").hess(0.3) == -math.inf
 
     def test_values_unchanged_by_tangents(self):
         fn = expression_functional("log(x)*x - pow(x, 3)/2", Interval(0, math.inf))
@@ -659,23 +723,23 @@ def _reference_pair(expr, space):
     if one_d:
         def fvec(xs):
             xs = np.asarray(xs, dtype=float)
-            v, _ = evaluate({"x": (xs, None)})
+            v, _, _ = evaluate({"x": (xs, None, None)})
             return np.broadcast_to(np.asarray(v, dtype=float), xs.shape).copy()
 
         def grad(x):
-            _, dv = evaluate({"x": (np.float64(x), np.float64(1.0))})
+            _, dv, _ = evaluate({"x": (np.float64(x), np.float64(1.0), None)})
             return 0.0 if dv is None else require_not_nan(float(dv), where)
         return fvec, grad
     n, basis = space.n, np.eye(space.n)
 
     def fvec(xs):
         arr = np.asarray(xs, dtype=float)
-        v, _ = evaluate({f"x{i + 1}": (arr[..., i], None) for i in range(n)})
+        v, _, _ = evaluate({f"x{i + 1}": (arr[..., i], None, None) for i in range(n)})
         return np.broadcast_to(np.asarray(v, dtype=float), arr.shape[:-1]).copy()
 
     def grad(x):
         x = np.asarray(x, dtype=float)
-        _, dv = evaluate({f"x{i + 1}": (x[i], basis[i]) for i in range(n)})
+        _, dv, _ = evaluate({f"x{i + 1}": (x[i], basis[i], None) for i in range(n)})
         if dv is None:
             return np.zeros(n)
         return require_not_nan(np.array(dv, dtype=float), where)
