@@ -3,7 +3,7 @@
 Three independent routes produce curves:
 
 * ``oracle_flow``   - registered closed-form solutions (exact);
-* ``ode_flow``      - adaptive Runge-Kutta integration of dy/dt = -grad f(y);
+* ``ode_flow``      - Dormand-Prince 5(4) integration of dy/dt = -grad f(y);
 * ``minimizing_movement`` - the implicit Euler / proximal-point scheme
   U^n = argmin d^2(U^{n-1}, .)/(2 tau) + f(.).
 
@@ -21,8 +21,9 @@ its error.  On R^n each step hands f and grad f at its output to the next.
 
 Solver totals go into ``Curve.meta`` (``ode_nfev``/``ode_status``,
 ``prox_psi_evals``/``prox_hess_evals``/``prox_expansions``) and to the
-``knflow`` logger at DEBUG level.  Only ``ode_flow`` loads SciPy: it
-imports ``scipy.integrate`` at its first call.
+``knflow`` logger at DEBUG level, with the accepted and rejected ODE steps.
+``ode_flow`` runs SciPy's RK45 (Dormand-Prince 5(4), error-per-step control,
+Shampine's dense output) on numpy alone: knflow needs numpy only.
 """
 
 from __future__ import annotations
@@ -197,19 +198,145 @@ def oracle_flow(name: str, p: Optional[CurvatureParams], y0, grid,
 # ---------------------------------------------------------------------------
 
 _MAX_ODE_NFEV = 100_000  # right-hand-side evaluations of one solve
+_EPS4 = 4 * 2.0 ** -52  # four ulps of 1: the relative stops of the root searches
+
+# Dormand-Prince 5(4) (J. Comput. Appl. Math. 6, 1980): nodes C, stages A,
+# 5th-order weights B, error weights E (the last on f(t + h, y_new)); P:
+# Shampine's (Math. Comp. 46, 1986) interpolant y_old + h K^T P (x, .., x^4).
+_DP_C = np.array([0, 1/5, 3/10, 4/5, 8/9, 1])
+_DP_A = np.array([[0, 0, 0, 0, 0], [1/5, 0, 0, 0, 0], [3/40, 9/40, 0, 0, 0],
+                  [44/45, -56/15, 32/9, 0, 0],
+                  [19372/6561, -25360/2187, 64448/6561, -212/729, 0],
+                  [9017/3168, -355/33, 46732/5247, 49/176, -5103/18656]])
+_DP_B = np.array([35/384, 0, 500/1113, 125/192, -2187/6784, 11/84])
+_DP_E = np.array([-71/57600, 0, 71/16695, -71/1920, 17253/339200, -22/525, 1/40])
+_DP_P = np.array([
+    [1, -8048581381/2820520608, 8663915743/2820520608, -12715105075/11282082432],
+    [0, 0, 0, 0],
+    [0, 131558114200/32700410799, -68118460800/10900136933, 87487479700/32700410799],
+    [0, -1754552775/470086768, 14199869525/1410260304, -10690763975/1880347072],
+    [0, 127303824393/49829197408, -318862633887/49829197408, 701980252875/199316789632],
+    [0, -282668133/205662961, 2019193451/616988883, -1453857185/822651844],
+    [0, 40617522/29380423, -110615467/29380423, 69997945/29380423]])
+
+
+def _brentq(f, xpre: float, xcur: float) -> float:
+    """Brent's root of f between xpre and xcur: SciPy's brentq (xtol = rtol
+    = 4 eps, 100 iterations) line for line; xcur where f has no sign change."""
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = f(xpre), f(xcur)
+    if fpre == 0 or fcur == 0 or (fpre < 0) == (fcur < 0):
+        return xpre if fpre == 0 else xcur
+    for _ in range(100):
+        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
+            xblk, fblk, spre, scur = xpre, fpre, xcur - xpre, xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk, fpre, fcur, fblk = xcur, xblk, xcur, fcur, fblk, fcur
+        delta, sbis = (_EPS4 + _EPS4 * abs(xcur)) / 2, (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        stry = math.nan  # bisect, unless interpolation gives a short step
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # secant
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # inverse quadratic
+                dpre, dblk = (fpre - fcur) / (xpre - xcur), (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+        if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+            spre, scur = scur, stry
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = f(xcur)
+    return xcur
+
+
+def _rk45(fn: Functional, rhs, grid, y, rtol: float, atol: float, events) -> tuple:
+    """Dormand-Prince 5(4) from (grid[0], y) to grid[-1], operation for operation
+    SciPy's RK45 under ``solve_ivp(dense_output=True)``.  An event (end,
+    inward, edge) stops it where inward (y - edge) falls to <= 0 from >= 0,
+    at the Brent root on the step's interpolant.  Returns (points at the grid
+    times reached, shape (m, n); (event time, end) or None; evaluations;
+    accepted and rejected steps).  Over _MAX_ODE_NFEV evaluations or a step
+    under 10 ulps of t raise BlowUp."""
+    nfev = 0
+
+    def rms(x):
+        return math.sqrt(x.dot(x)) / x.size ** 0.5
+
+    def fun(t, y):  # at a kink of f the steps collapse without end
+        nonlocal nfev
+        nfev += 1
+        if nfev > _MAX_ODE_NFEV:
+            raise BlowUp(f"ode_flow {fn.name}: over {_MAX_ODE_NFEV} evaluations at t={t}")
+        return rhs(y)
+
+    def dense(s):  # the step's interpolant at a time s, or the grid times s past its start
+        x = (s - t_old) / h
+        y = h * np.dot(Q, np.cumprod(np.tile(x, (4, 1) if np.ndim(s) else 4), axis=0))
+        y += y_old[:, None] if y.ndim == 2 else y_old
+        return y
+
+    t, t_end, y = float(grid[0]), float(grid[-1]), np.atleast_1d(np.asarray(y, dtype=float))
+    f = fun(t, y)  # the first step: Hairer, Norsett & Wanner, Sec. II.4
+    scale = atol + np.abs(y) * rtol
+    d0, d1 = rms(y / scale), rms(f / scale)
+    h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, t_end - t)
+    d2 = rms((fun(t + h0, y + h0 * f) - f) / scale) / h0
+    h1 = (max(1e-6, h0 * 1e-3) if d1 <= 1e-15 and d2 <= 1e-15
+          else (0.01 / max(d1, d2)) ** 0.2)
+    h_abs, K = min(100 * h0, h1, t_end - t), np.empty((7, y.size))
+    g = [inward * (y[0] - edge) for _, inward, edge in events]
+    out, i, steps, rejected, stop = [], 0, 0, 0, None
+    while stop is None and t < t_end:
+        min_step = 10 * abs(math.nextafter(t, math.inf) - t)
+        h_abs, retry = max(h_abs, min_step), False
+        while True:
+            if h_abs < min_step:
+                raise BlowUp("integration failed: Required step size is less "
+                             "than spacing between numbers.")
+            t_new = min(t + h_abs, t_end)
+            h = h_abs = t_new - t
+            K[0] = f
+            for s in range(1, 6):
+                K[s] = fun(t + _DP_C[s] * h, y + np.dot(K[:s].T, _DP_A[s, :s]) * h)
+            y_new = y + h * np.dot(K[:-1].T, _DP_B)
+            K[6] = f_new = fun(t + h, y_new)
+            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
+            err = rms(np.dot(K.T, _DP_E) * h / scale)
+            if err < 1:  # accept; the next step is 0.9 err^(-1/5) <= 10 times this one
+                factor = 10 if err == 0 else min(10, 0.9 * err ** -0.2)
+                h_abs *= min(1, factor) if retry else factor  # no growth after a retry
+                break
+            h_abs *= max(0.2, 0.9 * err ** -0.2)  # reject: retry at least 0.2 times as long
+            retry, rejected = True, rejected + 1
+        steps, t_old, y_old, t, y, f = steps + 1, t, y, t_new, y_new, f_new
+        Q = K.T.dot(_DP_P)
+        if events:
+            g, g_old = [inward * (y[0] - edge) for _, inward, edge in events], g
+            stop = min(((_brentq(lambda s: inward * (dense(s)[0] - edge), t_old, t), end)
+                        for (end, inward, edge), g0, g1 in zip(events, g_old, g)
+                        if g0 >= 0 >= g1), default=None)
+        j = int(np.searchsorted(grid, t if stop is None else stop[0], side="right"))
+        if j > i:
+            out.append(dense(grid[i:j]))
+            i = j
+    return np.hstack(out).T, stop, nfev, steps, rejected
 
 
 def ode_flow(fn: Functional, y0, grid, rtol: float = 1e-9) -> Curve:
-    """Integrate dy/dt = -grad f(y) with an embedded adaptive RK pair.
-
-    Dense output is resampled onto the grid.  On intervals, approach to a
-    finite boundary stops the integration and sets stop_time; the curve is
-    continued constantly at the boundary.  meta carries the solver's
-    right-hand-side evaluations ``ode_nfev`` and exit ``ode_status`` (0: end
-    of the grid reached, 1: a boundary event stopped it).  A solve that needs
-    more than 100000 evaluations raises :class:`BlowUp`.  y0 may lie in the
-    closure; f(y0) = +inf raises :class:`BasePointOutsideDomain`, and from
-    f(y0) = -inf the flow is extinct: the constant curve, stopped at grid[0].
+    """Integrate dy/dt = -grad f(y) by Dormand-Prince 5(4) steps, each taken
+    where its RMS error over atol + rtol |y| is < 1, the next one scaled by
+    0.9 err^(-1/5) within [0.2, 10]; Shampine's dense output is resampled
+    onto the grid.  On intervals, approach to a finite boundary stops the
+    integration and sets stop_time; the curve is continued constantly at the
+    boundary.  meta carries the right-hand-side evaluations ``ode_nfev`` and
+    exit ``ode_status`` (0: end of the grid reached, 1: a boundary event
+    stopped it).  A solve that needs more than 100000 evaluations raises
+    :class:`BlowUp`.  y0 may lie in the closure; f(y0) = +inf raises
+    :class:`BasePointOutsideDomain`, and from f(y0) = -inf the flow is
+    extinct: the constant curve, stopped at grid[0].
     """
     if fn.grad is None:
         raise ParamOutOfRange(f"{fn.name} has no analytic gradient")
@@ -232,51 +359,24 @@ def ode_flow(fn: Functional, y0, grid, rtol: float = 1e-9) -> Curve:
     if one_d:
         a, b = fn.space.a, fn.space.b
         pad = 1e-13 * (1.0 + abs(y0))
-        y0 = [y0]
 
-        def rhs(t, y):
-            yy = min(max(y[0], a + pad), b - pad)
-            return [-float(fn.grad(yy))]
+        def rhs(y):
+            return np.array([-float(fn.grad(min(max(y[0], a + pad), b - pad)))])
 
         # the margin keeps the event ahead of the step-size collapse at a
         # gradient blow-up; crossing the last 1e-6 takes O(1e-12) time
-        for end, inward in ((a, 1.0), (b, -1.0)):
-            if math.isfinite(end):
-                def hit(t, y, _edge=end + inward * 1e-6 * (1.0 + abs(end)),
-                        _inward=inward):
-                    return _inward * (y[0] - _edge)
-                hit.terminal = True
-                hit.direction = -1
-                events.append(hit)
+        events = [(end, inward, end + inward * 1e-6 * (1.0 + abs(end)))
+                  for end, inward in ((a, 1.0), (b, -1.0)) if math.isfinite(end)]
     else:
-        def rhs(t, y):
+        def rhs(y):
             return -np.asarray(fn.grad(y), dtype=float)
 
-    nfev = 0
-
-    def bounded_rhs(t, y):  # at a kink of f the steps collapse without end
-        nonlocal nfev
-        nfev += 1
-        if nfev > _MAX_ODE_NFEV:
-            raise BlowUp(f"ode_flow {fn.name}: over {_MAX_ODE_NFEV} evaluations at t={t}")
-        return rhs(t, y)
-
-    from scipy.integrate import solve_ivp
-    sol = solve_ivp(bounded_rhs, (grid[0], grid[-1]), y0, method="RK45",
-                    rtol=loc_rtol, atol=loc_atol, dense_output=True,
-                    events=events or None)
-    if sol.status == -1:
-        raise BlowUp(f"integration failed: {sol.message}")
-    meta["ode_nfev"] = int(sol.nfev)
-    meta["ode_status"] = int(sol.status)
-    logger.debug("ode_flow %s: nfev=%d status=%d", fn.name, sol.nfev, sol.status)
-    before = grid <= sol.t[-1]
-    ys = sol.sol(grid[before]).T
-    stop = None
-    if sol.status == 1:  # a terminal event fired: continue at the boundary
-        stop = min(float(te[0]) for te in sol.t_events if len(te))
-        y_end = float(sol.sol(stop)[0])
-        edge = a if abs(y_end - a) < abs(y_end - b) else b
+    ys, stop, nfev, steps, rejected = _rk45(fn, rhs, grid, y0, loc_rtol, loc_atol, events)
+    meta["ode_nfev"], meta["ode_status"] = nfev, int(stop is not None)
+    logger.debug("ode_flow %s: nfev=%d steps=%d rejected=%d status=%d", fn.name, nfev,
+                 steps, rejected, meta["ode_status"])
+    if stop is not None:  # a terminal event fired: continue at the boundary
+        stop, edge = stop
         ys = np.concatenate([ys, np.full((len(grid) - len(ys), 1), edge)])
     if one_d:
         ys = np.clip(ys[:, 0], a, b)
@@ -306,7 +406,6 @@ class ProxStep:
 
 
 _MAX_EXPANSIONS = 200
-_EPS4 = 4 * 2.0 ** -52  # four ulps of 1: the relative stops of both searches
 
 
 def _prox_args(fn: Functional, tau, v, horizon=None) -> tuple:

@@ -218,8 +218,10 @@ class TestOdeFlow:
             m = minimizing_movement(fn, 1e-2, 1.0, 0.2, TOL)
         records = [r for r in caplog.records if r.name == "knflow"]
         assert [r.levelno for r in records] == [logging.DEBUG, logging.DEBUG]
+        # 2 evaluations for the first step, then 6 per step tried
+        assert c.meta["ode_nfev"] == 2 + 6 * 9
         assert records[0].getMessage() == \
-            f"ode_flow log-x: nfev={c.meta['ode_nfev']} status=0"
+            f"ode_flow log-x: nfev={c.meta['ode_nfev']} steps=9 rejected=0 status=0"
         assert records[1].getMessage() == (
             f"minimizing_movement log-x: 20 steps, "
             f"prox_psi_evals={m.meta['prox_psi_evals']} "
@@ -1222,7 +1224,7 @@ class TestStartPoints:
 
 
 class TestOdeEvaluationBound:
-    """The steps of RK45 collapse at a kink of f: the solve stops after
+    """The Dormand-Prince steps collapse at a kink of f: the solve stops after
     flows._MAX_ODE_NFEV right-hand-side evaluations with BlowUp."""
 
     @staticmethod
@@ -1252,3 +1254,160 @@ class TestOdeEvaluationBound:
         # the suite's largest solve, the finite-time blow-up above, takes
         # 8414 evaluations
         assert flows._MAX_ODE_NFEV >= 10 * 8414
+
+
+def _solve_ivp_flow(fn, y0, grid, rtol=1e-9):
+    """ode_flow as it ran on ``scipy.integrate.solve_ivp`` (RK45, dense
+    output, terminal boundary events), with the same clamp, event margins,
+    local tolerances and evaluation bound: the independent reference of
+    :class:`TestDormandPrince`."""
+    from scipy.integrate import solve_ivp
+    grid = np.asarray(grid, dtype=float)
+    y0 = fn.space.closure_point(y0)
+    loc_rtol, loc_atol = max(1e-13, 1e-2 * rtol), max(1e-15, 1e-4 * rtol)
+    one_d, events = isinstance(fn.space, Interval), []
+    if one_d:
+        a, b = fn.space.a, fn.space.b
+        pad = 1e-13 * (1.0 + abs(y0))
+        y0 = [y0]
+
+        def rhs(t, y):
+            return [-float(fn.grad(min(max(y[0], a + pad), b - pad)))]
+
+        for end, inward in ((a, 1.0), (b, -1.0)):
+            if math.isfinite(end):
+                def hit(t, y, _edge=end + inward * 1e-6 * (1.0 + abs(end)),
+                        _inward=inward):
+                    return _inward * (y[0] - _edge)
+                hit.terminal, hit.direction = True, -1
+                events.append(hit)
+    else:
+        def rhs(t, y):
+            return -np.asarray(fn.grad(y), dtype=float)
+    nfev = 0
+
+    def bounded_rhs(t, y):
+        nonlocal nfev
+        nfev += 1
+        if nfev > flows._MAX_ODE_NFEV:
+            raise BlowUp(f"ode_flow {fn.name}: over {flows._MAX_ODE_NFEV} "
+                         f"evaluations at t={t}")
+        return rhs(t, y)
+
+    sol = solve_ivp(bounded_rhs, (grid[0], grid[-1]), y0, method="RK45",
+                    rtol=loc_rtol, atol=loc_atol, dense_output=True,
+                    events=events or None)
+    if sol.status == -1:
+        raise BlowUp(f"integration failed: {sol.message}")
+    ys, stop = sol.sol(grid[grid <= sol.t[-1]]).T, None
+    if sol.status == 1:
+        stop = min(float(te[0]) for te in sol.t_events if len(te))
+        y_end = float(sol.sol(stop)[0])
+        edge = a if abs(y_end - a) < abs(y_end - b) else b
+        ys = np.concatenate([ys, np.full((len(grid) - len(ys), 1), edge)])
+    if one_d:
+        ys = np.clip(ys[:, 0], a, b)
+    return ys, stop, int(sol.nfev), int(sol.status), len(sol.t) - 1
+
+
+def _dp_corpus():
+    """(functional, y0, grid) solves: the four interval library functionals
+    from starts that stay inside and starts that reach a boundary, the
+    1-d and R^2 quadratics, an R^2 expression and fN(log-cosh)."""
+    cases = []
+    for name, p, starts in (
+            ("log-x", P01, [(1.0, 0.2), (1.0, 0.8), (0.3, 0.1), (2.5, 1.0),
+                            (2.5, 4.0), (1e-3, 1.0)]),
+            ("log-sinh", P11, [(0.2, 0.01), (0.2, 0.1), (1.0, 0.3), (1.0, 2.0),
+                               (2.0, 1.0), (2.0, 5.0)]),
+            ("log-cos", PM11, [(0.1, 1.0), (0.1, 3.0), (-0.5, 0.5), (-0.5, 2.0),
+                               (1.2, 0.1), (1.2, 1.0), (0.0, 1.0)]),
+            ("log-cosh", P11, [(-2.0, 1.0), (0.5, 3.0), (3.0, 0.5), (1e-8, 1.0)]),
+            ("quadratic", P11, [(2.0, 1.0), (-0.3, 5.0)])):
+        fn = library(name, p)
+        for k, (y0, t1) in enumerate(starts):
+            cases.append((fn, y0, time_grid(0.0, t1, (11, 41, 2001)[k % 3])))
+    sp = EuclideanRn(2)
+    for fn, y0 in (
+            (library("quadratic", P11, c=1.0, dim=2), np.array([1.0, -2.0])),
+            (expression_functional("x1*x1/2 + x2*x2 + cos(3*x1)", sp),
+             np.array([0.4, -1.0])),
+            (expression_functional("x1*x1*x1*x1 + x2*x2 - x1*x2", sp),
+             np.array([1.5, 0.5]))):
+        cases.append((fn, y0, time_grid(0.0, 1.0, 21)))
+        cases.append((fn, y0, time_grid(0.5, 3.0, 401)))
+    fN = fN_functional(library("log-cosh", P11), P11)
+    cases += [(fN, 1.0, time_grid(0.0, 1.0, 11)), (fN, -0.7, time_grid(0.0, 3.0, 301))]
+    return cases
+
+
+class TestDormandPrince:
+    """ode_flow's own Dormand-Prince loop repeats SciPy's RK45 (solve_ivp with
+    dense output and terminal events) operation for operation: its points,
+    evaluation counts, accepted steps, exits, stop times and errors equal
+    the reference's, the points and stop times bit for bit."""
+
+    CASES = _dp_corpus()
+
+    @staticmethod
+    def _outcome(route):
+        try:
+            return route(), None
+        except BlowUp as exc:
+            return None, (type(exc), str(exc))
+
+    @pytest.mark.parametrize("rtol", [1e-6, 1e-9, 1e-11])
+    def test_matches_solve_ivp_bit_for_bit(self, rtol, caplog):
+        events = rejections = 0
+        for fn, y0, grid in self.CASES:
+            with caplog.at_level(logging.DEBUG, logger="knflow"):
+                c = ode_flow(fn, y0, grid, rtol=rtol)
+            ys, stop, nfev, status, steps = _solve_ivp_flow(fn, y0, grid, rtol)
+            where = f"{fn.name} y0={y0} t1={grid[-1]}"
+            assert np.array_equal(c.points, ys), where
+            assert (c.meta["ode_nfev"], c.meta["ode_status"]) == (nfev, status), where
+            assert c.stop_time == stop, where
+            # each step tried costs 6 evaluations, the first step 2 more
+            rejected = (nfev - 2) // 6 - steps
+            assert caplog.records[-1].getMessage() == (
+                f"ode_flow {fn.name}: nfev={nfev} steps={steps} "
+                f"rejected={rejected} status={status}"), where
+            events, rejections = events + status, rejections + rejected
+        assert events == 11  # of the 25 interval solves
+        assert rejections > 0
+
+    def test_tableau_is_rk45s(self):
+        from scipy.integrate import RK45
+        for ours, theirs in ((flows._DP_C, RK45.C), (flows._DP_A, RK45.A),
+                             (flows._DP_B, RK45.B), (flows._DP_E, RK45.E),
+                             (flows._DP_P, RK45.P)):
+            assert np.array_equal(ours, theirs)
+
+    def test_brentq_matches_scipy(self):
+        from scipy.optimize import brentq
+        tol = 4 * np.finfo(float).eps
+        for f, a, b in ((lambda t: math.cos(t) - t, 0.0, 1.0),
+                        (lambda t: t ** 3 - 2.0, 1.0, 2.0),
+                        (lambda t: math.expm1(30.0 * (t - 0.3)), 0.0, 1.0),
+                        (lambda t: 1e-3 - t * t, 0.0, 1.0),
+                        (lambda t: math.tanh(t - 0.7) + 1e-12, 0.2, 5.0),
+                        (lambda t: 0.5 - t, 0.0, 1.0)):
+            assert flows._brentq(f, a, b) == brentq(f, a, b, xtol=tol, rtol=tol)
+
+    def test_blow_up_raises_as_solve_ivp(self):
+        fn = Functional(space=Interval(), fvec=lambda x: -0.25 * x**4,
+                        grad=lambda x: -float(x) ** 3, name="neg-quartic")
+        grid = time_grid(0, 2.0, 11)
+        ours = self._outcome(lambda: ode_flow(fn, 1.0, grid, rtol=1e-9))
+        assert ours == self._outcome(lambda: _solve_ivp_flow(fn, 1.0, grid, 1e-9))
+        assert ours[1] == (BlowUp, "integration failed: Required step size is "
+                                   "less than spacing between numbers.")
+
+    def test_kink_bound_raises_as_solve_ivp(self, monkeypatch):
+        monkeypatch.setattr(flows, "_MAX_ODE_NFEV", 3000)
+        fn = expression_functional("pow(x*x, 0.5)")
+        grid = time_grid(0.0, 1.01, 11)
+        ours = self._outcome(lambda: ode_flow(fn, 1.0, grid))
+        assert ours == self._outcome(lambda: _solve_ivp_flow(fn, 1.0, grid))
+        assert ours[1][1].startswith(
+            "ode_flow expr:pow(x*x, 0.5): over 3000 evaluations at t=")

@@ -1,4 +1,4 @@
-"""Only ``ode_flow`` loads SciPy, at its first call, not at ``import knflow``.
+"""knflow needs numpy only: no import, solve or CLI stage loads SciPy.
 
 Each run case uses a fresh interpreter, since a module once imported stays
 in ``sys.modules`` for the rest of the process.
@@ -57,11 +57,36 @@ loaded("R^n minimizing_movement")
 """
 
 ODE = PRELUDE + """
-from knflow import CurvatureParams, library, ode_flow, time_grid
-f = library("log-x", CurvatureParams(0.0, -1.0))
+from knflow import CurvatureParams, EuclideanRn, expression_functional, library
+from knflow import ode_flow, time_grid
+from knflow.cli import main
 loaded("import")
-ode_flow(f, 1.0, time_grid(0.0, 0.2, 20))
-loaded("ode_flow")
+f = library("log-cos", CurvatureParams(-1.0, -1.0))
+assert ode_flow(f, 0.5, time_grid(0.0, 2.0, 41)).meta["ode_status"] == 1
+loaded("1-d ode_flow to a boundary event")
+g = expression_functional("x1*x1/2 + x2*x2 + cos(3*x1)", EuclideanRn(2))
+ode_flow(g, np.array([0.4, -1.0]), time_grid(0.0, 1.0, 21))
+loaded("R^2 ode_flow")
+with tempfile.TemporaryDirectory() as out:
+    cfg = os.path.join(out, "flow.json")
+    with open(cfg, "w") as fh:
+        json.dump({"command": "flow", "method": "ode", "y0": 1.0, "out": "ode.csv",
+                   "functional": {"library": "log-x", "K": 0, "N": -1},
+                   "grid": {"t0": 0.0, "t1": 0.49, "n": 101}}, fh)
+    assert main(["flow", "--config", cfg, "--out", out]) == 0
+loaded("cli flow ode")
+"""
+
+# Refuses every scipy* import before the script runs.
+NO_SCIPY = """
+import sys
+
+class RefuseScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "scipy":
+            raise ImportError(f"{name} refused")
+
+sys.meta_path.insert(0, RefuseScipy())
 """
 
 
@@ -91,30 +116,34 @@ def test_rn_prox_and_minimizing_movement_load_no_scipy(numpy_only_steps):
     assert numpy_only_steps["R^n minimizing_movement"] == []
 
 
-def test_ode_flow_loads_scipy_integrate():
+ODE_STEPS = ["import", "1-d ode_flow to a boundary event", "R^2 ode_flow",
+             "cli flow ode"]
+
+
+def test_ode_flow_loads_no_scipy():
     steps = _steps(ODE)
-    assert steps["import"] == []
-    assert "scipy.integrate" in steps["ode_flow"]
+    assert list(steps) == ODE_STEPS
+    assert all(steps[step] == [] for step in ODE_STEPS)
 
 
-def test_scipy_is_imported_only_in_ode_flow():
-    # a source scan: each import statement of scipy*, with its outermost function
+def test_ode_flow_runs_where_scipy_cannot_be_imported():
+    steps = _steps(NO_SCIPY + ODE)
+    assert list(steps) == ODE_STEPS
+    with pytest.raises(AssertionError, match="scipy refused"):
+        _steps(NO_SCIPY + "import scipy.integrate")
+
+
+def test_no_scipy_import_in_the_package():
+    # a source scan of every import statement, at any depth
     import knflow
     found = []
     for path in sorted(Path(knflow.__file__).parent.glob("*.py")):
-        tree = ast.parse(path.read_text())
-        scope = {}
-        for func in ast.walk(tree):  # breadth first: outer functions come first
-            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                for node in ast.walk(func):
-                    scope.setdefault(node, func.name)
-        for node in ast.walk(tree):
+        for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Import):
                 names = [alias.name for alias in node.names]
             elif isinstance(node, ast.ImportFrom):
                 names = [node.module or ""]
             else:
                 continue
-            found += [(path.name, scope.get(node), name) for name in names
-                      if name.split(".")[0] == "scipy"]
-    assert found == [("flows.py", "ode_flow", "scipy.integrate")]
+            found += [(path.name, name) for name in names if name.split(".")[0] == "scipy"]
+    assert found == []
