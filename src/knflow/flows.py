@@ -426,17 +426,18 @@ def prox(fn: Functional, tau: float, v) -> ProxStep:
     fn needs grad and hess (else :class:`ParamOutOfRange`).  v must lie in
     the closure; f(v) = +inf raises :class:`BasePointOutsideDomain`, and
     f(v) = -inf or an objective of -inf at the output :class:`NotBoundedBelow`.
-    1-d: the first root of psi(w) = (w - v)/tau + f'(w) downhill from v (the
-    minimizer for lambda-convex f with 1 + lambda tau > 0): steps from
-    tau|f'(v)| double until psi changes sign, each after the Newton trials
-    short of it; then Newton steps (bisecting where one leaves the bracket)
-    stop at psi = 0, at a step and a chord from v both under tol = 1e-16
-    (1 + |v|) + 4 eps |w|, or at a bracket under tol, whose end past the
-    root is returned (a kink or pole of f').  Where the slope psi' = 1/tau +
-    f'' is not finite and > 0 there is no Newton trial: the search bisects
-    the bracket, or doubles before it.  A search still descending at a
+    1-d: a root of psi(w) = (w - v)/tau + f'(w) downhill from v: the minimizer
+    for lambda-convex f with 1 + lambda tau > 0, else not always the first.
+    Each pass takes a Newton trial, from the nearer of the last two once psi
+    has changed sign, and stops at a step and a chord from v both under tol =
+    1e-16 (1 + |v|) + 4 eps |w|, else at a bracket under tol, returning its
+    end b past the root (a kink or pole of f').  It keeps the trial only
+    strictly inside (a, far), a the last point short of the root and far b or,
+    before the sign change, the next step from tau|f'(v)| doubling; else it
+    bisects, or doubles.  No Newton trial where psi' = 1/tau + f'' is not
+    finite and > 0; 600 passes raise BlowUp.  A search still descending at a
     finite end of the closure stops there; it raises NotBoundedBelow where
-    f = -inf at that end or after 200 doublings, and evaluates f only there.
+    f = -inf there or after 200 doublings, and evaluates f only there.
     R^n: damped Newton with an Armijo line search on f, none once the
     decrement -step.g/2 is under 4 eps (|obj| + 1); grad f is called at v
     and after each line search.  The matrix I/tau + ``fn.hess(x)`` goes to
@@ -479,50 +480,43 @@ def _prox_1d(fn: Functional, tau: float, v: float) -> tuple:
     down, bound = (-1.0, fn.space.a) if g > 0 else (1.0, fn.space.b)
     if g == 0.0 or v == bound:  # at the end, descending out of the closure
         return v, 1, 0, False
-    # psi(a) has g's sign, b is at or past the root; x0, x1: the last two
-    # trials, d0, d1: psi' = 1/tau + f'' there (NaN at v)
-    a, b, x0, s0, x1, s1, d1 = v, None, math.nan, math.nan, v, g, math.nan
-    evals, k = 1, 0
+    # psi(a) has g's sign, psi(b) not; x0, x1: the last two trials, d0, d1: psi' there
+    a, b, x1, s1, d1, evals, k = v, None, v, g, math.nan, 1, 0
     grad, hess, ag, h = fn.grad, fn.hess, abs(g), max(tau * abs(g), math.ulp(v))
     for _ in range(3 * _MAX_EXPANSIONS):
         tol = 1e-16 * (1.0 + abs(v)) + _EPS4 * abs(x1)
-        if b is not None:  # a Newton step; one leaving the bracket bisects it
-            if abs(b - a) < tol:  # no root: psi jumps at a kink or a pole of f'
-                return b, evals, k, True
-            if abs(s0) < abs(s1):  # step from the point nearer the root
+        if b is not None:  # far is b; step from the trial nearer the root
+            if abs(s0) < abs(s1):
                 x0, s0, d0, x1, s1, d1 = x1, s1, d1, x0, s0, d0
-            w = _step(x1, s1, d1)
-            if not min(a, b) <= w <= max(a, b):
-                w = 0.5 * (a + b)
-            elif abs(w - x1) < tol and abs(s1 * (x1 - v)) < tol * ag:
-                return w, evals, k, False  # the chord from v agrees: no jump in psi
+            far = b
         elif k == _MAX_EXPANSIONS:
             break
-        else:  # double the step until psi changes sign, after trials short of it
-            c = w = v + down * h
-            if not math.isfinite(w):
+        else:  # far is the next doubling point, clamped to the end of the closure
+            far = v + down * h
+            if not math.isfinite(far):
                 raise NotBoundedBelow(
                     f"prox objective of {fn.name} decreases without bound")
-            if down * (w - bound) >= 0:
-                c = w = bound
-            t = _step(x1, s1, d1)  # NaN at the first pass: d1 is NaN
-            if abs(t - x1) < tol and abs(s1 * (x1 - v)) < tol * ag:
-                return t, evals, k, False
-            if (t - x1) * (c - t) > 0.0:
-                w = t
-            elif w == bound:
-                f_end = fn.value(bound)
-                if f_end == -math.inf:
-                    raise NotBoundedBelow(
-                        f"prox objective of {fn.name} diverges to -inf at the boundary")
-                if f_end == math.inf:
-                    raise BasePointOutsideDomain(
-                        f"{fn.name} is +inf at the end {bound} of the prox search")
+            far = bound if down * (far - bound) >= 0 else far
+        w = _step(x1, s1, d1)  # NaN at the first pass: d1 is NaN
+        if abs(w - x1) < tol and abs(s1 * (x1 - v)) < tol * ag:
+            return w, evals, k, False  # the chord from v agrees: no jump in psi
+        if b is not None and abs(b - a) < tol:  # psi jumps at a kink or a pole of f'
+            return b, evals, k, True
+        if not (w - a) * (far - w) > 0:  # keep only a trial strictly inside (a, far)
+            w = far if b is None else 0.5 * (a + b)  # else double, or bisect
+        if b is None and w == bound:
+            f_end = fn.value(bound)
+            if f_end == -math.inf:
+                raise NotBoundedBelow(
+                    f"prox objective of {fn.name} diverges to -inf at the boundary")
+            if f_end == math.inf:
+                raise BasePointOutsideDomain(
+                    f"{fn.name} is +inf at the end {bound} of the prox search")
         s, evals = (w - v) / tau + float(grad(w)), evals + 1
         d = 1.0 / tau + float(hess(w))
         if s == 0.0 or (s > 0) != (g > 0):
             b = w
-        elif b is not None or w != c:  # in the bracket, or a Newton trial
+        elif b is not None or w != far:  # in the bracket, or a Newton trial
             a = w
         elif w == bound:  # still descending at the end of the closure
             return w, evals, k, False
@@ -532,7 +526,7 @@ def _prox_1d(fn: Functional, tau: float, v: float) -> tuple:
     if b is None:  # after 200 doublings, or 600 passes without a bracket
         raise NotBoundedBelow(f"prox objective of {fn.name} keeps "
                               f"descending after {k} expansions")
-    return b, evals, k, False
+    raise BlowUp(f"prox of {fn.name} made {3 * _MAX_EXPANSIONS} passes without a stop")
 
 
 def _prox_rn(fn: Functional, tau: float, v, fv: float, eye_tau, gv=None) -> tuple:

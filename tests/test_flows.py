@@ -932,31 +932,47 @@ class TestLapackNewtonStep:
 # f' of the library functionals at P01 (log-x), PM11 (log-cos) and P11
 _MP_GRAD = {"log-x": (P01, lambda w: 1 / w), "log-cos": (PM11, lambda w: -mp.tan(w)),
             "log-cosh": (P11, mp.tanh), "log-sinh": (P11, lambda w: 1 / mp.tanh(w))}
+# (name, K/N scale k, tau): the four at |K/N| = 1 and tau up to 0.1, and
+# log-cosh at (K, N) = (k, -1), k up to 1e3, and tau up to 10
+_ROOT_CASES = st.one_of(
+    st.tuples(st.sampled_from(sorted(_MP_GRAD)), st.just(1.0), st.floats(1e-4, 1e-1)),
+    st.tuples(st.just("log-cosh"), st.floats(0.0, 3.0).map(lambda e: 10.0 ** e),
+              st.floats(1e-4, 10.0)))
+LOG_COSH_1000 = library("log-cosh", CurvatureParams(1000.0, -1.0))
 
 
 class TestSecantSearch:
     """The 1-d proximal step brackets the root of psi(w) = (w - v)/tau + f'(w)
     by doubling steps and closes in on it by Newton steps, with psi' =
-    1/tau + f'' from ``fn.hess``; where that slope is not finite and > 0 it
-    bisects the bracket, or doubles before it."""
+    1/tau + f'' from ``fn.hess``, in one loop: each pass takes one Newton
+    trial and keeps it only strictly inside (a, far), from the last point
+    short of the root to the next doubling point or, once psi has changed
+    sign, to the bracket's far end; else it doubles, or bisects.  Where that
+    slope is not finite and > 0 there is no Newton trial; 600 passes raise
+    BlowUp."""
 
     EPS = 2.0 ** -52
 
     @settings(max_examples=300, deadline=None)
-    @given(st.sampled_from(sorted(_MP_GRAD)), st.floats(0.0, 1.0), st.floats(1e-4, 1e-1))
-    @example("log-cos", 0.504, 0.089217)  # roots near 0, where an absolute
-    @example("log-cosh", 0.504, 0.001103)  # stop of 1e-16 spans many ulps
-    @example("log-cos", 0.19808743547023205, 0.09999999999999999)  # a root the
-    # doubling skips: psi dips through 0 twice between v and its first trials
-    def test_output_is_the_root_within_two_ulps(self, name, frac, tau):
+    @given(_ROOT_CASES, st.floats(0.0, 1.0))
+    @example(("log-cos", 1.0, 0.089217), 0.504)  # roots near 0, where an absolute
+    @example(("log-cosh", 1.0, 0.001103), 0.504)  # stop of 1e-16 spans many ulps
+    @example(("log-cos", 1.0, 0.09999999999999999), 0.19808743547023205)  # a root
+    # the doubling skips: psi dips through 0 twice between v and its first trials
+    def test_output_is_the_root_within_two_ulps(self, case, frac):
+        name, k, tau = case
         p, grad = _MP_GRAD[name]
+        if k != 1.0:  # log-cosh at (k, -1): f' = sqrt(k) tanh(sqrt(k) x)
+            p, grad = CurvatureParams(k, -1.0), lambda x, w=mp.sqrt(k): w * mp.tanh(w * x)
         fn = library(name, p)
         lo, hi = fn.sample_box
         v = lo + frac * (hi - lo)
         try:
-            w = prox(fn, tau, v).output
+            step = prox(fn, tau, v)
         except NotBoundedBelow:  # no root downhill, as for log-x at v^2 < 4 tau
             assume(False)
+        w = step.output
+        assert step.psi_evals < 100
         with mp.workdps(50):
             r = mp.findroot(lambda x: (x - v) / tau + grad(x), mp.mpf(w))
             # the rounding of psi's two terms blurs its root by this much;
@@ -1014,6 +1030,63 @@ class TestSecantSearch:
                             mp.mpf(0.65))
         assert abs(w - r) <= 2 * math.ulp(0.65) and 0.64 < w < 0.65
 
+    # in each case below a Newton trial from a stale point outside the
+    # bracket lands exactly on an end of it; kept there, that end would be
+    # evaluated again at every pass up to the pass bound, and is not a root
+    def test_large_k_over_n_returns_the_root(self):
+        v, tau = -0.09064551511255146, 8.276689322314216
+        step = prox(LOG_COSH_1000, tau, v)
+        with mp.workdps(50):
+            w = mp.sqrt(1000)
+            r = mp.findroot(lambda x: (x - v) / tau + w * mp.tanh(w * x), mp.mpf(-1e-5))
+        assert abs(step.output - r) <= 1e-12 and step.psi_evals < 100
+
+    @pytest.mark.parametrize("expr, a, v, tau, root", [
+        # |v| < tau: the exact prox of |x| is its kink 0
+        ("pow(x*x, 0.5)", -math.inf, 0.5914346559685844, 0.7817074624136463, 0.0),
+        # the first root downhill, by an mpmath scan
+        ("x*x/2 + cos(3*x)", -math.inf, 1.8515020860055242, 0.6140922890712662,
+         1.0697890511798898),
+        ("x*x/2 + log(x - 0.3)", 0.3, 2.3975210759302867, 0.4986387848173951,
+         1.2493017662223753),
+    ])
+    def test_no_cycle_on_an_end_of_the_bracket(self, expr, a, v, tau, root):
+        step = prox(_expr(expr, a), tau, v)
+        bound = 2 * math.ulp(root) if root else 1e-15
+        assert abs(step.output - root) <= bound and step.psi_evals < 100
+
+    def test_a_minimizing_movement_stays_on_the_kink(self):
+        # the flow of |x| reaches 0 at t = |y0| and stays there; step 49's
+        # search has a Newton trial on an end of its bracket
+        y0, tau = 2.392955753630159, 0.049077619765219106
+        c = minimizing_movement(_expr("pow(x*x, 0.5)"), tau, y0, 2 * abs(y0), TOL)
+        assert np.max(np.abs(c.points[c.times >= abs(y0)])) <= 1e-15
+
+    def test_the_pass_bound_raises(self, monkeypatch):
+        # 6 passes with 2 doublings: the log-cosh case above has its bracket
+        # after one trial and no stop by the sixth pass; the end of the
+        # bracket there, 8.0357, is not a root
+        monkeypatch.setattr(flows, "_MAX_EXPANSIONS", 2)
+        with pytest.raises(BlowUp, match="prox of log-cosh made 6 passes without a stop"):
+            prox(LOG_COSH_1000, 8.276689322314216, -0.09064551511255146)
+        with pytest.raises(BlowUp, match="prox failed at step 1 "):
+            minimizing_movement(LOG_COSH_1000, 8.276689322314216, -0.09064551511255146,
+                                8.3, TOL)
+
+    def test_a_search_without_a_sign_change_raises(self):
+        # -x^2 on R at tau = 1: psi(w) = (w - 1) - 2w < 0 from v = 1 on, and
+        # psi' = 1 - 2 < 0 gives no Newton trial
+        with pytest.raises(NotBoundedBelow, match="keeps descending after 200 expansions"):
+            prox(library("quadratic", P01, c=-2.0), 1.0, 1.0)
+
+    def test_an_end_where_f_is_plus_inf_raises(self):
+        # f = x on [0, inf) but +inf at 0: the search descends to the end 0
+        fn = Functional(space=Interval(0.0, math.inf, open_a=False), name="x+",
+                        fvec=lambda x: np.where(x == 0.0, math.inf, x),
+                        grad=lambda x: 1.0, hess=lambda x: 0.0)
+        with pytest.raises(BasePointOutsideDomain, match=r"x\+ is \+inf at the end 0.0 "):
+            prox(fn, 1.0, 0.3)
+
     def test_a_step_past_a_pole_stops_the_steps(self):
         # u_1 is the end past the pole, where f = +inf; f is evaluated after
         # a step that ends on a collapsed bracket, so the 2000-step solve
@@ -1035,8 +1108,9 @@ class TestSecantSearch:
 
 def test_one_slope_source_in_the_proximal_steps():
     # a source scan of flows.py: only _prox_args compares hess with None
-    # (every functional reaching a solver has it), and _step is the Newton
-    # step from one point, with no second point for a secant
+    # (every functional reaching a solver has it), _step is the Newton step
+    # from one point, with no second point for a secant, and _prox_1d takes
+    # it at one place, before and after the sign change
     tree = ast.parse(Path(flows.__file__).read_text())
     scope = {}
     for func in ast.walk(tree):  # breadth first: outer functions come first
@@ -1055,6 +1129,10 @@ def test_one_slope_source_in_the_proximal_steps():
     (step,) = [f for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)
                and f.name == "_step"]
     assert [a.arg for a in step.args.args] == ["x", "s", "d"]
+    (search,) = [f for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)
+                 and f.name == "_prox_1d"]
+    assert [getattr(n.func, "id", None) for n in ast.walk(search)
+            if isinstance(n, ast.Call)].count("_step") == 1
 
 
 class TestNewtonDecrementStop:
