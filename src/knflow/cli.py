@@ -286,7 +286,7 @@ _SCHEMAS = {
 def validate_config(cfg: dict, command: str) -> dict:
     if not isinstance(cfg, dict):
         raise ConfigInvalid("config must be a JSON object")
-    if command not in _SCHEMAS:
+    if command not in COMMANDS:  # a tuple: no hashing of a list or a dict
         raise ConfigInvalid(f"unknown command {command!r}")
     if "command" in cfg and cfg["command"] != command:
         raise ConfigInvalid(
@@ -446,9 +446,9 @@ def _run_reparam(cfg, out_dir):
     if p is None or "K" in cfg:
         p = _params(cfg, 0.0, -1.0)
     tol = _tolerance_from(cfg)
-    change = {"r1": r1, "r2": r2}.get(cfg["direction"])
-    if change is None:
+    if cfg["direction"] not in ("r1", "r2"):
         raise ConfigInvalid("direction must be r1 or r2")
+    change = r1 if cfg["direction"] == "r1" else r2
     return write_curve(_out_path(cfg["out"], out_dir), change(curve, fn, p, tol)), "ok"
 
 
@@ -503,12 +503,14 @@ def _config_hash(cfg) -> str:
 
 def run(cfg: dict, out_dir: str = ".", command: str = None) -> RunManifest:
     """Execute one experiment config and write its outputs atomically."""
+    if not isinstance(cfg, dict):
+        raise ConfigInvalid("config must be a JSON object")
     command = command or cfg.get("command")
     if command is None:
         raise ConfigInvalid("no command given")
-    if command == "pipeline":
-        return pipeline(cfg.get("stages", cfg), out_dir)
     cfg = validate_config(cfg, command)
+    if command == "pipeline":
+        return pipeline(cfg["stages"], out_dir)
     started = time.time()
     outputs, status = _HANDLERS[command](cfg, out_dir)
     return RunManifest(version=__version__, command=command,
@@ -525,8 +527,6 @@ def pipeline(configs, out_dir: str = ".") -> RunManifest:
     column that the pipeline already wrote is not formatted again; outputs
     are byte-identical to standalone runs that read and write the disk.
     """
-    if isinstance(configs, dict):
-        configs = configs.get("stages", [])
     if not isinstance(configs, list):
         raise ConfigInvalid("pipeline expects a list of stage configs")
     started = time.time()

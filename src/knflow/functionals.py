@@ -207,10 +207,11 @@ def library(name: str, p: CurvatureParams, *, c: float = 1.0, a: float = 1.0,
                 name=f"quadratic({c})", params=p, sample_box=(-3.0, 3.0),
                 meta={"c": c},
             )
+        space = EuclideanRn(dim)  # ParamOutOfRange for dim < 1, before np.eye
         hess = c * np.eye(dim)
         hess.flags.writeable = False
         return Functional(
-            space=EuclideanRn(dim),
+            space=space,
             fvec=lambda x: 0.5 * c * (x * x).sum(axis=-1),
             grad=lambda x: c * np.asarray(x, dtype=float),
             hess=lambda x: hess,

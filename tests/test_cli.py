@@ -1,3 +1,4 @@
+import copy
 import json
 import math
 import os
@@ -20,8 +21,9 @@ from knflow.cli import (
     write_json,
 )
 from knflow.coefficients import CurvatureParams, sigma_values
-from knflow.errors import ConfigInvalid, IoError, ParamOutOfRange
+from knflow.errors import ConfigInvalid, IoError, KNFlowError, ParamOutOfRange
 from knflow.flows import Curve
+from test_cli_pins import PIN_STAGES
 
 
 def flow_cfg(out="curve.csv"):
@@ -714,3 +716,98 @@ class TestCurveInTheFunctionalSpace:
         assert code == 1
         assert err.startswith("error: ") and "not in" in err
         assert not (tmp_path / "c.json").exists()
+
+
+class TestPipelineConfig:
+    """A pipeline config is validated like the config of any other command."""
+
+    @pytest.mark.parametrize("cfg", [
+        {"stagez": [flow_cfg()]},
+        {"stages": [flow_cfg()], "bogus": 1},
+        [flow_cfg()],
+        {"stages": [[1, 2]]},
+        {"stages": [flow_cfg(), 3]},
+        {"stages": {"a": 1}},
+        {"stages": [dict(flow_cfg(), command=[])]},
+        {"stages": [dict(flow_cfg(), command={})]},
+    ], ids=["misspelt-stages", "unknown-key", "top-level-list", "list-stage",
+            "number-stage", "mapping-stages", "list-command", "mapping-command"])
+    def test_exit_one_without_traceback(self, tmp_path, capsys, cfg):
+        path = tmp_path / "pipe.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["pipeline", "--config", str(path), "--out",
+                     str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert not (tmp_path / "out" / "manifest.json").exists()
+
+    def test_empty_stages_is_an_empty_pipeline(self, tmp_path, capsys):
+        path = tmp_path / "pipe.json"
+        path.write_text(json.dumps({"stages": []}))
+        assert main(["pipeline", "--config", str(path), "--out",
+                     str(tmp_path)]) == 0
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["status"] == "ok" and manifest["outputs"] == []
+
+    @pytest.mark.parametrize("value", [[], {}, 1, None])
+    def test_command_must_be_a_command_name(self, tmp_path, value):
+        with pytest.raises(ConfigInvalid):
+            run(dict(flow_cfg(), command=value), str(tmp_path))
+
+    @pytest.mark.parametrize("value", [[], {}, 1, None, "r3"])
+    def test_direction_must_be_r1_or_r2(self, tmp_path, value):
+        reparam = {"command": "reparam", "direction": value,
+                   "input": "curve.csv", "out": "r.csv",
+                   "functional": {"library": "log-x", "K": 0, "N": -1}}
+        with pytest.raises(ConfigInvalid, match="direction must be r1 or r2"):
+            pipeline([flow_cfg(), reparam], str(tmp_path))
+
+
+def _key_paths(node, prefix=()):
+    """Every key path into nested mappings and lists, outermost first."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in items:
+        yield prefix + (key,)
+        if isinstance(value, (dict, list)):
+            yield from _key_paths(value, prefix + (key,))
+
+
+def _substituted(node, path, value):
+    node = copy.deepcopy(node)
+    parent = node
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    return node
+
+
+# Malformed values of every JSON type; none sizes an array beyond 3 entries
+# per axis, so each run stays small.
+MALFORMED = [None, "x", [], {}, True, -1, 0, 0.5, [1, "a"], {"a": 1},
+             [[1, 2], [3]], "inf", 3]
+INPUT_KEYS = ("input", "input1", "input2")
+
+
+def test_malformed_values_raise_only_knflow_errors(tmp_path):
+    """Each key path of a one-stage pipeline of each pinned stage, set to
+    each malformed value, either runs or raises a KNFlowError.  The stages
+    read their inputs from a finished run of the pinned pipeline and write
+    elsewhere, so no substitution changes what a later one reads."""
+    base = tmp_path / "base"
+    assert pipeline(PIN_STAGES, str(base)).status == "ok"
+    out = str(tmp_path / "out")
+    escapes = set()
+    for stage in PIN_STAGES:
+        stage = {key: str(base / value) if key in INPUT_KEYS else value
+                 for key, value in stage.items()}
+        cfg = {"command": "pipeline", "stages": [stage]}
+        for path in _key_paths(cfg):
+            for value in MALFORMED:
+                try:
+                    run(_substituted(cfg, path, value), out)
+                except KNFlowError:
+                    pass
+                except Exception as exc:  # noqa: BLE001 - the escapes are the finding
+                    escapes.add((stage["command"], path, repr(value),
+                                 f"{type(exc).__name__}: {exc}"))
+    assert not escapes, sorted(escapes)

@@ -72,6 +72,11 @@ class TestLibrary:
         assert lin.value(0.0) == 0.0  # closed left endpoint
         assert lin.space.contains(0.0)
 
+    @pytest.mark.parametrize("dim", [0, -1])
+    def test_quadratic_dimension_below_one(self, dim):
+        with pytest.raises(ParamOutOfRange, match="n must be >= 1"):
+            library("quadratic", P11, dim=dim)
+
     def test_sign_guards(self):
         with pytest.raises(IncompatibleSign):
             library("log-cos", P11)

@@ -14,10 +14,12 @@ from knflow.spaces import Interval
 
 P01 = CurvatureParams(0.0, -1.0)
 PM11 = CurvatureParams(-1.0, -1.0)
+P11 = CurvatureParams(1.0, -1.0)
 TOL = Tolerance()
 
 LINEAR = library("linear", P01, a=1.0)
 LOG_X = library("log-x", P01)
+LOG_COSH = library("log-cosh", P11)
 
 
 def log_x_curve(n=1000, t_end=0.45, y0=1.0):
@@ -135,6 +137,29 @@ class TestRoundTrip:
         c = oracle_flow("fN-linear", None, 1.0, grid)
         err = roundtrip_error(c, LINEAR, P01, TOL, order="r1r2")
         assert err <= 1e-4
+
+
+class TestMembershipOfTheCurveNotTheGrid:
+    """The log-cosh oracle curve (K = 1, N = -1, y0 = 1) on [0.01, 1] is
+    the same curve at every size; a refinement-gap rule called it outside
+    C''_N below 200 samples."""
+
+    SIZES = (20, 60, 100, 200, 1000)
+
+    @staticmethod
+    def curve(n):
+        return oracle_flow("log-cosh", P11, 1.0, time_grid(0.01, 1.0, n))
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_r1_image_in_csecond_at_every_size(self, n):
+        z = r1(self.curve(n), LOG_COSH, P11, TOL)
+        assert class_membership(z, LOG_COSH, P11, TOL).in_CsecondN
+
+    def test_roundtrip_at_every_size_falls_at_second_order(self):
+        errs = {n: roundtrip_error(self.curve(n), LOG_COSH, P11, TOL)
+                for n in self.SIZES}
+        assert all(0.0 < e < 2e-4 for e in errs.values())
+        assert errs[100] / errs[200] >= 3.5
 
 
 class TestCorrespondenceShapes:
