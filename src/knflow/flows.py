@@ -11,13 +11,11 @@ When a trajectory reaches the boundary of the finiteness domain the curve
 is continued constantly at the boundary point and the hitting time is
 recorded in ``stop_time``.
 
-The proximal step :func:`prox` (a bracketed search for the root of
-(w - v)/tau + f'(w) by Newton steps on intervals; damped Newton with numpy's
-LAPACK ``gesv`` on R^n) needs ``Functional.grad`` and ``Functional.hess``,
-the ODE route ``grad`` only.  On intervals a minimizing movement evaluates
-f in one array call at 512, 1024, ... steps, after a step past a jump of f'
-and at the end; the first iterate where f is not finite stops it and decides
-its error.  On R^n each step hands f and grad f at its output to the next.
+The proximal step :func:`prox` is the one-step minimizing movement: one
+stepping loop and error rule serve both, with a bracketed Newton search for
+the root of (w - v)/tau + f'(w) on intervals and damped Newton with numpy's
+LAPACK ``gesv`` on R^n; its errors carry no step prefix.  It needs
+``Functional.grad`` and ``Functional.hess``, the ODE route ``grad`` only.
 
 Solver totals go into ``Curve.meta`` (``ode_nfev``/``ode_status``,
 ``prox_psi_evals``/``prox_hess_evals``/``prox_expansions``) and to the
@@ -31,6 +29,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -409,6 +408,7 @@ _MAX_EXPANSIONS = 200
 
 
 def _prox_args(fn: Functional, tau, v, horizon=None) -> tuple:
+    """(tau, v in the closure, the space's proximal step, the step count)."""
     tau = float(tau)
     if not tau > 0:
         raise ParamOutOfRange("tau must be > 0")
@@ -417,53 +417,22 @@ def _prox_args(fn: Functional, tau, v, horizon=None) -> tuple:
         raise ParamOutOfRange("horizon shorter than one step")
     if fn.grad is None or fn.hess is None:
         raise ParamOutOfRange(f"prox of {fn.name} needs an analytic gradient and Hessian")
-    return tau, fn.space.closure_point(v), isinstance(fn.space, Interval), n_steps
+    v = fn.space.closure_point(v)
+    step = (partial(_prox_1d, fn, tau) if isinstance(fn.space, Interval)
+            else partial(_prox_rn, fn, tau, np.eye(v.size) / tau))
+    return tau, v, step, n_steps
 
 
 def prox(fn: Functional, tau: float, v) -> ProxStep:
     """One proximal step: minimize d^2(v, .)/(2 tau) + f over the closure.
 
-    fn needs grad and hess (else :class:`ParamOutOfRange`).  v must lie in
-    the closure; f(v) = +inf raises :class:`BasePointOutsideDomain`, and
-    f(v) = -inf or an objective of -inf at the output :class:`NotBoundedBelow`.
-    1-d: a root of psi(w) = (w - v)/tau + f'(w) downhill from v: the minimizer
-    for lambda-convex f with 1 + lambda tau > 0, else not always the first.
-    Each pass takes a Newton trial, from the nearer of the last two once psi
-    has changed sign, and stops at a step and a chord from v both under tol =
-    1e-16 (1 + |v|) + 4 eps |w|, else at a bracket under tol, returning its
-    end b past the root (a kink or pole of f').  It keeps the trial only
-    strictly inside (a, far), a the last point short of the root and far b or,
-    before the sign change, the next step from tau|f'(v)| doubling; else it
-    bisects, or doubles.  No Newton trial where psi' = 1/tau + f'' is not
-    finite and > 0; 600 passes raise BlowUp.  A search still descending at a
-    finite end of the closure stops there; it raises NotBoundedBelow where
-    f = -inf there or after 200 doublings, and evaluates f only there.
-    R^n: damped Newton with an Armijo line search on f, none once the
-    decrement -step.g/2 is under 4 eps (|obj| + 1); grad f is called at v
-    and after each line search.  The matrix I/tau + ``fn.hess(x)`` goes to
-    numpy's ``gesv`` (bitwise ``np.linalg.solve``); a singular one (a NaN
-    step), a decrement <= 0 or a non-finite step (only checked if the
-    decrement is not finite) takes the gradient step; a failed line search
-    where |g|^2 overflows raises NotBoundedBelow, as do 100 iterations
-    without a stop where the last decrement is +inf (else BlowUp).  f skips
-    the closure test where |x - v|^2 is finite.
-    """
-    tau, v, one_d, _ = _prox_args(fn, tau, v)
-    fv = fn.value(v)
-    if fv == math.inf:
-        raise BasePointOutsideDomain("f(v) = +inf")
-    if fv == -math.inf:
-        raise NotBoundedBelow(f"prox objective of {fn.name} is -inf at {v}")
-    if not one_d:
-        with np.errstate(over="ignore", invalid="ignore"):  # see _prox_rn
-            x, obj, fx, _, evals, n_hess = _prox_rn(fn, tau, v, fv, np.eye(v.size) / tau)
-        return ProxStep(tau, v.copy(), x, obj, fx, evals, hess_evals=n_hess)
-    w, evals, k, _ = _prox_1d(fn, tau, v)
-    fw = fn.value(w)
-    if fw == -math.inf:
-        raise NotBoundedBelow(f"prox objective of {fn.name} is -inf at {w}")
-    return ProxStep(tau, v, w, 0.5 * (w - v) ** 2 / tau + fw, fw, evals, k,
-                    hess_evals=evals - 1)
+    The one-step case of :func:`minimizing_movement`, with the same checks
+    (fn needs grad and hess, else :class:`ParamOutOfRange`), solver and
+    error rule (see :func:`_movement`) and no step prefix on the errors:
+    f(v) = +inf raises :class:`BasePointOutsideDomain`, f(v) or f(output)
+    = -inf :class:`NotBoundedBelow`."""
+    tau, (v, w), (_, fw), counts = _movement(fn, tau, v)
+    return ProxStep(tau, v, w, 0.5 * fn.space._sq_distance(v, w) / tau + fw, fw, *counts)
 
 
 def _step(x: float, s: float, d: float) -> float:
@@ -472,14 +441,27 @@ def _step(x: float, s: float, d: float) -> float:
     return x - s / d if 0.0 < d < math.inf else math.nan
 
 
-def _prox_1d(fn: Functional, tau: float, v: float) -> tuple:
-    """(output, psi evaluations, expansions, whether the output is the end of
-    a collapsed bracket: past a kink or a pole of f') of the search from v;
-    f'' is called with f' at each trial point."""
+def _prox_1d(fn: Functional, tau: float, v: float, _f, _g) -> tuple:
+    """(w, None, None, psi evaluations, f'' calls, expansions, whether w
+    ends a collapsed bracket: past a kink or a pole of f') of the step from
+    v on an interval, which takes no f or f' at v and hands none on.
+    w is a root of psi(w) = (w - v)/tau + f'(w) downhill from v: the
+    minimizer for lambda-convex f with 1 + lambda tau > 0, else not always
+    the first.  Each pass takes a Newton trial, from the nearer of the last
+    two once psi has changed sign, and stops at a step and a chord from v
+    both under tol = 1e-16 (1 + |v|) + 4 eps |w|, else at a bracket under
+    tol, returning its end b past the root.  It keeps the trial only
+    strictly inside (a, far), a the last point short of the root and far b
+    or, before the sign change, the next step from tau|f'(v)| doubling;
+    else it bisects, or doubles.  f'' comes with f' at each trial; no
+    Newton trial where psi' = 1/tau + f'' is not finite and > 0; 600 passes
+    raise BlowUp.  A search still descending at a finite end of the closure
+    stops there; it raises NotBoundedBelow where f = -inf there or after
+    200 doublings, and evaluates f only there."""
     g = float(fn.grad(v))  # psi(v) = f'(v): its sign is the uphill direction
     down, bound = (-1.0, fn.space.a) if g > 0 else (1.0, fn.space.b)
     if g == 0.0 or v == bound:  # at the end, descending out of the closure
-        return v, 1, 0, False
+        return v, None, None, 1, 0, 0, False
     # psi(a) has g's sign, psi(b) not; x0, x1: the last two trials, d0, d1: psi' there
     a, b, x1, s1, d1, evals, k = v, None, v, g, math.nan, 1, 0
     grad, hess, ag, h = fn.grad, fn.hess, abs(g), max(tau * abs(g), math.ulp(v))
@@ -498,10 +480,10 @@ def _prox_1d(fn: Functional, tau: float, v: float) -> tuple:
                     f"prox objective of {fn.name} decreases without bound")
             far = bound if down * (far - bound) >= 0 else far
         w = _step(x1, s1, d1)  # NaN at the first pass: d1 is NaN
-        if abs(w - x1) < tol and abs(s1 * (x1 - v)) < tol * ag:
-            return w, evals, k, False  # the chord from v agrees: no jump in psi
+        if abs(w - x1) < tol and abs(s1 * (x1 - v)) < tol * ag:  # no jump in psi
+            return w, None, None, evals, evals - 1, k, False
         if b is not None and abs(b - a) < tol:  # psi jumps at a kink or a pole of f'
-            return b, evals, k, True
+            return b, None, None, evals, evals - 1, k, True
         if not (w - a) * (far - w) > 0:  # keep only a trial strictly inside (a, far)
             w = far if b is None else 0.5 * (a + b)  # else double, or bisect
         if b is None and w == bound:
@@ -519,7 +501,7 @@ def _prox_1d(fn: Functional, tau: float, v: float) -> tuple:
         elif b is not None or w != far:  # in the bracket, or a Newton trial
             a = w
         elif w == bound:  # still descending at the end of the closure
-            return w, evals, k, False
+            return w, None, None, evals, evals - 1, k, False
         else:
             a, h, k = w, 2.0 * h, k + 1
         x0, s0, d0, x1, s1, d1 = x1, s1, d1, w, s, d
@@ -529,11 +511,20 @@ def _prox_1d(fn: Functional, tau: float, v: float) -> tuple:
     raise BlowUp(f"prox of {fn.name} made {3 * _MAX_EXPANSIONS} passes without a stop")
 
 
-def _prox_rn(fn: Functional, tau: float, v, fv: float, eye_tau, gv=None) -> tuple:
-    """(x, objective, f(x), grad f(x) or None, grad f calls, hess calls) of
-    Newton from v; eye_tau is I/tau, gv grad f(v) if known.  Run under
-    errstate(over="ignore", invalid="ignore"): |g|^2 and dec may overflow,
-    and ``solve1`` flags a singular matrix invalid as it returns NaN."""
+def _prox_rn(fn: Functional, tau: float, eye_tau, v, fv: float, gv) -> tuple:
+    """The tuple of :func:`_prox_1d` for the step on R^n from v, with f and
+    grad f at x (grad f None after a decrement stop), given f(v) = fv and
+    grad f(v) = gv (None: not known); eye_tau is I/tau.
+    Damped Newton with an Armijo line search on f, none once the decrement
+    -step.g/2 is under 4 eps (|obj| + 1).  The matrix I/tau + ``fn.hess(x)``
+    goes to numpy's ``gesv`` (bitwise ``np.linalg.solve``); a singular one
+    (a NaN step), a decrement <= 0 or a non-finite step (only checked if
+    the decrement is not finite) takes the gradient step; a failed line
+    search where |g|^2 overflows raises NotBoundedBelow, as do 100
+    iterations without a stop where the last decrement is +inf (else
+    BlowUp).  f skips the closure test where |x - v|^2 is finite.  Run
+    under errstate(over="ignore", invalid="ignore"): |g|^2 and dec may
+    overflow, and ``solve1`` flags a singular matrix invalid."""
     evals, n_hess = int(gv is None), 0
     gx = np.asarray(fn.grad(v), dtype=float) if gv is None else gv
     x, obj, fx, g = v, fv, fv, gx + 0.0  # bitwise psi(v) = (v - v)/tau + gx
@@ -570,7 +561,7 @@ def _prox_rn(fn: Functional, tau: float, v, fv: float, eye_tau, gv=None) -> tupl
                 break
         x, obj, fx = x_new, obj_new, f_new
         if stop:  # the next step evaluates grad f(x) if it needs it
-            return x, float(obj), fx, None, evals, n_hess
+            return x, fx, None, evals, n_hess, 0, False
         if math.sqrt(x.dot(x)) > 1e9 or obj < -1e15:
             raise NotBoundedBelow(f"prox objective of {fn.name} diverges")
         gx, evals = np.asarray(fn.grad(x), dtype=float), evals + 1
@@ -579,83 +570,84 @@ def _prox_rn(fn: Functional, tau: float, v, fv: float, eye_tau, gv=None) -> tupl
         if dec == math.inf:  # the Newton model's minimum is past the double range
             raise NotBoundedBelow(f"prox objective of {fn.name} leaves the double range")
         raise BlowUp(f"prox of {fn.name} made 100 Newton iterations without a stop")
-    return x, float(obj), fx, gx, evals, n_hess
+    return x, fx, gx, evals, n_hess, 0, False
+
+
+def _movement(fn: Functional, tau, v, horizon=None) -> tuple:
+    """(tau, iterates v = u_0, .., u_n, f at each, (psi evaluations,
+    expansions, hess calls)) of n = 1 or floor(horizon/tau) steps of the
+    space's search, the arguments checked once.  On R^n f(v) comes first,
+    no step runs from an f not finite, and each step hands f and grad f on;
+    on intervals f is evaluated in one call at 512, 1024, ... steps, after a
+    step that ends on a collapsed bracket (a kink or a pole of f') and at
+    the end, and a call with f not finite stops the steps.  The first u_k
+    where f is not finite decides the error, even if a later step raised:
+    -inf NotBoundedBelow at step max(k, 1), +inf BasePointOutsideDomain at
+    step k + 1 (none after the last), NaN NanError.  Over a horizon those
+    two, PointOutsideSpace and BlowUp are re-raised naming the step."""
+    tau, k, us, fs, err, rn, fu, gu = float(tau), 1, [], [], None, None, None, None
+    psi_evals = expansions = hess_evals = 0
+
+    def finite_f():  # f on the iterates past fs in one call; all finite?
+        new = np.asarray(fn.fvec(np.asarray(us[len(fs):], dtype=float)))
+        fs.extend(new.tolist())
+        return np.isfinite(new).all()
+    try:
+        tau, u, step, n_steps = _prox_args(fn, tau, v, horizon)
+        if fn.space.shape:  # the R^n steps hand f and grad f on
+            fs, rn = [fu := fn.value(u)], "ignore"
+        us.append(u)
+        with np.errstate(over=rn, invalid=rn):  # see _prox_rn
+            for k in range(1, n_steps + 1 if fu is None or math.isfinite(fu) else 1):
+                u, fu, gu, evals, n_hess, doublings, jump = step(u, fu, gu)
+                us.append(u)
+                psi_evals, hess_evals = psi_evals + evals, hess_evals + n_hess
+                expansions += doublings
+                if fu is not None:
+                    fs.append(fu)
+                elif (jump or k >= 512 and k & (k - 1) == 0) and not finite_f():
+                    break  # a bad u_j found past a jump of f' or at 512, 1024, ... steps
+    except Exception as exc:
+        err = exc
+    if len(us) > len(fs):
+        finite_f()
+    if not math.isfinite(sum(fs)):  # an f not finite, or a sum past the double range
+        j = int(np.isfinite(fs).argmin())  # the first f not finite, if any
+        if math.isnan(fs[j]):
+            raise NanError(f"NaN in {fn.name}({us[j]!r})")
+        if fs[j] == -math.inf:
+            k, err = max(j, 1), NotBoundedBelow(
+                f"prox objective of {fn.name} is -inf at {us[j]}")
+        elif fs[j] == math.inf and j < n_steps:
+            k, err = j + 1, BasePointOutsideDomain("f(v) = +inf")
+    if horizon is not None and isinstance(
+            err, (NotBoundedBelow, BasePointOutsideDomain, PointOutsideSpace, BlowUp)):
+        raise type(err)(f"prox failed at step {k} (t={k * tau}): {err}") from err
+    if err is not None:
+        raise err
+    return tau, us, fs, (psi_evals, expansions, hess_evals)
 
 
 def minimizing_movement(fn: Functional, tau: float, y0, horizon: float,
                         tol: Tolerance = DEFAULT_TOL) -> Curve:
     """Implicit Euler scheme: prox steps up to the horizon, sampled at the
-    step boundaries n*tau (including t = 0).
-
-    The arguments are checked once (fn needs grad and hess), then each step
-    runs the search of :func:`prox`; its errors are re-raised with the step
-    index.  On intervals f is evaluated in one call at 512 steps, at each
-    doubling of that, after a step that ends on a collapsed bracket (a kink
-    or a pole of f') and at the end (on R^n each step passes f and grad f
-    on); a call with f not finite stops the steps, and the first iterate u_k
-    where f is not finite fails as in a loop of prox calls, also if a later
-    step raised: -inf with :class:`NotBoundedBelow` at step max(k, 1), +inf
-    with :class:`BasePointOutsideDomain` at step k + 1 (none after the
-    last), NaN with :class:`NanError`.  meta has ``prox_psi_evals``
-    (gradient calls: f' at each 1-d trial point; on R^n one at y0 and one
-    per Newton iterate), ``prox_hess_evals`` (``fn.hess`` calls: f'' with
-    each f' but the steps' first, or one per Newton iteration) and
+    step boundaries n*tau (including t = 0), with the errors of a loop of
+    :func:`prox` calls prefixed "prox failed at step k (t=...): ".  meta has
+    ``prox_psi_evals`` (gradient calls: f' at each 1-d trial point; on R^n
+    at y0 and each Newton iterate), ``prox_hess_evals`` (``fn.hess`` calls:
+    with each f' but the steps' first, or each Newton iteration) and
     ``prox_expansions`` (doublings).  tol is not read; ``perfbench/jobs.py``
     passes it by position.
     """
-    tau, k, us, fs, err, one_d = float(tau), 1, [], [], None, False
-    psi_evals = expansions = hess_evals = 0
-
-    def finite_f():  # 1-d: f on the iterates past fs in one call; all finite?
-        new = np.asarray(fn.fvec(np.asarray(us[len(fs):], dtype=float)))
-        fs.extend(new.tolist())
-        return np.isfinite(new).all()
-    try:
-        tau, u, one_d, n_steps = _prox_args(fn, tau, y0, horizon)
-        us.append(u)
-        rn = None
-        if not one_d:  # each step passes f and grad f on; none runs from a bad f(y0)
-            fs, gu, eye_tau, rn = [fn.value(u)], None, np.eye(u.size) / tau, "ignore"
-        with np.errstate(over=rn, invalid=rn):  # see _prox_rn
-            for k in range(1, n_steps + 1 if one_d or math.isfinite(fs[0]) else 1):
-                if one_d:
-                    u, evals, doublings, jump = _prox_1d(fn, tau, u)
-                    expansions, hess_evals = expansions + doublings, hess_evals + evals - 1
-                else:
-                    u, _, fu, gu, evals, n_hess = _prox_rn(fn, tau, u, fs[-1], eye_tau, gu)
-                    fs.append(fu)
-                    hess_evals += n_hess
-                us.append(u)
-                psi_evals += evals
-                if one_d and (jump or k >= 512 and k & (k - 1) == 0) and not finite_f():
-                    break  # a bad u_j found past a jump of f' or at 512, 1024, ... steps
-    except Exception as exc:
-        err = exc
-    if one_d and len(us) > len(fs):
-        finite_f()
-    f = np.append(fs, 0.0)
-    j = int(np.isfinite(f).argmin())  # the first f not finite, if any (f ends in 0.0)
-    if math.isnan(f[j]):
-        raise NanError(f"NaN in {fn.name}({us[j]!r})")
-    if f[j] == -math.inf:
-        k, err = max(j, 1), NotBoundedBelow(
-            f"prox objective of {fn.name} is -inf at {us[j]}")
-    elif f[j] == math.inf and j < n_steps:
-        k, err = j + 1, BasePointOutsideDomain("f(v) = +inf")
-    if isinstance(err, (NotBoundedBelow, BasePointOutsideDomain, PointOutsideSpace,
-                        BlowUp)):
-        raise type(err)(f"prox failed at step {k} (t={k * tau}): {err}") from err
-    if err is not None:
-        raise err
+    tau, us, _, (psi_evals, expansions, hess_evals) = _movement(fn, tau, y0, horizon)
     logger.debug("minimizing_movement %s: %d steps, prox_psi_evals=%d prox_hess_evals=%d "
-                 "prox_expansions=%d", fn.name, n_steps, psi_evals, hess_evals,
+                 "prox_expansions=%d", fn.name, len(us) - 1, psi_evals, hess_evals,
                  expansions)
-    pts = np.asarray(us, dtype=float)
-    stop = None
-    if one_d:  # the first step ending within 1e-12 of a finite end
+    pts, stop = np.asarray(us, dtype=float), None
+    if isinstance(fn.space, Interval):  # the first step ending within 1e-12 of a finite end
         edge = np.minimum(abs(pts - fn.space.a), abs(pts - fn.space.b))[1:] <= 1e-12
         stop = (int(edge.argmax()) + 1) * tau if edge.any() else None
-    return Curve(tau * np.arange(n_steps + 1), pts, stop_time=stop,
+    return Curve(tau * np.arange(len(us)), pts, stop_time=stop,
                  meta={"method": "mms", "tau": tau, "functional": fn.name,
                        "prox_psi_evals": psi_evals, "prox_hess_evals": hess_evals,
                        "prox_expansions": expansions})

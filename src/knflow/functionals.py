@@ -207,8 +207,8 @@ def library(name: str, p: CurvatureParams, *, c: float = 1.0, a: float = 1.0,
                 name=f"quadratic({c})", params=p, sample_box=(-3.0, 3.0),
                 meta={"c": c},
             )
-        space = EuclideanRn(dim)  # ParamOutOfRange for dim < 1, before np.eye
-        hess = c * np.eye(dim)
+        space = EuclideanRn(dim)  # ParamOutOfRange unless dim is whole and >= 1
+        hess = c * np.eye(space.n)
         hess.flags.writeable = False
         return Functional(
             space=space,
@@ -216,7 +216,7 @@ def library(name: str, p: CurvatureParams, *, c: float = 1.0, a: float = 1.0,
             grad=lambda x: c * np.asarray(x, dtype=float),
             hess=lambda x: hess,
             name=f"quadratic({c})", params=p,
-            sample_box=(-3.0 * np.ones(dim), 3.0 * np.ones(dim)),
+            sample_box=(-3.0 * np.ones(space.n), 3.0 * np.ones(space.n)),
             meta={"c": c},
         )
     if name == "linear":
@@ -241,14 +241,18 @@ def fN_functional(fn: Functional, p: CurvatureParams) -> Functional:
     if fn.grad is not None:
         point = fn.space.point  # a float on an interval
 
-        def grad(x):  # chain rule through the log domain
+        def grad(x):  # chain rule through the log domain; +-inf where it overflows
             g = _exp_clip(-fn.value(x) / p.N)
-            return point(-(1.0 / p.N) * g * np.asarray(fn.grad(x)))
+            with np.errstate(over="ignore", invalid="ignore"):
+                out = -(1.0 / p.N) * g * np.asarray(fn.grad(x))
+            return point(require_not_nan(out, f"gradient of {fn.name}_N"))
 
         if fn.hess is not None:
             def hess(x):  # g'' = -(g/N) (f'' - f' f'^T / N)
                 g, df = _exp_clip(-fn.value(x) / p.N), np.asarray(fn.grad(x), dtype=float)
-                return point(-(g / p.N) * (fn.hess(x) - np.multiply.outer(df, df) / p.N))
+                with np.errstate(over="ignore", invalid="ignore"):
+                    out = -(g / p.N) * (fn.hess(x) - np.multiply.outer(df, df) / p.N)
+                return point(require_not_nan(out, f"Hessian of {fn.name}_N"))
 
     ub = None if fn.upper_bound is None else float(_exp_clip(-fn.upper_bound / p.N))
     return Functional(

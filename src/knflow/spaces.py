@@ -62,6 +62,7 @@ class Interval(_FlatSpace):
 
     shape = ()
     point = staticmethod(float)
+    _sq_distance = staticmethod(lambda x, y: (y - x) ** 2)  # the prox objective's, libm pow
 
     def __post_init__(self):
         a, b = float(self.a), float(self.b)
@@ -105,11 +106,13 @@ class EuclideanRn(_FlatSpace):
     n: int
 
     def __post_init__(self):
-        if int(self.n) < 1:
-            raise ParamOutOfRange("n must be >= 1")
-        object.__setattr__(self, "n", int(self.n))
+        n = self.n if isinstance(self.n, (int, float, np.integer, np.floating)) else -1
+        if not (n >= 1 and float(n).is_integer()):
+            raise ParamOutOfRange(f"n must be >= 1 and whole, got {self.n!r}")
+        object.__setattr__(self, "n", int(n))
 
     shape = property(lambda self: (self.n,))
+    _sq_distance = staticmethod(lambda x, y: float((y - x).dot(y - x)))  # as _prox_rn's
 
     def contains(self, x) -> bool:
         arr = np.asarray(x, dtype=float)  # math.isfinite: cheap on short vectors
@@ -119,8 +122,8 @@ class EuclideanRn(_FlatSpace):
         return np.asarray(x, dtype=float)
 
     def closure_point(self, x) -> np.ndarray:
-        """x as a finite array of shape (n,); PointOutsideSpace otherwise."""
-        if self.contains(arr := np.asarray(x, dtype=float)):
+        """x as a new finite array of shape (n,); PointOutsideSpace otherwise."""
+        if self.contains(arr := np.array(x, dtype=float)):
             return arr
         raise PointOutsideSpace(f"{x!r} outside the closure of {self}")
 

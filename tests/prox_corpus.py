@@ -3,15 +3,19 @@ comparing the proximal search of two source trees bit for bit.
 
     PYTHONPATH=<tree>/src python tests/prox_corpus.py > <tree>.jsonl
     PYTHONPATH=src python tests/prox_corpus.py --compare old.jsonl new.jsonl
+    PYTHONPATH=src python -W error::RuntimeWarning tests/prox_corpus.py --pins
 
 The first form prints one JSON line per solve: its index, kind, functional,
 arguments and result (the output and counters, floats by repr, or the error
 type and message).  The second prints the number of solves and, by
 functional, the indices of the lines whose results differ; a prox index
-is starred where the old solve made 601 f' calls.  26 functionals, each
-with 500 prox solves (v in the sampling box, every 50th at an end of the
-closure; tau log-uniform in [1e-4, 10]) and 30 minimizing movements (tau
-log-uniform in [1e-3, 0.5], 10 to 299 steps), 13780 solves in all.
+is starred where the old solve made 601 f' calls.  It exits 1 if any
+differ.  26 functionals, each with 500 prox solves (v in the sampling box,
+every 50th at an end of the closure; tau log-uniform in [1e-4, 10]) and 30
+minimizing movements (tau log-uniform in [1e-3, 0.5], 10 to 299 steps),
+13780 solves in all.  The third prints ``digests`` of the small corpus
+``run(n_prox=20, n_mms=2)`` (572 solves): the pins of
+``tests/data/prox_pins.json``, made under the test suite's warning filter.
 """
 import hashlib
 import json
@@ -96,7 +100,16 @@ def run(n_prox=500, n_mms=30):
             index += 1
 
 
+def digests(records):
+    """The sha256 of each functional's records, as sorted-key JSON lines."""
+    hashes = defaultdict(hashlib.sha256)
+    for record in records:
+        hashes[record["fn"]].update((json.dumps(record, sort_keys=True) + "\n").encode())
+    return {name: h.hexdigest() for name, h in hashes.items()}
+
+
 def compare(old_path, new_path):
+    """Print the solves whose results differ; returns their number."""
     old = [json.loads(line) for line in open(old_path)]
     new = [json.loads(line) for line in open(new_path)]
     assert [r["i"] for r in old] == [r["i"] for r in new]
@@ -108,11 +121,14 @@ def compare(old_path, new_path):
     print(f"{len(old)} solves, {sum(map(len, moved.values()))} differ")
     for (name, kind), idx in moved.items():
         print(f"{name} {kind} ({len(idx)}): {' '.join(idx)}")
+    return sum(map(len, moved.values()))
 
 
 if __name__ == "__main__":
     if sys.argv[1:2] == ["--compare"]:
-        compare(*sys.argv[2:4])
+        sys.exit(1 if compare(*sys.argv[2:4]) else 0)
+    elif sys.argv[1:2] == ["--pins"]:
+        print(json.dumps(digests(run(n_prox=20, n_mms=2)), indent=1))
     else:
         for record in run():
             print(json.dumps(record))

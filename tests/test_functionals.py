@@ -331,6 +331,39 @@ class TestSecondDerivative:
         assert isinstance(got, float) and abs(got - want) <= 8 * math.ulp(want), (x, got, want)
 
 
+class TestChainRuleSaturates:
+    """fN_functional's grad and hess: a product past the double range is
+    +-inf without a warning, as exp is in _exp_clip; a NaN raises."""
+
+    def test_prox_through_an_overflowing_hessian(self):
+        # (w - v)^2 f'' overflows at a trial point of this search; under the
+        # suite's error::RuntimeWarning filter the step runs to its output
+        from knflow.flows import ProxStep, prox
+        p = CurvatureParams(1000.0, -1.0)
+        fn = fN_functional(library("log-cosh", p), p)
+        tau, v = 1.3769293674129974, 0.015570921316578334
+        assert prox(fn, tau, v) == ProxStep(
+            tau, v, 1.130023160378955e-05, 1.0000879775104525, 1.0000000638476179,
+            psi_evals=15, expansions=0, hess_evals=14)
+
+    def test_products_saturate(self):
+        p = CurvatureParams(1000.0, -1.0)
+        fn = fN_functional(library("log-cosh", p), p)
+        # f_N(22.4) = cosh(sqrt(1000) 22.4) is 2.1e307: finite, times f' or f'' not
+        assert math.isfinite(fn.value(22.4))
+        assert fn.grad(22.4) == fn.hess(22.4) == -fn.grad(-22.4) == math.inf
+
+    def test_nan_raises(self):
+        # f = 1e6: g = exp(1e6) = +inf, and f' = 0, so g f' is inf * 0
+        flat = Functional(space=Interval(), fvec=lambda x: np.full(np.shape(x), 1e6),
+                          grad=lambda x: 0.0, hess=lambda x: 0.0, name="flat")
+        gn = fN_functional(flat, P11)
+        with pytest.raises(NanError, match="gradient of flat_N"):
+            gn.grad(0.5)
+        with pytest.raises(NanError, match="Hessian of flat_N"):
+            gn.hess(0.5)
+
+
 class TestDirectionalDerivative:
     def test_quadratic_toward_origin(self):
         fn = library("quadratic", P11, c=1.0)

@@ -278,21 +278,27 @@ class TestJson:
 class TestGeometryStaysInTheSpaces:
     """A source scan: outside spaces.py, code asks the space for its geometry
     (distances, segment, closure_point, sampling_box, shape) instead of
-    branching on its type.  The branches left are the 1-d and R^n solvers of
-    flows, the samplers whose random streams differ by space, and the two
-    checks that take intervals only.  A new branch must join this list."""
+    branching on its type or on whether it has a shape.  The branches left
+    are the choice of the 1-d or R^n proximal step and what differs with it,
+    the ODE route's boundary events, the samplers whose random streams
+    differ by space, the two checks that take intervals only and the two
+    parsers of a point.  A new branch must join this list, and a branch
+    that goes must leave it."""
 
-    BRANCH = re.compile(r"one_d|dim1|is_1d|isinstance\([^)]*(Interval|EuclideanRn)")
+    BRANCH = re.compile(r"one_d|dim1|is_1d|isinstance\([^)]*(Interval|EuclideanRn)"
+                        r"|\bif (not )?[\w.]*space\.shape\b")
     SURVIVORS = Counter({
         ("analysis.py", "_stratified_z"): 1,  # per-space random stream
         ("analysis.py", "check_evi_local"): 1,  # per-space random stream
         ("analysis.py", "_definition_slopes"): 1,  # per-space probes
         ("analysis.py", "slope"): 1,  # the formula slope takes intervals only
+        ("cli.py", "_run_flow"): 1,  # y0 is a number or a list
         ("convexity.py", "check_gluing"): 1,  # takes intervals only
+        ("functionals.py", "expression_functional"): 1,  # x or x1..xn
         ("flows.py", "ode_flow"): 3,  # boundary events on intervals
         ("flows.py", "_prox_args"): 1,  # the solver choice
-        ("flows.py", "prox"): 2,
-        ("flows.py", "minimizing_movement"): 9,
+        ("flows.py", "_movement"): 1,  # the R^n steps hand f on
+        ("flows.py", "minimizing_movement"): 1,  # the stop time on intervals
     })
 
     @staticmethod
@@ -320,4 +326,4 @@ class TestGeometryStaysInTheSpaces:
                     owner = next((name for lo, hi, name in owners if lo <= k <= hi),
                                  None)
                     found[(path.name, owner)] += 1
-        assert found - self.SURVIVORS == Counter()
+        assert found == self.SURVIVORS
